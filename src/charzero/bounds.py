@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 from .dixon import dixon_character_table, zero_census
 from .ffield import fq_poly_is_squarefree
 from .gln import class_count_poly, gln_zero_ratio_formula, regular_ss_class_count
-from .matgroup import MatrixGroupTable, conjugacy_classes, mat_charpoly
+from .matgroup import MatrixGroupTable, conjugacy_classes, gl_group, gl_order, mat_charpoly
 from .polynomials import IntPoly
 from .weyl import sum_inv_c_sq_stream
 
@@ -88,8 +88,9 @@ def simple_bound_polys(r: int) -> tuple[IntPoly, IntPoly]:
     f1 = base1 * base1
     base2 = IntPoly((0,) * r + (1,)) + 40 * IntPoly((0,) * (r - 1) + (1,))
     f2 = base2 * base2
-    assert f1.degree == 2 * r and f1.is_monic()
-    assert f2.degree == 2 * r and f2.is_monic()
+    for name, f in (("f1", f1), ("f2", f2)):
+        if f.degree != 2 * r or not f.is_monic():
+            raise RuntimeError(f"{name} for r = {r} is not monic of degree 2r")
     return f1, f2
 
 
@@ -266,12 +267,7 @@ def trend_report(
             else:
                 if n in (2, 3):
                     formula = gln_zero_ratio_formula(n, q)
-                order = 1
-                for i in range(n):
-                    order *= q**n - q**i
-                if order <= brute_cap:
-                    from .matgroup import gl_group
-
+                if gl_order(n, q) <= brute_cap:
                     g = gl_group(n, q)
                     brute = zero_census(
                         dixon_character_table(g, conjugacy_classes(g))

@@ -6,9 +6,9 @@ as "num/den" strings and cyclotomic values as coefficient vectors; no
 floating-point number ever appears in the data stream.  Identical
 invocations produce byte-identical output.
 
-Exit codes: 0 success, 2 parameter validation failure, 1 internal
-consistency failure (an exactness check tripped - always a bug, never
-swallowed).
+Exit codes: 0 success, 2 parameter validation failure (size limits included,
+refused before the work), 1 internal consistency failure (an exactness check
+tripped - always a bug, never swallowed) or running out of memory.
 """
 
 from __future__ import annotations
@@ -253,10 +253,7 @@ def _cmd_kl_verify(args):
 
     _validate_prime_power(args.q, "--q")
     F = field_for_order(args.q)
-    try:
-        rep = kl_verify(args.n, F)
-    except ValueError as e:
-        raise SystemExit2(str(e))
+    rep = kl_verify(args.n, F)
     result = {
         "algebra": f"gl{args.n}(F{args.q})",
         "cartan_representatives": rep.cartan_reps,
@@ -355,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS)
     common.add_argument("--output", default=argparse.SUPPRESS,
                         help="output path (default: stdout)")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker threads (results are deterministic regardless)")
     common.add_argument("--cap", type=int, default=argparse.SUPPRESS,
                         help=f"group enumeration cap (or env {CAP_ENV_VAR})")
 
@@ -443,8 +438,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (RuntimeError, AssertionError) as e:
+    except RuntimeError as e:
         print(f"internal check failed: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"out of memory: {e}", file=sys.stderr)
         return 1
     buf = io.StringIO()
     emit(result, rows, getattr(args, "format", "json"), buf)

@@ -22,7 +22,7 @@ from math import isqrt
 import numpy as np
 
 from .cyclotomic import CycInt, _power_basis, euler_phi
-from .ffield import is_prime
+from .ffield import is_prime, prime_factors
 from .matgroup import ClassData, GroupTable
 
 MAX_CLASSES = 256
@@ -133,7 +133,7 @@ def _sqrt_mod(a: int, l: int) -> int:
     if a == 0:
         return 0
     if pow(a, (l - 1) // 2, l) != 1:
-        raise ValueError(f"{a} is not a quadratic residue mod {l}")
+        raise RuntimeError(f"{a} is not a quadratic residue mod {l}")
     if l % 4 == 3:
         return pow(a, (l + 1) // 4, l)
     q, s = l - 1, 0
@@ -156,15 +156,7 @@ def _sqrt_mod(a: int, l: int) -> int:
 
 
 def _least_primitive_root(l: int) -> int:
-    factors = set()
-    n, d = l - 1, 2
-    while d * d <= n:
-        while n % d == 0:
-            factors.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        factors.add(n)
+    factors = prime_factors(l - 1)
     for w in range(2, l):
         if all(pow(w, (l - 1) // f, l) != 1 for f in factors):
             return w
@@ -230,6 +222,14 @@ class ZeroReport:
     total_entries: int
     ratio: Fraction
     per_character_zero_counts: tuple[int, ...]
+
+    @staticmethod
+    def of_table(values: tuple[tuple[CycInt, ...], ...]) -> "ZeroReport":
+        """Census of the zero entries of a table of cyclotomic values."""
+        per_row = tuple(sum(1 for v in row if v.is_zero()) for row in values)
+        zeros = sum(per_row)
+        total = sum(len(row) for row in values)
+        return ZeroReport(zeros, total, Fraction(zeros, total), per_row)
 
     def to_json(self) -> dict:
         from .serial import frac_str
@@ -410,10 +410,7 @@ def dixon_character_table(group: GroupTable, cd: ClassData) -> CharacterTable:
 
 
 def zero_census(t: CharacterTable) -> ZeroReport:
-    per_char = tuple(sum(1 for v in row if v.is_zero()) for row in t.values)
-    zeros = sum(per_char)
-    total = t.num_classes * t.num_classes
-    return ZeroReport(zeros, total, Fraction(zeros, total), per_char)
+    return ZeroReport.of_table(t.values)
 
 
 def _conjugate_coeff_matrix(m: int) -> np.ndarray:

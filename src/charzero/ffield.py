@@ -11,42 +11,62 @@ free of per-operation polynomial arithmetic.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 from .cyclotomic import CycInt
 
 DEFAULT_FIELD_CAP = 10**6
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1 in increasing order, by trial division."""
+    factors = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+def is_prime(n: int) -> bool:
+    return prime_factors(n) == [n]
 
 
 def is_prime_power(n: int) -> tuple[int, int] | None:
     """Return (p, e) with n = p^e, or None."""
     if n < 2:
         return None
-    for p in range(2, n + 1):
-        if p * p > n:
-            return (n, 1) if is_prime(n) else None
-        if n % p:
-            continue
-        e, m = 0, n
-        while m % p == 0:
-            m //= p
-            e += 1
-        return (p, e) if m == 1 else None
-    return None
+    p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)  # least prime factor
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return (p, e) if n == 1 else None
+
+
+# -- base-b digit codes (field elements over F_p, matrices over F_q) --------
+
+
+def from_digits(digits: list[int] | tuple[int, ...], base: int) -> int:
+    """The code of a digit vector, digit 0 least significant."""
+    code = 0
+    for d in reversed(digits):
+        code = code * base + d
+    return code
+
+
+def to_digits(code: int, base: int, count: int) -> list[int]:
+    """The `count` lowest base-`base` digits of `code`, least significant first."""
+    out = []
+    for _ in range(count):
+        out.append(code % base)
+        code //= base
+    return out
 
 
 class Field:
@@ -66,23 +86,6 @@ class Field:
         self._build_tables()
         self.generator = self._find_generator()
 
-    # -- element codec ---------------------------------------------------
-
-    def _decode(self, x: int) -> list[int]:
-        p = self.p
-        out = []
-        for _ in range(self.e):
-            out.append(x % p)
-            x //= p
-        return out
-
-    def _encode(self, v: list[int]) -> int:
-        p = self.p
-        x = 0
-        for c in reversed(v):
-            x = x * p + (c % p)
-        return x
-
     # -- tables ----------------------------------------------------------
 
     def _build_tables(self):
@@ -92,12 +95,12 @@ class Field:
         top = [(-mod[i]) % p for i in range(e)]
         add = [[0] * q for _ in range(q)]
         mul = [[0] * q for _ in range(q)]
-        vecs = [self._decode(x) for x in range(q)]
+        vecs = [to_digits(x, p, e) for x in range(q)]
         for a in range(q):
             va = vecs[a]
             for b in range(a, q):
                 vb = vecs[b]
-                s = self._encode([(x + y) % p for x, y in zip(va, vb)])
+                s = from_digits([(x + y) % p for x, y in zip(va, vb)], p)
                 add[a][b] = s
                 add[b][a] = s
         for a in range(q):
@@ -115,7 +118,7 @@ class Field:
                         for j in range(e):
                             conv[k - e + j] += c * top[j]
                     conv[k] = 0
-                m = self._encode([c % p for c in conv[:e]])
+                m = from_digits([c % p for c in conv[:e]], p)
                 mul[a][b] = m
                 mul[b][a] = m
         self.add = add
@@ -130,15 +133,7 @@ class Field:
         order = self.q - 1
         if order == 1:
             return 1
-        factors = set()
-        n, d = order, 2
-        while d * d <= n:
-            while n % d == 0:
-                factors.add(d)
-                n //= d
-            d += 1
-        if n > 1:
-            factors.add(n)
+        factors = prime_factors(order)
         for g in range(2, self.q):
             if all(self.pow(g, order // f) != 1 for f in factors):
                 return g
@@ -160,9 +155,6 @@ class Field:
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p)
 
-    def element_from_prime_field(self, c: int) -> int:
-        return c % self.p
-
     def elements(self) -> range:
         return range(self.q)
 
@@ -172,7 +164,8 @@ class Field:
         for _ in range(self.e):
             acc = self.add[acc][cur]
             cur = self.pow(cur, self.p)
-        assert acc < self.p, "trace left the prime subfield"
+        if acc >= self.p:
+            raise RuntimeError("trace left the prime subfield")
         return acc
 
     def additive_character(self, x: int) -> CycInt:
@@ -199,12 +192,7 @@ def _poly_is_irreducible(coeffs: list[int], p: int) -> bool:
             return False
     for d in range(2, e // 2 + 1):
         for idx in range(p**d):
-            div = []
-            t = idx
-            for _ in range(d):
-                div.append(t % p)
-                t //= p
-            div.append(1)
+            div = to_digits(idx, p, d) + [1]
             # polynomial remainder of coeffs by div over F_p
             rem = coeffs[:]
             for k in range(len(rem) - 1, d - 1, -1):
@@ -224,12 +212,7 @@ def _least_irreducible(p: int, e: int) -> tuple[int, ...]:
     if e == 1:
         return (0, 1)  # the polynomial x
     for idx in range(p**e):
-        coeffs = []
-        t = idx
-        for _ in range(e):
-            coeffs.append(t % p)
-            t //= p
-        coeffs.append(1)
+        coeffs = to_digits(idx, p, e) + [1]
         if _poly_is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise RuntimeError(f"no irreducible of degree {e} over F_{p}")  # unreachable
@@ -351,6 +334,7 @@ def fq_poly_factor_cubic_or_less(F: Field, a: list[int]) -> list[list[int]]:
         r = min(roots)
         lin = [F.neg[r], 1]
         rest, rem = fq_poly_divmod(F, rest, lin)
-        assert not rem
+        if rem:
+            raise RuntimeError("a root's linear factor left a remainder")
         factors.append(lin)
     return sorted(factors)

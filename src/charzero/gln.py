@@ -149,7 +149,8 @@ def torus_inventory(n: int, q: int, cap: int = DEFAULT_TORUS_CAP) -> list[TorusR
             raise RuntimeError(
                 f"regular count {f} not divisible by centralizer {c} at {lam}"
             )
-        assert poly.evaluate(q) == size
+        if poly.evaluate(q) != size:
+            raise RuntimeError(f"torus order polynomial disagrees with |T^F| at {lam}")
         out.append(
             TorusRecord(
                 partition=lam,

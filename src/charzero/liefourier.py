@@ -29,99 +29,57 @@ from .ffield import (
     fq_poly_roots,
     fq_poly_trim,
 )
-from .matgroup import MatrixGroupTable, gl_group, mat_charpoly, mat_identity, mat_inv, mat_mul
+from .matgroup import (
+    MatrixGroupTable,
+    gl_group,
+    mat_charpoly,
+    mat_decode,
+    mat_encode,
+    mat_identity,
+    mat_inv,
+    mat_mul,
+    orbit_partition,
+    rref,
+)
 
 DEFAULT_MATRIX_SPACE_CAP = 10**7
+
+
+def _check_additive_n(n: int) -> None:
+    # mat_charpoly, fq_poly_factor_cubic_or_less and green_function stop at n = 3
+    if not 1 <= n <= 3:
+        raise ValueError(f"gl_{n} is out of range: the additive side supports 1 <= n <= 3")
 
 
 # -- small exact linear algebra over F_q -------------------------------------
 
 
-def _mat_rank(F: Field, n: int, rows: list[list[int]]) -> int:
-    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
-    m = [row[:] for row in rows]
-    rank, col = 0, 0
-    ncols = len(m[0]) if m else 0
-    while rank < len(m) and col < ncols:
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        f = inv[m[rank][col]]
-        m[rank] = [mul[f][x] for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                g = m[r][col]
-                m[r] = [add[x][neg[mul[g][y]]] for x, y in zip(m[r], m[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def _nullspace_basis(F: Field, rows: list[list[int]]) -> list[list[int]]:
     """Basis of {x : rows @ x = 0} over F_q."""
-    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
-    m = [row[:] for row in rows]
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        f = inv[m[rank][col]]
-        m[rank] = [mul[f][x] for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                g = m[r][col]
-                m[r] = [add[x][neg[mul[g][y]]] for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
+    ncols = len(rows[0]) if rows else 0
+    reduced, pivots = rref(F, rows)
     basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [0] * ncols
         vec[fc] = 1
         for r, pc in enumerate(pivots):
-            vec[pc] = neg[m[r][fc]]
+            vec[pc] = F.neg[reduced[r][fc]]
         basis.append(vec)
     return basis
 
 
 def _min_poly(F: Field, n: int, a: tuple[int, ...]) -> list[int]:
-    """Minimal polynomial via the first linear dependence among I, a, a^2..."""
-    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
+    """Minimal polynomial via the first linear dependence among I, a, a^2...:
+    I..a^(k-1) are independent, so the nullspace is spanned by one vector
+    whose last coordinate is 1."""
     powers = [mat_identity(n)]
     while True:
         powers.append(mat_mul(F, n, powers[-1], a))
-        # solve sum c_i powers[i] = 0 with c_last = 1
-        k = len(powers) - 1
-        rows = [[powers[i][e] for i in range(k)] + [powers[k][e]] for e in range(n * n)]
-        # gaussian solve rows[:, :k] x = -rows[:, k]
-        m = [row[:] for row in rows]
-        pivots = []
-        rank = 0
-        for col in range(k):
-            piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            f = inv[m[rank][col]]
-            m[rank] = [mul[f][x] for x in m[rank]]
-            for r in range(len(m)):
-                if r != rank and m[r][col]:
-                    g = m[r][col]
-                    m[r] = [add[x][neg[mul[g][y]]] for x, y in zip(m[r], m[rank])]
-            pivots.append(col)
-            rank += 1
-        consistent = all(any(m[r][c] for c in range(k)) or m[r][k] == 0 for r in range(len(m)))
-        if consistent:
-            sol = [0] * k
-            for r, pc in enumerate(pivots):
-                sol[pc] = neg[m[r][k]]
-            return fq_poly_trim(sol + [1])
+        dependence = _nullspace_basis(F, [list(col) for col in zip(*powers)])
+        if dependence:
+            return fq_poly_trim(dependence[0])
 
 
 def _mat_from_poly(F: Field, n: int, coeffs: list[int], a: tuple[int, ...]) -> tuple[int, ...]:
@@ -203,9 +161,12 @@ def jordan_decomposition(F: Field, n: int, y: tuple[int, ...]) -> tuple[tuple[in
             raise RuntimeError("Jordan decomposition Newton iteration failed to settle")
     ys = _mat_from_poly(F, n, h, y)
     yn = tuple(F.add[a][F.neg[b]] for a, b in zip(y, ys))
-    assert fq_poly_is_squarefree(F, _min_poly(F, n, ys)), "semisimple part is not semisimple"
-    assert _is_nilpotent(F, n, yn), "nilpotent part is not nilpotent"
-    assert mat_mul(F, n, ys, yn) == mat_mul(F, n, yn, ys), "Jordan parts do not commute"
+    if not fq_poly_is_squarefree(F, _min_poly(F, n, ys)):
+        raise RuntimeError("semisimple part is not semisimple")
+    if not _is_nilpotent(F, n, yn):
+        raise RuntimeError("nilpotent part is not nilpotent")
+    if mat_mul(F, n, ys, yn) != mat_mul(F, n, yn, ys):
+        raise RuntimeError("Jordan parts do not commute")
     return ys, yn
 
 
@@ -226,7 +187,7 @@ def _nilpotent_jordan_type(F: Field, n: int, a: tuple[int, ...]) -> tuple[int, .
     for _ in range(n):
         cur = mat_mul(F, n, cur, a)
         rows = [list(cur[i * n : (i + 1) * n]) for i in range(n)]
-        ranks.append(_mat_rank(F, n, rows))
+        ranks.append(len(rref(F, rows)[1]))
     # number of blocks of size >= k is ranks[k-1] - ranks[k]
     sizes = []
     for k in range(1, n + 1):
@@ -266,19 +227,10 @@ class OrbitTable:
         return len(self.orbits)
 
     def matrix_code(self, a: tuple[int, ...]) -> int:
-        q = self.field.q
-        code = 0
-        for entry in reversed(a):
-            code = code * q + entry
-        return code
+        return mat_encode(self.field.q, a)
 
     def decode(self, code: int) -> tuple[int, ...]:
-        q = self.field.q
-        out = []
-        for _ in range(self.n * self.n):
-            out.append(code % q)
-            code //= q
-        return tuple(out)
+        return mat_decode(self.field.q, self.n, code)
 
     def orbit_of_matrix(self, a: tuple[int, ...]) -> int:
         return self.orbit_of[self.matrix_code(a)]
@@ -287,51 +239,26 @@ class OrbitTable:
 def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP,
                    group: MatrixGroupTable | None = None) -> OrbitTable:
     """Orbits of GL_n(F_q) acting on n x n matrices by conjugation."""
+    _check_additive_n(n)
     q = field.q
     space = q ** (n * n)
     if space > cap:
         raise ValueError(f"matrix space size {space} exceeds cap {cap}")
     if group is None:
         group = gl_group(n, q)
-    gens = [group.elements[i] for i in group.generator_indices]
-    gen_pairs = [(g, mat_inv(field, n, g)) for g in gens]
+    els = group.elements
+    gen_pairs = [(els[i], els[group.inv_idx(i)]) for i in group.generator_indices]
 
-    def code_of(a: tuple[int, ...]) -> int:
-        c = 0
-        for entry in reversed(a):
-            c = c * q + entry
-        return c
+    def conjugates(level: list[tuple[int, ...]]):
+        for x in level:
+            for g, ginv in gen_pairs:
+                yield mat_mul(field, n, mat_mul(field, n, g, x), ginv)
 
-    def decode(code: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(n * n):
-            out.append(code % q)
-            code //= q
-        return tuple(out)
-
-    orbit_of = [-1] * space
-    orbit_reps: list[tuple[int, ...]] = []
-    orbit_elements: list[tuple[int, ...]] = []
-    for seed in range(space):
-        if orbit_of[seed] >= 0:
-            continue
-        oid = len(orbit_reps)
-        orbit_of[seed] = oid
-        members = [seed]
-        frontier = [decode(seed)]
-        while frontier:
-            new_frontier = []
-            for x in frontier:
-                for g, ginv in gen_pairs:
-                    y = mat_mul(field, n, mat_mul(field, n, g, x), ginv)
-                    c = code_of(y)
-                    if orbit_of[c] < 0:
-                        orbit_of[c] = oid
-                        members.append(c)
-                        new_frontier.append(y)
-            frontier = new_frontier
-        orbit_reps.append(decode(seed))
-        orbit_elements.append(tuple(sorted(members)))
+    orbit_of, orbits = orbit_partition(
+        space, conjugates, lambda code: mat_decode(q, n, code), lambda a: mat_encode(q, a)
+    )
+    orbit_reps = [mat_decode(q, n, members[0]) for members in orbits]
+    orbit_elements = [tuple(sorted(members)) for members in orbits]
 
     # second pass: flags need orbit_of complete (semisimple part lookup)
     records = []
@@ -353,7 +280,7 @@ def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP,
                 is_semisimple=ss,
                 is_regular_semisimple=rss,
                 cartan_partition=cartan,
-                semisimple_part_orbit=orbit_of[code_of(ys)],
+                semisimple_part_orbit=orbit_of[mat_encode(q, ys)],
                 nilpotent_jordan_type=_nilpotent_jordan_type(field, n, yn),
             )
         )
@@ -412,14 +339,11 @@ def fourier_table(o: OrbitTable, scale: int = 1) -> FourierTable:
     p = F.p
     tau = o.num_orbits
     counts = [[[0] * p for _ in range(tau)] for _ in range(tau)]
-    for target, rec in enumerate(o.orbits):
-        rep = rec.rep
-        if scale != 1:
-            rep = tuple(F.mul[scale][x] for x in rep)
-        for code in range(len(o.orbit_of)):
-            src = o.orbit_of[code]
-            t = _trace_residue(F, n, rep, o.decode(code))
-            counts[src][target][t] += 1
+    reps = [tuple(F.mul[scale][x] for x in rec.rep) for rec in o.orbits]
+    for code, src in enumerate(o.orbit_of):
+        y = o.decode(code)  # once per matrix, not once per (matrix, target)
+        for target, rep in enumerate(reps):
+            counts[src][target][_trace_residue(F, n, rep, y)] += 1
     values = tuple(
         tuple(
             CycInt.from_exponents(p, {t: c for t, c in enumerate(counts[src][tgt]) if c})
@@ -468,10 +392,7 @@ def _recheck_well_defined(o: OrbitTable, t: FourierTable, scale: int) -> None:
 
 
 def fourier_zero_census(t: FourierTable) -> ZeroReport:
-    per_row = tuple(sum(1 for v in row if v.is_zero()) for row in t.values)
-    zeros = sum(per_row)
-    total = t.num_orbits**2
-    return ZeroReport(zeros, total, Fraction(zeros, total), per_row)
+    return ZeroReport.of_table(t.values)
 
 
 def additive_lower_bound(o: OrbitTable) -> tuple[Fraction, Fraction]:
@@ -603,7 +524,7 @@ def _eigen_blocks(F: Field, n: int, ys: tuple[int, ...], yn: tuple[int, ...]):
         blocks.append((a, eig))
         basis.extend(eig)
     if len(basis) != n:
-        raise ValueError("semisimple part is not split over F_q")
+        raise RuntimeError("semisimple part is not split over F_q")
     # change of basis: columns are eigenvectors
     P = tuple(basis[j][i] for i in range(n) for j in range(n))
     Pinv = mat_inv(F, n, P)
@@ -636,6 +557,31 @@ def _centralizer_green_value(F: Field, n: int, ys: tuple[int, ...],
     return q_val
 
 
+def _diagonal_conjugates(F: Field, n: int, group: MatrixGroupTable,
+                         ys: tuple[int, ...]) -> tuple[int, list[list[int]]]:
+    """|C_G(ys)| and the diagonals of the conjugates g ys g^-1 that are
+    diagonal, in element order."""
+    cent, diagonals = 0, []
+    for i, g in enumerate(group.elements):
+        gy = mat_mul(F, n, mat_mul(F, n, g, ys), group.elements[group.inv_idx(i)])
+        if gy == ys:
+            cent += 1
+        if _is_diagonal(n, gy):
+            diagonals.append(_diag_entries(n, gy))
+    return cent, diagonals
+
+
+def _residue_counts(F: Field, diagonals: list[list[int]], x: list[int]) -> list[int]:
+    """Counts per value of Tr(tr(diag(d) diag(x))) over the diagonals d."""
+    counts = [0] * F.p
+    for d in diagonals:
+        acc = 0
+        for a, b in zip(d, x):
+            acc = F.add[acc][F.mul[a][b]]
+        counts[F.trace_to_prime(acc)] += 1
+    return counts
+
+
 def hc_induction_split(n: int, field: Field, X: tuple[int, ...], Y: tuple[int, ...],
                        group: MatrixGroupTable | None = None) -> CycInt:
     """Evaluate the averaged induction of f_X = psi(tr(. X)) from the split
@@ -652,18 +598,10 @@ def hc_induction_split(n: int, field: Field, X: tuple[int, ...], Y: tuple[int, .
         group = gl_group(n, F.q)
     ys, yn = jordan_decomposition(F, n, Y)
     p = F.p
-    counts = [0] * p
-    cent = 0
-    hits = 0
-    for g in group.elements:
-        gy = mat_mul(F, n, mat_mul(F, n, g, ys), mat_inv(F, n, g))
-        if gy == ys:
-            cent += 1
-        if _is_diagonal(n, gy):
-            hits += 1
-            counts[_trace_residue(F, n, gy, X)] += 1
-    if hits == 0:
+    cent, diagonals = _diagonal_conjugates(F, n, group, ys)
+    if not diagonals:
         return CycInt.zero(p)
+    counts = _residue_counts(F, diagonals, _diag_entries(n, X))
     qval = _centralizer_green_value(F, n, ys, yn)
     total = CycInt.from_exponents(p, {t: qval * c for t, c in enumerate(counts) if c})
     coeffs = total.coeffs
@@ -692,6 +630,7 @@ def kl_verify(n: int, field: Field, orbit_tab: OrbitTable | None = None,
     Y, check |C(Y_s)| * F(1_{O_X})(Y) = q^{#pos roots} * Q * S exactly.
 
     Requires very good characteristic (p does not divide n)."""
+    _check_additive_n(n)
     F = field
     if n % F.p == 0:
         raise ValueError(
@@ -708,20 +647,12 @@ def kl_verify(n: int, field: Field, orbit_tab: OrbitTable | None = None,
 
     # per-orbit data shared across all X: diagonal images of Y_s under the
     # group, the centralizer order of Y_s, and the centralizer Green value
-    elements_inv = [mat_inv(F, n, g) for g in group.elements]
     per_orbit = []
     for rec in orbit_tab.orbits:
         ys, yn = jordan_decomposition(F, n, rec.rep)
-        diag_images = []
-        cent = 0
-        for g, ginv in zip(group.elements, elements_inv):
-            gy = mat_mul(F, n, mat_mul(F, n, g, ys), ginv)
-            if gy == ys:
-                cent += 1
-            if _is_diagonal(n, gy):
-                diag_images.append(tuple(_diag_entries(n, gy)))
-        qval = _centralizer_green_value(F, n, ys, yn) if diag_images else 0
-        per_orbit.append((diag_images, cent, qval))
+        cent, diagonals = _diagonal_conjugates(F, n, group, ys)
+        qval = _centralizer_green_value(F, n, ys, yn) if diagonals else 0
+        per_orbit.append((diagonals, cent, qval))
 
     # regular split X up to the Weyl (coordinate-permutation) action
     xs = [tuple(c) for c in itertools.combinations(range(F.q), n)]
@@ -731,13 +662,8 @@ def kl_verify(n: int, field: Field, orbit_tab: OrbitTable | None = None,
         X = tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n))
         ox = orbit_tab.orbit_of_matrix(X)
         for oy in range(orbit_tab.num_orbits):
-            diag_images, cent, qval = per_orbit[oy]
-            counts = [0] * p
-            for image in diag_images:
-                acc = 0
-                for a, x in zip(image, diag):
-                    acc = F.add[acc][F.mul[a][x]]
-                counts[F.trace_to_prime(acc)] += 1
+            diagonals, cent, qval = per_orbit[oy]
+            counts = _residue_counts(F, diagonals, diag)
             lhs = four.values[ox][oy] * cent
             rhs = CycInt.from_exponents(
                 p, {t: q_pow * qval * c for t, c in enumerate(counts) if c}

@@ -1,19 +1,23 @@
-"""Finite matrix-group engine: closure from generators, conjugacy classes,
-power maps, and direct products.
+"""The F_q matrix layer and the finite matrix-group engine built on it.
 
-Elements are flat row-major tuples of field element codes, which hash in
-constant time; enumeration is breadth-first from the identity with the
-generator list sorted, so two runs produce identical index maps.  Conjugacy
-classes are computed by orbit expansion under generator conjugation (linear
-in |G| * #generators) and are labelled by their least element index.
+Matrices over F_q are flat row-major tuples of field element codes, which
+hash in constant time.  This module owns every decision about them: the one
+Gauss-Jordan row reduction (`rref`), the base-q matrix codec (`mat_encode`,
+`mat_decode`), breadth-first closure from generators (`closure`) and orbit
+partition of an indexed set (`orbit_partition`).  Enumeration is
+breadth-first from the identity with the generator list sorted, so two runs
+produce identical index maps.  Conjugacy classes are computed by orbit
+expansion under generator conjugation (linear in |G| * #generators) and are
+labelled by their least element index.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
+from typing import Callable, Hashable, Iterable
 
-from .ffield import Field, field_for_order
+from .ffield import Field, field_for_order, from_digits, to_digits
 
 
 class EnumerationCapExceeded(ValueError):
@@ -44,22 +48,47 @@ def mat_mul(F: Field, n: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[i
     return tuple(out)
 
 
-def mat_inv(F: Field, n: int, a: tuple[int, ...]) -> tuple[int, ...]:
-    """Gauss-Jordan inverse; raises on singular input."""
+def rref(F: Field, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F_q by Gauss-Jordan elimination: the
+    nonzero reduced rows and their pivot columns."""
     add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
-    m = [list(a[i * n : (i + 1) * n]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
+    m = [list(row) for row in rows]
+    pivots: list[int] = []
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
         if piv is None:
-            raise ValueError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        f = inv[m[col][col]]
-        m[col] = [mul[f][x] for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [add[x][neg[mul[f][y]]] for x, y in zip(m[r], m[col])]
-    return tuple(m[i][n + j] for i in range(n) for j in range(n))
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        f = inv[m[r][col]]
+        m[r] = [mul[f][x] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                g = m[i][col]
+                m[i] = [add[x][neg[mul[g][y]]] for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return m[: len(pivots)], pivots
+
+
+def mat_inv(F: Field, n: int, a: tuple[int, ...]) -> tuple[int, ...]:
+    """Inverse by reducing [a | I]; raises on singular input."""
+    rows = [list(a[i * n : (i + 1) * n]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
+    reduced, pivots = rref(F, rows)
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return tuple(x for row in reduced for x in row[n:])
+
+
+def mat_encode(q: int, a: tuple[int, ...]) -> int:
+    """Base-q digit code of a flat matrix, entry 0 least significant."""
+    return from_digits(a, q)
+
+
+def mat_decode(q: int, n: int, code: int) -> tuple[int, ...]:
+    """Inverse of `mat_encode` for n x n matrices."""
+    return tuple(to_digits(code, q, n * n))
 
 
 def mat_charpoly(F: Field, n: int, a: tuple[int, ...]) -> list[int]:
@@ -88,6 +117,49 @@ def mat_charpoly(F: Field, n: int, a: tuple[int, ...]) -> list[int]:
         s2 = add[add[m1][m2]][m3]
         return [neg[det3()], s2, neg[tr], 1]
     raise ValueError("characteristic polynomial helper limited to n <= 3")
+
+
+# -- breadth-first closure and orbit partition ------------------------------
+
+
+def closure(start: Hashable, expand: Callable[[list], Iterable],
+            cap: int | None = None) -> tuple[list, dict]:
+    """Breadth-first closure of `start`: `expand(level)` yields the images of
+    one BFS level in a fixed order.  Returns the elements in discovery order
+    and their index; raises once more than `cap` elements are found."""
+    elements = [start]
+    index = {start: 0}
+    done = 0
+    while done < len(elements):
+        level = elements[done:]
+        done = len(elements)
+        for y in expand(level):
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+                if cap is not None and len(elements) > cap:
+                    raise EnumerationCapExceeded(f"group closure exceeded cap {cap}")
+    return elements, index
+
+
+def orbit_partition(size: int, expand: Callable[[list], Iterable],
+                    element: Callable[[int], Hashable] = lambda i: i,
+                    index: Callable[[Hashable], int] = lambda x: x,
+                    ) -> tuple[list[int], list[list[int]]]:
+    """Partition an indexed set of `size` elements into orbits, each the
+    `closure` under `expand` of the element with the least index not yet
+    reached.  `element(i)` is the element with index i and `index` is its
+    inverse.  Returns orbit_of and each orbit's member indices in discovery
+    order."""
+    orbit_of = [-1] * size
+    orbits: list[list[int]] = []
+    for seed in range(size):
+        if orbit_of[seed] < 0:
+            members = [index(x) for x in closure(element(seed), expand)[0]]
+            for i in members:
+                orbit_of[i] = len(orbits)
+            orbits.append(members)
+    return orbit_of, orbits
 
 
 class GroupTable:
@@ -149,24 +221,11 @@ def enumerate_group(generators: list[tuple[int, ...]], field: Field, dim: int,
     gens = sorted(set(generators))
     for g in gens:
         mat_inv(field, dim, g)  # raises on a singular generator
-    ident = mat_identity(dim)
-    elements = [ident]
-    index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for g in gens:
-                y = mat_mul(field, dim, x, g)
-                if y not in index:
-                    index[y] = len(elements)
-                    elements.append(y)
-                    new_frontier.append(y)
-                    if len(elements) > cap:
-                        raise EnumerationCapExceeded(
-                            f"group closure exceeded cap {cap}"
-                        )
-        frontier = new_frontier
+
+    def right_products(level):
+        return (mat_mul(field, dim, x, g) for x in level for g in gens)
+
+    elements, index = closure(mat_identity(dim), right_products, cap)
     # closure under inverse is implied (finite order); spot-check a sample
     for x in elements[: min(len(elements), 16)]:
         if mat_inv(field, dim, x) not in index:
@@ -213,35 +272,16 @@ class ClassData:
     """Conjugacy classes with sizes, representatives and power maps."""
 
     def __init__(self, group: GroupTable):
-        g = group
-        n = g.order
-        gens = g.generator_indices
-        gen_pairs = [(x, g.inv_idx(x)) for x in gens]
-        class_of = [-1] * n
-        reps: list[int] = []
-        sizes: list[int] = []
-        for seed in range(n):
-            if class_of[seed] >= 0:
-                continue
-            cls = len(reps)
-            reps.append(seed)
-            class_of[seed] = cls
-            orbit = [seed]
-            frontier = [seed]
-            while frontier:
-                new_frontier = []
-                for x in frontier:
-                    for gi, gi_inv in gen_pairs:
-                        y = g.mul_idx(g.mul_idx(gi, x), gi_inv)
-                        if class_of[y] < 0:
-                            class_of[y] = cls
-                            orbit.append(y)
-                            new_frontier.append(y)
-                frontier = new_frontier
-            sizes.append(len(orbit))
+        mul = group.mul_idx
+        gen_pairs = [(x, group.inv_idx(x)) for x in group.generator_indices]
+        class_of, orbits = orbit_partition(
+            group.order,
+            lambda level: (mul(mul(gi, x), gi_inv) for x in level for gi, gi_inv in gen_pairs),
+        )
+        reps = [members[0] for members in orbits]
         self.group = group
         self.class_reps = reps
-        self.class_sizes = sizes
+        self.class_sizes = [len(members) for members in orbits]
         self.class_of = class_of
         self.num_classes = len(reps)
         orders = [group.element_order(r) for r in reps]
@@ -311,17 +351,24 @@ def gl_order(n: int, q: int) -> int:
     return result
 
 
+def _classical_group(name: str, generators, n: int, q: int, order: int,
+                     cap: int) -> MatrixGroupTable:
+    F = field_for_order(q)
+    if order > cap:
+        raise EnumerationCapExceeded(
+            f"{name}_{n}(F_{q}) has order {order}, over the enumeration cap {cap}"
+        )
+    g = enumerate_group(generators(n, F), F, n, cap)
+    if g.order != order:
+        raise RuntimeError(f"{name} closure has the wrong order")
+    return g
+
+
 @lru_cache(maxsize=8)
 def gl_group(n: int, q: int, cap: int = DEFAULT_GROUP_CAP) -> MatrixGroupTable:
-    F = field_for_order(q)
-    g = enumerate_group(gl_generators(n, F), F, n, cap)
-    assert g.order == gl_order(n, q), "GL closure has the wrong order"
-    return g
+    return _classical_group("GL", gl_generators, n, q, gl_order(n, q), cap)
 
 
 @lru_cache(maxsize=8)
 def sl_group(n: int, q: int, cap: int = DEFAULT_GROUP_CAP) -> MatrixGroupTable:
-    F = field_for_order(q)
-    g = enumerate_group(sl_generators(n, F), F, n, cap)
-    assert g.order == gl_order(n, q) // (q - 1), "SL closure has the wrong order"
-    return g
+    return _classical_group("SL", sl_generators, n, q, gl_order(n, q) // (q - 1), cap)

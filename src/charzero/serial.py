@@ -14,7 +14,3 @@ def frac_str(x) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)

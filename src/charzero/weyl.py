@@ -27,6 +27,7 @@ from math import factorial
 
 import numpy as np
 
+from .matgroup import closure, orbit_partition
 from .polynomials import IntPoly
 
 CLASSICAL_TYPES = ("A", "B", "C", "D")
@@ -56,11 +57,8 @@ def cycle_centralizer_order(lam: tuple[int, ...]) -> int:
 
 def signed_cycle_factor(lam: tuple[int, ...]) -> int:
     """prod (2i)^{m_i} m_i!, the hyperoctahedral centralizer contribution
-    of one sign-class of cycles."""
-    out = 1
-    for part, mult in _multiplicities(lam).items():
-        out *= (2 * part) ** mult * factorial(mult)
-    return out
+    of one sign-class of cycles: 2^(number of cycles) * z_lam."""
+    return 2 ** len(lam) * cycle_centralizer_order(lam)
 
 
 def _multiplicities(lam: tuple[int, ...]) -> dict[int, int]:
@@ -219,53 +217,23 @@ _CARTAN = {
 
 
 def _simple_reflections(cartan: list[list[int]]) -> list[np.ndarray]:
+    """Simple reflections in the root basis; each is checked to be an
+    involution, so it serves as its own inverse under conjugation."""
     r = len(cartan)
     mats = []
     for i in range(r):
         m = np.eye(r, dtype=np.int64)
         for j in range(r):
             m[i, j] = (1 if i == j else 0) - cartan[j][i]
+        if not np.array_equal(m @ m, np.eye(r, dtype=np.int64)):
+            raise RuntimeError(f"simple reflection s_{i} is not an involution")
         mats.append(m)
     return mats
 
 
-def _closure(gens: list[np.ndarray]) -> tuple[list[np.ndarray], dict[bytes, int]]:
-    r = gens[0].shape[0]
-    ident = np.eye(r, dtype=np.int64)
-    elements = [ident]
-    index = {ident.tobytes(): 0}
-    frontier = [ident]
-    while frontier:
-        stacked = np.stack(frontier)
-        new_frontier = []
-        for g in gens:
-            prods = stacked @ g
-            for row in prods:
-                key = row.tobytes()
-                if key not in index:
-                    index[key] = len(elements)
-                    elements.append(row)
-                    new_frontier.append(row)
-        frontier = new_frontier
-    return elements, index
-
-
-def _int_inverse(m: np.ndarray) -> np.ndarray:
-    """Exact inverse of an integer matrix with unit determinant."""
-    r = m.shape[0]
-    aug = [[Fraction(int(m[i, j])) for j in range(r)] + [Fraction(int(i == j)) for j in range(r)]
-           for i in range(r)]
-    for col in range(r):
-        piv = next(i for i in range(col, r) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = aug[col][col]
-        aug[col] = [x / f for x in aug[col]]
-        for i in range(r):
-            if i != col and aug[i][col]:
-                g = aug[i][col]
-                aug[i] = [x - g * y for x, y in zip(aug[i], aug[col])]
-    out = np.array([[int(aug[i][r + j]) for j in range(r)] for i in range(r)], dtype=np.int64)
-    return out
+def _stack(level: list[bytes], r: int) -> np.ndarray:
+    """Matrices stored as the bytes of int64 r x r arrays, stacked."""
+    return np.frombuffer(b"".join(level), dtype=np.int64).reshape(-1, r, r)
 
 
 def charpoly_int(m: np.ndarray) -> IntPoly:
@@ -298,38 +266,33 @@ def _table_exceptional(cartan_type: str) -> WeylClassTable:
     cartan = _CARTAN[cartan_type]
     rank = len(cartan)
     gens = _simple_reflections(cartan)
-    elements, index = _closure(gens)
+
+    def right_products(level: list[bytes]):
+        stacked = _stack(level, rank)
+        for g in gens:
+            for row in stacked @ g:
+                yield row.tobytes()
+
+    # elements are kept as bytes: compact, and their own dictionary keys
+    elements, index = closure(np.eye(rank, dtype=np.int64).tobytes(), right_products)
     order = len(elements)
     if order != EXCEPTIONAL_ORDERS[cartan_type]:
         raise RuntimeError(
             f"W({cartan_type}) closure has order {order}, "
             f"expected {EXCEPTIONAL_ORDERS[cartan_type]}"
         )
-    gen_pairs = [(g, _int_inverse(g)) for g in gens]
-    class_of = [-1] * order
+
+    def conjugates(level: list[bytes]):
+        stacked = _stack(level, rank)
+        for g in gens:
+            for row in g @ stacked @ g:
+                yield row.tobytes()
+
+    _, orbits = orbit_partition(order, conjugates, elements.__getitem__, index.__getitem__)
     classes = []
-    for seed in range(order):
-        if class_of[seed] >= 0:
-            continue
-        cls = len(classes)
-        class_of[seed] = cls
-        orbit = [seed]
-        frontier = [elements[seed]]
-        while frontier:
-            stacked = np.stack(frontier)
-            new_frontier = []
-            for g, ginv in gen_pairs:
-                prods = g @ stacked @ ginv
-                for row in prods:
-                    idx = index[row.tobytes()]
-                    if class_of[idx] < 0:
-                        class_of[idx] = cls
-                        orbit.append(idx)
-                        new_frontier.append(row)
-            frontier = new_frontier
-        size = len(orbit)
-        poly = charpoly_int(elements[seed])
-        classes.append(WeylClass(f"c{cls}", size, order // size, poly))
+    for cls, members in enumerate(orbits):
+        poly = charpoly_int(_stack([elements[members[0]]], rank)[0])
+        classes.append(WeylClass(f"c{cls}", len(members), order // len(members), poly))
     return WeylClassTable(cartan_type, rank, rank, order, tuple(classes))
 
 
@@ -438,45 +401,36 @@ def _hyp_all_even_parts(n: int, power: int) -> Fraction:
     return _zsum_series(n, power, 2, 1, True)[n]
 
 
-def sum_inv_c_sq_stream(cartan_type: str, rank: int) -> Fraction:
-    """sum 1/c_i^2 over W(type_rank) without building the class table."""
+def _sum_inv_c_pow_stream(cartan_type: str, rank: int, k: int) -> Fraction:
+    """sum 1/c_i^k over W(type_rank) without building the class table."""
     cartan_type = cartan_type.upper()
     if cartan_type == "A":
-        return _sym_inv_pows(rank + 1, 2)
+        return _sym_inv_pows(rank + 1, k)
     if cartan_type in ("B", "C"):
         return sum(
-            (_hyp_inv_pows(k, 2)[0] * _hyp_inv_pows(rank - k, 2)[0]
-             for k in range(rank + 1)),
+            (_hyp_inv_pows(j, k)[0] * _hyp_inv_pows(rank - j, k)[0]
+             for j in range(rank + 1)),
             Fraction(0),
         )
     if cartan_type == "D":
         base = sum(
-            (_hyp_inv_pows(k, 2)[0] * _hyp_inv_pows(rank - k, 2)[1]
-             for k in range(rank + 1)),
+            (_hyp_inv_pows(j, k)[0] * _hyp_inv_pows(rank - j, k)[1]
+             for j in range(rank + 1)),
             Fraction(0),
         )
-        # non-split classes contribute (2/c_B)^2, every split pair 2/c_B^2
-        return 4 * base - 2 * _hyp_all_even_parts(rank, 2)
+        # non-split classes contribute (2/c_B)^k, every split pair 2/c_B^k
+        return 2**k * base - (2**k - 2) * _hyp_all_even_parts(rank, k)
     raise ValueError(f"streaming sums support classical types only, not {cartan_type!r}")
+
+
+def sum_inv_c_sq_stream(cartan_type: str, rank: int) -> Fraction:
+    """sum 1/c_i^2 over W(type_rank) without building the class table."""
+    return _sum_inv_c_pow_stream(cartan_type, rank, 2)
 
 
 def sum_inv_c_stream(cartan_type: str, rank: int) -> Fraction:
-    cartan_type = cartan_type.upper()
-    if cartan_type == "A":
-        return _sym_inv_pows(rank + 1, 1)
-    if cartan_type in ("B", "C"):
-        return sum(
-            (_hyp_inv_pows(k, 1)[0] * _hyp_inv_pows(rank - k, 1)[0]
-             for k in range(rank + 1)),
-            Fraction(0),
-        )
-    if cartan_type == "D":
-        return 2 * sum(
-            (_hyp_inv_pows(k, 1)[0] * _hyp_inv_pows(rank - k, 1)[1]
-             for k in range(rank + 1)),
-            Fraction(0),
-        )
-    raise ValueError(f"streaming sums support classical types only, not {cartan_type!r}")
+    """sum 1/c_i over W(type_rank) without building the class table."""
+    return _sum_inv_c_pow_stream(cartan_type, rank, 1)
 
 
 @dataclass(frozen=True)

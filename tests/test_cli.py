@@ -170,3 +170,30 @@ def test_gln_structure_counts(capsys):
     assert obj["class_count"] == 8
     assert obj["regular_ss_class_count"] == 4
     assert {row["regular_class_count"] for row in obj["rows"]} == {1, 3}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lie-fourier", "--n", "4", "--q", "2"], ["kl-verify", "--n", "4", "--q", "3"]],
+)
+def test_additive_commands_refuse_n_above_three_up_front(argv, capsys, monkeypatch):
+    from charzero import matgroup
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("group enumeration was reached")
+
+    monkeypatch.setattr(matgroup, "enumerate_group", unreachable)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "n <= 3" in err
+
+
+def test_memory_error_exits_one_without_traceback(capsys, monkeypatch):
+    def out_of_memory(t):
+        raise MemoryError("Unable to allocate 11.0 GiB for an array")
+
+    monkeypatch.setattr(cli, "verify_orthogonality", out_of_memory)
+    code, out, err = run_cli(["char-table", "--group", "gl", "--n", "2", "--q", "2"], capsys)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert "memory" in err

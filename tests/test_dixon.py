@@ -6,6 +6,7 @@ from gl2_reference import gl2_reference
 
 from charzero.dixon import (
     CharacterTable,
+    _sqrt_mod,
     dixon_character_table,
     verify_orthogonality,
     zero_census,
@@ -174,3 +175,8 @@ def test_trivial_and_abelian_groups():
     assert sorted(table.degrees) == [1, 1, 1, 1]
     assert zero_census(table).zero_entries == 0
     assert verify_orthogonality(table)
+
+
+def test_square_root_of_a_non_residue_is_an_internal_error():
+    with pytest.raises(RuntimeError, match="not a quadratic residue"):
+        _sqrt_mod(3, 7)

@@ -111,3 +111,16 @@ def test_sl_groups():
     assert sl_group(2, 4).order == 60
     assert sl_group(2, 5).order == 120
     assert sl_group(2, 7).order == 336
+
+
+def test_cap_checked_before_enumeration(monkeypatch):
+    from charzero import matgroup
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("group enumeration was reached")
+
+    monkeypatch.setattr(matgroup, "enumerate_group", unreachable)
+    with pytest.raises(EnumerationCapExceeded, match="24261120, over the enumeration cap 5000000"):
+        gl_group(4, 3)
+    with pytest.raises(EnumerationCapExceeded, match="1320, over the enumeration cap 100"):
+        sl_group(2, 11, 100)

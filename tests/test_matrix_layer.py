@@ -1,0 +1,92 @@
+"""Properties of the shared F_q matrix layer: row reduction, inverse,
+nullspace, minimal polynomial and the base-q matrix codec."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from charzero.ffield import field_for_order, fq_poly_divmod
+from charzero.liefourier import _min_poly, _nullspace_basis
+from charzero.matgroup import (
+    mat_charpoly,
+    mat_decode,
+    mat_encode,
+    mat_identity,
+    mat_inv,
+    mat_mul,
+    rref,
+)
+
+QS = (2, 3, 4, 5, 7, 9)
+
+
+@st.composite
+def square_matrices(draw):
+    q = draw(st.sampled_from(QS))
+    n = draw(st.integers(1, 3))
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=n * n, max_size=n * n))
+    return field_for_order(q), n, tuple(entries)
+
+
+@st.composite
+def row_lists(draw):
+    q = draw(st.sampled_from(QS))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, q - 1), min_size=cols, max_size=cols)
+    return field_for_order(q), draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+def _dot(F, u, v):
+    acc = 0
+    for x, y in zip(u, v):
+        acc = F.add[acc][F.mul[x][y]]
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_mat_inv_round_trips_exactly_or_reports_singular(case):
+    F, n, a = case
+    if mat_charpoly(F, n, a)[0]:  # det(a) = +-charpoly(0)
+        b = mat_inv(F, n, a)
+        assert mat_mul(F, n, a, b) == mat_identity(n) == mat_mul(F, n, b, a)
+    else:
+        with pytest.raises(ValueError, match="singular"):
+            mat_inv(F, n, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_lists())
+def test_rank_plus_nullity_and_nullspace_is_annihilated(case):
+    F, rows = case
+    ncols = len(rows[0])
+    reduced, pivots = rref(F, rows)
+    basis = _nullspace_basis(F, rows)
+    assert len(reduced) == len(pivots)
+    assert len(pivots) + len(basis) == ncols
+    for vec in basis:
+        assert all(_dot(F, row, vec) == 0 for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(QS), st.integers(1, 3), st.data())
+def test_codec_round_trips_over_the_code_range(q, n, data):
+    code = data.draw(st.integers(0, q ** (n * n) - 1))
+    a = mat_decode(q, n, code)
+    assert len(a) == n * n and all(0 <= x < q for x in a)
+    assert mat_encode(q, a) == code
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_min_poly_annihilates_and_divides_charpoly(case):
+    F, n, a = case
+    m = _min_poly(F, n, a)
+    assert m[-1] == 1
+    value = tuple(0 for _ in range(n * n))
+    for c in reversed(m):  # Horner: value = value * a + c * I
+        value = mat_mul(F, n, value, a)
+        value = tuple(F.add[x][F.mul[c][e]] for x, e in zip(value, mat_identity(n)))
+    assert value == tuple(0 for _ in range(n * n))
+    _, rem = fq_poly_divmod(F, mat_charpoly(F, n, a), m)
+    assert not rem
