@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .cyclotomic import CycInt
 from .dixon import dixon_character_table, verify_orthogonality, zero_census
-from .ffield import field_for_order, is_prime_power
+from .ffield import DEFAULT_FIELD_CAP, field_for_order, is_prime_power
 from .gln import (
     GLDescriptor,
     general_position_count,
@@ -47,6 +47,8 @@ def _group_cap(args) -> int:
 
 
 def _validate_prime_power(q: int, flag: str) -> None:
+    if q > DEFAULT_FIELD_CAP:  # refused before trial division, which takes ~sqrt(q) steps
+        raise SystemExit2(f"{flag} = {q} exceeds the field-size cap {DEFAULT_FIELD_CAP}")
     if is_prime_power(q) is None:
         raise SystemExit2(f"{flag} must be a prime power, got {q}")
 

@@ -13,68 +13,54 @@ multiple conductor via zeta_m = zeta_M^(M/m).  All values are immutable.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
 from .polynomials import IntPoly
+
+
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1 in increasing order, by trial division."""
+    factors = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return factors
 
 
 def euler_phi(m: int) -> int:
     if m < 1:
         raise ValueError("conductor must be positive")
     result = m
-    n, p = m, 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
+    for p in prime_factors(m):
+        result -= result // p
     return result
-
-
-def _divisors(m: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            if d != m // d:
-                out.append(m // d)
-        d += 1
-    return sorted(out)
-
-
-def _moebius(n: int) -> int:
-    mu, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    if n > 1:
-        mu = -mu
-    return mu
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> IntPoly:
-    """Phi_m via the Moebius product prod_{d|m} (x^d - 1)^mu(m/d)."""
+    """Phi_m via the Moebius product prod_{d|m} (x^d - 1)^mu(m/d), whose
+    nonzero factors are d = m / (a product of k distinct primes of m), with
+    mu(m/d) = (-1)^k."""
     if m < 1:
         raise ValueError("conductor must be positive")
     if m == 1:
         return IntPoly((-1, 1))
     numer = IntPoly((1,))
     denom = IntPoly((1,))
-    for d in _divisors(m):
-        mu = _moebius(m // d)
-        if mu == 1:
-            numer = numer * IntPoly.x_pow_minus_one(d)
-        elif mu == -1:
-            denom = denom * IntPoly.x_pow_minus_one(d)
+    primes = prime_factors(m)
+    for k in range(len(primes) + 1):
+        for chosen in combinations(primes, k):
+            if k % 2:
+                denom = denom * IntPoly.x_pow_minus_one(m // prod(chosen))
+            else:
+                numer = numer * IntPoly.x_pow_minus_one(m // prod(chosen))
     return numer // denom
 
 

@@ -8,6 +8,10 @@ in [0, degree] < l, so the lift is unambiguous and the resulting values
 are exact cyclotomic integers.  Zero detection afterwards is the canonical
 coordinate test - no tolerance appears anywhere.
 
+Orthogonality is checked independently, from the lifted integer coordinates
+only: through all phi(m) embeddings of Z[zeta_m] into F_L for primes
+L = 1 (mod m), enough of them to exceed twice the coefficient bound.
+
 Determinism: the prime l is minimal, degenerate eigenspaces are split by
 class matrices in class-index order, and the finished rows are sorted
 canonically (trivial character first, then by degree and coordinates).
@@ -17,16 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
+from typing import Iterator
 
 import numpy as np
 
-from .cyclotomic import CycInt, _power_basis, euler_phi
-from .ffield import is_prime, prime_factors
+from .cyclotomic import CycInt, _power_basis, euler_phi, prime_factors
+from .ffield import is_prime
 from .matgroup import ClassData, GroupTable
 
 MAX_CLASSES = 256
-_INT64_GUARD = 1 << 60
 
 
 # -- modular linear algebra (int64 numpy, entries reduced mod l) ----------
@@ -163,15 +167,19 @@ def _least_primitive_root(l: int) -> int:
     raise RuntimeError("no primitive root found")
 
 
+def _primes_1_mod(m: int, lo: int, hi: int) -> Iterator[int]:
+    """Primes l = 1 (mod m) with lo < l <= hi, in increasing order."""
+    for l in range(lo + (-lo) % m + 1, hi + 1, m):
+        if is_prime(l):
+            yield l
+
+
 def dixon_prime(order: int, exponent: int, search_bound: int = 10**7) -> int:
     """Least prime l = 1 (mod exponent), l > 2*sqrt(order), l coprime to
     the group order."""
-    floor = 2 * isqrt(order) + 1
-    l = exponent + 1
-    while l <= search_bound:
-        if l > floor and is_prime(l) and order % l != 0:
+    for l in _primes_1_mod(exponent, 2 * isqrt(order) + 1, search_bound):
+        if order % l != 0:
             return l
-        l += exponent
     raise RuntimeError(f"no Dixon prime below {search_bound} for exponent {exponent}")
 
 
@@ -413,85 +421,66 @@ def zero_census(t: CharacterTable) -> ZeroReport:
     return ZeroReport.of_table(t.values)
 
 
-def _conjugate_coeff_matrix(m: int) -> np.ndarray:
-    """Matrix C with coords(conj(v)) = coords(v) @ C."""
-    phi = euler_phi(m)
-    basis = np.array(_power_basis(m), dtype=np.int64)
-    out = np.zeros((phi, phi), dtype=np.int64)
-    for i in range(phi):
-        out[i] = basis[(-i) % m]
-    return out
-
-
-def _orthogonality_sums(t: CharacterTable) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums S[i,j] = sum_k |C_k| chi_i(g_k) conj(chi_j(g_k)) and column
-    sums T[k,l'] = sum_i chi_i(g_k) conj(chi_i(g_l')), both as canonical
-    coordinate vectors (..., phi).
-
-    Computed by one big integer matrix product per side: polynomial
-    convolution in the (u, v) coordinate pair, folded along u+v, then
-    reduced modulo the cyclotomic polynomial.  int64 throughout, with a
-    pre-checked magnitude bound so overflow cannot occur silently; oversize
-    tables fall back to exact object-dtype arithmetic.
-    """
-    m = t.conductor
-    tau, phi = t.num_classes, euler_phi(m)
-    C = np.array([[list(v.coeffs) for v in row] for row in t.values], dtype=np.int64)
-    conj_mat = _conjugate_coeff_matrix(m)
-    basis = np.array(_power_basis(m), dtype=np.int64)
-    red = basis[phi : 2 * phi - 1] if phi > 1 else np.zeros((0, phi), dtype=np.int64)
-    max_c = int(np.abs(C).max(initial=0))
-    max_conj = int(np.abs(conj_mat).max(initial=0))
-    max_red = int(np.abs(red).max(initial=1))
-    # worst entry after weight/convolve/fold/reduce stages
-    bound = (
+def _coefficient_bound(t: CharacterTable) -> int:
+    """Bound on the canonical coordinates of every orthogonality sum: weight
+    by |C_k|, conjugate, convolve, fold and reduce modulo Phi_m, each stage
+    at its worst."""
+    m, tau = t.conductor, t.num_classes
+    basis = _power_basis(m)
+    phi = len(basis[0])
+    max_c = max(max(map(abs, v.coeffs)) for row in t.values for v in row)
+    max_conj = max(abs(c) for i in range(phi) for c in basis[(-i) % m])
+    max_red = max((abs(c) for row in basis[phi : 2 * phi - 1] for c in row), default=1)
+    return (
         max(t.class_sizes) * max_c * (phi * max_c * max_conj) * tau * phi
         * (1 + phi * max_red)
     )
-    if bound > _INT64_GUARD:
-        C = C.astype(object)
-        conj_mat = conj_mat.astype(object)
-        red = red.astype(object)
 
-    D = C @ conj_mat  # complex-conjugated coordinates
 
-    def pairwise(A, B):
-        # out[a, b, u, v] = sum_k A[a, k, u] * B[b, k, v]
-        M1 = A.transpose(0, 2, 1).reshape(tau * phi, tau)
-        M2 = B.transpose(1, 0, 2).reshape(tau, tau * phi)
-        P = np.dot(M1, M2).reshape(tau, phi, tau, phi)
-        return P.transpose(0, 2, 1, 3)
-
-    def fold_and_reduce(P):
-        full = np.zeros(P.shape[:2] + (2 * phi - 1,), dtype=P.dtype)
-        for u in range(phi):
-            full[:, :, u : u + phi] += P[:, :, u, :]
-        low = full[:, :, :phi].copy()
-        if phi > 1:
-            low += np.dot(full[:, :, phi:], red)
-        return low
-
-    sizes = np.array(t.class_sizes, dtype=np.int64)
-    if C.dtype == object:
-        sizes = sizes.astype(object)
-    Cw = C * sizes[None, :, None]
-    S = fold_and_reduce(pairwise(Cw, D))
-    # columns: out[k, l, u, v] = sum_i C[i, k, u] * D[i, l, v]
-    T = fold_and_reduce(pairwise(C.transpose(1, 0, 2), D.transpose(1, 0, 2)))
-    return S, T
+def _orthogonality_primes(t: CharacterTable) -> Iterator[int]:
+    """Primes L = 1 (mod m) with max(tau, phi) * (L-1)^2 < 2^63, so no int64
+    dot product of residues overflows, until their product exceeds
+    2 * (bound + |G|)."""
+    m = t.conductor
+    hi = isqrt(((1 << 63) - 1) // max(t.num_classes, euler_phi(m))) + 1
+    need, covered = 2 * (_coefficient_bound(t) + t.group_order), 1
+    for L in _primes_1_mod(m, hi // 2, hi):
+        yield L
+        covered *= L
+        if covered > need:
+            return
+    raise RuntimeError(f"too few primes = 1 (mod {m}) below {hi} for an exact check")
 
 
 def verify_orthogonality(t: CharacterTable) -> bool:
-    """Exact row and column orthogonality in cyclotomic arithmetic."""
-    S, T = _orthogonality_sums(t)
-    tau, phi = t.num_classes, S.shape[-1]
-    order = t.group_order
-    expect_rows = np.zeros_like(S)
-    for i in range(tau):
-        expect_rows[i, i, 0] = order
-    if not (S == expect_rows).all():
-        return False
-    expect_cols = np.zeros_like(T)
-    for k in range(tau):
-        expect_cols[k, k, 0] = order // t.class_sizes[k]  # centralizer order
-    return bool((T == expect_cols).all())
+    """Exact row and column orthogonality in cyclotomic arithmetic.
+
+    Each sum minus its expected value has integer coordinates v with
+    |v| <= _coefficient_bound(t) + |G|.  Modulo each prime L the phi(m)
+    embeddings zeta_m -> z^a (gcd(a, m) = 1) map v to V v, V the Vandermonde
+    matrix on the distinct z^a, invertible mod L; so all images vanish iff
+    v = 0 (mod L), and over primes whose product exceeds 2|v| iff v = 0.
+    Complex conjugation is the embedding at -a.
+    """
+    m, tau, order = t.conductor, t.num_classes, t.group_order
+    units = [a for a in range(m) if gcd(a, m) == 1]
+    phi = len(units)
+    conj = [units.index((-a) % m) for a in units]
+    C = np.array([v.coeffs for row in t.values for v in row], dtype=np.int64)
+    sizes = np.array(t.class_sizes, dtype=np.int64)
+    centralizers = np.array([order // s for s in t.class_sizes], dtype=np.int64)
+    for L in _orthogonality_primes(t):
+        z = pow(_least_primitive_root(L), (L - 1) // m, L)
+        V = np.array([[pow(z, a * u, L) for a in units] for u in range(phi)], dtype=np.int64)
+        # X[a]: the table's image under zeta -> z^a, contiguous for the products below
+        X = np.ascontiguousarray(((C % L) @ V % L).T).reshape(phi, tau, tau)
+        gram = np.diag(np.full(tau, order % L))
+        centre = np.diag(centralizers % L)
+        for a, b in enumerate(conj):
+            if a > b:  # the images at -a are the transposes of those at a
+                continue
+            if not np.array_equal((X[a] * (sizes % L) % L) @ X[b].T % L, gram):
+                return False
+            if not np.array_equal(X[a].T @ X[b] % L, centre):
+                return False
+    return True

@@ -13,24 +13,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, prime_factors
 
 DEFAULT_FIELD_CAP = 10**6
-
-
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1 in increasing order, by trial division."""
-    factors = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        factors.append(n)
-    return factors
 
 
 def is_prime(n: int) -> bool:
@@ -224,6 +209,8 @@ def field_make(p: int, e: int, cap: int = DEFAULT_FIELD_CAP) -> Field:
 
 
 def field_for_order(q: int, cap: int = DEFAULT_FIELD_CAP) -> Field:
+    if q > cap:  # refused before trial division, which takes ~sqrt(q) steps
+        raise ValueError(f"field size {q} exceeds cap {cap}")
     pe = is_prime_power(q)
     if pe is None:
         raise ValueError(f"{q} is not a prime power")

@@ -5,10 +5,10 @@ from the split Cartan, and the Kazhdan-Letellier identity check.
 The transform of an orbit indicator is F(1_O)(Y) = sum_{y in O} psi(tr(Y y))
 with psi = zeta_p^Tr the canonical additive character; values are exact
 cyclotomic integers of conductor p, accumulated as counts per trace residue.
-Jordan decompositions are computed exactly (Newton iteration against the
-squarefree part of the characteristic polynomial), so the induction formula
-is evaluated literally, with the single division at the end checked for
-exact divisibility.
+Jordan decompositions are computed exactly (the semisimple part is the
+q^N-th power of the matrix, N = lcm(1..n)), so the induction formula is
+evaluated literally, with the single division at the end checked for exact
+divisibility.
 """
 
 from __future__ import annotations
@@ -16,16 +16,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cyclotomic import CycInt
 from .dixon import ZeroReport
 from .ffield import (
     Field,
-    fq_poly_derivative,
-    fq_poly_divmod,
     fq_poly_factor_cubic_or_less,
     fq_poly_is_squarefree,
-    fq_poly_mul,
     fq_poly_roots,
     fq_poly_trim,
 )
@@ -82,84 +80,21 @@ def _min_poly(F: Field, n: int, a: tuple[int, ...]) -> list[int]:
             return fq_poly_trim(dependence[0])
 
 
-def _mat_from_poly(F: Field, n: int, coeffs: list[int], a: tuple[int, ...]) -> tuple[int, ...]:
-    """Evaluate a polynomial at the matrix a (Horner); diagonal flat indices
-    of a row-major square matrix are the multiples of n+1."""
-    acc = tuple(0 for _ in range(n * n))
-    for c in reversed(coeffs):
-        acc = mat_mul(F, n, acc, a)
-        if c:
-            acc = tuple(
-                F.add[x][c] if i % (n + 1) == 0 else x for i, x in enumerate(acc)
-            )
-    return acc
-
-
-def _poly_inverse_mod(F: Field, a: list[int], mod: list[int]) -> list[int]:
-    """Inverse of a modulo mod in F_q[x] by extended Euclid."""
-    r0, r1 = mod[:], a[:]
-    s0, s1 = [], [1]
-    while r1:
-        qpoly, rem = fq_poly_divmod(F, r0, r1)
-        r0, r1 = r1, rem
-        s2 = _poly_sub(F, s0, fq_poly_mul(F, qpoly, s1))
-        s0, s1 = s1, s2
-    if len(r0) != 1:
-        raise ValueError("element is not invertible modulo the given polynomial")
-    c = F.inv[r0[0]]
-    return [F.mul[c][x] for x in s0]
-
-
-def _poly_sub(F: Field, a: list[int], b: list[int]) -> list[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = F.add[out[i]][F.neg[c]]
-    return fq_poly_trim(out)
-
-
-def _poly_compose_mod(F: Field, outer: list[int], inner: list[int], mod: list[int]) -> list[int]:
-    acc: list[int] = []
-    for c in reversed(outer):
-        acc = fq_poly_mul(F, acc, inner)
-        if c:
-            if not acc:
-                acc = [c]
-            else:
-                acc[0] = F.add[acc[0]][c]
-        _, acc = fq_poly_divmod(F, acc, mod)
-    return acc
-
-
 def jordan_decomposition(F: Field, n: int, y: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Exact Y = Y_s + Y_n with Y_s semisimple, Y_n nilpotent, commuting.
 
-    Newton iteration h <- h - g(h)/g'(h) in F_q[x]/(charpoly), where g is the
-    squarefree part of the characteristic polynomial; converges because g(h)
-    is nilpotent in the quotient and gcd(g, g') = 1 over a perfect field.
+    Y_s = Y^(q^N) with N = lcm(1..n): in characteristic p the q^N-th power
+    is additive on the commuting parts, kills Y_n (q^N >= n) and fixes Y_s,
+    whose eigenvalues lie in fields F_{q^d} with d | N.
     """
-    f = mat_charpoly(F, n, y)
-    factors = fq_poly_factor_cubic_or_less(F, f)
-    g = [1]
-    for fac in sorted({tuple(p) for p in factors}):
-        g = fq_poly_mul(F, g, list(fac))
-    if len(g) == len(f):  # charpoly already squarefree: y is semisimple
+    if fq_poly_is_squarefree(F, mat_charpoly(F, n, y)):  # y is already semisimple
         return y, tuple(0 for _ in range(n * n))
-    gp = fq_poly_derivative(F, g)
-    h = [0, 1]
-    steps = 0
-    while True:
-        gh = _poly_compose_mod(F, g, h, f)
-        if not gh:
-            break
-        gph = _poly_compose_mod(F, gp, h, f)
-        inv_gph = _poly_inverse_mod(F, gph, f)
-        delta = fq_poly_mul(F, gh, inv_gph)
-        _, delta = fq_poly_divmod(F, delta, f)
-        h = _poly_sub(F, h, delta)
-        steps += 1
-        if steps > n + 2:
-            raise RuntimeError("Jordan decomposition Newton iteration failed to settle")
-    ys = _mat_from_poly(F, n, h, y)
+    ys, power, e = mat_identity(n), y, F.q ** lcm(*range(1, n + 1))
+    while e:
+        if e & 1:
+            ys = mat_mul(F, n, ys, power)
+        power = mat_mul(F, n, power, power)
+        e >>= 1
     yn = tuple(F.add[a][F.neg[b]] for a, b in zip(y, ys))
     if not fq_poly_is_squarefree(F, _min_poly(F, n, ys)):
         raise RuntimeError("semisimple part is not semisimple")

@@ -197,3 +197,21 @@ def test_memory_error_exits_one_without_traceback(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert "memory" in err
+
+
+@pytest.mark.parametrize("command", ["zero-density", "trend"])
+def test_oversize_q_is_refused_before_factoring(command, capsys, monkeypatch):
+    def unreachable(q):
+        raise AssertionError("is_prime_power was reached")
+
+    monkeypatch.setattr(cli, "is_prime_power", unreachable)
+    code, out, err = run_cli([command, "--n", "2", "--q", "1000000016000000063"], capsys)
+    assert code == 2 and out == ""
+    assert "cap 1000000" in err
+
+
+@pytest.mark.slow
+def test_char_table_gl2_f11_verifies(capsys):
+    code, out, _ = run_cli(["char-table", "--group", "gl", "--n", "2", "--q", "11"], capsys)
+    assert code == 0
+    assert json.loads(out)["orthogonal"] is True

@@ -1,9 +1,13 @@
+import random
+import tracemalloc
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 
 from gl2_reference import gl2_reference
 
+from charzero.cyclotomic import CycInt
 from charzero.dixon import (
     CharacterTable,
     _sqrt_mod,
@@ -150,13 +154,99 @@ def test_per_character_zero_counts(gl2_census):
     assert len(zc.per_character_zero_counts) == t.num_classes
 
 
-def test_object_dtype_orthogonality_fallback(gl2_census, monkeypatch):
-    # force the exact object-dtype path of the orthogonality contraction
+def test_orthogonality_primes_cover_the_coefficient_bound(gl2_census, gl3_census):
     import charzero.dixon as dixon
 
-    monkeypatch.setattr(dixon, "_INT64_GUARD", 1)
-    t, _ = gl2_census[3]
-    assert verify_orthogonality(t)
+    for t, _ in list(gl2_census.values()) + list(gl3_census.values()):
+        primes = list(dixon._orthogonality_primes(t))
+        width = max(t.num_classes, len(t.values[0][0].coeffs))
+        assert prod(primes) > 2 * (dixon._coefficient_bound(t) + t.group_order)
+        assert all(L % t.conductor == 1 and width * (L - 1) ** 2 < 2**63 for L in primes)
+
+
+def test_orthogonality_without_enough_primes_is_an_internal_error(gl2_census, monkeypatch):
+    import charzero.dixon as dixon
+
+    monkeypatch.setattr(dixon, "_primes_1_mod", lambda m, lo, hi: iter(()))
+    with pytest.raises(RuntimeError, match="too few primes"):
+        verify_orthogonality(gl2_census[3][0])
+
+
+def _row_orthogonality_by_cycint(t):
+    """sum_k |C_k| chi_i(g_k) conj(chi_j(g_k)) == |G| [i == j], term by term
+    in CycInt arithmetic; for a square table whose class sizes divide |G|
+    this implies column orthogonality, so it decides the whole check."""
+    conj = [[v.conjugate() for v in row] for row in t.values]
+    for i, row in enumerate(t.values):
+        for j in range(t.num_classes):
+            total = CycInt.zero(t.conductor)
+            for k, size in enumerate(t.class_sizes):
+                total = total + row[k] * conj[j][k] * size
+            if total != (t.group_order if i == j else 0):
+                return False
+    return True
+
+
+def _with_values(t, values):
+    return CharacterTable(
+        conductor=t.conductor,
+        degrees=t.degrees,
+        values=tuple(tuple(row) for row in values),
+        class_sizes=t.class_sizes,
+        class_rep_orders=t.class_rep_orders,
+        group_order=t.group_order,
+    )
+
+
+def _single_entry_mutations(t, rng, count):
+    for _ in range(count):
+        values = [list(row) for row in t.values]
+        i, k = rng.randrange(t.num_classes), rng.randrange(t.num_classes)
+        step = CycInt.zeta(t.conductor, rng.randrange(t.conductor)) if rng.random() < 0.5 else 1
+        values[i][k] = values[i][k] + step * rng.choice((1, -1))
+        yield _with_values(t, values)
+
+
+def _galois_conjugate_row(t):
+    """The table with its first non-rational row replaced by a Galois
+    conjugate, or None when every value is rational."""
+    units = [a for a in range(2, t.conductor) if gcd(a, t.conductor) == 1]
+    for i, row in enumerate(t.values):
+        for a in units:
+            image = [v.galois(a) for v in row]
+            if image != list(row):
+                values = list(t.values)
+                values[i] = image
+                return _with_values(t, values)
+    return None
+
+
+def test_orthogonality_matches_cyclotomic_arithmetic(gl2_census, gl3_census):
+    rng = random.Random(20250)
+    conjugated_rows = 0
+    for t, _ in list(gl2_census.values()) + list(gl3_census.values()):
+        cases = [t, *_single_entry_mutations(t, rng, 4)]
+        conjugated = _galois_conjugate_row(t)
+        if conjugated is not None:
+            cases.append(conjugated)
+            conjugated_rows += 1
+        verdicts = [verify_orthogonality(c) for c in cases]
+        assert verdicts == [_row_orthogonality_by_cycint(c) for c in cases]
+        assert verdicts[0] and not any(verdicts[1:])
+    assert conjugated_rows > 0
+
+
+def test_orthogonality_memory_is_linear_in_the_table(gl3_census):
+    t, _ = gl3_census[3]
+    tau, phi = t.num_classes, len(t.values[0][0].coeffs)
+    assert (tau, phi) == (24, 96)
+    tracemalloc.start()
+    try:
+        assert verify_orthogonality(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * tau * tau * phi * 8
 
 
 def test_trivial_and_abelian_groups():

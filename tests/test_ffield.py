@@ -98,6 +98,17 @@ def test_prime_power_detector():
     assert field_for_order(4).q == 4
 
 
+def test_field_for_order_refuses_oversize_q_before_factoring(monkeypatch):
+    import charzero.ffield as ffield
+
+    def unreachable(q):
+        raise AssertionError("is_prime_power was reached")
+
+    monkeypatch.setattr(ffield, "is_prime_power", unreachable)
+    with pytest.raises(ValueError, match="exceeds cap 1000000"):
+        field_for_order(1000000016000000063)
+
+
 def test_squarefree_detects_pth_powers():
     F2 = field_make(2, 1)
     # x^2 + 1 = (x+1)^2 over F_2: derivative vanishes, not squarefree

@@ -12,7 +12,7 @@ from charzero.liefourier import (
     jordan_decomposition,
     kl_verify,
 )
-from charzero.matgroup import mat_identity, mat_mul
+from charzero.matgroup import mat_decode, mat_identity, mat_mul
 
 
 @pytest.fixture(scope="module")
@@ -167,12 +167,13 @@ def test_green_function_subregular():
 
 
 def test_jordan_decomposition_properties():
-    F = field_make(3, 1)
-    for code in range(81):
-        y = tuple((code // 3**i) % 3 for i in range(4))
-        ys, yn = jordan_decomposition(F, 2, y)
-        assert tuple(F.add[a][b] for a, b in zip(ys, yn)) == y
-        assert mat_mul(F, 2, ys, yn) == mat_mul(F, 2, yn, ys)
+    # over F_4 the Frobenius power must fix eigenvalues outside F_2
+    for n, F in [(2, field_make(3, 1)), (2, field_make(2, 2)), (3, field_make(2, 1))]:
+        for code in range(F.q ** (n * n)):
+            y = mat_decode(F.q, n, code)
+            ys, yn = jordan_decomposition(F, n, y)
+            assert tuple(F.add[a][b] for a, b in zip(ys, yn)) == y
+            assert mat_mul(F, n, ys, yn) == mat_mul(F, n, yn, ys)
 
 
 def test_green_function_values():
