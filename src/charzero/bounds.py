@@ -203,7 +203,7 @@ def guralnick_lubeck_check(group: MatrixGroupTable, q: int) -> ProportionCheck:
     rss_elements = 0
     cd = conjugacy_classes(group)
     for rep, size in zip(cd.class_reps, cd.class_sizes):
-        cp = mat_charpoly(F, n, group.elements[rep])
+        cp = mat_charpoly(F, n, group.element(rep))
         if fq_poly_is_squarefree(F, cp):
             rss_elements += size
     lhs = Fraction(rss_elements, group.order)

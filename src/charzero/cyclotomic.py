@@ -131,10 +131,10 @@ class CycInt:
     # -- structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_integer(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def to_integer(self) -> int:
         if not self.is_integer():

@@ -254,20 +254,18 @@ class ZeroReport:
 
 
 def _class_coefficient_tensor(group: GroupTable, cd: ClassData) -> np.ndarray:
-    """A[i, j, k] = #{(u, v) in C_i x C_j : u v = rep_k}."""
+    """A[i, j, k] = #{(u, v) in C_i x C_j : u v = rep_k}.
+
+    Counted over y = u^-1, which runs once over the group: u = y^-1 lies in
+    the class inverse to that of y, and v = y rep_k."""
     tau = cd.num_classes
-    A = np.zeros((tau, tau, tau), dtype=np.int64)
+    A = np.empty((tau, tau, tau), dtype=np.int64)
     class_of = cd.class_of
-    reps = cd.class_reps
-    mul = group.mul_idx
-    inv = group.inv_idx
-    for x in range(group.order):
-        i = class_of[x]
-        xinv = inv(x)
-        Ai = A[i]
-        for k in range(tau):
-            j = class_of[mul(xinv, reps[k])]
-            Ai[j, k] += 1
+    row = np.asarray(cd.inverse_class)[class_of] * tau
+    everything = np.arange(group.order)
+    for k, rep in enumerate(cd.class_reps):
+        cell = row + class_of[group.mul_many(everything, rep)]
+        A[:, :, k] = np.bincount(cell, minlength=tau * tau).reshape(tau, tau)
     return A
 
 
@@ -383,10 +381,7 @@ def dixon_character_table(group: GroupTable, cd: ClassData) -> CharacterTable:
     if not np.array_equal(recon, mod_rows):
         raise RuntimeError("lifted table does not reduce to the modular table")
 
-    rows = [
-        tuple(CycInt(m, tuple(int(c) for c in coeff_table[r, k])) for k in range(tau))
-        for r in range(tau)
-    ]
+    rows = [tuple(CycInt(m, tuple(c)) for c in plane.tolist()) for plane in coeff_table]
     order_check = sum(d * d for d in degrees)
     if order_check != order:
         raise RuntimeError("sum of squared degrees does not match the group order")

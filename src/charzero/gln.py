@@ -189,7 +189,7 @@ def brute_regular_ss_class_count(n: int, q: int) -> int:
     F = g.field
     count = 0
     for rep in cd.class_reps:
-        cp = mat_charpoly(F, n, g.elements[rep])
+        cp = mat_charpoly(F, n, g.element(rep))
         if fq_poly_is_squarefree(F, cp):
             count += 1
     return count

@@ -181,8 +181,7 @@ def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP,
         raise ValueError(f"matrix space size {space} exceeds cap {cap}")
     if group is None:
         group = gl_group(n, q)
-    els = group.elements
-    gen_pairs = [(els[i], els[group.inv_idx(i)]) for i in group.generator_indices]
+    gen_pairs = [(group.element(i), group.element(group.inv_idx(i))) for i in group.generator_indices]
 
     def conjugates(level: list[tuple[int, ...]]):
         for x in level:

@@ -4,18 +4,31 @@ Matrices over F_q are flat row-major tuples of field element codes, which
 hash in constant time.  This module owns every decision about them: the one
 Gauss-Jordan row reduction (`rref`), the base-q matrix codec (`mat_encode`,
 `mat_decode`), breadth-first closure from generators (`closure`) and orbit
-partition of an indexed set (`orbit_partition`).  Enumeration is
-breadth-first from the identity with the generator list sorted, so two runs
-produce identical index maps.  Conjugacy classes are computed by orbit
-expansion under generator conjugation (linear in |G| * #generators) and are
-labelled by their least element index.
+partition of an indexed set (`orbit_partition`).
+
+A matrix group keeps its elements as one (|G|, n^2) numpy array of digits,
+the entry codes in the smallest dtype that holds q - 1.  All |G|-sized work
+goes through one batched product, `GroupTable.mul_many`: a kernel that
+multiplies whole digit arrays by gathers from the field's add and mul
+tables, then finds the products by their base-q codes, sorted once and
+searched with `np.searchsorted` (no q^(n^2) table is built).  Enumeration is
+breadth-first from the identity, a level at a time, with the generator list
+sorted; each level keeps the first occurrences of unseen products in
+(element, generator) order, so the element order is that of a BFS taking
+one product at a time and two runs produce identical index maps.  Conjugacy
+classes come from one conjugation permutation per generator: every element
+is labelled by the least index of its orbit (labels pulled along each
+permutation, then lowered by pointer jumping), and classes are numbered by
+that least index, which is also the representative.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Callable, Hashable, Iterable
+
+import numpy as np
 
 from .ffield import Field, field_for_order, from_digits, to_digits
 
@@ -122,11 +135,10 @@ def mat_charpoly(F: Field, n: int, a: tuple[int, ...]) -> list[int]:
 # -- breadth-first closure and orbit partition ------------------------------
 
 
-def closure(start: Hashable, expand: Callable[[list], Iterable],
-            cap: int | None = None) -> tuple[list, dict]:
+def closure(start: Hashable, expand: Callable[[list], Iterable]) -> tuple[list, dict]:
     """Breadth-first closure of `start`: `expand(level)` yields the images of
     one BFS level in a fixed order.  Returns the elements in discovery order
-    and their index; raises once more than `cap` elements are found."""
+    and their index."""
     elements = [start]
     index = {start: 0}
     done = 0
@@ -137,8 +149,6 @@ def closure(start: Hashable, expand: Callable[[list], Iterable],
             if y not in index:
                 index[y] = len(elements)
                 elements.append(y)
-                if cap is not None and len(elements) > cap:
-                    raise EnumerationCapExceeded(f"group closure exceeded cap {cap}")
     return elements, index
 
 
@@ -165,14 +175,18 @@ def orbit_partition(size: int, expand: Callable[[list], Iterable],
 class GroupTable:
     """A finite group with a deterministic element index.
 
-    Subclasses provide element multiplication/inversion; everything the
-    character-table machinery needs (class data, power maps, exponent) is
-    derived here.
+    Subclasses provide element multiplication, batched (`mul_many`) and
+    scalar, and inversion; everything the character-table machinery needs
+    (class data, power maps, exponent) is derived here.
     """
 
     # populated by subclasses:
     order: int
     generator_indices: list[int]
+
+    def mul_many(self, a, b) -> np.ndarray:
+        """Indices of the products a[t] * b[t], with numpy broadcasting."""
+        raise NotImplementedError
 
     def mul_idx(self, i: int, j: int) -> int:
         raise NotImplementedError
@@ -184,32 +198,113 @@ class GroupTable:
     def identity_idx(self) -> int:
         return 0
 
-    def element_order(self, i: int) -> int:
-        n, cur = 1, i
-        while cur != self.identity_idx:
-            cur = self.mul_idx(cur, i)
-            n += 1
-        return n
+
+_CHUNK = 1 << 16  # rows per step of the batched product, bounding its temporaries
+
+
+class _MatrixKernel:
+    """Batched n x n matrix products over F_q on (N, n*n) digit arrays.
+
+    Entries are field element codes in the smallest unsigned dtype holding
+    q - 1; sums and products are gathers from the field's flattened add and
+    mul tables at index x*q + y.  A matrix's base-q code is that of
+    `mat_encode`, in int64.
+    """
+
+    def __init__(self, field: Field, n: int):
+        q = field.q
+        if q ** (n * n) > 1 << 63:
+            raise ValueError(f"{n} x {n} matrices over F_{q} have codes beyond 64 bits")
+        self.field, self.n, self.q = field, n, q
+        self.dtype = np.min_scalar_type(q - 1)
+        self._wide = np.min_scalar_type(q * q - 1)
+        self._add = np.array(field.add, dtype=self.dtype).ravel()
+        self._mul = np.array(field.mul, dtype=self.dtype).ravel()
+
+    def digits(self, matrices: list[tuple[int, ...]]) -> np.ndarray:
+        return np.array(matrices, dtype=self.dtype).reshape(len(matrices), self.n * self.n)
+
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Row-wise products of two (N, n*n) digit arrays."""
+        n, q = self.n, self.q
+        out = np.empty(a.shape, dtype=self.dtype)
+        for s in range(0, len(a), _CHUNK):
+            x = a[s : s + _CHUNK].reshape(-1, n, n).astype(self._wide)
+            y = b[s : s + _CHUNK].reshape(-1, n, n)
+            acc = np.take(self._mul, x[:, :, 0, None] * q + y[:, None, 0, :])
+            for k in range(1, n):
+                term = np.take(self._mul, x[:, :, k, None] * q + y[:, None, k, :])
+                acc = np.take(self._add, acc.astype(self._wide) * q + term)
+            out[s : s + _CHUNK] = acc.reshape(-1, n * n)
+        return out
+
+    def codes(self, digits: np.ndarray) -> np.ndarray:
+        """Base-q codes of the rows, by Horner's rule over the columns, so
+        no int64 copy of the whole digit array is made."""
+        out = np.zeros(len(digits), dtype=np.int64)
+        for t in reversed(range(self.n * self.n)):
+            out *= self.q
+            out += digits[:, t]
+        return out
 
 
 class MatrixGroupTable(GroupTable):
-    def __init__(self, field: Field, dim: int, elements: list[tuple[int, ...]],
-                 index: dict[tuple[int, ...], int], generator_indices: list[int]):
-        self.field = field
-        self.dim = dim
-        self.elements = elements
-        self.index = index
-        self.order = len(elements)
-        self.generator_indices = generator_indices
+    """A matrix group stored as `digits`, an (|G|, n*n) array of entry
+    codes in element order.  Matrices are found by their base-q codes,
+    sorted once and searched with `np.searchsorted`; the tuple forms
+    `elements` and `index` are built only when read."""
+
+    def __init__(self, kernel: _MatrixKernel, digits: np.ndarray, generators: np.ndarray):
+        self.field = kernel.field
+        self.dim = kernel.n
+        self.digits = digits
+        self.order = len(digits)
+        self._kernel = kernel
+        codes = kernel.codes(digits)
+        self._by_code = np.argsort(codes)
+        self._sorted_codes = codes[self._by_code]
+        self.generator_indices = self._index_of(kernel.codes(generators)).tolist()
         self._inv_cache: list[int | None] = [None] * self.order
 
+    def _index_of(self, codes: np.ndarray) -> np.ndarray:
+        """Element indices of a 1-D array of matrix codes; raises if a code
+        is not an element.  The codes are searched in sorted order, which
+        `np.searchsorted` serves about three times faster than random order."""
+        order = np.argsort(codes)
+        wanted = codes[order]
+        pos = np.minimum(np.searchsorted(self._sorted_codes, wanted), self.order - 1)
+        if not np.array_equal(self._sorted_codes[pos], wanted):
+            raise RuntimeError("matrix is not an element of the group")
+        out = np.empty_like(pos)
+        out[order] = self._by_code[pos]
+        return out
+
+    def _index_of_matrix(self, a: tuple[int, ...]) -> int:
+        return int(self._index_of(np.array([mat_encode(self.field.q, a)]))[0])
+
+    def element(self, i: int) -> tuple[int, ...]:
+        return tuple(self.digits[i].tolist())
+
+    @cached_property
+    def elements(self) -> list[tuple[int, ...]]:
+        return [tuple(row) for row in self.digits.tolist()]
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        return {x: i for i, x in enumerate(self.elements)}
+
+    def mul_many(self, a, b) -> np.ndarray:
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp))
+        prod = self._kernel.product(self.digits[a.ravel()], self.digits[b.ravel()])
+        return self._index_of(self._kernel.codes(prod)).reshape(a.shape)
+
     def mul_idx(self, i: int, j: int) -> int:
-        return self.index[mat_mul(self.field, self.dim, self.elements[i], self.elements[j])]
+        return self._index_of_matrix(mat_mul(self.field, self.dim, self.element(i), self.element(j)))
 
     def inv_idx(self, i: int) -> int:
         cached = self._inv_cache[i]
         if cached is None:
-            cached = self.index[mat_inv(self.field, self.dim, self.elements[i])]
+            cached = self._index_of_matrix(mat_inv(self.field, self.dim, self.element(i)))
             self._inv_cache[i] = cached
             self._inv_cache[cached] = i
         return cached
@@ -217,21 +312,37 @@ class MatrixGroupTable(GroupTable):
 
 def enumerate_group(generators: list[tuple[int, ...]], field: Field, dim: int,
                     cap: int = DEFAULT_GROUP_CAP) -> MatrixGroupTable:
-    """Breadth-first closure of the generators under multiplication."""
+    """Breadth-first closure of the generators under multiplication, one
+    level at a time: the level's products with the sorted generators, taken
+    in (element, generator) order, contribute their first occurrences that
+    are not yet known, in order of discovery."""
     gens = sorted(set(generators))
     for g in gens:
         mat_inv(field, dim, g)  # raises on a singular generator
-
-    def right_products(level):
-        return (mat_mul(field, dim, x, g) for x in level for g in gens)
-
-    elements, index = closure(mat_identity(dim), right_products, cap)
+    kernel = _MatrixKernel(field, dim)
+    gen_digits = kernel.digits(gens)
+    level = kernel.digits([mat_identity(dim)])
+    levels, known = [level], kernel.codes(level)  # `known` stays sorted
+    found = 1
+    while len(level):
+        products = np.empty((len(level), len(gens), dim * dim), dtype=kernel.dtype)
+        for t, g in enumerate(gen_digits):
+            products[:, t] = kernel.product(level, np.broadcast_to(g, level.shape))
+        products = products.reshape(-1, dim * dim)
+        codes, first = np.unique(kernel.codes(products), return_index=True)
+        pos = np.searchsorted(known, codes)
+        fresh = known[np.minimum(pos, len(known) - 1)] != codes
+        found += int(fresh.sum())
+        if found > cap:
+            raise EnumerationCapExceeded(f"group closure exceeded cap {cap}")
+        level = products[np.sort(first[fresh])]
+        levels.append(level)
+        known = np.insert(known, pos[fresh], codes[fresh])
+    group = MatrixGroupTable(kernel, np.concatenate(levels), gen_digits)
     # closure under inverse is implied (finite order); spot-check a sample
-    for x in elements[: min(len(elements), 16)]:
-        if mat_inv(field, dim, x) not in index:
-            raise RuntimeError("closure is not inverse-closed; enumeration bug")
-    gen_idx = [index[g] for g in gens]
-    return MatrixGroupTable(field, dim, elements, index, gen_idx)
+    for i in range(min(group.order, 16)):
+        group.inv_idx(i)
+    return group
 
 
 class ProductGroupTable(GroupTable):
@@ -246,11 +357,16 @@ class ProductGroupTable(GroupTable):
         self.generator_indices = [self._pack(g, b.identity_idx) for g in a.generator_indices]
         self.generator_indices += [self._pack(a.identity_idx, g) for g in b.generator_indices]
 
-    def _pack(self, i: int, j: int) -> int:
+    def _pack(self, i, j):
         return i * self._nb + j
 
-    def _unpack(self, k: int) -> tuple[int, int]:
+    def _unpack(self, k):
         return divmod(k, self._nb)
+
+    def mul_many(self, i, j) -> np.ndarray:
+        ia, ib = self._unpack(np.asarray(i, dtype=np.intp))
+        ja, jb = self._unpack(np.asarray(j, dtype=np.intp))
+        return self._pack(self.a.mul_many(ia, ja), self.b.mul_many(ib, jb))
 
     def mul_idx(self, i: int, j: int) -> int:
         ia, ib = self._unpack(i)
@@ -268,37 +384,56 @@ def direct_product(a: GroupTable, b: GroupTable, cap: int = DEFAULT_GROUP_CAP) -
     return ProductGroupTable(a, b)
 
 
+def _least_index_labels(size: int, perms: list[np.ndarray]) -> np.ndarray:
+    """For each index, the least index of its orbit under the group the
+    permutations generate.  Each label is an index of the same orbit no
+    larger than its own; labels are pulled back along every permutation
+    (label[x] = min(label[x], label[p[x]])) and lowered by pointer jumping
+    until nothing changes.  Then label[x] <= label[p[x]] for every x and p,
+    so labels are constant on the cycles of each permutation, hence on
+    orbits, where they equal the least index."""
+    label = np.arange(size)
+    while True:
+        before = label
+        for p in perms:
+            label = np.minimum(label, label[p])
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+        if np.array_equal(label, before):
+            return label
+
+
 class ClassData:
-    """Conjugacy classes with sizes, representatives and power maps."""
+    """Conjugacy classes with sizes, representatives and power maps.
+
+    Classes are numbered by their least element index, which is also the
+    representative; `class_of` is an index array over the elements."""
 
     def __init__(self, group: GroupTable):
-        mul = group.mul_idx
-        gen_pairs = [(x, group.inv_idx(x)) for x in group.generator_indices]
-        class_of, orbits = orbit_partition(
-            group.order,
-            lambda level: (mul(mul(gi, x), gi_inv) for x in level for gi, gi_inv in gen_pairs),
-        )
-        reps = [members[0] for members in orbits]
+        everything = np.arange(group.order)
+        conjugations = [group.mul_many(group.mul_many(g, everything), group.inv_idx(g))
+                        for g in group.generator_indices]
+        reps, class_of = np.unique(_least_index_labels(group.order, conjugations),
+                                   return_inverse=True)
+        reps = reps.tolist()
         self.group = group
         self.class_reps = reps
-        self.class_sizes = [len(members) for members in orbits]
+        self.class_sizes = np.bincount(class_of).tolist()
         self.class_of = class_of
         self.num_classes = len(reps)
-        orders = [group.element_order(r) for r in reps]
-        self.rep_orders = orders
-        self.exponent = lcm(*orders) if orders else 1
         # power_map[c][k] = class of rep_c^k for 0 <= k < order(rep_c)
-        pm: list[list[int]] = []
-        for rep, d in zip(reps, orders):
-            row = []
-            cur = group.identity_idx
-            for _ in range(d):
-                row.append(class_of[cur])
-                cur = group.mul_idx(cur, rep)
-            pm.append(row)
-        self.power_map = pm
-        self.inverse_class = [pm[c][(-1) % orders[c]] if orders[c] > 1 else class_of[group.identity_idx]
-                              for c in range(len(reps))]
+        identity = group.identity_idx
+        cur = np.full(len(reps), identity)
+        columns, orders = [], np.zeros(len(reps), dtype=np.int64)
+        while not orders.all():
+            columns.append(class_of[cur])
+            cur = group.mul_many(cur, reps)
+            orders[(cur == identity) & (orders == 0)] = len(columns)
+        powers = np.array(columns).T
+        self.rep_orders = orders.tolist()
+        self.exponent = lcm(*self.rep_orders)
+        self.power_map = [powers[c, :d].tolist() for c, d in enumerate(self.rep_orders)]
+        self.inverse_class = [row[-1] for row in self.power_map]
 
     def power_class(self, c: int, k: int) -> int:
         return self.power_map[c][k % self.rep_orders[c]]
