@@ -4,7 +4,9 @@ Everything here is exact rational arithmetic: the general lower bound on
 the zero proportion, the rank-parametrized monic square polynomials that
 bound the simple-group term, certified threshold searches for the two
 asymptotic inequalities, the regular-semisimple proportion check for SL_n,
-the class-count bound, and the trend report rows.
+the class-count bound, and the trend report rows.  The threshold searches
+evaluate the square polynomials from their factored forms at each (q, r),
+never expanding them; `simple_bound_polys` gives the expanded forms.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .ffield import fq_poly_is_squarefree
 from .gln import class_count_poly, gln_zero_ratio_formula, regular_ss_class_count
 from .matgroup import MatrixGroupTable, conjugacy_classes, gl_group, gl_order, mat_charpoly
 from .polynomials import IntPoly
-from .weyl import sum_inv_c_sq_stream
+from .weyl import DEFAULT_RANK_CAP, sum_inv_c_sq_stream
 
 
 @dataclass(frozen=True)
@@ -104,11 +106,12 @@ def _power_ratio_holds(q: Fraction, r: int, eps: Fraction) -> bool:
 
 
 def _poly_ratio_holds(q: Fraction, r: int, eps: Fraction) -> bool:
-    """1 - f1(q)/f2(q) < eps, exactly."""
-    f1, f2 = simple_bound_polys(r)
-    v1 = f1.evaluate(Fraction(q))
-    v2 = f2.evaluate(Fraction(q))
-    return 1 - Fraction(v1) / v2 < eps
+    """1 - f1(q)/f2(q) < eps, exactly, from the factored forms
+    f1 = ((q-1)^{r-2} ((q-1)^2 - 3(q-1) - 2))^2 and f2 = (q^{r-1} (q+40))^2."""
+    q = Fraction(q)
+    v1 = ((q - 1) ** (r - 2) * ((q - 1) ** 2 - 3 * (q - 1) - 2)) ** 2
+    v2 = (q ** (r - 1) * (q + 40)) ** 2
+    return 1 - v1 / v2 < eps
 
 
 @dataclass(frozen=True)
@@ -136,12 +139,20 @@ def threshold_search(
 
     The result is certified by exact rational evaluation at the threshold
     (holds), just below it (fails), and across the verification window;
-    the first inequality is monotone in q since 2r*log(1+1/q) decreases."""
+    the first inequality is monotone in q since 2r*log(1+1/q) decreases.
+    When the first inequality is selected, the fixed-rank scan starts above
+    2*rank_cap/eps: by Bernoulli, (1+1/q)^{2r} >= 1 + 2r/q >= 1 + eps for
+    every smaller q at r = rank_cap.
+
+    An epsilon too small for `search_bound` is an input out of range and
+    raises ValueError; failed certifications raise RuntimeError."""
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     if rank_cap < 2:
         raise ValueError("rank cap must be at least 2 (the square bound needs r >= 2)")
+    if rank_cap > DEFAULT_RANK_CAP:
+        raise ValueError(f"rank cap {rank_cap} exceeds {DEFAULT_RANK_CAP}")
     if which not in ("first", "second", "both"):
         raise ValueError("which must be 'first', 'second' or 'both'")
 
@@ -154,14 +165,16 @@ def threshold_search(
         return ok
 
     if mode == "fixed-rank":
-        ranks = range(2, rank_cap + 1)
+        # largest rank first: both ratios grow with r, so most failing q fail at once
+        ranks = range(rank_cap, 1, -1)
+        start = 2 if which == "second" else (2 * rank_cap) // epsilon + 1
         q0 = None
-        for q in range(2, search_bound):
+        for q in range(start, search_bound):
             if all(holds(Fraction(q), r) for r in ranks):
                 q0 = q
                 break
         if q0 is None:
-            raise RuntimeError(f"no threshold below {search_bound}")
+            raise ValueError(f"no threshold below {search_bound}")
         if q0 > 2 and all(holds(Fraction(q0 - 1), r) for r in ranks):
             raise RuntimeError("threshold certification failed just below q0")
         for q in range(q0, q0 + window + 1):
@@ -179,7 +192,7 @@ def threshold_search(
                 return ThresholdResult(
                     "growing-rank", which, epsilon, rank_cap, r0, window
                 )
-        raise RuntimeError(f"no growing-rank threshold below {search_bound}")
+        raise ValueError(f"no growing-rank threshold below {search_bound}")
 
     raise ValueError("mode must be 'fixed-rank' or 'growing-rank'")
 

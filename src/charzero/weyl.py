@@ -8,18 +8,19 @@ enumerated as integer matrix groups generated by the simple reflections in
 the root basis (E7/E8 are rejected: their orders exceed the desk budget).
 
 The characteristic polynomial det(q*Id - w) attached to each class is the
-order polynomial of the corresponding twisted maximal torus.  Type A
-supports both the rank+1 permutation lattice (the GL convention, default)
-and the rank-sized reflection lattice.
+order polynomial of the corresponding twisted maximal torus (computed by
+Faddeev-LeVerrier for the exceptional types).  Type A supports both the
+rank+1 permutation lattice (the GL convention, default) and the rank-sized
+reflection lattice.
 
-Summation helpers (sum of 1/|centralizer|^k) are available in streaming
-form so conjugacy probabilities stay exact up to rank ~60 without
-materializing millions of class records.
+The streaming sums of 1/|centralizer|^k stay exact up to rank 60 without
+materializing class records: each is a coefficient of, or a convolution of,
+generating series over partitions, one cached series per (power, base
+factor, sign, even parts only) serving every rank up to its length.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -237,29 +238,23 @@ def _stack(level: list[bytes], r: int) -> np.ndarray:
 
 
 def charpoly_int(m: np.ndarray) -> IntPoly:
-    """det(q*Id - m) by Leibniz expansion; exact, for dimension <= 6."""
-    r = m.shape[0]
-    acc = IntPoly(())
-    for perm in itertools.permutations(range(r)):
-        sign = 1
-        seen = [False] * r
-        for i in range(r):
-            if seen[i]:
-                continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        term = IntPoly((sign,))
-        for i in range(r):
-            j = perm[i]
-            entry = IntPoly((-int(m[i, j]), 1)) if i == j else IntPoly((-int(m[i, j]),))
-            term = term * entry
-        acc = acc + term
-    return acc
+    """det(q*Id - m) by Faddeev-LeVerrier over Python ints: with M_1 = Id,
+    c_{n-k} = -tr(m M_k)/k and M_{k+1} = m M_k + c_{n-k} Id.  Every
+    division is checked to be exact."""
+    a = m.tolist()
+    n = len(a)
+    coeffs = [0] * n + [1]
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        mk = [[sum(a[i][l] * mk[l][j] for l in range(n)) for j in range(n)]
+              for i in range(n)]
+        trace = sum(mk[i][i] for i in range(n))
+        if trace % k:
+            raise RuntimeError(f"Faddeev-LeVerrier trace {trace} is not divisible by {k}")
+        coeffs[n - k] = -trace // k
+        for i in range(n):
+            mk[i][i] += coeffs[n - k]
+    return IntPoly(tuple(coeffs))
 
 
 def _table_exceptional(cartan_type: str) -> WeylClassTable:
@@ -349,78 +344,60 @@ def torus_order_poly(t: WeylClassTable, label: str) -> IntPoly:
 # -- streaming sums (no table materialization) -------------------------------
 
 
-def _series_mul(a: list[Fraction], b: list[Fraction], cap: int) -> list[Fraction]:
-    out = [Fraction(0)] * (cap + 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j in range(min(len(b), cap + 1 - i)):
-                if b[j]:
-                    out[i + j] += ca * b[j]
-    return out
+# (power, base factor, sign, even parts only) -> the series to the longest
+# order asked for so far; no coefficient depends on the truncation order
+_SERIES: dict[tuple[int, int, int, bool], tuple[Fraction, ...]] = {}
 
 
 def _zsum_series(n: int, power: int, base_factor: int, sign: int,
-                 even_parts_only: bool) -> list[Fraction]:
-    """Power series to x^n of prod_i sum_m (sign^m x^{im}) / ((base*i)^m m!)^power,
-    whose x^n coefficient is a centralizer-reciprocal sum over partitions."""
+                 even_parts_only: bool) -> tuple[Fraction, ...]:
+    """Power series, to x^n at least, of
+    prod_i sum_m (sign^m x^{im}) / ((base*i)^m m!)^power, whose x^j
+    coefficient is a centralizer-reciprocal sum over partitions of j."""
+    key = (power, base_factor, sign, even_parts_only)
+    cached = _SERIES.get(key)
+    if cached is not None and len(cached) > n:
+        return cached
     series = [Fraction(1)] + [Fraction(0)] * n
-    for i in range(1, n + 1):
-        if even_parts_only and i % 2:
-            continue
-        factor = [Fraction(0)] * (n + 1)
-        m = 0
-        while i * m <= n:
-            factor[i * m] = Fraction(
-                sign**m, ((base_factor * i) ** m * factorial(m)) ** power
-            )
-            m += 1
-        series = _series_mul(series, factor, n)
-    return series
+    step = 2 if even_parts_only else 1
+    for i in range(step, n + 1, step):
+        terms = [Fraction(sign**m, ((base_factor * i) ** m * factorial(m)) ** power)
+                 for m in range(n // i + 1)]
+        # multiply in place, top down, so every coefficient read is still old
+        for d in range(n, i - 1, -1):
+            series[d] += sum(terms[m] * series[d - i * m] for m in range(1, d // i + 1))
+    _SERIES[key] = cached = tuple(series)
+    return cached
 
 
-@lru_cache(maxsize=None)
 def _sym_inv_pows(n: int, power: int) -> Fraction:
     """sum over partitions of n of 1/(prod i^m_i m_i!)^power."""
     return _zsum_series(n, power, 1, 1, False)[n]
 
 
-@lru_cache(maxsize=None)
-def _hyp_inv_pows(n: int, power: int) -> tuple[Fraction, Fraction]:
-    """(sum over all partitions of n, sum over those with evenly many parts)
-    of 1/signed_cycle_factor^power."""
-    total = _zsum_series(n, power, 2, 1, False)[n]
-    alternating = _zsum_series(n, power, 2, -1, False)[n]
-    return total, (total + alternating) / 2
-
-
-@lru_cache(maxsize=None)
-def _hyp_all_even_parts(n: int, power: int) -> Fraction:
-    """sum over partitions of n into even parts of 1/signed_cycle_factor^power."""
-    if n % 2:
-        return Fraction(0)
-    return _zsum_series(n, power, 2, 1, True)[n]
-
-
 def _sum_inv_c_pow_stream(cartan_type: str, rank: int, k: int) -> Fraction:
-    """sum 1/c_i^k over W(type_rank) without building the class table."""
+    """sum 1/c_i^k over W(type_rank) without building the class table.
+
+    With s_j the sum of 1/signed_cycle_factor^k over partitions of j and a_j
+    the same sum signed by (-1)^(number of parts), a B/C class is a pair of
+    partitions (lam, mu) of j and rank - j, so the sum is the x^rank
+    coefficient of S*S; type D keeps the mu with evenly many parts, whose
+    sum is (s + a)/2."""
     cartan_type = cartan_type.upper()
     if cartan_type == "A":
         return _sym_inv_pows(rank + 1, k)
+    if cartan_type not in ("B", "C", "D"):
+        raise ValueError(f"streaming sums support classical types only, not {cartan_type!r}")
+    s = _zsum_series(rank, k, 2, 1, False)
     if cartan_type in ("B", "C"):
-        return sum(
-            (_hyp_inv_pows(j, k)[0] * _hyp_inv_pows(rank - j, k)[0]
-             for j in range(rank + 1)),
-            Fraction(0),
-        )
-    if cartan_type == "D":
-        base = sum(
-            (_hyp_inv_pows(j, k)[0] * _hyp_inv_pows(rank - j, k)[1]
-             for j in range(rank + 1)),
-            Fraction(0),
-        )
-        # non-split classes contribute (2/c_B)^k, every split pair 2/c_B^k
-        return 2**k * base - (2**k - 2) * _hyp_all_even_parts(rank, k)
-    raise ValueError(f"streaming sums support classical types only, not {cartan_type!r}")
+        return sum((s[j] * s[rank - j] for j in range(rank + 1)), Fraction(0))
+    a = _zsum_series(rank, k, 2, -1, False)
+    base = sum((s[j] * (s[rank - j] + a[rank - j]) for j in range(rank + 1)),
+               Fraction(0)) / 2
+    # split classes: mu empty, lam all even; odd ranks have none
+    even = _zsum_series(rank, k, 2, 1, True)[rank] if rank % 2 == 0 else Fraction(0)
+    # non-split classes contribute (2/c_B)^k, every split pair 2/c_B^k
+    return 2**k * base - (2**k - 2) * even
 
 
 def sum_inv_c_sq_stream(cartan_type: str, rank: int) -> Fraction:

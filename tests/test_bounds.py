@@ -162,3 +162,59 @@ def test_trend_weyl_column_decreasing():
 def test_trend_weyl_column_reaches_rank_60():
     (row,) = trend_report([61], [None])
     assert 0 < 1 - row.weyl_complement < Fraction(6, 3600)
+
+
+# -- the factored bound polynomials and the threshold scan ---------------------
+
+_QS = [Fraction(q) for q in (2, 3, 7, 41, 1000)] + [
+    Fraction(5, 2), Fraction(-7, 3), Fraction(1, 40), Fraction(1601, 37)
+]
+
+
+@pytest.mark.parametrize("r", range(2, 41))
+def test_simple_bound_polys_equal_the_factored_forms(r):
+    f1, f2 = simple_bound_polys(r)
+    for q in _QS:
+        assert f1.evaluate(q) == ((q - 1) ** (r - 2) * ((q - 1) ** 2 - 3 * (q - 1) - 2)) ** 2
+        assert f2.evaluate(q) == (q ** (r - 1) * (q + 40)) ** 2
+
+
+def test_poly_ratio_matches_the_expanded_polynomials():
+    # at eps equal to the expanded ratio the strict inequality just fails
+    tiny = Fraction(1, 10**100)
+    for r in range(2, 40):
+        f1, f2 = simple_bound_polys(r)
+        for q in _QS + [Fraction(r * r), Fraction(40 * r), Fraction(2000 * r)]:
+            ratio = 1 - Fraction(f1.evaluate(q)) / f2.evaluate(q)
+            assert not _poly_ratio_holds(q, r, ratio), (r, q)
+            assert _poly_ratio_holds(q, r, ratio + tiny), (r, q)
+
+
+def _plain_scan_threshold(rank_cap, eps, which):
+    """Least q >= 2 at which the selected inequalities hold for every rank."""
+    def holds(q, r):
+        first = which == "second" or _power_ratio_holds(Fraction(q), r, eps)
+        return first and (which == "first" or _poly_ratio_holds(Fraction(q), r, eps))
+
+    q = 2
+    while not all(holds(q, r) for r in range(2, rank_cap + 1)):
+        q += 1
+    return q
+
+
+@pytest.mark.parametrize("which", ["first", "second", "both"])
+@pytest.mark.parametrize("rank_cap,eps", [(2, Fraction(1, 2)), (3, Fraction(1, 10)),
+                                          (5, Fraction(1, 7)), (6, Fraction(2, 3))])
+def test_fixed_rank_threshold_matches_a_plain_scan(rank_cap, eps, which):
+    res = threshold_search(rank_cap, eps, which=which)
+    assert res.threshold == _plain_scan_threshold(rank_cap, eps, which)
+
+
+def test_threshold_input_out_of_range_is_a_value_error():
+    with pytest.raises(ValueError, match="exceeds 60"):
+        threshold_search(61, Fraction(1, 10))
+    with pytest.raises(ValueError, match="no threshold below 1000"):
+        threshold_search(8, Fraction(1, 100), which="first", search_bound=1000)
+    with pytest.raises(ValueError, match="no growing-rank threshold below 5"):
+        threshold_search(8, Fraction(1, 100), mode="growing-rank",
+                         growth=lambda r: Fraction(1), search_bound=5)

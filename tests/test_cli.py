@@ -210,6 +210,26 @@ def test_oversize_q_is_refused_before_factoring(command, capsys, monkeypatch):
     assert "cap 1000000" in err
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [(["--rank-cap", "61", "--epsilon", "1/10"], "rank cap 61 exceeds 60"),
+     (["--rank-cap", "60", "--epsilon", "1/10000"], "no threshold below 1000000")],
+)
+def test_threshold_out_of_range_exits_two_up_front(flags, message, capsys, monkeypatch):
+    from charzero import bounds
+
+    def unreachable(*args):
+        raise AssertionError("an inequality was evaluated")
+
+    monkeypatch.setattr(bounds, "_power_ratio_holds", unreachable)
+    monkeypatch.setattr(bounds, "_poly_ratio_holds", unreachable)
+    code, out, err = run_cli(
+        ["bounds", "--check", "threshold", *flags, "--which", "both"], capsys
+    )
+    assert code == 2 and out == ""
+    assert message in err
+
+
 @pytest.mark.slow
 def test_char_table_gl2_f11_verifies(capsys):
     code, out, _ = run_cli(["char-table", "--group", "gl", "--n", "2", "--q", "11"], capsys)

@@ -1,8 +1,12 @@
 import itertools
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import charzero.weyl as W
 from charzero.polynomials import IntPoly
@@ -190,3 +194,119 @@ def test_bbw_preconditions():
         bbw_bound_check("A", 8)
     with pytest.raises(ValueError, match="classical"):
         bbw_bound_check("G2", 9)
+
+
+# -- reference for the streaming sums: the per-j definition ------------------
+
+
+def _reference_series(n, power, base, sign, even_parts_only):
+    """prod_i sum_m (sign^m x^{im}) / ((base*i)^m m!)^power, rebuilt to x^n."""
+    series = [Fraction(1)] + [Fraction(0)] * n
+    for i in range(1, n + 1):
+        if even_parts_only and i % 2:
+            continue
+        out = [Fraction(0)] * (n + 1)
+        for d, coeff in enumerate(series):
+            m = 0
+            while d + i * m <= n:
+                out[d + i * m] += coeff * Fraction(
+                    sign**m, ((base * i) ** m * factorial(m)) ** power
+                )
+                m += 1
+        series = out
+    return series
+
+
+@lru_cache(maxsize=None)
+def _reference_hyp(j, k):
+    total = _reference_series(j, k, 2, 1, False)[j]
+    alternating = _reference_series(j, k, 2, -1, False)[j]
+    return total, (total + alternating) / 2
+
+
+def _reference_stream(ct, rank, k):
+    if ct == "A":
+        return _reference_series(rank + 1, k, 1, 1, False)[rank + 1]
+    if ct in ("B", "C"):
+        return sum(_reference_hyp(j, k)[0] * _reference_hyp(rank - j, k)[0]
+                   for j in range(rank + 1))
+    base = sum(_reference_hyp(j, k)[0] * _reference_hyp(rank - j, k)[1]
+               for j in range(rank + 1))
+    even = 0 if rank % 2 else _reference_series(rank, k, 2, 1, True)[rank]
+    return 2**k * base - (2**k - 2) * even
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("ct,low", [("A", 1), ("B", 2), ("C", 2), ("D", 4)])
+def test_streaming_sums_match_the_per_j_definition(ct, low, k):
+    for rank in range(low, 31):
+        assert W._sum_inv_c_pow_stream(ct, rank, k) == _reference_stream(ct, rank, k), rank
+
+
+def test_series_cache_does_not_depend_on_request_order(monkeypatch):
+    results = []
+    for order in ((40, 10), (10, 40)):
+        monkeypatch.setattr(W, "_SERIES", {})
+        results.append({
+            (ct, r): (sum_inv_c_sq_stream(ct, r), sum_inv_c_stream(ct, r))
+            for r in order for ct in "ABD"
+        })
+        # a request no longer than a cached series reads it, not rebuilds it
+        for key, series in dict(W._SERIES).items():
+            for n in (len(series) - 1, 10):
+                assert W._zsum_series(n, *key) is series
+    assert results[0] == results[1]
+    assert results[0][("B", 10)][0] == _reference_stream("B", 10, 2)
+
+
+# -- reference for charpoly_int: Leibniz expansion ---------------------------
+
+
+def _leibniz_charpoly(m):
+    """det(q*Id - m) over all permutations, coefficients lowest first."""
+    n = len(m)
+    acc = [0] * (n + 1)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = [-1 if inversions % 2 else 1]
+        for i in range(n):
+            entry = [-int(m[i][perm[i]])] + ([1] if perm[i] == i else [])
+            out = [0] * (len(term) + len(entry) - 1)
+            for a, x in enumerate(term):
+                for b, y in enumerate(entry):
+                    out[a + b] += x * y
+            term = out
+        for d, c in enumerate(term):
+            acc[d] += c
+    return IntPoly(tuple(acc))
+
+
+@pytest.mark.parametrize("cartan_type", ["G2", "F4", "E6"])
+def test_charpoly_int_matches_leibniz_on_class_representatives(cartan_type, monkeypatch):
+    seen = []
+
+    def checked(m):
+        got = charpoly_int(m)
+        assert got == _leibniz_charpoly(m)
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(W, "charpoly_int", checked)
+    table = W._table_exceptional(cartan_type)
+    assert len(seen) == table.num_classes
+    assert [c.char_poly for c in table.classes] == seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_charpoly_int_matches_leibniz_on_integer_matrices(data):
+    n = data.draw(st.integers(1, 6))
+    rows = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    m = np.array(rows, dtype=np.int64)
+    assert charpoly_int(m) == _leibniz_charpoly(rows)
+
+
+def test_charpoly_int_refuses_an_inexact_division():
+    with pytest.raises(RuntimeError, match="not divisible"):
+        charpoly_int(np.array([[Fraction(1, 2)]], dtype=object))
