@@ -142,7 +142,13 @@ def threshold_search(
     the first inequality is monotone in q since 2r*log(1+1/q) decreases.
     When the first inequality is selected, the fixed-rank scan starts above
     2*rank_cap/eps: by Bernoulli, (1+1/q)^{2r} >= 1 + 2r/q >= 1 + eps for
-    every smaller q at r = rank_cap.
+    every smaller q at r = rank_cap.  When the second is selected, it starts
+    above (2*rank_cap + 86)(1 - eps)/eps if that is at least 5: for q >= 5,
+    sqrt(f1/f2) = (1-1/q)^{r-2} (q^2-5q+2)/(q^2+40q), where
+    (1-1/q)^{r-2} <= (q/(q+1))^{r-2} <= q/(q+r-2) by Bernoulli and
+    (q^2-5q+2)/(q^2+40q) <= q/(q+45), so sqrt(f1/f2) <= q/(q+c) with
+    c = r + 43, and 1 - f1/f2 >= 1 - (q/(q+c))^2 >= 2c/(q+2c), which is
+    at least eps for every q <= 2c(1-eps)/eps.
 
     An epsilon too small for `search_bound` is an input out of range and
     raises ValueError; failed certifications raise RuntimeError."""
@@ -168,6 +174,10 @@ def threshold_search(
         # largest rank first: both ratios grow with r, so most failing q fail at once
         ranks = range(rank_cap, 1, -1)
         start = 2 if which == "second" else (2 * rank_cap) // epsilon + 1
+        # the second inequality fails for every 5 <= q <= second_fails_to
+        second_fails_to = (2 * rank_cap + 86) * (1 - epsilon) / epsilon
+        if which != "first" and second_fails_to >= 5:
+            start = max(start, second_fails_to // 1 + 1)
         q0 = None
         for q in range(start, search_bound):
             if all(holds(Fraction(q), r) for r in ranks):

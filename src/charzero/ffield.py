@@ -3,9 +3,9 @@
 Elements are integers 0..p^e-1 encoding coefficient vectors in base p
 (lowest power first) over a deterministically chosen modulus: the least
 monic irreducible of degree e in lexicographic coefficient order, so runs
-are reproducible across platforms.  Add/mul tables are precomputed, which
-keeps the enumeration cores (group closure, orbit expansion, Fourier sums)
-free of per-operation polynomial arithmetic.
+are reproducible across platforms.  Add/mul tables are precomputed, so the
+batched matrix products, conjugation orbits and Fourier sums are gathers
+from them, with no per-operation polynomial arithmetic.
 """
 
 from __future__ import annotations

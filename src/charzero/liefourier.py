@@ -2,9 +2,13 @@
 indicators, Green functions by fixed-flag counting, Harish-Chandra induction
 from the split Cartan, and the Kazhdan-Letellier identity check.
 
-The transform of an orbit indicator is F(1_O)(Y) = sum_{y in O} psi(tr(Y y))
-with psi = zeta_p^Tr the canonical additive character; values are exact
-cyclotomic integers of conductor p, accumulated as counts per trace residue.
+Orbits are the `orbit_labels` of one conjugation permutation per generator
+of GL_n over the whole matrix space, numbered by least code.  The transform
+of an orbit indicator is F(1_O)(Y) = sum_{y in O} psi(tr(Y y)) with
+psi = zeta_p^Tr the canonical additive character; values are exact
+cyclotomic integers of conductor p, accumulated as counts per trace residue,
+one column (target orbit) per bincount over the whole space.  The KL sweep
+conjugates the whole group at once.
 Jordan decompositions are computed exactly (the semisimple part is the
 q^N-th power of the matrix, N = lcm(1..n)), so the induction formula is
 evaluated literally, with the single division at the end checked for exact
@@ -17,6 +21,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+
+import numpy as np
 
 from .cyclotomic import CycInt
 from .dixon import ZeroReport
@@ -36,7 +42,7 @@ from .matgroup import (
     mat_identity,
     mat_inv,
     mat_mul,
-    orbit_partition,
+    orbit_labels,
     rref,
 )
 
@@ -161,14 +167,11 @@ class OrbitTable:
     def num_orbits(self) -> int:
         return len(self.orbits)
 
-    def matrix_code(self, a: tuple[int, ...]) -> int:
-        return mat_encode(self.field.q, a)
-
     def decode(self, code: int) -> tuple[int, ...]:
         return mat_decode(self.field.q, self.n, code)
 
     def orbit_of_matrix(self, a: tuple[int, ...]) -> int:
-        return self.orbit_of[self.matrix_code(a)]
+        return self.orbit_of[mat_encode(self.field.q, a)]
 
 
 def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP,
@@ -181,18 +184,17 @@ def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP,
         raise ValueError(f"matrix space size {space} exceeds cap {cap}")
     if group is None:
         group = gl_group(n, q)
-    gen_pairs = [(group.element(i), group.element(group.inv_idx(i))) for i in group.generator_indices]
-
-    def conjugates(level: list[tuple[int, ...]]):
-        for x in level:
-            for g, ginv in gen_pairs:
-                yield mat_mul(field, n, mat_mul(field, n, g, x), ginv)
-
-    orbit_of, orbits = orbit_partition(
-        space, conjugates, lambda code: mat_decode(q, n, code), lambda a: mat_encode(q, a)
-    )
-    orbit_reps = [mat_decode(q, n, members[0]) for members in orbits]
-    orbit_elements = [tuple(sorted(members)) for members in orbits]
+    kernel, every = group.kernel, _digit_rows(q, n * n)
+    conjugations = []
+    for i in group.generator_indices:
+        g, g_inv = (np.broadcast_to(group.digits[j], every.shape) for j in (i, group.inv_idx(i)))
+        conjugations.append(kernel.codes(kernel.product(kernel.product(g, every), g_inv)))
+    reps, orbit_of = orbit_labels(space, conjugations)
+    by_orbit = np.argsort(orbit_of, kind="stable")  # increasing codes within each orbit
+    bounds = np.cumsum(np.bincount(orbit_of))[:-1]
+    orbit_elements = [tuple(members.tolist()) for members in np.split(by_orbit, bounds)]
+    orbit_reps = [mat_decode(q, n, code) for code in reps.tolist()]
+    orbit_of = orbit_of.tolist()
 
     # second pass: flags need orbit_of complete (semisimple part lookup)
     records = []
@@ -250,14 +252,39 @@ class FourierTable:
         return len(self.orbit_sizes)
 
 
-def _trace_residue(F: Field, n: int, a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Tr_{F_q/F_p}(tr(a b))."""
-    add, mul = F.add, F.mul
-    acc = 0
-    for i in range(n):
-        for j in range(n):
-            acc = add[acc][mul[a[i * n + j]][b[j * n + i]]]
-    return F.trace_to_prime(acc)
+def _digit_rows(q: int, k: int) -> np.ndarray:
+    """Every vector of k base-q digits, in code order: row c holds the
+    digits of c, digit 0 least significant (for k = n^2, the matrix with
+    `mat_encode` code c)."""
+    codes = np.arange(q**k)
+    out = np.empty((q**k, k), dtype=np.min_scalar_type(q - 1))
+    for t in range(k):
+        out[:, t] = codes // q**t % q
+    return out
+
+
+def _trace_residues(F: Field, rows: np.ndarray, coeffs) -> np.ndarray:
+    """Tr_{F_q/F_p}(sum_t coeffs[t] * rows[:, t]) for every row of a digit
+    array, by gathers from the field tables and a size-q trace array."""
+    add, mul = np.array(F.add).ravel(), np.array(F.mul)
+    acc = np.zeros(len(rows), dtype=np.intp)
+    for t, c in enumerate(coeffs):
+        if c:
+            acc = add[acc * F.q + mul[c][rows[:, t]]]
+    return np.array([F.trace_to_prime(x) for x in range(F.q)])[acc]
+
+
+def _transform_column(o: OrbitTable, every: np.ndarray, orbit_of: np.ndarray,
+                      y: list[int]) -> list[CycInt]:
+    """F(1_O)(y) for every orbit O: each source orbit's count of matrices x
+    per value of Tr(tr(y x)), from one bincount over the whole space
+    (`every`, in code order, with `orbit_of` as an array)."""
+    n, p = o.n, o.field.p
+    # tr(y x) = sum over (a, b) of y[b, a] * x[a, b]
+    residues = _trace_residues(o.field, every, [y[b * n + a] for a in range(n) for b in range(n)])
+    counts = np.bincount(orbit_of * p + residues, minlength=o.num_orbits * p)
+    return [CycInt.from_exponents(p, {t: c for t, c in enumerate(row) if c})
+            for row in counts.reshape(-1, p).tolist()]
 
 
 def fourier_table(o: OrbitTable, scale: int = 1) -> FourierTable:
@@ -265,34 +292,24 @@ def fourier_table(o: OrbitTable, scale: int = 1) -> FourierTable:
 
     `scale` (a nonzero field element) replaces psi by psi(scale * .), which
     permutes rows but must not change the zero census; the default is the
-    canonical character.
+    canonical character.  Columns are computed one target orbit at a time,
+    so no (orbits x q^(n^2)) array is built.
     """
     F, n = o.field, o.n
     if not 1 <= scale < F.q:
         raise ValueError("character scale must be a nonzero field element code")
-    p = F.p
-    tau = o.num_orbits
-    counts = [[[0] * p for _ in range(tau)] for _ in range(tau)]
-    reps = [tuple(F.mul[scale][x] for x in rec.rep) for rec in o.orbits]
-    for code, src in enumerate(o.orbit_of):
-        y = o.decode(code)  # once per matrix, not once per (matrix, target)
-        for target, rep in enumerate(reps):
-            counts[src][target][_trace_residue(F, n, rep, y)] += 1
-    values = tuple(
-        tuple(
-            CycInt.from_exponents(p, {t: c for t, c in enumerate(counts[src][tgt]) if c})
-            for tgt in range(tau)
-        )
-        for src in range(tau)
-    )
+    every, orbit_of = _digit_rows(F.q, n * n), np.array(o.orbit_of)
+    columns = [_transform_column(o, every, orbit_of, [F.mul[scale][x] for x in rec.rep])
+               for rec in o.orbits]
+    values = tuple(zip(*columns))
     table = FourierTable(
-        conductor=p,
+        conductor=F.p,
         values=values,
         orbit_sizes=tuple(r.size for r in o.orbits),
     )
     zero_code = 0
     zero_orbit = o.orbit_of[zero_code]
-    for src in range(tau):
+    for src in range(o.num_orbits):
         if values[src][zero_orbit] != o.orbits[src].size:
             raise RuntimeError("F(1_O)(0) != |O|; transform is inconsistent")
     _recheck_well_defined(o, table, scale)
@@ -303,26 +320,13 @@ def _recheck_well_defined(o: OrbitTable, t: FourierTable, scale: int) -> None:
     """Recompute a handful of columns at a second orbit representative; the
     choice is deterministic (first five multi-element orbits, second member)."""
     F, n = o.field, o.n
-    p = F.p
-    checked = 0
-    for tgt, members in enumerate(o.orbit_elements):
-        if len(members) < 2:
-            continue
-        alt = o.decode(members[1])
-        if scale != 1:
-            alt = tuple(F.mul[scale][x] for x in alt)
-        for src in range(o.num_orbits):
-            counts = [0] * p
-            for code in o.orbit_elements[src]:
-                counts[_trace_residue(F, n, alt, o.decode(code))] += 1
-            val = CycInt.from_exponents(p, {i: c for i, c in enumerate(counts) if c})
-            if val != t.values[src][tgt]:
-                raise RuntimeError(
-                    "transform value depends on the orbit representative"
-                )
-        checked += 1
-        if checked >= 5:
-            break
+    every, orbit_of = _digit_rows(F.q, n * n), np.array(o.orbit_of)
+    second = [(tgt, members[1]) for tgt, members in enumerate(o.orbit_elements)
+              if len(members) > 1]
+    for tgt, code in second[:5]:
+        alt = [F.mul[scale][x] for x in o.decode(code)]
+        if _transform_column(o, every, orbit_of, alt) != [row[tgt] for row in t.values]:
+            raise RuntimeError("transform value depends on the orbit representative")
 
 
 def fourier_zero_census(t: FourierTable) -> ZeroReport:
@@ -440,10 +444,7 @@ def _is_diagonal(n: int, a: tuple[int, ...]) -> bool:
 
 def _eigen_blocks(F: Field, n: int, ys: tuple[int, ...], yn: tuple[int, ...]):
     """For split-semisimple ys: per-eigenvalue blocks of yn in an eigenbasis."""
-    if _is_diagonal(n, ys):
-        vals = sorted(set(_diag_entries(n, ys)))
-    else:
-        vals = sorted(set(fq_poly_roots(F, mat_charpoly(F, n, ys))))
+    vals = sorted(set(fq_poly_roots(F, mat_charpoly(F, n, ys))))
     basis: list[list[int]] = []
     blocks = []
     add, mul, neg = F.add, F.mul, F.neg
@@ -461,7 +462,10 @@ def _eigen_blocks(F: Field, n: int, ys: tuple[int, ...], yn: tuple[int, ...]):
         raise RuntimeError("semisimple part is not split over F_q")
     # change of basis: columns are eigenvectors
     P = tuple(basis[j][i] for i in range(n) for j in range(n))
-    Pinv = mat_inv(F, n, P)
+    try:
+        Pinv = mat_inv(F, n, P)
+    except ValueError:
+        raise RuntimeError("eigenbasis of the semisimple part is singular") from None
     yn_b = mat_mul(F, n, mat_mul(F, n, Pinv, yn), P)
     out = []
     offset = 0
@@ -491,29 +495,38 @@ def _centralizer_green_value(F: Field, n: int, ys: tuple[int, ...],
     return q_val
 
 
-def _diagonal_conjugates(F: Field, n: int, group: MatrixGroupTable,
-                         ys: tuple[int, ...]) -> tuple[int, list[list[int]]]:
-    """|C_G(ys)| and the diagonals of the conjugates g ys g^-1 that are
-    diagonal, in element order."""
-    cent, diagonals = 0, []
-    for i, g in enumerate(group.elements):
-        gy = mat_mul(F, n, mat_mul(F, n, g, ys), group.elements[group.inv_idx(i)])
-        if gy == ys:
-            cent += 1
-        if _is_diagonal(n, gy):
-            diagonals.append(_diag_entries(n, gy))
-    return cent, diagonals
+def _inverse_indices(group: MatrixGroupTable) -> np.ndarray:
+    """The index of every element's inverse, g^(|G| - 1), by square and
+    multiply over the whole group."""
+    result, power = np.full(group.order, group.identity_idx), np.arange(group.order)
+    e = group.order - 1
+    while e:
+        if e & 1:
+            result = group.mul_many(result, power)
+        power = group.mul_many(power, power)
+        e >>= 1
+    return result
 
 
-def _residue_counts(F: Field, diagonals: list[list[int]], x: list[int]) -> list[int]:
-    """Counts per value of Tr(tr(diag(d) diag(x))) over the diagonals d."""
-    counts = [0] * F.p
-    for d in diagonals:
-        acc = 0
-        for a, b in zip(d, x):
-            acc = F.add[acc][F.mul[a][b]]
-        counts[F.trace_to_prime(acc)] += 1
-    return counts
+def _diagonal_conjugates(group: MatrixGroupTable, inverse: np.ndarray,
+                         ys: tuple[int, ...]) -> tuple[int, np.ndarray]:
+    """|C_G(ys)| and the base-q codes (entry 0 least significant) of the
+    diagonals of the conjugates g ys g^-1 that are diagonal, in element
+    order; `inverse` is `_inverse_indices(group)`."""
+    kernel, n, digits = group.kernel, group.dim, group.digits
+    target = np.array(ys, dtype=digits.dtype)
+    conj = kernel.product(kernel.product(digits, np.broadcast_to(target, digits.shape)),
+                          digits[inverse])
+    cent = int((conj == target).all(axis=1).sum())
+    on_diagonal = np.arange(n * n) % (n + 1) == 0
+    diagonals = conj[~conj[:, ~on_diagonal].any(axis=1)][:, on_diagonal]
+    return cent, diagonals.astype(np.int64) @ group.field.q ** np.arange(n)
+
+
+def _residue_counts(residues: np.ndarray, diagonals: np.ndarray, p: int) -> list[int]:
+    """Counts per value of Tr(tr(diag(d) diag(x))) over the diagonals d with
+    the given codes; `residues` holds that trace at every diagonal code."""
+    return np.bincount(residues[diagonals], minlength=p).tolist()
 
 
 def hc_induction_split(n: int, field: Field, X: tuple[int, ...], Y: tuple[int, ...],
@@ -532,10 +545,11 @@ def hc_induction_split(n: int, field: Field, X: tuple[int, ...], Y: tuple[int, .
         group = gl_group(n, F.q)
     ys, yn = jordan_decomposition(F, n, Y)
     p = F.p
-    cent, diagonals = _diagonal_conjugates(F, n, group, ys)
-    if not diagonals:
+    cent, diagonals = _diagonal_conjugates(group, _inverse_indices(group), ys)
+    if not len(diagonals):
         return CycInt.zero(p)
-    counts = _residue_counts(F, diagonals, _diag_entries(n, X))
+    residues = _trace_residues(F, _digit_rows(F.q, n), _diag_entries(n, X))
+    counts = _residue_counts(residues, diagonals, p)
     qval = _centralizer_green_value(F, n, ys, yn)
     total = CycInt.from_exponents(p, {t: qval * c for t, c in enumerate(counts) if c})
     coeffs = total.coeffs
@@ -581,23 +595,26 @@ def kl_verify(n: int, field: Field, orbit_tab: OrbitTable | None = None,
 
     # per-orbit data shared across all X: diagonal images of Y_s under the
     # group, the centralizer order of Y_s, and the centralizer Green value
+    inverse = _inverse_indices(group)
     per_orbit = []
     for rec in orbit_tab.orbits:
         ys, yn = jordan_decomposition(F, n, rec.rep)
-        cent, diagonals = _diagonal_conjugates(F, n, group, ys)
-        qval = _centralizer_green_value(F, n, ys, yn) if diagonals else 0
+        cent, diagonals = _diagonal_conjugates(group, inverse, ys)
+        qval = _centralizer_green_value(F, n, ys, yn) if len(diagonals) else 0
         per_orbit.append((diagonals, cent, qval))
 
     # regular split X up to the Weyl (coordinate-permutation) action
     xs = [tuple(c) for c in itertools.combinations(range(F.q), n)]
+    every_diagonal = _digit_rows(F.q, n)
     violations = []
     pairs = 0
     for diag in xs:
         X = tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n))
         ox = orbit_tab.orbit_of_matrix(X)
+        residues = _trace_residues(F, every_diagonal, diag)
         for oy in range(orbit_tab.num_orbits):
             diagonals, cent, qval = per_orbit[oy]
-            counts = _residue_counts(F, diagonals, diag)
+            counts = _residue_counts(residues, diagonals, p)
             lhs = four.values[ox][oy] * cent
             rhs = CycInt.from_exponents(
                 p, {t: q_pow * qval * c for t, c in enumerate(counts) if c}

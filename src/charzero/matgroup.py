@@ -3,8 +3,9 @@
 Matrices over F_q are flat row-major tuples of field element codes, which
 hash in constant time.  This module owns every decision about them: the one
 Gauss-Jordan row reduction (`rref`), the base-q matrix codec (`mat_encode`,
-`mat_decode`), breadth-first closure from generators (`closure`) and orbit
-partition of an indexed set (`orbit_partition`).
+`mat_decode`) and the one orbit routine (`orbit_labels`), which numbers the
+orbits of a group acting on 0..N-1 through one permutation array per
+generator.
 
 A matrix group keeps its elements as one (|G|, n^2) numpy array of digits,
 the entry codes in the smallest dtype that holds q - 1.  All |G|-sized work
@@ -16,17 +17,19 @@ breadth-first from the identity, a level at a time, with the generator list
 sorted; each level keeps the first occurrences of unseen products in
 (element, generator) order, so the element order is that of a BFS taking
 one product at a time and two runs produce identical index maps.  Conjugacy
-classes come from one conjugation permutation per generator: every element
-is labelled by the least index of its orbit (labels pulled along each
-permutation, then lowered by pointer jumping), and classes are numbered by
-that least index, which is also the representative.
+classes are the `orbit_labels` of one conjugation permutation per generator:
+every element is labelled by the least index of its orbit (labels pulled
+along each permutation, then lowered by pointer jumping), and classes are
+numbered by that least index, which is also the representative.  The
+adjoint orbits of gl_n and the exceptional Weyl classes use the same
+routine.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -132,51 +135,11 @@ def mat_charpoly(F: Field, n: int, a: tuple[int, ...]) -> list[int]:
     raise ValueError("characteristic polynomial helper limited to n <= 3")
 
 
-# -- breadth-first closure and orbit partition ------------------------------
-
-
-def closure(start: Hashable, expand: Callable[[list], Iterable]) -> tuple[list, dict]:
-    """Breadth-first closure of `start`: `expand(level)` yields the images of
-    one BFS level in a fixed order.  Returns the elements in discovery order
-    and their index."""
-    elements = [start]
-    index = {start: 0}
-    done = 0
-    while done < len(elements):
-        level = elements[done:]
-        done = len(elements)
-        for y in expand(level):
-            if y not in index:
-                index[y] = len(elements)
-                elements.append(y)
-    return elements, index
-
-
-def orbit_partition(size: int, expand: Callable[[list], Iterable],
-                    element: Callable[[int], Hashable] = lambda i: i,
-                    index: Callable[[Hashable], int] = lambda x: x,
-                    ) -> tuple[list[int], list[list[int]]]:
-    """Partition an indexed set of `size` elements into orbits, each the
-    `closure` under `expand` of the element with the least index not yet
-    reached.  `element(i)` is the element with index i and `index` is its
-    inverse.  Returns orbit_of and each orbit's member indices in discovery
-    order."""
-    orbit_of = [-1] * size
-    orbits: list[list[int]] = []
-    for seed in range(size):
-        if orbit_of[seed] < 0:
-            members = [index(x) for x in closure(element(seed), expand)[0]]
-            for i in members:
-                orbit_of[i] = len(orbits)
-            orbits.append(members)
-    return orbit_of, orbits
-
-
 class GroupTable:
     """A finite group with a deterministic element index.
 
-    Subclasses provide element multiplication, batched (`mul_many`) and
-    scalar, and inversion; everything the character-table machinery needs
+    Subclasses provide batched multiplication (`mul_many`) and scalar
+    inversion; everything the character-table machinery needs
     (class data, power maps, exponent) is derived here.
     """
 
@@ -186,9 +149,6 @@ class GroupTable:
 
     def mul_many(self, a, b) -> np.ndarray:
         """Indices of the products a[t] * b[t], with numpy broadcasting."""
-        raise NotImplementedError
-
-    def mul_idx(self, i: int, j: int) -> int:
         raise NotImplementedError
 
     def inv_idx(self, i: int) -> int:
@@ -250,21 +210,19 @@ class _MatrixKernel:
 
 class MatrixGroupTable(GroupTable):
     """A matrix group stored as `digits`, an (|G|, n*n) array of entry
-    codes in element order.  Matrices are found by their base-q codes,
-    sorted once and searched with `np.searchsorted`; the tuple forms
-    `elements` and `index` are built only when read."""
+    codes in element order, multiplied by `kernel`.  Matrices are found by
+    their base-q codes, sorted once and searched with `np.searchsorted`."""
 
     def __init__(self, kernel: _MatrixKernel, digits: np.ndarray, generators: np.ndarray):
         self.field = kernel.field
         self.dim = kernel.n
         self.digits = digits
         self.order = len(digits)
-        self._kernel = kernel
+        self.kernel = kernel
         codes = kernel.codes(digits)
         self._by_code = np.argsort(codes)
         self._sorted_codes = codes[self._by_code]
         self.generator_indices = self._index_of(kernel.codes(generators)).tolist()
-        self._inv_cache: list[int | None] = [None] * self.order
 
     def _index_of(self, codes: np.ndarray) -> np.ndarray:
         """Element indices of a 1-D array of matrix codes; raises if a code
@@ -279,35 +237,34 @@ class MatrixGroupTable(GroupTable):
         out[order] = self._by_code[pos]
         return out
 
-    def _index_of_matrix(self, a: tuple[int, ...]) -> int:
-        return int(self._index_of(np.array([mat_encode(self.field.q, a)]))[0])
-
     def element(self, i: int) -> tuple[int, ...]:
         return tuple(self.digits[i].tolist())
 
-    @cached_property
-    def elements(self) -> list[tuple[int, ...]]:
-        return [tuple(row) for row in self.digits.tolist()]
-
-    @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {x: i for i, x in enumerate(self.elements)}
-
     def mul_many(self, a, b) -> np.ndarray:
         a, b = np.broadcast_arrays(np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp))
-        prod = self._kernel.product(self.digits[a.ravel()], self.digits[b.ravel()])
-        return self._index_of(self._kernel.codes(prod)).reshape(a.shape)
-
-    def mul_idx(self, i: int, j: int) -> int:
-        return self._index_of_matrix(mat_mul(self.field, self.dim, self.element(i), self.element(j)))
+        prod = self.kernel.product(self.digits[a.ravel()], self.digits[b.ravel()])
+        return self._index_of(self.kernel.codes(prod)).reshape(a.shape)
 
     def inv_idx(self, i: int) -> int:
-        cached = self._inv_cache[i]
-        if cached is None:
-            cached = self._index_of_matrix(mat_inv(self.field, self.dim, self.element(i)))
-            self._inv_cache[i] = cached
-            self._inv_cache[cached] = i
-        return cached
+        inverse = mat_inv(self.field, self.dim, self.element(i))
+        return int(self._index_of(np.array([mat_encode(self.field.q, inverse)]))[0])
+
+
+def closure_levels(start: np.ndarray, expand: Callable[[np.ndarray], np.ndarray],
+                   keys: Callable[[np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
+    """Breadth-first closure of the rows of `start`, yielded a level at a
+    time: `expand(level)` gives the level's images in a fixed order, and
+    their first occurrences whose `keys` (sortable, one per row) are not yet
+    known form the next level."""
+    level, known = start, np.sort(keys(start))  # `known` stays sorted
+    while len(level):
+        yield level
+        products = expand(level)
+        codes, first = np.unique(keys(products), return_index=True)
+        pos = np.searchsorted(known, codes)
+        fresh = known[np.minimum(pos, len(known) - 1)] != codes
+        level = products[np.sort(first[fresh])]
+        known = np.insert(known, pos[fresh], codes[fresh])
 
 
 def enumerate_group(generators: list[tuple[int, ...]], field: Field, dim: int,
@@ -321,23 +278,19 @@ def enumerate_group(generators: list[tuple[int, ...]], field: Field, dim: int,
         mat_inv(field, dim, g)  # raises on a singular generator
     kernel = _MatrixKernel(field, dim)
     gen_digits = kernel.digits(gens)
-    level = kernel.digits([mat_identity(dim)])
-    levels, known = [level], kernel.codes(level)  # `known` stays sorted
-    found = 1
-    while len(level):
+
+    def right_products(level: np.ndarray) -> np.ndarray:
         products = np.empty((len(level), len(gens), dim * dim), dtype=kernel.dtype)
         for t, g in enumerate(gen_digits):
             products[:, t] = kernel.product(level, np.broadcast_to(g, level.shape))
-        products = products.reshape(-1, dim * dim)
-        codes, first = np.unique(kernel.codes(products), return_index=True)
-        pos = np.searchsorted(known, codes)
-        fresh = known[np.minimum(pos, len(known) - 1)] != codes
-        found += int(fresh.sum())
+        return products.reshape(-1, dim * dim)
+
+    levels, found = [], 0
+    for level in closure_levels(kernel.digits([mat_identity(dim)]), right_products, kernel.codes):
+        found += len(level)
         if found > cap:
             raise EnumerationCapExceeded(f"group closure exceeded cap {cap}")
-        level = products[np.sort(first[fresh])]
         levels.append(level)
-        known = np.insert(known, pos[fresh], codes[fresh])
     group = MatrixGroupTable(kernel, np.concatenate(levels), gen_digits)
     # closure under inverse is implied (finite order); spot-check a sample
     for i in range(min(group.order, 16)):
@@ -368,11 +321,6 @@ class ProductGroupTable(GroupTable):
         ja, jb = self._unpack(np.asarray(j, dtype=np.intp))
         return self._pack(self.a.mul_many(ia, ja), self.b.mul_many(ib, jb))
 
-    def mul_idx(self, i: int, j: int) -> int:
-        ia, ib = self._unpack(i)
-        ja, jb = self._unpack(j)
-        return self._pack(self.a.mul_idx(ia, ja), self.b.mul_idx(ib, jb))
-
     def inv_idx(self, i: int) -> int:
         ia, ib = self._unpack(i)
         return self._pack(self.a.inv_idx(ia), self.b.inv_idx(ib))
@@ -384,14 +332,17 @@ def direct_product(a: GroupTable, b: GroupTable, cap: int = DEFAULT_GROUP_CAP) -
     return ProductGroupTable(a, b)
 
 
-def _least_index_labels(size: int, perms: list[np.ndarray]) -> np.ndarray:
-    """For each index, the least index of its orbit under the group the
-    permutations generate.  Each label is an index of the same orbit no
-    larger than its own; labels are pulled back along every permutation
-    (label[x] = min(label[x], label[p[x]])) and lowered by pointer jumping
-    until nothing changes.  Then label[x] <= label[p[x]] for every x and p,
-    so labels are constant on the cycles of each permutation, hence on
-    orbits, where they equal the least index."""
+def orbit_labels(size: int, perms: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the indices 0..size-1 under the group that the permutations
+    generate, numbered by least member: the sorted least members (one
+    representative per orbit) and each index's orbit number.
+
+    Each index carries a label, an index of its orbit no larger than its own;
+    labels are pulled back along every permutation (label[x] = min(label[x],
+    label[p[x]])) and lowered by pointer jumping until nothing changes.  Then
+    label[x] <= label[p[x]] for every x and p, so labels are constant on the
+    cycles of each permutation, hence on orbits, where they equal the least
+    index."""
     label = np.arange(size)
     while True:
         before = label
@@ -400,7 +351,7 @@ def _least_index_labels(size: int, perms: list[np.ndarray]) -> np.ndarray:
         while not np.array_equal(jumped := label[label], label):
             label = jumped
         if np.array_equal(label, before):
-            return label
+            return np.unique(label, return_inverse=True)
 
 
 class ClassData:
@@ -413,8 +364,7 @@ class ClassData:
         everything = np.arange(group.order)
         conjugations = [group.mul_many(group.mul_many(g, everything), group.inv_idx(g))
                         for g in group.generator_indices]
-        reps, class_of = np.unique(_least_index_labels(group.order, conjugations),
-                                   return_inverse=True)
+        reps, class_of = orbit_labels(group.order, conjugations)
         reps = reps.tolist()
         self.group = group
         self.class_reps = reps

@@ -5,7 +5,10 @@ of rank+1; types B/C are pairs of partitions (positive / negative cycles);
 type D restricts to an even number of negative cycles, with the classes
 whose cycles are all positive and even split in two.  G2, F4 and E6 are
 enumerated as integer matrix groups generated by the simple reflections in
-the root basis (E7/E8 are rejected: their orders exceed the desk budget).
+the root basis, as int8 stacks a breadth-first level at a time, with every
+product checked to stay in the int8 range; their classes are the
+`orbit_labels` of conjugation by the reflections (E7/E8 are rejected: their
+orders exceed the desk budget).
 
 The characteristic polynomial det(q*Id - w) attached to each class is the
 order polynomial of the corresponding twisted maximal torus (computed by
@@ -28,7 +31,7 @@ from math import factorial
 
 import numpy as np
 
-from .matgroup import closure, orbit_partition
+from .matgroup import closure_levels, orbit_labels
 from .polynomials import IntPoly
 
 CLASSICAL_TYPES = ("A", "B", "C", "D")
@@ -217,24 +220,34 @@ _CARTAN = {
 }
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over stacks of int8 integer matrices, computed in int32; raises
+    if an entry leaves the int8 range."""
+    prod = np.matmul(a, b, dtype=np.int32)
+    if prod.size and (prod.min() < -128 or prod.max() > 127):
+        raise RuntimeError("a Weyl group product has entries beyond the int8 range")
+    return prod.astype(np.int8)
+
+
+def _keys(mats: np.ndarray) -> np.ndarray:
+    """One sortable key per matrix of an (N, r, r) int8 stack: its bytes."""
+    rows = np.ascontiguousarray(mats).reshape(len(mats), -1)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
 def _simple_reflections(cartan: list[list[int]]) -> list[np.ndarray]:
-    """Simple reflections in the root basis; each is checked to be an
-    involution, so it serves as its own inverse under conjugation."""
+    """Simple reflections in the root basis, in int8; each is checked to be
+    an involution, so it serves as its own inverse under conjugation."""
     r = len(cartan)
     mats = []
     for i in range(r):
-        m = np.eye(r, dtype=np.int64)
+        m = np.eye(r, dtype=np.int8)
         for j in range(r):
             m[i, j] = (1 if i == j else 0) - cartan[j][i]
-        if not np.array_equal(m @ m, np.eye(r, dtype=np.int64)):
+        if not np.array_equal(_product(m, m), np.eye(r, dtype=np.int8)):
             raise RuntimeError(f"simple reflection s_{i} is not an involution")
         mats.append(m)
     return mats
-
-
-def _stack(level: list[bytes], r: int) -> np.ndarray:
-    """Matrices stored as the bytes of int64 r x r arrays, stacked."""
-    return np.frombuffer(b"".join(level), dtype=np.int64).reshape(-1, r, r)
 
 
 def charpoly_int(m: np.ndarray) -> IntPoly:
@@ -258,36 +271,39 @@ def charpoly_int(m: np.ndarray) -> IntPoly:
 
 
 def _table_exceptional(cartan_type: str) -> WeylClassTable:
+    """W as an int8 stack in breadth-first order from the identity (each
+    level's right products taken generator by generator), and its classes
+    as the orbits of conjugation by the simple reflections, numbered by
+    least element index."""
     cartan = _CARTAN[cartan_type]
     rank = len(cartan)
     gens = _simple_reflections(cartan)
 
-    def right_products(level: list[bytes]):
-        stacked = _stack(level, rank)
-        for g in gens:
-            for row in stacked @ g:
-                yield row.tobytes()
+    def right_products(level: np.ndarray) -> np.ndarray:
+        return _product(level[None], np.stack(gens)[:, None]).reshape(-1, rank, rank)
 
-    # elements are kept as bytes: compact, and their own dictionary keys
-    elements, index = closure(np.eye(rank, dtype=np.int64).tobytes(), right_products)
+    elements = np.concatenate(list(closure_levels(np.eye(rank, dtype=np.int8)[None],
+                                                  right_products, _keys)))
     order = len(elements)
     if order != EXCEPTIONAL_ORDERS[cartan_type]:
         raise RuntimeError(
             f"W({cartan_type}) closure has order {order}, "
             f"expected {EXCEPTIONAL_ORDERS[cartan_type]}"
         )
-
-    def conjugates(level: list[bytes]):
-        stacked = _stack(level, rank)
-        for g in gens:
-            for row in g @ stacked @ g:
-                yield row.tobytes()
-
-    _, orbits = orbit_partition(order, conjugates, elements.__getitem__, index.__getitem__)
-    classes = []
-    for cls, members in enumerate(orbits):
-        poly = charpoly_int(_stack([elements[members[0]]], rank)[0])
-        classes.append(WeylClass(f"c{cls}", len(members), order // len(members), poly))
+    keys = _keys(elements)
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    conjugations = []
+    for g in gens:  # each is an involution, so g w g is the conjugate
+        conj = _keys(_product(_product(g, elements), g))
+        pos = np.minimum(np.searchsorted(sorted_keys, conj), order - 1)
+        if not np.array_equal(sorted_keys[pos], conj):
+            raise RuntimeError(f"W({cartan_type}) is not closed under conjugation")
+        conjugations.append(by_key[pos])
+    reps, class_of = orbit_labels(order, conjugations)
+    sizes = np.bincount(class_of).tolist()
+    classes = [WeylClass(f"c{cls}", size, order // size, charpoly_int(elements[rep]))
+               for cls, (rep, size) in enumerate(zip(reps.tolist(), sizes))]
     return WeylClassTable(cartan_type, rank, rank, order, tuple(classes))
 
 

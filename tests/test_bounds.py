@@ -204,7 +204,8 @@ def _plain_scan_threshold(rank_cap, eps, which):
 
 @pytest.mark.parametrize("which", ["first", "second", "both"])
 @pytest.mark.parametrize("rank_cap,eps", [(2, Fraction(1, 2)), (3, Fraction(1, 10)),
-                                          (5, Fraction(1, 7)), (6, Fraction(2, 3))])
+                                          (5, Fraction(1, 7)), (6, Fraction(2, 3)),
+                                          (2, Fraction(99, 100)), (4, Fraction(1, 50))])
 def test_fixed_rank_threshold_matches_a_plain_scan(rank_cap, eps, which):
     res = threshold_search(rank_cap, eps, which=which)
     assert res.threshold == _plain_scan_threshold(rank_cap, eps, which)

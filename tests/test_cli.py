@@ -212,8 +212,11 @@ def test_oversize_q_is_refused_before_factoring(command, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "flags,message",
-    [(["--rank-cap", "61", "--epsilon", "1/10"], "rank cap 61 exceeds 60"),
-     (["--rank-cap", "60", "--epsilon", "1/10000"], "no threshold below 1000000")],
+    [(["--rank-cap", "61", "--epsilon", "1/10", "--which", "both"], "rank cap 61 exceeds 60"),
+     (["--rank-cap", "60", "--epsilon", "1/10000", "--which", "both"],
+      "no threshold below 1000000"),
+     (["--rank-cap", "2", "--epsilon", "1/100000", "--which", "second"],
+      "no threshold below 1000000")],
 )
 def test_threshold_out_of_range_exits_two_up_front(flags, message, capsys, monkeypatch):
     from charzero import bounds
@@ -224,10 +227,30 @@ def test_threshold_out_of_range_exits_two_up_front(flags, message, capsys, monke
     monkeypatch.setattr(bounds, "_power_ratio_holds", unreachable)
     monkeypatch.setattr(bounds, "_poly_ratio_holds", unreachable)
     code, out, err = run_cli(
-        ["bounds", "--check", "threshold", *flags, "--which", "both"], capsys
+        ["bounds", "--check", "threshold", *flags], capsys
     )
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_singular_eigenbasis_is_an_internal_failure(capsys, monkeypatch):
+    from charzero import liefourier
+
+    def singular(*args):
+        raise ValueError("singular matrix")
+
+    monkeypatch.setattr(liefourier, "mat_inv", singular)
+    code, out, err = run_cli(["kl-verify", "--n", "2", "--q", "3"], capsys)
+    assert code == 1 and out == ""
+    assert "eigenbasis" in err
+
+
+def test_kl_verify_over_an_extension_field(capsys):
+    code, out, _ = run_cli(["kl-verify", "--n", "2", "--q", "9"], capsys)
+    obj = json.loads(out)
+    assert code == 0 and obj["passed"] is True
+    assert obj["cartan_representatives"] == 36 and obj["orbits"] == 90
+    assert obj["pairs_checked"] == 3240
 
 
 @pytest.mark.slow

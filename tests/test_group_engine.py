@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from orbit_reference import orbit_partition
 
-from charzero.dixon import _class_coefficient_tensor, dixon_character_table
+from charzero.dixon import _class_coefficient_tensor
 from charzero.ffield import field_for_order
 from charzero.matgroup import (
+    ProductGroupTable,
     conjugacy_classes,
     direct_product,
     enumerate_group,
@@ -21,7 +23,7 @@ from charzero.matgroup import (
     mat_identity,
     mat_inv,
     mat_mul,
-    orbit_partition,
+    orbit_labels,
     sl_generators,
     sl_group,
 )
@@ -58,7 +60,7 @@ def _reference_bfs(kind, n, q):
 def test_enumeration_order_matches_reference_bfs(kind, n, q):
     _, elements, _ = _reference_bfs(kind, n, q)
     g = _group(kind, n, q)
-    assert g.elements == elements
+    assert [g.element(i) for i in range(g.order)] == elements
 
 
 @pytest.mark.parametrize("kind,n,q", GROUPS)
@@ -90,6 +92,18 @@ def test_class_data_matches_orbit_partition(kind, n, q):
     assert cd.inverse_class == [row[-1] for row in power_map]
 
 
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_orbit_labels_match_the_per_seed_bfs(data):
+    size = data.draw(st.integers(1, 40))
+    perms = [np.array(data.draw(st.permutations(range(size))))
+             for _ in range(data.draw(st.integers(0, 3)))]
+    reps, orbit_of = orbit_labels(size, perms)
+    ref_of, orbits = orbit_partition(size, lambda level: (int(p[x]) for x in level for p in perms))
+    assert orbit_of.tolist() == ref_of
+    assert reps.tolist() == [members[0] for members in orbits]
+
+
 def _multiplication_table(kind, n, q):
     F, elements, index = _reference_bfs(kind, n, q)
     return np.array([[index[mat_mul(F, n, x, y)] for y in elements] for x in elements])
@@ -118,6 +132,19 @@ def test_class_coefficient_tensor_is_a_pair_count(factors):
     assert np.array_equal(_class_coefficient_tensor(g, cd), brute)
 
 
+@lru_cache(maxsize=None)
+def _element_index(g):
+    return {g.element(k): k for k in range(g.order)}
+
+
+def _scalar_product(g, i, j):
+    """Index of the product of elements i and j, one matrix product at a time."""
+    if isinstance(g, ProductGroupTable):  # elements are pairs of factor indices
+        (ia, ib), (ja, jb) = divmod(i, g.b.order), divmod(j, g.b.order)
+        return _scalar_product(g.a, ia, ja) * g.b.order + _scalar_product(g.b, ib, jb)
+    return _element_index(g)[mat_mul(g.field, g.dim, g.element(i), g.element(j))]
+
+
 @pytest.mark.parametrize("make", [
     lambda: gl_group(2, 4),
     lambda: gl_group(3, 3),
@@ -131,17 +158,9 @@ def test_mul_many_matches_scalar_products(make, data):
     idx = st.integers(0, g.order - 1)
     a = data.draw(st.lists(idx, min_size=0, max_size=40))
     b = data.draw(st.lists(idx, min_size=len(a), max_size=len(a)))
-    assert g.mul_many(a, b).tolist() == [g.mul_idx(x, y) for x, y in zip(a, b)]
+    assert g.mul_many(a, b).tolist() == [_scalar_product(g, x, y) for x, y in zip(a, b)]
     y = data.draw(idx)
-    assert g.mul_many(a, y).tolist() == [g.mul_idx(x, y) for x in a]
-
-
-def test_census_path_leaves_tuple_forms_unbuilt():
-    F = field_for_order(7)
-    g = enumerate_group(gl_generators(2, F), F, 2)
-    dixon_character_table(g, conjugacy_classes(g))
-    assert "elements" not in g.__dict__
-    assert "index" not in g.__dict__
+    assert g.mul_many(a, y).tolist() == [_scalar_product(g, x, y) for x in a]
 
 
 def test_matrix_codes_beyond_64_bits_are_refused():

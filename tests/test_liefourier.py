@@ -1,6 +1,12 @@
-import pytest
+import dataclasses
+import itertools
 
-from charzero.ffield import field_make
+import pytest
+from orbit_reference import orbit_partition
+
+from charzero import liefourier as L
+from charzero.cyclotomic import CycInt
+from charzero.ffield import field_for_order, field_make
 from charzero.liefourier import (
     additive_lower_bound,
     adjoint_orbits,
@@ -12,7 +18,7 @@ from charzero.liefourier import (
     jordan_decomposition,
     kl_verify,
 )
-from charzero.matgroup import mat_decode, mat_identity, mat_mul
+from charzero.matgroup import gl_group, mat_decode, mat_encode, mat_identity, mat_inv, mat_mul
 
 
 @pytest.fixture(scope="module")
@@ -227,3 +233,105 @@ def test_space_cap():
     F = field_make(5, 1)
     with pytest.raises(ValueError, match="cap"):
         adjoint_orbits(2, F, cap=100)
+
+
+# -- the batched stages against one-matrix-at-a-time references --------------
+
+ALGEBRAS = [(1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]
+
+
+def _reference_orbits(n, F):
+    """Orbits by closing one seed at a time under scalar conjugation by the
+    generators of GL_n."""
+    group = gl_group(n, F.q)
+    pairs = [(group.element(i), group.element(group.inv_idx(i))) for i in group.generator_indices]
+
+    def conjugates(level):
+        return (mat_mul(F, n, mat_mul(F, n, g, x), g_inv) for x in level for g, g_inv in pairs)
+
+    return orbit_partition(F.q ** (n * n), conjugates, lambda code: mat_decode(F.q, n, code),
+                           lambda a: mat_encode(F.q, a))
+
+
+@pytest.mark.parametrize("n,q", ALGEBRAS)
+def test_adjoint_orbits_match_the_per_seed_bfs(n, q):
+    F = field_for_order(q)
+    o = adjoint_orbits(n, F)
+    orbit_of, orbits = _reference_orbits(n, F)
+    assert list(o.orbit_of) == orbit_of
+    assert [r.rep for r in o.orbits] == [mat_decode(q, n, members[0]) for members in orbits]
+    assert list(o.orbit_elements) == [tuple(sorted(members)) for members in orbits]
+    for rec in o.orbits:
+        ys, yn = jordan_decomposition(F, n, rec.rep)
+        assert rec.size == len(orbits[orbit_of[mat_encode(q, rec.rep)]])
+        assert rec.semisimple_part_orbit == orbit_of[mat_encode(q, ys)]
+        assert rec.is_semisimple == (yn == (0,) * (n * n))
+
+
+def _trace_residue(F, n, a, b):
+    """Tr_{F_q/F_p}(tr(a b)), one matrix pair at a time."""
+    acc = 0
+    for i in range(n):
+        for j in range(n):
+            acc = F.add[acc][F.mul[a[i * n + j]][b[j * n + i]]]
+    return F.trace_to_prime(acc)
+
+
+@pytest.mark.parametrize("n,q", ALGEBRAS)
+def test_fourier_table_matches_the_per_matrix_sum(n, q):
+    F = field_for_order(q)
+    o = adjoint_orbits(n, F)
+    for scale in sorted({1, q - 1}):
+        t = fourier_table(o, scale=scale)
+        reps = [tuple(F.mul[scale][x] for x in rec.rep) for rec in o.orbits]
+        counts = [[[0] * F.p for _ in reps] for _ in reps]
+        for code, src in enumerate(o.orbit_of):
+            y = o.decode(code)
+            for tgt, rep in enumerate(reps):
+                counts[src][tgt][_trace_residue(F, n, rep, y)] += 1
+        expected = [[CycInt.from_exponents(F.p, dict(enumerate(c))) for c in row] for row in counts]
+        assert [list(row) for row in t.values] == expected
+
+
+def test_a_corrupted_transform_value_is_caught():
+    F = field_make(3, 1)
+    o = adjoint_orbits(2, F)
+    t = fourier_table(o)
+    tgt = next(i for i, members in enumerate(o.orbit_elements) if len(members) > 1)
+    values = [list(row) for row in t.values]
+    values[0][tgt] = values[0][tgt] + 1
+    with pytest.raises(RuntimeError, match="representative"):
+        L._recheck_well_defined(o, dataclasses.replace(t, values=values), 1)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (2, 7), (3, 2)])
+def test_diagonal_sweep_matches_the_per_element_loop(n, q):
+    F = field_for_order(q)
+    group, o = gl_group(n, q), adjoint_orbits(n, F)
+    inverse = L._inverse_indices(group)
+    elements = [group.element(i) for i in range(group.order)]
+    inverses = [mat_inv(F, n, g) for g in elements]
+    assert [elements[j] for j in inverse.tolist()] == inverses
+    xs = list(itertools.combinations(range(q), n))
+    for rec in o.orbits:
+        if not rec.is_semisimple:
+            continue
+        ys = rec.rep
+        cent, diagonals = 0, []
+        for g, g_inv in zip(elements, inverses):
+            gy = mat_mul(F, n, mat_mul(F, n, g, ys), g_inv)
+            cent += gy == ys
+            if all(gy[a] == 0 for a in range(n * n) if a % (n + 1)):
+                diagonals.append(gy[:: n + 1])
+        got_cent, codes = L._diagonal_conjugates(group, inverse, ys)
+        assert got_cent == cent
+        assert codes.tolist() == [sum(d * q**k for k, d in enumerate(diag)) for diag in diagonals]
+        for x in xs[:3]:
+            counts = [0] * F.p
+            for d in diagonals:
+                acc = 0
+                for a, b in zip(d, x):
+                    acc = F.add[acc][F.mul[a][b]]
+                counts[F.trace_to_prime(acc)] += 1
+            residues = L._trace_residues(F, L._digit_rows(q, n), x)
+            assert L._residue_counts(residues, codes, F.p) == counts

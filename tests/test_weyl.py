@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from orbit_reference import closure, orbit_partition
 
 import charzero.weyl as W
 from charzero.polynomials import IntPoly
@@ -310,3 +311,40 @@ def test_charpoly_int_matches_leibniz_on_integer_matrices(data):
 def test_charpoly_int_refuses_an_inexact_division():
     with pytest.raises(RuntimeError, match="not divisible"):
         charpoly_int(np.array([[Fraction(1, 2)]], dtype=object))
+
+
+def _reference_exceptional_classes(cartan_type):
+    """(label, size, charpoly) per class from a breadth-first closure over
+    the bytes of int64 matrices (each level's products taken generator by
+    generator) and orbits closed one seed at a time."""
+    gens = W._simple_reflections(W._CARTAN[cartan_type])
+    r = len(gens)
+
+    def stack(level):
+        return np.frombuffer(b"".join(level), dtype=np.int64).reshape(-1, r, r)
+
+    def right_products(level):
+        return (row.tobytes() for g in gens for row in stack(level) @ g)
+
+    def conjugates(level):
+        return (row.tobytes() for g in gens for row in g @ stack(level) @ g)
+
+    elements, index = closure(np.eye(r, dtype=np.int64).tobytes(), right_products)
+    _, orbits = orbit_partition(len(elements), conjugates, elements.__getitem__, index.__getitem__)
+    return [(f"c{i}", len(members), charpoly_int(stack([elements[members[0]]])[0]))
+            for i, members in enumerate(orbits)]
+
+
+@pytest.mark.parametrize("cartan_type", ["G2", "F4", "E6"])
+def test_exceptional_classes_match_the_reference_closure(cartan_type):
+    table = weyl_classes(cartan_type)
+    got = [(c.label, c.class_size, c.char_poly) for c in table.classes]
+    assert got == _reference_exceptional_classes(cartan_type)
+
+
+def test_int8_overflow_is_refused(monkeypatch):
+    # reflections with large off-diagonal entries generate an infinite group
+    # whose products soon leave the int8 range
+    monkeypatch.setitem(W._CARTAN, "G2", [[2, -100], [-100, 2]])
+    with pytest.raises(RuntimeError, match="int8"):
+        W._table_exceptional("G2")
