@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 from .cyclotomic import CycInt
 from .dixon import dixon_character_table, verify_orthogonality, zero_census
@@ -75,10 +76,49 @@ def _csv_cell(x) -> str:
     if isinstance(x, CycInt):
         return f"{x.conductor}:" + ",".join(map(str, x.coeffs))
     if isinstance(x, (list, tuple)):
-        return "+".join(map(str, x)) if x else "-"
+        return "+".join(map(str, _jsonable(x))) if x else "-"
     if x is None:
         return ""
     return str(x)
+
+
+def _json_leaf(x) -> str:
+    """json.dumps(_jsonable(x)) for a value that is not a CycInt or a
+    nonempty container, with the two common cases taken directly."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int.__repr__(x)
+    return json.dumps(_jsonable(x))
+
+
+def _json_chunks(x, level: int, cache: dict) -> Iterator[str]:
+    """The text of json.dumps(_jsonable(x), indent=2, sort_keys=True) for x
+    nested `level` containers deep (dict keys are strings), in pieces.  Each
+    distinct CycInt is rendered once per level, through `cache`."""
+    if isinstance(x, CycInt):
+        key = (x.conductor, x.coeffs, level)
+        text = cache.get(key)
+        if text is None:
+            text = cache[key] = "".join(_json_chunks(x.to_json(), level, cache))
+        yield text
+    elif isinstance(x, (dict, list, tuple)) and x:
+        if isinstance(x, dict):
+            brackets = "{}"
+            items = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(x.items())]
+        else:
+            brackets, items = "[]", [("", v) for v in x]
+        inner = "\n" + "  " * (level + 1)
+        for i, (key, v) in enumerate(items):
+            head = ("," if i else brackets[0]) + inner + key
+            if isinstance(v, (CycInt, dict, list, tuple)):
+                yield head
+                yield from _json_chunks(v, level + 1, cache)
+            else:
+                yield head + _json_leaf(v)
+        yield "\n" + "  " * level + brackets[1]
+    else:
+        yield _json_leaf(x)
 
 
 def emit(result: dict, rows: list[dict] | None, fmt: str, out) -> None:
@@ -86,7 +126,7 @@ def emit(result: dict, rows: list[dict] | None, fmt: str, out) -> None:
         payload = dict(result)
         if rows is not None:
             payload["rows"] = rows
-        out.write(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+        out.writelines(_json_chunks(payload, 0, {}))
         out.write("\n")
         return
     if fmt == "csv":
@@ -198,7 +238,7 @@ def _cmd_char_table(args):
     t = dixon_character_table(g, cd)
     if not verify_orthogonality(t):
         raise RuntimeError("orthogonality verification failed")
-    result = t.to_json()
+    result = t.as_dict()
     result["group"] = f"{args.group}{args.n}(F{args.q})"
     result["orthogonal"] = True
     return result, None
@@ -446,19 +486,17 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as e:
         print(f"out of memory: {e}", file=sys.stderr)
         return 1
-    buf = io.StringIO()
-    emit(result, rows, getattr(args, "format", "json"), buf)
-    data = buf.getvalue()
+    fmt = getattr(args, "format", "json")
     output = getattr(args, "output", None)
-    if output:
-        try:
-            with open(output, "w") as f:
-                f.write(data)
-        except OSError as e:
-            print(f"error: --output {output} is not writable: {e}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(data)
+    if not output:
+        emit(result, rows, fmt, sys.stdout)
+        return 0
+    try:
+        with open(output, "w") as f:
+            emit(result, rows, fmt, f)
+    except OSError as e:
+        print(f"error: --output {output} is not writable: {e}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -10,7 +10,11 @@ coordinate test - no tolerance appears anywhere.
 
 Orthogonality is checked independently, from the lifted integer coordinates
 only: through all phi(m) embeddings of Z[zeta_m] into F_L for primes
-L = 1 (mod m), enough of them to exceed twice the coefficient bound.
+L = 1 (mod m), enough of them to exceed twice the coefficient bound.  A
+table has far fewer distinct values than entries (GL_2(F_11): 126 of
+14 400), so only the distinct values are embedded, and the table's image
+under each conjugate pair of embeddings is gathered from theirs through an
+index array for one matrix product; no tau x tau x phi(m) array is built.
 
 Determinism: the prime l is minimal, degenerate eigenspaces are split by
 class matrices in class-index order, and the finished rows are sorted
@@ -199,7 +203,8 @@ class CharacterTable:
     def num_classes(self) -> int:
         return len(self.class_sizes)
 
-    def to_json(self) -> dict:
+    def as_dict(self) -> dict:
+        """The fields of `to_json`, with the values left as CycInt rows."""
         return {
             "group_order": self.group_order,
             "conductor": self.conductor,
@@ -207,8 +212,13 @@ class CharacterTable:
             "degrees": list(self.degrees),
             "class_sizes": list(self.class_sizes),
             "class_rep_orders": list(self.class_rep_orders),
-            "values": [[v.to_json() for v in row] for row in self.values],
+            "values": self.values,
         }
+
+    def to_json(self) -> dict:
+        obj = self.as_dict()
+        obj["values"] = [[v.to_json() for v in row] for row in self.values]
+        return obj
 
     @staticmethod
     def from_json(obj: dict) -> "CharacterTable":
@@ -325,24 +335,16 @@ def dixon_character_table(group: GroupTable, cd: ClassData) -> CharacterTable:
     A = _class_coefficient_tensor(group, cd)
     omega = _common_eigenrows(A, l)  # tau x tau, omega[chi, k]
 
-    sizes = np.array(cd.class_sizes, dtype=np.int64)
-    inv_sizes = np.array([_mod_inv(int(s), l) for s in sizes], dtype=np.int64)
-    inv_class = cd.inverse_class
+    inv_sizes = np.array([_mod_inv(s, l) for s in cd.class_sizes], dtype=np.int64)
 
     # degree^2 = |G| / sum_k omega_k omega_{k^-1} / |C_k|
-    mod_rows = np.zeros((tau, tau), dtype=np.int64)
+    sums = (omega * omega[:, cd.inverse_class] % l * inv_sizes % l).sum(axis=1) % l
     degrees = []
-    for r in range(tau):
-        u = omega[r]
-        s = 0
-        for k in range(tau):
-            s = (s + int(u[k]) * int(u[inv_class[k]]) % l * int(inv_sizes[k])) % l
-        d_sq = order % l * _mod_inv(s, l) % l
-        d = _sqrt_mod(d_sq, l)
-        if d > l // 2:
-            d = l - d
-        degrees.append(d)  # true degree: bounded by sqrt(|G|) < l/2
-        mod_rows[r] = (u * d % l) * inv_sizes % l
+    for s in sums.tolist():
+        d = _sqrt_mod(order % l * _mod_inv(s, l) % l, l)
+        degrees.append(min(d, l - d))  # true degree: bounded by sqrt(|G|) < l/2
+    degree_vec = np.array(degrees, dtype=np.int64)
+    mod_rows = omega * degree_vec[:, None] % l * inv_sizes % l
 
     # -- lift to Z[zeta_m] ------------------------------------------------
     w = _least_primitive_root(l)
@@ -364,13 +366,11 @@ def dixon_character_table(group: GroupTable, cd: ClassData) -> CharacterTable:
         Vinv = Vinv * d_inv % l
         X = mod_rows[:, [cd.power_map[k][j] for j in range(d)]].T % l  # d x tau
         MU = (Vinv @ X) % l  # multiplicities of zeta_d^t, exact in [0, degree]
-        for r in range(tau):
-            col = MU[:, r]
-            if int(col.sum()) != degrees[r] or int(col.max(initial=0)) > degrees[r]:
-                raise RuntimeError(
-                    "eigenvalue multiplicities failed the degree bound; "
-                    "modular table is inconsistent"
-                )
+        if (MU.sum(axis=0) != degree_vec).any() or (MU.max(axis=0) > degree_vec).any():
+            raise RuntimeError(
+                "eigenvalue multiplicities failed the degree bound; "
+                "modular table is inconsistent"
+            )
         # value = sum_t MU[t] * zeta_m^(t*m/d), already-canonical rows of `basis`
         exp_rows = basis[[t * (m // d) % m for t in range(d)]]  # d x phi
         coeff_table[:, k, :] = MU.T @ exp_rows
@@ -456,26 +456,39 @@ def verify_orthogonality(t: CharacterTable) -> bool:
     matrix on the distinct z^a, invertible mod L; so all images vanish iff
     v = 0 (mod L), and over primes whose product exceeds 2|v| iff v = 0.
     Complex conjugation is the embedding at -a.
+
+    Only the table's distinct values are embedded; the image of the table
+    under one embedding is gathered from theirs through an index array.
     """
     m, tau, order = t.conductor, t.num_classes, t.group_order
     units = [a for a in range(m) if gcd(a, m) == 1]
     phi = len(units)
-    conj = [units.index((-a) % m) for a in units]
-    C = np.array([v.coeffs for row in t.values for v in row], dtype=np.int64)
+    conj = np.array([units.index((-a) % m) for a in units])
+    distinct: dict[tuple[int, ...], int] = {}  # coordinates -> index of the distinct value
+    entry = np.array([[distinct.setdefault(v.coeffs, len(distinct)) for v in row]
+                      for row in t.values])
+    entry_t = entry.T
+    D = np.array(list(distinct), dtype=np.int64)  # distinct values x phi
     sizes = np.array(t.class_sizes, dtype=np.int64)
     centralizers = np.array([order // s for s in t.class_sizes], dtype=np.int64)
+    pairs = np.array([a for a in range(phi) if a <= conj[a]])  # one of each conjugate pair (a, -a)
     for L in _orthogonality_primes(t):
         z = pow(_least_primitive_root(L), (L - 1) // m, L)
-        V = np.array([[pow(z, a * u, L) for a in units] for u in range(phi)], dtype=np.int64)
-        # X[a]: the table's image under zeta -> z^a, contiguous for the products below
-        X = np.ascontiguousarray(((C % L) @ V % L).T).reshape(phi, tau, tau)
+        V = np.ones((phi, phi), dtype=np.int64)  # V[u, a] = z^(units[a] * u)
+        step = np.array([pow(z, a, L) for a in units], dtype=np.int64)
+        for u in range(1, phi):
+            V[u] = V[u - 1] * step % L
+        E = np.ascontiguousarray(((D % L) @ V % L).T)  # E[a, x]: value x at zeta -> z^units[a]
         gram = np.diag(np.full(tau, order % L))
         centre = np.diag(centralizers % L)
-        for a, b in enumerate(conj):
-            if a > b:  # the images at -a are the transposes of those at a
-                continue
-            if not np.array_equal((X[a] * (sizes % L) % L) @ X[b].T % L, gram):
+        for a in pairs:
+            # C-contiguous gathers (fancy indexing gives strided ones, which
+            # slow the int64 matmul several times)
+            X = np.take(E[a], entry)  # X[i, k]: chi_i(g_k) under embedding a
+            Yt = np.take(E[conj[a]], entry_t)  # Yt[k, j]: chi_j(g_k) under -a
+            if not (X * (sizes % L) % L @ Yt % L == gram).all():
                 return False
-            if not np.array_equal(X[a].T @ X[b] % L, centre):
+            # columns: Yt @ X is the transpose of X^T Yt^T, and the target is diagonal
+            if not (Yt @ X % L == centre).all():
                 return False
     return True

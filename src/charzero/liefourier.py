@@ -35,6 +35,8 @@ from .ffield import (
 )
 from .matgroup import (
     MatrixGroupTable,
+    _MatrixKernel,
+    gl_generators,
     gl_group,
     mat_charpoly,
     mat_decode,
@@ -174,21 +176,24 @@ class OrbitTable:
         return self.orbit_of[mat_encode(self.field.q, a)]
 
 
-def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP,
-                   group: MatrixGroupTable | None = None) -> OrbitTable:
-    """Orbits of GL_n(F_q) acting on n x n matrices by conjugation."""
+def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP) -> OrbitTable:
+    """Orbits of GL_n(F_q) acting on n x n matrices by conjugation.
+
+    The generators of GL_n act; neither the group nor an inverse is formed.
+    Orbits are numbered by least code, whatever the generating set."""
     _check_additive_n(n)
     q = field.q
     space = q ** (n * n)
     if space > cap:
         raise ValueError(f"matrix space size {space} exceeds cap {cap}")
-    if group is None:
-        group = gl_group(n, q)
-    kernel, every = group.kernel, _digit_rows(q, n * n)
+    kernel, every = _MatrixKernel(field, n), _digit_rows(q, n * n)
     conjugations = []
-    for i in group.generator_indices:
-        g, g_inv = (np.broadcast_to(group.digits[j], every.shape) for j in (i, group.inv_idx(i)))
-        conjugations.append(kernel.codes(kernel.product(kernel.product(g, every), g_inv)))
+    for gen in gl_generators(n, field):
+        g = np.broadcast_to(kernel.digits([gen]), every.shape)
+        left, right = (kernel.codes(kernel.product(*f)) for f in ((g, every), (every, g)))
+        conj = np.empty_like(left)
+        conj[right] = left  # x g -> g x, that is y -> g y g^-1
+        conjugations.append(conj)
     reps, orbit_of = orbit_labels(space, conjugations)
     by_orbit = np.argsort(orbit_of, kind="stable")  # increasing codes within each orbit
     bounds = np.cumsum(np.bincount(orbit_of))[:-1]
@@ -586,7 +591,7 @@ def kl_verify(n: int, field: Field, orbit_tab: OrbitTable | None = None,
         )
     group = gl_group(n, F.q)
     if orbit_tab is None:
-        orbit_tab = adjoint_orbits(n, F, group=group)
+        orbit_tab = adjoint_orbits(n, F)
     if four is None:
         four = fourier_table(orbit_tab)
     p = F.p

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -55,6 +56,16 @@ def test_internal_failure_exits_one(capsys, monkeypatch):
     code, _, err = run_cli(["char-table", "--group", "gl", "--n", "2", "--q", "2"], capsys)
     assert code == 1
     assert "orthogonality" in err
+
+
+def test_corrupted_degree_exits_one(capsys, monkeypatch):
+    from charzero import dixon
+
+    real = dixon._sqrt_mod  # every degree d comes out as d + 1
+    monkeypatch.setattr(dixon, "_sqrt_mod", lambda a, l: min(real(a, l), l - real(a, l)) + 1)
+    code, out, err = run_cli(["zero-density", "--group", "gl", "--n", "2", "--q", "3"], capsys)
+    assert code == 1 and out == ""
+    assert "internal check failed" in err and "degree bound" in err
 
 
 def test_determinism_byte_identical(capsys):
@@ -253,8 +264,9 @@ def test_kl_verify_over_an_extension_field(capsys):
     assert obj["pairs_checked"] == 3240
 
 
-@pytest.mark.slow
 def test_char_table_gl2_f11_verifies(capsys):
     code, out, _ = run_cli(["char-table", "--group", "gl", "--n", "2", "--q", "11"], capsys)
     assert code == 0
     assert json.loads(out)["orthogonal"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cb50382c7d56ccebfc5095a5c32e0cb64fe75a3e0162e88bcf0f4cc172d54701")

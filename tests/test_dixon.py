@@ -236,6 +236,65 @@ def test_orthogonality_matches_cyclotomic_arithmetic(gl2_census, gl3_census):
     assert conjugated_rows > 0
 
 
+def _moved_values(t, rng, count):
+    """Tables whose set of distinct values is that of t, or a subset: two
+    unequal entries of one row swapped, or one cell's value copied into
+    another cell that holds a different value."""
+    tau = t.num_classes
+    for _ in range(count):
+        values = [list(row) for row in t.values]
+        i = rng.randrange(1, tau)  # row 0 is trivial: all its entries are equal
+        k, l = rng.choice([(k, l) for k in range(tau) for l in range(k)
+                           if values[i][k] != values[i][l]])
+        values[i][k], values[i][l] = values[i][l], values[i][k]
+        yield _with_values(t, values)
+        values = [list(row) for row in t.values]
+        (i, k), (j, l) = rng.sample([(i, k) for i in range(tau) for k in range(tau)], 2)
+        if values[i][k] != values[j][l]:
+            values[i][k] = values[j][l]
+            yield _with_values(t, values)
+
+
+def test_orthogonality_detects_moved_values(gl2_census, gl3_census):
+    rng = random.Random(8)
+    cases = 0
+    for t, _ in [gl2_census[3], gl2_census[4], gl2_census[5], gl3_census[2]]:
+        for moved in _moved_values(t, rng, 4):
+            assert not verify_orthogonality(moved)
+            assert not _row_orthogonality_by_cycint(moved)
+            cases += 1
+    assert cases >= 24
+
+
+def test_orthogonality_of_tables_with_conductor_at_most_two():
+    from charzero.ffield import field_make
+    from charzero.matgroup import enumerate_group, mat_identity
+
+    trivial = enumerate_group([mat_identity(1)], field_make(2, 1), 1)
+    c2 = gl_group(1, 3)
+    for g in (trivial, c2, direct_product(c2, c2)):
+        t = dixon_character_table(g, conjugacy_classes(g))
+        assert t.conductor <= 2
+        assert verify_orthogonality(t)
+        values = [list(row) for row in t.values]
+        values[-1][-1] = values[-1][-1] + 1
+        assert not verify_orthogonality(_with_values(t, values))
+
+
+def test_orthogonality_memory_stays_below_one_dense_embedding():
+    g = gl_group(2, 7)
+    t = dixon_character_table(g, conjugacy_classes(g))
+    tau, phi = t.num_classes, len(t.values[0][0].coeffs)
+    assert (tau, phi) == (48, 96)
+    tracemalloc.start()
+    try:
+        assert verify_orthogonality(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tau * tau * phi * 8
+
+
 def test_orthogonality_memory_is_linear_in_the_table(gl3_census):
     t, _ = gl3_census[3]
     tau, phi = t.num_classes, len(t.values[0][0].coeffs)
@@ -265,6 +324,16 @@ def test_trivial_and_abelian_groups():
     assert sorted(table.degrees) == [1, 1, 1, 1]
     assert zero_census(table).zero_entries == 0
     assert verify_orthogonality(table)
+
+
+def test_a_corrupted_degree_fails_the_multiplicity_check(monkeypatch):
+    import charzero.dixon as dixon
+
+    real = dixon._sqrt_mod  # every degree d comes out as d + 1
+    monkeypatch.setattr(dixon, "_sqrt_mod", lambda a, l: min(real(a, l), l - real(a, l)) + 1)
+    g = gl_group(2, 3)
+    with pytest.raises(RuntimeError, match="failed the degree bound"):
+        dixon_character_table(g, conjugacy_classes(g))
 
 
 def test_square_root_of_a_non_residue_is_an_internal_error():
