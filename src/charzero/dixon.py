@@ -5,8 +5,11 @@ The table is computed modulo a prime l = 1 (mod m) with l > 2*sqrt(|G|)
 eigenvalue multiplicities of a representative are recovered by discrete
 Fourier inversion over the power map; each multiplicity is a true integer
 in [0, degree] < l, so the lift is unambiguous and the resulting values
-are exact cyclotomic integers.  Zero detection afterwards is the canonical
-coordinate test - no tolerance appears anywhere.
+are exact cyclotomic integers.  The multiplicities depend only on a
+character's column of power-map values, so each distinct column is inverted
+once per class, and the finished table holds one CycInt per distinct value:
+equal entries are the same object.  Zero detection afterwards is the
+canonical coordinate test - no tolerance appears anywhere.
 
 Orthogonality is checked independently, from the lifted integer coordinates
 only: through all phi(m) embeddings of Z[zeta_m] into F_L for primes
@@ -45,41 +48,40 @@ def _mod_inv(a: int, l: int) -> int:
 
 
 def _mod_rref(M: np.ndarray, l: int) -> tuple[np.ndarray, list[int]]:
-    M = M.copy() % l
+    """Reduced row echelon form mod l and its pivot columns.  Each pivot
+    clears its column with one masked rank-1 update; residues are < l <=
+    10^7, so the products stay inside int64."""
+    M = M % l
     rows, cols = M.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        piv = None
-        for rr in range(r, rows):
-            if M[rr, c]:
-                piv = rr
-                break
-        if piv is None:
+        nz = np.flatnonzero(M[r:, c])
+        if nz.size == 0:
             continue
+        piv = r + int(nz[0])
         if piv != r:
             M[[r, piv]] = M[[piv, r]]
-        M[r] = (M[r] * _mod_inv(M[r, c], l)) % l
-        for rr in range(rows):
-            if rr != r and M[rr, c]:
-                M[rr] = (M[rr] - M[rr, c] * M[r]) % l
+        M[r] = M[r] * _mod_inv(M[r, c], l) % l
+        f = M[:, c].copy()
+        f[r] = 0
+        hit = np.flatnonzero(f)
+        M[hit] = (M[hit] - f[hit, None] * M[r]) % l
         pivots.append(c)
         r += 1
     return M[:r], pivots
 
 
 def _mod_nullspace(M: np.ndarray, l: int) -> np.ndarray:
-    """Rows spanning {x : M x = 0 (mod l)}."""
+    """Rows spanning {x : M x = 0 (mod l)}, one per free column."""
     R, pivots = _mod_rref(M, l)
     cols = M.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = (-int(R[ri, fc])) % l
+    free = np.delete(np.arange(cols), pivots)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -R[:, free].T % l
     return basis
 
 
@@ -279,11 +281,22 @@ def _class_coefficient_tensor(group: GroupTable, cd: ClassData) -> np.ndarray:
     return A
 
 
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a C-contiguous X in first-seen order, and the
+    index of each row of X among them.  Keyed on row bytes: `np.unique`
+    with axis=0 sorts the rows as void records, several times slower."""
+    seen: dict[bytes, int] = {}
+    inverse = np.array([seen.setdefault(r.tobytes(), len(seen)) for r in X], dtype=np.int64)
+    return X[np.unique(inverse, return_index=True)[1]], inverse
+
+
 def _common_eigenrows(A: np.ndarray, l: int) -> np.ndarray:
     """Rows u with u * A[i].T = lambda_i u for all i, normalized so the
     identity-class coordinate is 1.  Splits degenerate eigenspaces by
     adjoining class matrices in index order."""
     tau = A.shape[0]
+    # every space is kept in RREF (it is `eye` or comes from `_mod_rref`),
+    # so its pivots are the first nonzero column of each row
     spaces: list[np.ndarray] = [np.eye(tau, dtype=np.int64)]
     for i in range(1, tau):
         if all(s.shape[0] == 1 for s in spaces):
@@ -294,35 +307,29 @@ def _common_eigenrows(A: np.ndarray, l: int) -> np.ndarray:
             if B.shape[0] == 1:
                 new_spaces.append(B)
                 continue
-            BB, pivots = _mod_rref(B, l)
-            prod = (BB @ Bi) % l
-            R = prod[:, pivots]
+            R = (B @ Bi % l)[:, (B != 0).argmax(axis=1)]
             roots = _mod_poly_roots(_mod_charpoly(R, l), l)
             if len(roots) == 1:
-                new_spaces.append(BB)
+                new_spaces.append(B)
                 continue
             for lam in roots:
                 shifted = (R - lam * np.eye(R.shape[0], dtype=np.int64)) % l
                 C = _mod_nullspace(shifted.T, l)
                 if C.shape[0] == 0:
                     continue
-                sub = (C @ BB) % l
-                sub, _ = _mod_rref(sub, l)
-                new_spaces.append(sub)
+                new_spaces.append(_mod_rref(C @ B % l, l)[0])
         spaces = new_spaces
     if any(s.shape[0] != 1 for s in spaces) or len(spaces) != tau:
         raise RuntimeError(
             "class-matrix eigenspaces failed to split to dimension one; "
             "this signals a bug in the class data"
         )
-    rows = np.vstack([s[0] for s in spaces]) % l
-    out = np.zeros_like(rows)
-    for r in range(tau):
-        lead = int(rows[r, 0])
-        if lead == 0:
-            raise RuntimeError("eigenvector has zero identity coordinate")
-        out[r] = (rows[r] * _mod_inv(lead, l)) % l
-    return out
+    rows = np.vstack(spaces)
+    lead = rows[:, 0]
+    if not lead.all():
+        raise RuntimeError("eigenvector has zero identity coordinate")
+    inv = np.array([_mod_inv(a, l) for a in lead.tolist()], dtype=np.int64)
+    return rows * inv[:, None] % l
 
 
 def dixon_character_table(group: GroupTable, cd: ClassData) -> CharacterTable:
@@ -352,36 +359,38 @@ def dixon_character_table(group: GroupTable, cd: ClassData) -> CharacterTable:
     phi = euler_phi(m)
     basis = np.array(_power_basis(m), dtype=np.int64)  # m x phi
 
-    coeff_table = np.zeros((tau, tau, phi), dtype=np.int64)
+    coords: list[np.ndarray] = []  # per class: the coordinates of its distinct columns
+    column = np.empty((tau, tau), dtype=np.int64)  # row of chi_i(g_k) in vstack(coords)
+    start = 0
     for k in range(tau):
         d = cd.rep_orders[k]
-        zd = pow(z, m // d, l)
-        zd_inv = _mod_inv(zd, l)
-        d_inv = _mod_inv(d, l)
+        t = np.arange(d)
+        zd_inv = _mod_inv(pow(z, m // d, l), l)
         # Vinv[t, j] = zd^(-t j) / d
-        pw = np.array([pow(zd_inv, t, l) for t in range(d)], dtype=np.int64)
-        Vinv = np.ones((d, d), dtype=np.int64)
-        for j in range(1, d):
-            Vinv[:, j] = Vinv[:, j - 1] * pw % l
-        Vinv = Vinv * d_inv % l
-        X = mod_rows[:, [cd.power_map[k][j] for j in range(d)]].T % l  # d x tau
-        MU = (Vinv @ X) % l  # multiplicities of zeta_d^t, exact in [0, degree]
-        if (MU.sum(axis=0) != degree_vec).any() or (MU.max(axis=0) > degree_vec).any():
+        pw = np.array([pow(zd_inv, s, l) for s in range(d)], dtype=np.int64)
+        Vinv = pw[np.outer(t, t) % d] * _mod_inv(d, l) % l
+        # characters with equal power-map columns have equal multiplicities
+        X, inv = _distinct_rows(mod_rows[:, cd.power_map[k]])
+        MU = Vinv @ X.T % l  # multiplicities of zeta_d^t, exact in [0, degree]
+        if (MU.sum(axis=0)[inv] != degree_vec).any() or (MU.max(axis=0)[inv] > degree_vec).any():
             raise RuntimeError(
                 "eigenvalue multiplicities failed the degree bound; "
                 "modular table is inconsistent"
             )
         # value = sum_t MU[t] * zeta_m^(t*m/d), already-canonical rows of `basis`
-        exp_rows = basis[[t * (m // d) % m for t in range(d)]]  # d x phi
-        coeff_table[:, k, :] = MU.T @ exp_rows
+        coords.append(MU.T @ basis[t * (m // d) % m])
+        column[:, k] = start + inv
+        start += len(X)
+    D, entry = _distinct_rows(np.vstack(coords))
+    entry = entry[column]  # entry[i, k]: row of chi_i(g_k) in D
 
     # modular consistency: mapping zeta_m -> z must reproduce the mod-l table
     zpow = np.array([pow(z, i, l) for i in range(phi)], dtype=np.int64)
-    recon = (coeff_table % l) @ zpow % l
-    if not np.array_equal(recon, mod_rows):
+    if not np.array_equal((D % l @ zpow % l)[entry], mod_rows):
         raise RuntimeError("lifted table does not reduce to the modular table")
 
-    rows = [tuple(CycInt(m, tuple(c)) for c in plane.tolist()) for plane in coeff_table]
+    distinct = [CycInt(m, c) for c in map(tuple, D.tolist())]
+    rows = [tuple(distinct[e] for e in row) for row in entry.tolist()]
     order_check = sum(d * d for d in degrees)
     if order_check != order:
         raise RuntimeError("sum of squared degrees does not match the group order")
@@ -423,7 +432,7 @@ def _coefficient_bound(t: CharacterTable) -> int:
     m, tau = t.conductor, t.num_classes
     basis = _power_basis(m)
     phi = len(basis[0])
-    max_c = max(max(map(abs, v.coeffs)) for row in t.values for v in row)
+    max_c = max(max(map(abs, c)) for c in {v.coeffs for row in t.values for v in row})
     max_conj = max(abs(c) for i in range(phi) for c in basis[(-i) % m])
     max_red = max((abs(c) for row in basis[phi : 2 * phi - 1] for c in row), default=1)
     return (

@@ -270,3 +270,10 @@ def test_char_table_gl2_f11_verifies(capsys):
     assert json.loads(out)["orthogonal"] is True
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "cb50382c7d56ccebfc5095a5c32e0cb64fe75a3e0162e88bcf0f4cc172d54701")
+
+
+def test_char_table_gl3_f3_stdout_is_pinned(capsys):
+    code, out, _ = run_cli(["char-table", "--n", "3", "--q", "3"], capsys)
+    assert code == 0 and json.loads(out)["orthogonal"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c76005b44b660c12be455eed7383a5983365c9ab3d33295934439a398772b5a9")

@@ -143,6 +143,12 @@ def test_product_census_multiplicativity():
     assert nonzero == (1 - base.ratio) ** 2
 
 
+def test_equal_entries_are_one_shared_value(gl2_census, gl3_census):
+    for t, _ in list(gl2_census.values()) + list(gl3_census.values()):
+        entries = [v for row in t.values for v in row]
+        assert len({id(v) for v in entries}) == len({v.coeffs for v in entries}) < len(entries)
+
+
 def test_values_round_trip_through_json(gl2_census):
     t, _ = gl2_census[3]
     assert CharacterTable.from_json(t.to_json()) == t
