@@ -54,6 +54,11 @@ def _validate_prime_power(q: int, flag: str) -> None:
         raise SystemExit2(f"{flag} must be a prime power, got {q}")
 
 
+def _validate_n(n: int) -> None:
+    if n < 1:
+        raise SystemExit2(f"--n must be at least 1, got {n}")
+
+
 class SystemExit2(Exception):
     """Parameter validation failure; rendered to stderr with exit code 2."""
 
@@ -222,6 +227,7 @@ def _cmd_gln_structure(args):
 
 
 def _group_for(args):
+    _validate_n(args.n)
     _validate_prime_power(args.q, "--q")
     cap = _group_cap(args)
     if args.group == "gl":
@@ -316,8 +322,10 @@ def _cmd_bounds(args):
         threshold_search,
     )
 
-    if args.check == "lower":
+    if args.check != "threshold":
+        _validate_n(args.n)
         _validate_prime_power(args.q, "--q")
+    if args.check == "lower":
         b = gl_bound_input(args.n, args.q)
         res = lower_bound_general(b)
         result = {
@@ -330,7 +338,6 @@ def _cmd_bounds(args):
         }
         return result, None
     if args.check == "sl":
-        _validate_prime_power(args.q, "--q")
         g = sl_group(args.n, args.q, _group_cap(args))
         gl_chk = guralnick_lubeck_check(g, args.q)
         fg_chk = fulman_guralnick_check(g, args.q)
@@ -363,6 +370,8 @@ def _cmd_trend(args):
     from .bounds import trend_report
 
     ns = [int(x) for x in args.n.split(",")]
+    for n in ns:
+        _validate_n(n)
     qs: list[int | None] = []
     for tok in args.q.split(","):
         if tok in ("inf", "oo"):

@@ -226,18 +226,6 @@ def fq_poly_trim(f: list[int]) -> list[int]:
     return f
 
 
-def fq_poly_mul(F: Field, a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = F.add[out[i + j]][F.mul[ca][cb]]
-    return fq_poly_trim(out)
-
-
 def fq_poly_divmod(F: Field, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")

@@ -7,11 +7,14 @@ of GL_n over the whole matrix space, numbered by least code.  The transform
 of an orbit indicator is F(1_O)(Y) = sum_{y in O} psi(tr(Y y)) with
 psi = zeta_p^Tr the canonical additive character; values are exact
 cyclotomic integers of conductor p, accumulated as counts per trace residue,
-one column (target orbit) per bincount over the whole space.  The KL sweep
-conjugates the whole group at once.
+one column (target orbit) per bincount over the whole space.
 Jordan decompositions are computed exactly (the semisimple part is the
-q^N-th power of the matrix, N = lcm(1..n)), so the induction formula is
-evaluated literally, with the single division at the end checked for exact
+q^N-th power of the matrix, N = lcm(1..n)).  The KL sweep conjugates the
+whole group at once: one conjugation of Y_s gives |C(Y_s)|, the diagonal
+conjugates and, with Y_n conjugated where Y_s lands upper triangular, the
+complete flags fixed by both parts, hence the Green value
+Q_{C(Y_s)}(1 + Y_n).  `green_function` is the Y_s = 1 case.  The induction
+formula is evaluated literally, and each division is checked for exact
 divisibility.
 """
 
@@ -30,8 +33,6 @@ from .ffield import (
     Field,
     fq_poly_factor_cubic_or_less,
     fq_poly_is_squarefree,
-    fq_poly_roots,
-    fq_poly_trim,
 )
 from .matgroup import (
     MatrixGroupTable,
@@ -42,7 +43,6 @@ from .matgroup import (
     mat_decode,
     mat_encode,
     mat_identity,
-    mat_inv,
     mat_mul,
     orbit_labels,
     rref,
@@ -52,40 +52,23 @@ DEFAULT_MATRIX_SPACE_CAP = 10**7
 
 
 def _check_additive_n(n: int) -> None:
-    # mat_charpoly, fq_poly_factor_cubic_or_less and green_function stop at n = 3
+    # mat_charpoly and fq_poly_factor_cubic_or_less stop at n = 3
     if not 1 <= n <= 3:
         raise ValueError(f"gl_{n} is out of range: the additive side supports 1 <= n <= 3")
 
 
-# -- small exact linear algebra over F_q -------------------------------------
+# -- Jordan decomposition -------------------------------------------------------
 
 
-def _nullspace_basis(F: Field, rows: list[list[int]]) -> list[list[int]]:
-    """Basis of {x : rows @ x = 0} over F_q."""
-    ncols = len(rows[0]) if rows else 0
-    reduced, pivots = rref(F, rows)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = F.neg[reduced[r][fc]]
-        basis.append(vec)
-    return basis
-
-
-def _min_poly(F: Field, n: int, a: tuple[int, ...]) -> list[int]:
-    """Minimal polynomial via the first linear dependence among I, a, a^2...:
-    I..a^(k-1) are independent, so the nullspace is spanned by one vector
-    whose last coordinate is 1."""
-    powers = [mat_identity(n)]
-    while True:
-        powers.append(mat_mul(F, n, powers[-1], a))
-        dependence = _nullspace_basis(F, [list(col) for col in zip(*powers)])
-        if dependence:
-            return fq_poly_trim(dependence[0])
+def _mat_pow(F: Field, n: int, a: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """a^e by square and multiply."""
+    result, power = mat_identity(n), a
+    while e:
+        if e & 1:
+            result = mat_mul(F, n, result, power)
+        power = mat_mul(F, n, power, power)
+        e >>= 1
+    return result
 
 
 def jordan_decomposition(F: Field, n: int, y: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -93,18 +76,16 @@ def jordan_decomposition(F: Field, n: int, y: tuple[int, ...]) -> tuple[tuple[in
 
     Y_s = Y^(q^N) with N = lcm(1..n): in characteristic p the q^N-th power
     is additive on the commuting parts, kills Y_n (q^N >= n) and fixes Y_s,
-    whose eigenvalues lie in fields F_{q^d} with d | N.
+    whose eigenvalues lie in fields F_{q^d} with d | N.  Semisimplicity is
+    certified by Y_s^(q^N) = Y_s: the minimal polynomial of Y_s then divides
+    x^(q^N) - x, which is squarefree.
     """
     if fq_poly_is_squarefree(F, mat_charpoly(F, n, y)):  # y is already semisimple
         return y, tuple(0 for _ in range(n * n))
-    ys, power, e = mat_identity(n), y, F.q ** lcm(*range(1, n + 1))
-    while e:
-        if e & 1:
-            ys = mat_mul(F, n, ys, power)
-        power = mat_mul(F, n, power, power)
-        e >>= 1
+    frobenius = F.q ** lcm(*range(1, n + 1))
+    ys = _mat_pow(F, n, y, frobenius)
     yn = tuple(F.add[a][F.neg[b]] for a, b in zip(y, ys))
-    if not fq_poly_is_squarefree(F, _min_poly(F, n, ys)):
+    if _mat_pow(F, n, ys, frobenius) != ys:
         raise RuntimeError("semisimple part is not semisimple")
     if not _is_nilpotent(F, n, yn):
         raise RuntimeError("nilpotent part is not nilpotent")
@@ -369,135 +350,7 @@ def double_fourier_check(o: OrbitTable, t: FourierTable) -> bool:
     return True
 
 
-# -- Green functions -----------------------------------------------------------
-
-
-def _projective_points(F: Field, n: int) -> list[tuple[int, ...]]:
-    """Normalized representatives (first nonzero coordinate = 1)."""
-    pts = []
-    q = F.q
-
-    def rec(prefix: list[int], started: bool):
-        if len(prefix) == n:
-            if started:
-                pts.append(tuple(prefix))
-            return
-        if not started:
-            rec(prefix + [0], False)
-            rec(prefix + [1], True)
-        else:
-            for c in range(q):
-                rec(prefix + [c], True)
-
-    rec([], False)
-    return pts
-
-
-def _apply(F: Field, n: int, a: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    add, mul = F.add, F.mul
-    out = []
-    for i in range(n):
-        acc = 0
-        for j in range(n):
-            acc = add[acc][mul[a[i * n + j]][v[j]]]
-        out.append(acc)
-    return tuple(out)
-
-
-def green_function(n: int, field: Field, u: tuple[int, ...]) -> int:
-    """Number of complete flags fixed by the unipotent element u: the Green
-    function value attached to the split torus."""
-    ident = mat_identity(n)
-    shifted = tuple(field.add[x][field.neg[y]] for x, y in zip(u, ident))
-    if not _is_nilpotent(field, n, shifted):
-        raise ValueError("element is not unipotent")
-    if n == 1:
-        return 1
-    pts = _projective_points(field, n)
-    if n == 2:
-        return sum(1 for v in pts if _apply(field, n, u, v) == v)
-    if n == 3:
-        # flags = (line, plane): a stable line is a fixed projective point,
-        # a stable plane is a fixed point of the transpose action, and
-        # incidence is phi(v) = 0
-        ut = tuple(u[j * n + i] for i in range(n) for j in range(n))
-        fixed_pts = [v for v in pts if _apply(field, n, u, v) == v]
-        fixed_planes = [w for w in pts if _apply(field, n, ut, w) == w]
-        add, mul = field.add, field.mul
-        count = 0
-        for v in fixed_pts:
-            for w in fixed_planes:
-                acc = 0
-                for i in range(n):
-                    acc = add[acc][mul[v[i]][w[i]]]
-                if acc == 0:
-                    count += 1
-        return count
-    raise ValueError("flag counting implemented for n <= 3")
-
-
-# -- Harish-Chandra induction and the Kazhdan-Letellier check -------------------
-
-
-def _diag_entries(n: int, a: tuple[int, ...]) -> list[int]:
-    return [a[i * (n + 1)] for i in range(n)]
-
-
-def _is_diagonal(n: int, a: tuple[int, ...]) -> bool:
-    return all(a[i * n + j] == 0 for i in range(n) for j in range(n) if i != j)
-
-
-def _eigen_blocks(F: Field, n: int, ys: tuple[int, ...], yn: tuple[int, ...]):
-    """For split-semisimple ys: per-eigenvalue blocks of yn in an eigenbasis."""
-    vals = sorted(set(fq_poly_roots(F, mat_charpoly(F, n, ys))))
-    basis: list[list[int]] = []
-    blocks = []
-    add, mul, neg = F.add, F.mul, F.neg
-    for a in vals:
-        shifted_rows = [
-            [F.add[ys[i * n + j]][neg[a] if i == j else 0] for j in range(n)]
-            for i in range(n)
-        ]
-        eig = _nullspace_basis(F, shifted_rows)
-        if not eig:
-            continue
-        blocks.append((a, eig))
-        basis.extend(eig)
-    if len(basis) != n:
-        raise RuntimeError("semisimple part is not split over F_q")
-    # change of basis: columns are eigenvectors
-    P = tuple(basis[j][i] for i in range(n) for j in range(n))
-    try:
-        Pinv = mat_inv(F, n, P)
-    except ValueError:
-        raise RuntimeError("eigenbasis of the semisimple part is singular") from None
-    yn_b = mat_mul(F, n, mat_mul(F, n, Pinv, yn), P)
-    out = []
-    offset = 0
-    for a, eig in blocks:
-        d = len(eig)
-        block = tuple(yn_b[(offset + i) * n + (offset + j)] for i in range(d) for j in range(d))
-        # commuting nilpotent part must be block diagonal
-        for i in range(d):
-            for j in range(n):
-                if not (offset <= j < offset + d) and yn_b[(offset + i) * n + j]:
-                    raise RuntimeError("nilpotent part is not block diagonal")
-        out.append((a, d, block))
-        offset += d
-    return out
-
-
-def _centralizer_green_value(F: Field, n: int, ys: tuple[int, ...],
-                             yn: tuple[int, ...]) -> int:
-    """Green function of the centralizer of ys at 1 + yn: product of
-    per-eigenblock fixed-flag counts."""
-    q_val = 1
-    for _, d, block in _eigen_blocks(F, n, ys, yn):
-        u = tuple(
-            F.add[block[i * d + j]][1 if i == j else 0] for i in range(d) for j in range(d)
-        )
-        q_val *= green_function(d, F, u)
-    return q_val
+# -- Green functions by batched flag counting ----------------------------------
 
 
 def _inverse_indices(group: MatrixGroupTable) -> np.ndarray:
@@ -513,19 +366,67 @@ def _inverse_indices(group: MatrixGroupTable) -> np.ndarray:
     return result
 
 
-def _diagonal_conjugates(group: MatrixGroupTable, inverse: np.ndarray,
-                         ys: tuple[int, ...]) -> tuple[int, np.ndarray]:
-    """|C_G(ys)| and the base-q codes (entry 0 least significant) of the
-    diagonals of the conjugates g ys g^-1 that are diagonal, in element
-    order; `inverse` is `_inverse_indices(group)`."""
+def _flag_census(group: MatrixGroupTable, inverse: np.ndarray, ys: tuple[int, ...],
+                 yn: tuple[int, ...]) -> tuple[int, np.ndarray, int]:
+    """From the conjugates g ys g^-1 over GL_n (`inverse` is
+    `_inverse_indices(group)`): |C_G(ys)|, the base-q codes (entry 0 least
+    significant) of the diagonals of the conjugates that are diagonal, in
+    element order, and `fixing`, the number of g with g ys g^-1 and
+    g yn g^-1 both upper triangular.  That holds exactly when ys and yn fix
+    the flag g^-1 F_0 (F_0 the standard flag), and each complete flag is
+    g^-1 F_0 for |B| elements g, so `fixing` is |B| times the number of
+    complete flags fixed by both ys and 1 + yn."""
     kernel, n, digits = group.kernel, group.dim, group.digits
-    target = np.array(ys, dtype=digits.dtype)
-    conj = kernel.product(kernel.product(digits, np.broadcast_to(target, digits.shape)),
-                          digits[inverse])
-    cent = int((conj == target).all(axis=1).sum())
-    on_diagonal = np.arange(n * n) % (n + 1) == 0
-    diagonals = conj[~conj[:, ~on_diagonal].any(axis=1)][:, on_diagonal]
-    return cent, diagonals.astype(np.int64) @ group.field.q ** np.arange(n)
+    row, col = np.divmod(np.arange(n * n), n)
+
+    def conjugates(x: tuple[int, ...], among) -> np.ndarray:
+        g = digits[among]
+        x = np.broadcast_to(np.array(x, dtype=digits.dtype), g.shape)
+        return kernel.product(kernel.product(g, x), digits[inverse[among]])
+
+    conj = conjugates(ys, slice(None))
+    cent = int((conj == np.array(ys, dtype=digits.dtype)).all(axis=1).sum())
+    diagonals = conj[~conj[:, row != col].any(axis=1)][:, row == col]
+    upper = np.flatnonzero(~conj[:, row > col].any(axis=1))
+    fixing = int((~conjugates(yn, upper)[:, row > col].any(axis=1)).sum())
+    return cent, diagonals.astype(np.int64) @ group.field.q ** np.arange(n), fixing
+
+
+def _levi_green_value(n: int, q: int, cent: int, diagonals: np.ndarray, fixing: int) -> int:
+    """Q_L(1 + yn) for L = C_G(ys), from `_flag_census(group, inverse, ys, yn)`.
+
+    The flags fixed by a split ys are |W/W_L| = #diagonals / |C(ys)| copies
+    of the flag variety of L, so Q_L(1 + yn) = fixing |C(ys)| /
+    (|B| #diagonals) with |B| = (q - 1)^n q^(n(n-1)/2); the division is
+    checked for exactness.  A ys with no diagonal conjugate fixes no flag,
+    and the value is 0."""
+    borel = (q - 1) ** n * q ** (n * (n - 1) // 2)
+    green, rem = divmod(fixing * cent, borel * len(diagonals)) if len(diagonals) else (0, fixing)
+    if rem:
+        raise RuntimeError("fixed-flag count is not divisible by |B| |W/W_L|")
+    return green
+
+
+def green_function(n: int, field: Field, u: tuple[int, ...]) -> int:
+    """Number of complete flags fixed by the unipotent element u: the Green
+    function value attached to the split torus, counted over GL_n(F_q)."""
+    shifted = tuple(field.add[x][field.neg[y]] for x, y in zip(u, mat_identity(n)))
+    if not _is_nilpotent(field, n, shifted):
+        raise ValueError("element is not unipotent")
+    group = gl_group(n, field.q)
+    census = _flag_census(group, _inverse_indices(group), mat_identity(n), shifted)
+    return _levi_green_value(n, field.q, *census)
+
+
+# -- Harish-Chandra induction and the Kazhdan-Letellier check -------------------
+
+
+def _diag_entries(n: int, a: tuple[int, ...]) -> list[int]:
+    return [a[i * (n + 1)] for i in range(n)]
+
+
+def _is_diagonal(n: int, a: tuple[int, ...]) -> bool:
+    return all(a[i * n + j] == 0 for i in range(n) for j in range(n) if i != j)
 
 
 def _residue_counts(residues: np.ndarray, diagonals: np.ndarray, p: int) -> list[int]:
@@ -540,8 +441,8 @@ def hc_induction_split(n: int, field: Field, X: tuple[int, ...], Y: tuple[int, .
     Cartan at Y, literally: (1/|C(Y_s)|) * Q_{C(Y_s)}(1 + Y_n) *
     sum_{g : g Y_s g^-1 diagonal} psi(tr(g Y_s g^-1 X)).
 
-    X must be diagonal with distinct entries.  The division at the end is
-    checked for exact divisibility in Z[zeta_p].
+    X must be diagonal with distinct entries.  The Green value and the
+    division at the end are checked for exact divisibility.
     """
     F = field
     if not _is_diagonal(n, X) or len(set(_diag_entries(n, X))) != n:
@@ -550,12 +451,12 @@ def hc_induction_split(n: int, field: Field, X: tuple[int, ...], Y: tuple[int, .
         group = gl_group(n, F.q)
     ys, yn = jordan_decomposition(F, n, Y)
     p = F.p
-    cent, diagonals = _diagonal_conjugates(group, _inverse_indices(group), ys)
+    cent, diagonals, fixing = _flag_census(group, _inverse_indices(group), ys, yn)
+    qval = _levi_green_value(n, F.q, cent, diagonals, fixing)
     if not len(diagonals):
         return CycInt.zero(p)
     residues = _trace_residues(F, _digit_rows(F.q, n), _diag_entries(n, X))
     counts = _residue_counts(residues, diagonals, p)
-    qval = _centralizer_green_value(F, n, ys, yn)
     total = CycInt.from_exponents(p, {t: qval * c for t, c in enumerate(counts) if c})
     coeffs = total.coeffs
     if any(c % cent for c in coeffs):
@@ -598,15 +499,14 @@ def kl_verify(n: int, field: Field, orbit_tab: OrbitTable | None = None,
     pos_roots = n * (n - 1) // 2
     q_pow = F.q**pos_roots
 
-    # per-orbit data shared across all X: diagonal images of Y_s under the
-    # group, the centralizer order of Y_s, and the centralizer Green value
+    # per-orbit data shared across all X, from one flag census each: diagonal
+    # images of Y_s under the group, |C(Y_s)| and the centralizer Green value
     inverse = _inverse_indices(group)
     per_orbit = []
     for rec in orbit_tab.orbits:
         ys, yn = jordan_decomposition(F, n, rec.rep)
-        cent, diagonals = _diagonal_conjugates(group, inverse, ys)
-        qval = _centralizer_green_value(F, n, ys, yn) if len(diagonals) else 0
-        per_orbit.append((diagonals, cent, qval))
+        cent, diagonals, fixing = _flag_census(group, inverse, ys, yn)
+        per_orbit.append((diagonals, cent, _levi_green_value(n, F.q, cent, diagonals, fixing)))
 
     # regular split X up to the Weyl (coordinate-permutation) action
     xs = [tuple(c) for c in itertools.combinations(range(F.q), n)]

@@ -39,14 +39,6 @@ class IntPoly:
         return cls(tuple(int(c) for c in coeffs))
 
     @classmethod
-    def const(cls, c: int) -> "IntPoly":
-        return cls((int(c),))
-
-    @classmethod
-    def x(cls) -> "IntPoly":
-        return cls((0, 1))
-
-    @classmethod
     def x_pow_minus_one(cls, d: int) -> "IntPoly":
         """q^d - 1."""
         if d < 1:

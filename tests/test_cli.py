@@ -244,16 +244,19 @@ def test_threshold_out_of_range_exits_two_up_front(flags, message, capsys, monke
     assert message in err
 
 
-def test_singular_eigenbasis_is_an_internal_failure(capsys, monkeypatch):
+def test_inexact_green_value_is_an_internal_failure(capsys, monkeypatch):
     from charzero import liefourier
 
-    def singular(*args):
-        raise ValueError("singular matrix")
+    census = liefourier._flag_census
 
-    monkeypatch.setattr(liefourier, "mat_inv", singular)
+    def miscounted(*args):
+        cent, diagonals, fixing = census(*args)
+        return cent, diagonals, fixing + 1
+
+    monkeypatch.setattr(liefourier, "_flag_census", miscounted)
     code, out, err = run_cli(["kl-verify", "--n", "2", "--q", "3"], capsys)
     assert code == 1 and out == ""
-    assert "eigenbasis" in err
+    assert "fixed-flag count is not divisible" in err
 
 
 def test_kl_verify_over_an_extension_field(capsys):
@@ -262,6 +265,32 @@ def test_kl_verify_over_an_extension_field(capsys):
     assert code == 0 and obj["passed"] is True
     assert obj["cartan_representatives"] == 36 and obj["orbits"] == 90
     assert obj["pairs_checked"] == 3240
+
+
+@pytest.mark.slow
+def test_kl_verify_gl3_f4_stdout_is_pinned(capsys):
+    code, out, _ = run_cli(["kl-verify", "--n", "3", "--q", "4"], capsys)
+    obj = json.loads(out)
+    assert code == 0 and obj["passed"] is True
+    assert obj["cartan_representatives"] == 4 and obj["orbits"] == 84
+    assert obj["pairs_checked"] == 336
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a449fb19f02cf0577253414fbe380cb68382fab710d8a78c78c5f5a66769c07f")
+
+
+@pytest.mark.parametrize("argv", [
+    ["char-table", "--n", "0", "--q", "2"],
+    ["zero-density", "--n", "0", "--q", "3"],
+    ["bounds", "--check", "lower", "--n", "0"],
+    ["bounds", "--check", "sl", "--n", "0", "--q", "3"],
+    ["trend", "--n", "0", "--q", "2"],
+    ["trend", "--n", "-1", "--q", "inf"],
+    ["trend", "--n", "2,0", "--q", "2,inf"],
+])
+def test_n_below_one_exits_two_up_front(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "--n must be at least 1" in err
 
 
 def test_char_table_gl2_f11_verifies(capsys):

@@ -6,6 +6,7 @@ import pytest
 import charzero.gln as G
 from charzero.gln import (
     GLDescriptor,
+    brute_regular_ss_class_count,
     class_count_poly,
     general_position_count,
     gln_zero_ratio_formula,
@@ -53,20 +54,19 @@ def test_split_torus_regular_count_formula(q):
 
 
 def test_regular_ss_class_counts_with_cross_check():
-    assert regular_ss_class_count(2, 3, cross_check=True) == 4
-    assert regular_ss_class_count(2, 2, cross_check=True) == 1
-    assert regular_ss_class_count(3, 2, cross_check=True) == 3
+    for n, q, count in [(2, 3, 4), (2, 2, 1), (3, 2, 3)]:
+        assert regular_ss_class_count(n, q) == brute_regular_ss_class_count(n, q) == count
 
 
 @pytest.mark.parametrize("n,q", [(2, 4), (2, 5), (3, 3), (3, 4)])
 def test_rss_cross_check_sweep(n, q):
-    regular_ss_class_count(n, q, cross_check=True)
+    assert regular_ss_class_count(n, q) == brute_regular_ss_class_count(n, q)
 
 
 @pytest.mark.slow
 def test_rss_cross_check_gl3_f5():
     # 1.49M-element enumeration; the largest instance the default cap covers
-    assert regular_ss_class_count(3, 5, cross_check=True) == 84
+    assert regular_ss_class_count(3, 5) == brute_regular_ss_class_count(3, 5) == 84
 
 
 def test_torus_order_polys_monic():

@@ -2,11 +2,12 @@ import dataclasses
 import itertools
 
 import pytest
+from green_reference import _min_poly, flag_count, levi_green_value
 from orbit_reference import orbit_partition
 
 from charzero import liefourier as L
 from charzero.cyclotomic import CycInt
-from charzero.ffield import field_for_order, field_make
+from charzero.ffield import field_for_order, field_make, fq_poly_is_squarefree
 from charzero.liefourier import (
     additive_lower_bound,
     adjoint_orbits,
@@ -180,6 +181,7 @@ def test_jordan_decomposition_properties():
             ys, yn = jordan_decomposition(F, n, y)
             assert tuple(F.add[a][b] for a, b in zip(ys, yn)) == y
             assert mat_mul(F, n, ys, yn) == mat_mul(F, n, yn, ys)
+            assert fq_poly_is_squarefree(F, _min_poly(F, n, ys))
 
 
 def test_green_function_values():
@@ -305,8 +307,12 @@ def test_a_corrupted_transform_value_is_caught():
         L._recheck_well_defined(o, dataclasses.replace(t, values=values), 1)
 
 
+def _upper_triangular(n, a):
+    return all(a[i * n + j] == 0 for i in range(n) for j in range(i))
+
+
 @pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (2, 7), (3, 2)])
-def test_diagonal_sweep_matches_the_per_element_loop(n, q):
+def test_flag_census_matches_the_per_element_loop(n, q):
     F = field_for_order(q)
     group, o = gl_group(n, q), adjoint_orbits(n, F)
     inverse = L._inverse_indices(group)
@@ -315,17 +321,17 @@ def test_diagonal_sweep_matches_the_per_element_loop(n, q):
     assert [elements[j] for j in inverse.tolist()] == inverses
     xs = list(itertools.combinations(range(q), n))
     for rec in o.orbits:
-        if not rec.is_semisimple:
-            continue
-        ys = rec.rep
-        cent, diagonals = 0, []
+        ys, yn = jordan_decomposition(F, n, rec.rep)
+        cent, diagonals, fixing = 0, [], 0
         for g, g_inv in zip(elements, inverses):
             gy = mat_mul(F, n, mat_mul(F, n, g, ys), g_inv)
             cent += gy == ys
             if all(gy[a] == 0 for a in range(n * n) if a % (n + 1)):
                 diagonals.append(gy[:: n + 1])
-        got_cent, codes = L._diagonal_conjugates(group, inverse, ys)
-        assert got_cent == cent
+            if _upper_triangular(n, gy):
+                fixing += _upper_triangular(n, mat_mul(F, n, mat_mul(F, n, g, yn), g_inv))
+        got_cent, codes, got_fixing = L._flag_census(group, inverse, ys, yn)
+        assert (got_cent, got_fixing) == (cent, fixing)
         assert codes.tolist() == [sum(d * q**k for k, d in enumerate(diag)) for diag in diagonals]
         for x in xs[:3]:
             counts = [0] * F.p
@@ -336,3 +342,36 @@ def test_diagonal_sweep_matches_the_per_element_loop(n, q):
                 counts[F.trace_to_prime(acc)] += 1
             residues = L._trace_residues(F, L._digit_rows(q, n), x)
             assert L._residue_counts(residues, codes, F.p) == counts
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (2, 5), (2, 7), (3, 2), (3, 3)])
+def test_flag_census_green_values_match_the_eigenblock_reference(n, q):
+    # fixing = |B| |W/W_L| Q_L(1 + Y_n), with |W/W_L| = #diagonals / |C(Y_s)|
+    F = field_for_order(q)
+    group, o = gl_group(n, q), adjoint_orbits(n, F)
+    inverse, borel = L._inverse_indices(group), (q - 1) ** n * q ** (n * (n - 1) // 2)
+    for rec in o.orbits:
+        ys, yn = jordan_decomposition(F, n, rec.rep)
+        cent, diagonals, fixing = L._flag_census(group, inverse, ys, yn)
+        green = L._levi_green_value(n, q, cent, diagonals, fixing)
+        if not len(diagonals):
+            assert fixing == green == 0
+            with pytest.raises(RuntimeError, match="not split"):
+                levi_green_value(F, n, ys, yn)
+            continue
+        reference = levi_green_value(F, n, ys, yn)
+        assert green == reference
+        assert len(diagonals) % cent == 0
+        assert fixing == borel * (len(diagonals) // cent) * reference
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (3, 2)])
+def test_green_function_matches_the_projective_point_count(n, q):
+    F = field_for_order(q)
+    group = gl_group(n, q)
+    ident = mat_identity(n)
+    unipotents = [u for u in map(group.element, range(group.order))
+                  if L._is_nilpotent(F, n, tuple(F.add[x][F.neg[y]] for x, y in zip(u, ident)))]
+    assert len(unipotents) == q ** (n * (n - 1))  # Steinberg
+    for u in unipotents:
+        assert green_function(n, F, u) == flag_count(n, F, u)

@@ -1,12 +1,13 @@
-"""Properties of the shared F_q matrix layer: row reduction, inverse,
-nullspace, minimal polynomial and the base-q matrix codec."""
+"""Properties of the shared F_q matrix layer: row reduction, inverse and
+the base-q matrix codec; and of the reference nullspace and minimal
+polynomial that the Green-value tests rely on."""
 
 import pytest
+from green_reference import _min_poly, _nullspace_basis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charzero.ffield import field_for_order, fq_poly_divmod
-from charzero.liefourier import _min_poly, _nullspace_basis
 from charzero.matgroup import (
     mat_charpoly,
     mat_decode,
