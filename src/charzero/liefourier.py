@@ -9,19 +9,20 @@ psi = zeta_p^Tr the canonical additive character; values are exact
 cyclotomic integers of conductor p, accumulated as counts per trace residue,
 one column (target orbit) per bincount over the whole space.
 Jordan decompositions are computed exactly (the semisimple part is the
-q^N-th power of the matrix, N = lcm(1..n)).  The KL sweep conjugates the
-whole group at once: one conjugation of Y_s gives |C(Y_s)|, the diagonal
-conjugates and, with Y_n conjugated where Y_s lands upper triangular, the
-complete flags fixed by both parts, hence the Green value
-Q_{C(Y_s)}(1 + Y_n).  `green_function` is the Y_s = 1 case.  The induction
-formula is evaluated literally, and each division is checked for exact
-divisibility.
+q^N-th power of the matrix, N = lcm(1..n)), once per orbit representative.
+Everything the KL check needs is then read off the orbit table, with no
+group element formed: |C(Y_s)| = |G| / |O_{Y_s}|, the diagonal conjugates
+of Y_s are the diagonal members of O_{Y_s}, and the complete flags fixed by
+Y come from the upper-triangular members of O_Y, hence the Green value
+Q_{C(Y_s)}(1 + Y_n).  `green_function` is the Y_s = 0 case.  Each division
+is checked for exact divisibility.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -35,10 +36,9 @@ from .ffield import (
     fq_poly_is_squarefree,
 )
 from .matgroup import (
-    MatrixGroupTable,
     _MatrixKernel,
     gl_generators,
-    gl_group,
+    gl_order,
     mat_charpoly,
     mat_decode,
     mat_encode,
@@ -47,6 +47,7 @@ from .matgroup import (
     orbit_labels,
     rref,
 )
+from .weyl import partitions, sum_inv_c_sq_stream
 
 DEFAULT_MATRIX_SPACE_CAP = 10**7
 
@@ -143,8 +144,8 @@ class OrbitTable:
     field: Field
     n: int
     orbits: tuple[OrbitRecord, ...]
-    orbit_of: tuple[int, ...]  # indexed by matrix code
-    orbit_elements: tuple[tuple[int, ...], ...]  # matrix codes per orbit
+    orbit_of: np.ndarray  # orbit number, indexed by matrix code
+    orbit_elements: tuple[np.ndarray, ...]  # increasing matrix codes per orbit
 
     @property
     def num_orbits(self) -> int:
@@ -154,7 +155,15 @@ class OrbitTable:
         return mat_decode(self.field.q, self.n, code)
 
     def orbit_of_matrix(self, a: tuple[int, ...]) -> int:
-        return self.orbit_of[mat_encode(self.field.q, a)]
+        return int(self.orbit_of[mat_encode(self.field.q, a)])
+
+    @cached_property
+    def shape_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(upper triangular, diagonal): two boolean masks over matrix codes."""
+        n = self.n
+        row, col = np.divmod(np.arange(n * n), n)
+        every = _digit_rows(self.field.q, n * n)
+        return ~every[:, row > col].any(axis=1), ~every[:, row != col].any(axis=1)
 
 
 def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP) -> OrbitTable:
@@ -178,9 +187,8 @@ def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP) ->
     reps, orbit_of = orbit_labels(space, conjugations)
     by_orbit = np.argsort(orbit_of, kind="stable")  # increasing codes within each orbit
     bounds = np.cumsum(np.bincount(orbit_of))[:-1]
-    orbit_elements = [tuple(members.tolist()) for members in np.split(by_orbit, bounds)]
+    orbit_elements = tuple(np.split(by_orbit, bounds))
     orbit_reps = [mat_decode(q, n, code) for code in reps.tolist()]
-    orbit_of = orbit_of.tolist()
 
     # second pass: flags need orbit_of complete (semisimple part lookup)
     records = []
@@ -202,7 +210,7 @@ def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP) ->
                 is_semisimple=ss,
                 is_regular_semisimple=rss,
                 cartan_partition=cartan,
-                semisimple_part_orbit=orbit_of[mat_encode(q, ys)],
+                semisimple_part_orbit=int(orbit_of[mat_encode(q, ys)]),
                 nilpotent_jordan_type=_nilpotent_jordan_type(field, n, yn),
             )
         )
@@ -211,16 +219,22 @@ def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP) ->
         field=field,
         n=n,
         orbits=tuple(records),
-        orbit_of=tuple(orbit_of),
-        orbit_elements=tuple(orbit_elements),
+        orbit_of=orbit_of,
+        orbit_elements=orbit_elements,
     )
     if sum(r.size for r in records) != space:
         raise RuntimeError("orbit sizes do not partition the matrix space")
+    if any(gl_order(n, q) % r.size for r in records):
+        raise RuntimeError("an orbit size does not divide |GL_n(F_q)|")
     ss_count = sum(1 for r in records if r.is_semisimple)
     if ss_count != q**n:
         raise RuntimeError(
             f"semisimple orbit count {ss_count} differs from q^n = {q**n}"
         )
+    # similarity classes: one per choice of a partition and q^(parts) eigenvalue data
+    classes = sum(q ** len(lam) for lam in partitions(n))
+    if len(records) != classes:
+        raise RuntimeError(f"orbit count {len(records)} differs from the class count {classes}")
     return table
 
 
@@ -260,15 +274,14 @@ def _trace_residues(F: Field, rows: np.ndarray, coeffs) -> np.ndarray:
     return np.array([F.trace_to_prime(x) for x in range(F.q)])[acc]
 
 
-def _transform_column(o: OrbitTable, every: np.ndarray, orbit_of: np.ndarray,
-                      y: list[int]) -> list[CycInt]:
+def _transform_column(o: OrbitTable, every: np.ndarray, y: list[int]) -> list[CycInt]:
     """F(1_O)(y) for every orbit O: each source orbit's count of matrices x
     per value of Tr(tr(y x)), from one bincount over the whole space
-    (`every`, in code order, with `orbit_of` as an array)."""
+    (`every`, in code order)."""
     n, p = o.n, o.field.p
     # tr(y x) = sum over (a, b) of y[b, a] * x[a, b]
     residues = _trace_residues(o.field, every, [y[b * n + a] for a in range(n) for b in range(n)])
-    counts = np.bincount(orbit_of * p + residues, minlength=o.num_orbits * p)
+    counts = np.bincount(o.orbit_of * p + residues, minlength=o.num_orbits * p)
     return [CycInt.from_exponents(p, {t: c for t, c in enumerate(row) if c})
             for row in counts.reshape(-1, p).tolist()]
 
@@ -284,8 +297,8 @@ def fourier_table(o: OrbitTable, scale: int = 1) -> FourierTable:
     F, n = o.field, o.n
     if not 1 <= scale < F.q:
         raise ValueError("character scale must be a nonzero field element code")
-    every, orbit_of = _digit_rows(F.q, n * n), np.array(o.orbit_of)
-    columns = [_transform_column(o, every, orbit_of, [F.mul[scale][x] for x in rec.rep])
+    every = _digit_rows(F.q, n * n)
+    columns = [_transform_column(o, every, [F.mul[scale][x] for x in rec.rep])
                for rec in o.orbits]
     values = tuple(zip(*columns))
     table = FourierTable(
@@ -293,8 +306,7 @@ def fourier_table(o: OrbitTable, scale: int = 1) -> FourierTable:
         values=values,
         orbit_sizes=tuple(r.size for r in o.orbits),
     )
-    zero_code = 0
-    zero_orbit = o.orbit_of[zero_code]
+    zero_orbit = int(o.orbit_of[0])  # code 0 is the zero matrix
     for src in range(o.num_orbits):
         if values[src][zero_orbit] != o.orbits[src].size:
             raise RuntimeError("F(1_O)(0) != |O|; transform is inconsistent")
@@ -306,12 +318,12 @@ def _recheck_well_defined(o: OrbitTable, t: FourierTable, scale: int) -> None:
     """Recompute a handful of columns at a second orbit representative; the
     choice is deterministic (first five multi-element orbits, second member)."""
     F, n = o.field, o.n
-    every, orbit_of = _digit_rows(F.q, n * n), np.array(o.orbit_of)
-    second = [(tgt, members[1]) for tgt, members in enumerate(o.orbit_elements)
+    every = _digit_rows(F.q, n * n)
+    second = [(tgt, int(members[1])) for tgt, members in enumerate(o.orbit_elements)
               if len(members) > 1]
     for tgt, code in second[:5]:
         alt = [F.mul[scale][x] for x in o.decode(code)]
-        if _transform_column(o, every, orbit_of, alt) != [row[tgt] for row in t.values]:
+        if _transform_column(o, every, alt) != [row[tgt] for row in t.values]:
             raise RuntimeError("transform value depends on the orbit representative")
 
 
@@ -324,8 +336,6 @@ def additive_lower_bound(o: OrbitTable) -> tuple[Fraction, Fraction]:
     (#rss orbits / #orbits)^2 - sum over S_n classes of 1/c^2.
 
     Vacuous (negative) at small q, mirroring the multiplicative bound."""
-    from .weyl import sum_inv_c_sq_stream
-
     rss = sum(1 for r in o.orbits if r.is_regular_semisimple)
     raw = Fraction(rss, o.num_orbits) ** 2 - sum_inv_c_sq_stream("A", o.n - 1)
     return raw, max(raw, Fraction(0))
@@ -350,72 +360,55 @@ def double_fourier_check(o: OrbitTable, t: FourierTable) -> bool:
     return True
 
 
-# -- Green functions by batched flag counting ----------------------------------
+# -- Green functions from the orbit table ---------------------------------------
 
 
-def _inverse_indices(group: MatrixGroupTable) -> np.ndarray:
-    """The index of every element's inverse, g^(|G| - 1), by square and
-    multiply over the whole group."""
-    result, power = np.full(group.order, group.identity_idx), np.arange(group.order)
-    e = group.order - 1
-    while e:
-        if e & 1:
-            result = group.mul_many(result, power)
-        power = group.mul_many(power, power)
-        e >>= 1
-    return result
+def _orbit_census(o: OrbitTable, oid: int) -> tuple[int, np.ndarray, int]:
+    """For Y in the orbit `oid`, read off the orbit table: |C(Y_s)| =
+    |G| / |O_{Y_s}|; the base-q codes (entry 0 least significant) of the
+    diagonals of the diagonal members of O_{Y_s}, each of which is
+    g Y_s g^-1 for |C(Y_s)| elements g; and `fixing`, the number of g with
+    g Y g^-1 upper triangular, |C(Y)| #(O_Y meet the upper triangular).
+
+    Y_s and Y_n are polynomials in Y and Y is their sum, so g Y g^-1 is upper
+    triangular exactly when both g Y_s g^-1 and g Y_n g^-1 are, that is when
+    Y_s and Y_n fix the flag g^-1 F_0 (F_0 the standard flag).  Each complete
+    flag is g^-1 F_0 for |B| elements g, so `fixing` is |B| times the number
+    of complete flags fixed by both Y_s and 1 + Y_n."""
+    n, q, order = o.n, o.field.q, gl_order(o.n, o.field.q)
+    upper, diagonal = o.shape_masks
+    rec = o.orbits[oid]
+    ss = o.orbit_elements[rec.semisimple_part_orbit]
+    diagonals = ss[diagonal[ss]] // q ** (np.arange(n) * (n + 1))[:, None] % q
+    members = o.orbit_elements[oid]
+    fixing = order // rec.size * int(upper[members].sum())
+    return order // len(ss), q ** np.arange(n) @ diagonals, fixing
 
 
-def _flag_census(group: MatrixGroupTable, inverse: np.ndarray, ys: tuple[int, ...],
-                 yn: tuple[int, ...]) -> tuple[int, np.ndarray, int]:
-    """From the conjugates g ys g^-1 over GL_n (`inverse` is
-    `_inverse_indices(group)`): |C_G(ys)|, the base-q codes (entry 0 least
-    significant) of the diagonals of the conjugates that are diagonal, in
-    element order, and `fixing`, the number of g with g ys g^-1 and
-    g yn g^-1 both upper triangular.  That holds exactly when ys and yn fix
-    the flag g^-1 F_0 (F_0 the standard flag), and each complete flag is
-    g^-1 F_0 for |B| elements g, so `fixing` is |B| times the number of
-    complete flags fixed by both ys and 1 + yn."""
-    kernel, n, digits = group.kernel, group.dim, group.digits
-    row, col = np.divmod(np.arange(n * n), n)
+def _levi_green_value(n: int, q: int, diagonals: np.ndarray, fixing: int) -> int:
+    """Q_L(1 + Y_n) for L = C_G(Y_s), from `_orbit_census`.
 
-    def conjugates(x: tuple[int, ...], among) -> np.ndarray:
-        g = digits[among]
-        x = np.broadcast_to(np.array(x, dtype=digits.dtype), g.shape)
-        return kernel.product(kernel.product(g, x), digits[inverse[among]])
-
-    conj = conjugates(ys, slice(None))
-    cent = int((conj == np.array(ys, dtype=digits.dtype)).all(axis=1).sum())
-    diagonals = conj[~conj[:, row != col].any(axis=1)][:, row == col]
-    upper = np.flatnonzero(~conj[:, row > col].any(axis=1))
-    fixing = int((~conjugates(yn, upper)[:, row > col].any(axis=1)).sum())
-    return cent, diagonals.astype(np.int64) @ group.field.q ** np.arange(n), fixing
-
-
-def _levi_green_value(n: int, q: int, cent: int, diagonals: np.ndarray, fixing: int) -> int:
-    """Q_L(1 + yn) for L = C_G(ys), from `_flag_census(group, inverse, ys, yn)`.
-
-    The flags fixed by a split ys are |W/W_L| = #diagonals / |C(ys)| copies
-    of the flag variety of L, so Q_L(1 + yn) = fixing |C(ys)| /
-    (|B| #diagonals) with |B| = (q - 1)^n q^(n(n-1)/2); the division is
-    checked for exactness.  A ys with no diagonal conjugate fixes no flag,
-    and the value is 0."""
+    The flags fixed by a split Y_s are |W/W_L| = #diagonals copies of the
+    flag variety of L, so Q_L(1 + Y_n) = fixing / (|B| #diagonals) with
+    |B| = (q - 1)^n q^(n(n-1)/2); the division is checked for exactness.
+    A Y_s with no diagonal conjugate fixes no flag, and the value is 0."""
     borel = (q - 1) ** n * q ** (n * (n - 1) // 2)
-    green, rem = divmod(fixing * cent, borel * len(diagonals)) if len(diagonals) else (0, fixing)
+    green, rem = divmod(fixing, borel * len(diagonals)) if len(diagonals) else (0, fixing)
     if rem:
         raise RuntimeError("fixed-flag count is not divisible by |B| |W/W_L|")
     return green
 
 
 def green_function(n: int, field: Field, u: tuple[int, ...]) -> int:
-    """Number of complete flags fixed by the unipotent element u: the Green
-    function value attached to the split torus, counted over GL_n(F_q)."""
+    """Number of complete flags fixed by the unipotent element u of GL_n(F_q),
+    n <= 3 under the matrix space cap: the Green function value attached to
+    the split torus, |C(u - 1)| #(O_{u-1} meet the upper triangular) / |B|."""
     shifted = tuple(field.add[x][field.neg[y]] for x, y in zip(u, mat_identity(n)))
     if not _is_nilpotent(field, n, shifted):
         raise ValueError("element is not unipotent")
-    group = gl_group(n, field.q)
-    census = _flag_census(group, _inverse_indices(group), mat_identity(n), shifted)
-    return _levi_green_value(n, field.q, *census)
+    o = adjoint_orbits(n, field)
+    _, diagonals, fixing = _orbit_census(o, o.orbit_of_matrix(shifted))
+    return _levi_green_value(n, field.q, diagonals, fixing)
 
 
 # -- Harish-Chandra induction and the Kazhdan-Letellier check -------------------
@@ -435,33 +428,25 @@ def _residue_counts(residues: np.ndarray, diagonals: np.ndarray, p: int) -> list
     return np.bincount(residues[diagonals], minlength=p).tolist()
 
 
-def hc_induction_split(n: int, field: Field, X: tuple[int, ...], Y: tuple[int, ...],
-                       group: MatrixGroupTable | None = None) -> CycInt:
+def hc_induction_split(n: int, field: Field, X: tuple[int, ...], Y: tuple[int, ...]) -> CycInt:
     """Evaluate the averaged induction of f_X = psi(tr(. X)) from the split
-    Cartan at Y, literally: (1/|C(Y_s)|) * Q_{C(Y_s)}(1 + Y_n) *
-    sum_{g : g Y_s g^-1 diagonal} psi(tr(g Y_s g^-1 X)).
+    Cartan at Y: (1/|C(Y_s)|) * Q_{C(Y_s)}(1 + Y_n) *
+    sum_{g : g Y_s g^-1 diagonal} psi(tr(g Y_s g^-1 X)).  Each diagonal
+    member d of O_{Y_s} is g Y_s g^-1 for |C(Y_s)| elements g, so the value
+    is Q_{C(Y_s)}(1 + Y_n) * sum_d psi(tr(d X)).
 
-    X must be diagonal with distinct entries.  The Green value and the
-    division at the end are checked for exact divisibility.
+    X must be diagonal with distinct entries.  The Green value is checked
+    for exact divisibility.
     """
     F = field
     if not _is_diagonal(n, X) or len(set(_diag_entries(n, X))) != n:
         raise ValueError("X must be a regular element of the split Cartan")
-    if group is None:
-        group = gl_group(n, F.q)
-    ys, yn = jordan_decomposition(F, n, Y)
-    p = F.p
-    cent, diagonals, fixing = _flag_census(group, _inverse_indices(group), ys, yn)
-    qval = _levi_green_value(n, F.q, cent, diagonals, fixing)
-    if not len(diagonals):
-        return CycInt.zero(p)
+    o = adjoint_orbits(n, F)
+    _, diagonals, fixing = _orbit_census(o, o.orbit_of_matrix(Y))
+    qval = _levi_green_value(n, F.q, diagonals, fixing)
     residues = _trace_residues(F, _digit_rows(F.q, n), _diag_entries(n, X))
-    counts = _residue_counts(residues, diagonals, p)
-    total = CycInt.from_exponents(p, {t: qval * c for t, c in enumerate(counts) if c})
-    coeffs = total.coeffs
-    if any(c % cent for c in coeffs):
-        raise RuntimeError("induction sum is not divisible by the centralizer order")
-    return CycInt(p, tuple(c // cent for c in coeffs))
+    counts = _residue_counts(residues, diagonals, F.p)
+    return CycInt.from_exponents(F.p, {t: qval * c for t, c in enumerate(counts) if c})
 
 
 @dataclass(frozen=True)
@@ -490,7 +475,6 @@ def kl_verify(n: int, field: Field, orbit_tab: OrbitTable | None = None,
         raise ValueError(
             f"characteristic {F.p} is not very good for gl_{n}; check skipped"
         )
-    group = gl_group(n, F.q)
     if orbit_tab is None:
         orbit_tab = adjoint_orbits(n, F)
     if four is None:
@@ -499,14 +483,12 @@ def kl_verify(n: int, field: Field, orbit_tab: OrbitTable | None = None,
     pos_roots = n * (n - 1) // 2
     q_pow = F.q**pos_roots
 
-    # per-orbit data shared across all X, from one flag census each: diagonal
-    # images of Y_s under the group, |C(Y_s)| and the centralizer Green value
-    inverse = _inverse_indices(group)
+    # per-orbit data shared across all X, read off the orbit table: the
+    # diagonal members of O_{Y_s}, |C(Y_s)| and the centralizer Green value
     per_orbit = []
-    for rec in orbit_tab.orbits:
-        ys, yn = jordan_decomposition(F, n, rec.rep)
-        cent, diagonals, fixing = _flag_census(group, inverse, ys, yn)
-        per_orbit.append((diagonals, cent, _levi_green_value(n, F.q, cent, diagonals, fixing)))
+    for oid in range(orbit_tab.num_orbits):
+        cent, diagonals, fixing = _orbit_census(orbit_tab, oid)
+        per_orbit.append((diagonals, cent, _levi_green_value(n, F.q, diagonals, fixing)))
 
     # regular split X up to the Weyl (coordinate-permutation) action
     xs = [tuple(c) for c in itertools.combinations(range(F.q), n)]
@@ -521,8 +503,9 @@ def kl_verify(n: int, field: Field, orbit_tab: OrbitTable | None = None,
             diagonals, cent, qval = per_orbit[oy]
             counts = _residue_counts(residues, diagonals, p)
             lhs = four.values[ox][oy] * cent
+            # each diagonal member of O_{Y_s} is g Y_s g^-1 for |C(Y_s)| elements g
             rhs = CycInt.from_exponents(
-                p, {t: q_pow * qval * c for t, c in enumerate(counts) if c}
+                p, {t: q_pow * qval * cent * c for t, c in enumerate(counts) if c}
             )
             pairs += 1
             if lhs != rhs:

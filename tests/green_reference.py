@@ -1,16 +1,22 @@
-"""The one-matrix-at-a-time Green value, kept as a reference for the batched
-flag census in `charzero.liefourier`.
+"""Two group-side routes to the Green values, kept as references for the
+orbit-table census in `charzero.liefourier`.
 
-The flags fixed by a unipotent u are counted over projective points (n <= 3),
-and the centralizer Green value of a Jordan decomposition Y_s + Y_n is the
-product of those counts over the blocks of Y_n in an eigenbasis of Y_s.
-Eigenvectors come from an F_q nullspace basis, and the minimal polynomial
-from the first linear dependence among the powers of a matrix.
+The one-matrix-at-a-time route counts the flags fixed by a unipotent u over
+projective points (n <= 3), and the centralizer Green value of a Jordan
+decomposition Y_s + Y_n is the product of those counts over the blocks of
+Y_n in an eigenbasis of Y_s.  Eigenvectors come from an F_q nullspace
+basis, and the minimal polynomial from the first linear dependence among
+the powers of a matrix.
+
+The batched route (`_flag_census`) conjugates Y_s, and Y_n where Y_s lands
+upper triangular, by every element of the enumerated GL_n at once.
 """
+
+import numpy as np
 
 from charzero.ffield import Field, fq_poly_roots, fq_poly_trim
 from charzero.liefourier import _is_nilpotent
-from charzero.matgroup import mat_charpoly, mat_identity, mat_inv, mat_mul, rref
+from charzero.matgroup import MatrixGroupTable, mat_charpoly, mat_identity, mat_inv, mat_mul, rref
 
 
 def _nullspace_basis(F: Field, rows: list[list[int]]) -> list[list[int]]:
@@ -139,3 +145,42 @@ def levi_green_value(F: Field, n: int, ys: tuple[int, ...], yn: tuple[int, ...])
         u = tuple(F.add[block[i * d + j]][1 if i == j else 0] for i in range(d) for j in range(d))
         value *= flag_count(d, F, u)
     return value
+
+
+def _inverse_indices(group: MatrixGroupTable) -> np.ndarray:
+    """The index of every element's inverse, g^(|G| - 1), by square and
+    multiply over the whole group."""
+    result, power = np.full(group.order, group.identity_idx), np.arange(group.order)
+    e = group.order - 1
+    while e:
+        if e & 1:
+            result = group.mul_many(result, power)
+        power = group.mul_many(power, power)
+        e >>= 1
+    return result
+
+
+def _flag_census(group: MatrixGroupTable, inverse: np.ndarray, ys: tuple[int, ...],
+                 yn: tuple[int, ...]) -> tuple[int, np.ndarray, int]:
+    """From the conjugates g ys g^-1 over GL_n (`inverse` is
+    `_inverse_indices(group)`): |C_G(ys)|, the base-q codes (entry 0 least
+    significant) of the diagonals of the conjugates that are diagonal, in
+    element order, and `fixing`, the number of g with g ys g^-1 and
+    g yn g^-1 both upper triangular.  That holds exactly when ys and yn fix
+    the flag g^-1 F_0 (F_0 the standard flag), and each complete flag is
+    g^-1 F_0 for |B| elements g, so `fixing` is |B| times the number of
+    complete flags fixed by both ys and 1 + yn."""
+    kernel, n, digits = group.kernel, group.dim, group.digits
+    row, col = np.divmod(np.arange(n * n), n)
+
+    def conjugates(x: tuple[int, ...], among) -> np.ndarray:
+        g = digits[among]
+        x = np.broadcast_to(np.array(x, dtype=digits.dtype), g.shape)
+        return kernel.product(kernel.product(g, x), digits[inverse[among]])
+
+    conj = conjugates(ys, slice(None))
+    cent = int((conj == np.array(ys, dtype=digits.dtype)).all(axis=1).sum())
+    diagonals = conj[~conj[:, row != col].any(axis=1)][:, row == col]
+    upper = np.flatnonzero(~conj[:, row > col].any(axis=1))
+    fixing = int((~conjugates(yn, upper)[:, row > col].any(axis=1)).sum())
+    return cent, diagonals.astype(np.int64) @ group.field.q ** np.arange(n), fixing

@@ -247,16 +247,39 @@ def test_threshold_out_of_range_exits_two_up_front(flags, message, capsys, monke
 def test_inexact_green_value_is_an_internal_failure(capsys, monkeypatch):
     from charzero import liefourier
 
-    census = liefourier._flag_census
+    census = liefourier._orbit_census
 
     def miscounted(*args):
         cent, diagonals, fixing = census(*args)
         return cent, diagonals, fixing + 1
 
-    monkeypatch.setattr(liefourier, "_flag_census", miscounted)
+    monkeypatch.setattr(liefourier, "_orbit_census", miscounted)
     code, out, err = run_cli(["kl-verify", "--n", "2", "--q", "3"], capsys)
     assert code == 1 and out == ""
     assert "fixed-flag count is not divisible" in err
+
+
+def test_merged_orbit_labels_are_an_internal_failure(capsys, monkeypatch):
+    # merge the orbits of two non-semisimple matrices of gl_2(F_3), the
+    # nilpotent E_12 (code 3) and 1 + E_12 (code 1 + 3 + 27): sizes still
+    # partition the space and divide |GL_2(F_3)|, and the semisimple orbits
+    # are untouched
+    import numpy as np
+
+    from charzero import liefourier
+
+    labels = liefourier.orbit_labels
+
+    def merged(size, perms):
+        reps, orbit_of = labels(size, perms)
+        keep, drop = sorted(int(orbit_of[c]) for c in (3, 31))
+        orbit_of = np.where(orbit_of == drop, keep, orbit_of)
+        return np.delete(reps, drop), orbit_of - (orbit_of > drop)
+
+    monkeypatch.setattr(liefourier, "orbit_labels", merged)
+    code, out, err = run_cli(["lie-fourier", "--n", "2", "--q", "3"], capsys)
+    assert code == 1 and out == ""
+    assert "orbit count 11 differs from the class count 12" in err
 
 
 def test_kl_verify_over_an_extension_field(capsys):
@@ -267,7 +290,6 @@ def test_kl_verify_over_an_extension_field(capsys):
     assert obj["pairs_checked"] == 3240
 
 
-@pytest.mark.slow
 def test_kl_verify_gl3_f4_stdout_is_pinned(capsys):
     code, out, _ = run_cli(["kl-verify", "--n", "3", "--q", "4"], capsys)
     obj = json.loads(out)
@@ -276,6 +298,17 @@ def test_kl_verify_gl3_f4_stdout_is_pinned(capsys):
     assert obj["pairs_checked"] == 336
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a449fb19f02cf0577253414fbe380cb68382fab710d8a78c78c5f5a66769c07f")
+
+
+@pytest.mark.slow
+def test_kl_verify_gl3_f5_stdout_is_pinned(capsys):
+    code, out, _ = run_cli(["kl-verify", "--n", "3", "--q", "5"], capsys)
+    obj = json.loads(out)
+    assert code == 0 and obj["passed"] is True
+    assert obj["cartan_representatives"] == 10 and obj["orbits"] == 155
+    assert obj["pairs_checked"] == 1550
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "15bc392d4efc560cd0ed1f8baca6670e75459063242771c8195dc3aadbcb8e64")
 
 
 @pytest.mark.parametrize("argv", [

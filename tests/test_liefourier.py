@@ -2,10 +2,11 @@ import dataclasses
 import itertools
 
 import pytest
-from green_reference import _min_poly, flag_count, levi_green_value
+from green_reference import _flag_census, _inverse_indices, _min_poly, flag_count, levi_green_value
 from orbit_reference import orbit_partition
 
 from charzero import liefourier as L
+from charzero import matgroup
 from charzero.cyclotomic import CycInt
 from charzero.ffield import field_for_order, field_make, fq_poly_is_squarefree
 from charzero.liefourier import (
@@ -20,6 +21,16 @@ from charzero.liefourier import (
     kl_verify,
 )
 from charzero.matgroup import gl_group, mat_decode, mat_encode, mat_identity, mat_inv, mat_mul
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Fail the test if GL_n (or any matrix group) is enumerated."""
+    def unreachable(*args, **kwargs):
+        pytest.fail("a matrix group was enumerated")
+
+    for name in ("enumerate_group", "gl_group"):
+        monkeypatch.setattr(matgroup, name, unreachable)
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +175,7 @@ def test_gl3_f2_orbits_and_transform():
                 assert ft.values[i][j].is_zero()
 
 
-def test_green_function_subregular():
+def test_green_function_subregular(no_enumeration):
     # one 2-block plus a fixed line: the fixed-flag count is 2q + 1 (two
     # projective lines glued at a point)
     sub = (1, 1, 0, 0, 1, 0, 0, 0, 1)
@@ -184,7 +195,7 @@ def test_jordan_decomposition_properties():
             assert fq_poly_is_squarefree(F, _min_poly(F, n, ys))
 
 
-def test_green_function_values():
+def test_green_function_values(no_enumeration):
     F3 = field_make(3, 1)
     assert green_function(2, F3, mat_identity(2)) == 4  # q + 1
     assert green_function(2, F3, (1, 1, 0, 1)) == 1  # regular unipotent
@@ -194,7 +205,7 @@ def test_green_function_values():
         green_function(2, F3, (2, 0, 0, 2))
 
 
-def test_hc_induction_examples(gl2_f3):
+def test_hc_induction_examples(gl2_f3, no_enumeration):
     F, o, t = gl2_f3
     X = (1, 0, 0, 2)
     # Y = 0: value (1/|G|) * |G| * Q(1) = q + 1, and q^{[pos roots]} * (q+1)
@@ -218,7 +229,7 @@ def test_hc_rejects_non_regular_X(gl2_f3):
         hc_induction_split(2, F, (1, 0, 0, 1), (0, 0, 0, 0))
 
 
-def test_kl_verify_passes(gl2_f3, gl2_f5):
+def test_kl_verify_passes(gl2_f3, gl2_f5, no_enumeration):
     for F, o, t in (gl2_f3, gl2_f5):
         rep = kl_verify(2, F, o, t)
         assert rep.passed
@@ -256,14 +267,14 @@ def _reference_orbits(n, F):
 
 
 @pytest.mark.parametrize("n,q", ALGEBRAS)
-def test_adjoint_orbits_match_the_per_seed_bfs(n, q, monkeypatch):
+def test_adjoint_orbits_match_the_per_seed_bfs(n, q, request):
     F = field_for_order(q)
-    monkeypatch.setattr(L, "gl_group", lambda *args: pytest.fail("GL_n was enumerated"))
-    o = adjoint_orbits(n, F)
     orbit_of, orbits = _reference_orbits(n, F)
-    assert list(o.orbit_of) == orbit_of
+    request.getfixturevalue("no_enumeration")
+    o = adjoint_orbits(n, F)
+    assert o.orbit_of.tolist() == orbit_of
     assert [r.rep for r in o.orbits] == [mat_decode(q, n, members[0]) for members in orbits]
-    assert list(o.orbit_elements) == [tuple(sorted(members)) for members in orbits]
+    assert [members.tolist() for members in o.orbit_elements] == [sorted(members) for members in orbits]
     for rec in o.orbits:
         ys, yn = jordan_decomposition(F, n, rec.rep)
         assert rec.size == len(orbits[orbit_of[mat_encode(q, rec.rep)]])
@@ -288,7 +299,7 @@ def test_fourier_table_matches_the_per_matrix_sum(n, q):
         t = fourier_table(o, scale=scale)
         reps = [tuple(F.mul[scale][x] for x in rec.rep) for rec in o.orbits]
         counts = [[[0] * F.p for _ in reps] for _ in reps]
-        for code, src in enumerate(o.orbit_of):
+        for code, src in enumerate(o.orbit_of.tolist()):
             y = o.decode(code)
             for tgt, rep in enumerate(reps):
                 counts[src][tgt][_trace_residue(F, n, rep, y)] += 1
@@ -315,12 +326,10 @@ def _upper_triangular(n, a):
 def test_flag_census_matches_the_per_element_loop(n, q):
     F = field_for_order(q)
     group, o = gl_group(n, q), adjoint_orbits(n, F)
-    inverse = L._inverse_indices(group)
     elements = [group.element(i) for i in range(group.order)]
     inverses = [mat_inv(F, n, g) for g in elements]
-    assert [elements[j] for j in inverse.tolist()] == inverses
     xs = list(itertools.combinations(range(q), n))
-    for rec in o.orbits:
+    for oid, rec in enumerate(o.orbits):
         ys, yn = jordan_decomposition(F, n, rec.rep)
         cent, diagonals, fixing = 0, [], 0
         for g, g_inv in zip(elements, inverses):
@@ -330,9 +339,11 @@ def test_flag_census_matches_the_per_element_loop(n, q):
                 diagonals.append(gy[:: n + 1])
             if _upper_triangular(n, gy):
                 fixing += _upper_triangular(n, mat_mul(F, n, mat_mul(F, n, g, yn), g_inv))
-        got_cent, codes, got_fixing = L._flag_census(group, inverse, ys, yn)
+        got_cent, codes, got_fixing = L._orbit_census(o, oid)
         assert (got_cent, got_fixing) == (cent, fixing)
-        assert codes.tolist() == [sum(d * q**k for k, d in enumerate(diag)) for diag in diagonals]
+        # each diagonal member of O_{Y_s} is the conjugate by |C(Y_s)| elements
+        assert sorted(codes.tolist() * cent) == sorted(
+            sum(d * q**k for k, d in enumerate(diag)) for diag in diagonals)
         for x in xs[:3]:
             counts = [0] * F.p
             for d in diagonals:
@@ -341,19 +352,33 @@ def test_flag_census_matches_the_per_element_loop(n, q):
                     acc = F.add[acc][F.mul[a][b]]
                 counts[F.trace_to_prime(acc)] += 1
             residues = L._trace_residues(F, L._digit_rows(q, n), x)
-            assert L._residue_counts(residues, codes, F.p) == counts
+            assert [c * cent for c in L._residue_counts(residues, codes, F.p)] == counts
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (2, 5), (2, 7), (3, 2), (3, 3)])
-def test_flag_census_green_values_match_the_eigenblock_reference(n, q):
-    # fixing = |B| |W/W_L| Q_L(1 + Y_n), with |W/W_L| = #diagonals / |C(Y_s)|
+def test_orbit_census_matches_the_group_flag_census(n, q):
     F = field_for_order(q)
     group, o = gl_group(n, q), adjoint_orbits(n, F)
-    inverse, borel = L._inverse_indices(group), (q - 1) ** n * q ** (n * (n - 1) // 2)
-    for rec in o.orbits:
+    inverse = _inverse_indices(group)
+    assert [group.element(j) for j in inverse.tolist()] == [
+        mat_inv(F, n, group.element(i)) for i in range(group.order)]
+    for oid, rec in enumerate(o.orbits):
+        cent, diagonals, fixing = _flag_census(group, inverse, *jordan_decomposition(F, n, rec.rep))
+        got_cent, codes, got_fixing = L._orbit_census(o, oid)
+        assert (got_cent, got_fixing) == (cent, fixing)
+        assert sorted(codes.tolist() * cent) == sorted(diagonals.tolist())
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (2, 5), (2, 7), (3, 2), (3, 3)])
+def test_flag_census_green_values_match_the_eigenblock_reference(n, q, no_enumeration):
+    # fixing = |B| |W/W_L| Q_L(1 + Y_n), with |W/W_L| the number of diagonal
+    # members of O_{Y_s}
+    F = field_for_order(q)
+    o, borel = adjoint_orbits(n, F), (q - 1) ** n * q ** (n * (n - 1) // 2)
+    for oid, rec in enumerate(o.orbits):
         ys, yn = jordan_decomposition(F, n, rec.rep)
-        cent, diagonals, fixing = L._flag_census(group, inverse, ys, yn)
-        green = L._levi_green_value(n, q, cent, diagonals, fixing)
+        _, diagonals, fixing = L._orbit_census(o, oid)
+        green = L._levi_green_value(n, q, diagonals, fixing)
         if not len(diagonals):
             assert fixing == green == 0
             with pytest.raises(RuntimeError, match="not split"):
@@ -361,17 +386,18 @@ def test_flag_census_green_values_match_the_eigenblock_reference(n, q):
             continue
         reference = levi_green_value(F, n, ys, yn)
         assert green == reference
-        assert len(diagonals) % cent == 0
-        assert fixing == borel * (len(diagonals) // cent) * reference
+        assert fixing == borel * len(diagonals) * reference
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (3, 2)])
-def test_green_function_matches_the_projective_point_count(n, q):
+def test_green_function_matches_the_projective_point_count(n, q, request):
     F = field_for_order(q)
     group = gl_group(n, q)
     ident = mat_identity(n)
     unipotents = [u for u in map(group.element, range(group.order))
                   if L._is_nilpotent(F, n, tuple(F.add[x][F.neg[y]] for x, y in zip(u, ident)))]
     assert len(unipotents) == q ** (n * (n - 1))  # Steinberg
+    request.getfixturevalue("no_enumeration")
     for u in unipotents:
         assert green_function(n, F, u) == flag_count(n, F, u)
+
