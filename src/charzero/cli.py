@@ -23,16 +23,17 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from .cyclotomic import CycInt
-from .dixon import dixon_character_table, verify_orthogonality, zero_census
+from .dixon import MAX_CLASSES, dixon_character_table, verify_orthogonality, zero_census
 from .ffield import DEFAULT_FIELD_CAP, field_for_order, is_prime_power
 from .gln import (
     GLDescriptor,
+    class_count_poly,
     general_position_count,
     gln_zero_ratio_formula,
     regular_ss_class_count,
     torus_inventory,
 )
-from .matgroup import DEFAULT_GROUP_CAP, conjugacy_classes, gl_group, sl_group
+from .matgroup import DEFAULT_GROUP_CAP, conjugacy_classes, gl_group, gl_order, sl_group
 from .serial import frac_str
 from .weyl import torus_order_poly, weyl_classes
 
@@ -231,6 +232,13 @@ def _group_for(args):
     _validate_prime_power(args.q, "--q")
     cap = _group_cap(args)
     if args.group == "gl":
+        # tau has a closed form, so an oversize table is refused before the
+        # group is enumerated; over the order cap `gl_group` refuses first,
+        # and SL is checked by `dixon_character_table`
+        if gl_order(args.n, args.q) <= cap:
+            tau = class_count_poly(args.n).evaluate(args.q)
+            if tau > MAX_CLASSES:
+                raise SystemExit2(f"class count {tau} exceeds supported maximum {MAX_CLASSES}")
         return gl_group(args.n, args.q, cap)
     return sl_group(args.n, args.q, cap)
 

@@ -1,15 +1,20 @@
 """Exact character tables by the Burnside-Dixon-Schneider method.
 
 The table is computed modulo a prime l = 1 (mod m) with l > 2*sqrt(|G|)
-(m the group exponent), then lifted to Z[zeta_m]: for each class the
-eigenvalue multiplicities of a representative are recovered by discrete
-Fourier inversion over the power map; each multiplicity is a true integer
-in [0, degree] < l, so the lift is unambiguous and the resulting values
-are exact cyclotomic integers.  The multiplicities depend only on a
-character's column of power-map values, so each distinct column is inverted
-once per class, and the finished table holds one CycInt per distinct value:
-equal entries are the same object.  Zero detection afterwards is the
-canonical coordinate test - no tolerance appears anywhere.
+(m the group exponent), as the common eigenvectors of the class matrices.
+Following Schneider, a class matrix is built only when the eigen-split
+reads it, and the split stops once every eigenspace has dimension one:
+GL_2(F_11) builds 15 of its 120 class matrices and GL_2(F_16) 5 of 255, so
+no tau x tau x tau coefficient tensor exists.  The table is then lifted to
+Z[zeta_m]: for each class the eigenvalue multiplicities of a representative
+are recovered by discrete Fourier inversion over the power map; each
+multiplicity is a true integer in [0, degree] < l, so the lift is
+unambiguous and the resulting values are exact cyclotomic integers.  The
+multiplicities depend only on a character's column of power-map values, so
+each distinct column is inverted once per class, and the finished table
+holds one CycInt per distinct value: equal entries are the same object.
+Zero detection afterwards is the canonical coordinate test - no tolerance
+appears anywhere.
 
 Orthogonality is checked independently, from the lifted integer coordinates
 only: through all phi(m) embeddings of Z[zeta_m] into F_L for primes
@@ -28,8 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -265,20 +271,32 @@ class ZeroReport:
 # -- the algorithm ----------------------------------------------------------
 
 
-def _class_coefficient_tensor(group: GroupTable, cd: ClassData) -> np.ndarray:
-    """A[i, j, k] = #{(u, v) in C_i x C_j : u v = rep_k}.
+def _class_matrices(group: GroupTable, cd: ClassData) -> Callable[[int], np.ndarray]:
+    """A memoised `class_matrix(i)`: the tau x tau matrix with
+    M[j, k] = #{(u, v) in C_i x C_j : u v = rep_k}, built on first request.
 
-    Counted over y = u^-1, which runs once over the group: u = y^-1 lies in
-    the class inverse to that of y, and v = y rep_k."""
+    Counted over y = u^-1, which runs over the class inverse to C_i: u = y^-1
+    and v = y rep_k, so M[j, k] = #{y in C_(i^-1) : y rep_k in C_j}.  That is
+    |C_i| * tau products, batched over several classes k per `mul_many` call
+    with at most |G| products per call, so no temporary outgrows the group."""
     tau = cd.num_classes
-    A = np.empty((tau, tau, tau), dtype=np.int64)
     class_of = cd.class_of
-    row = np.asarray(cd.inverse_class)[class_of] * tau
-    everything = np.arange(group.order)
-    for k, rep in enumerate(cd.class_reps):
-        cell = row + class_of[group.mul_many(everything, rep)]
-        A[:, :, k] = np.bincount(cell, minlength=tau * tau).reshape(tau, tau)
-    return A
+    reps = np.asarray(cd.class_reps)
+
+    @cache
+    def class_matrix(i: int) -> np.ndarray:
+        ys = np.flatnonzero(class_of == cd.inverse_class[i])[:, None]
+        step = group.order // len(ys)  # classes k per call, for at most |G| products
+        M = np.empty((tau, tau), dtype=np.int64)
+        for k in range(0, tau, step):
+            ks = reps[k : k + step]
+            w = len(ks)
+            cell = class_of[group.mul_many(ys, ks)] * w + np.arange(w)
+            M[:, k : k + w] = np.bincount(cell.ravel(), minlength=tau * w).reshape(tau, w)
+        M.setflags(write=False)  # every caller shares the memoised array
+        return M
+
+    return class_matrix
 
 
 def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,18 +308,18 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X[np.unique(inverse, return_index=True)[1]], inverse
 
 
-def _common_eigenrows(A: np.ndarray, l: int) -> np.ndarray:
-    """Rows u with u * A[i].T = lambda_i u for all i, normalized so the
-    identity-class coordinate is 1.  Splits degenerate eigenspaces by
-    adjoining class matrices in index order."""
-    tau = A.shape[0]
+def _common_eigenrows(class_matrix: Callable[[int], np.ndarray], tau: int, l: int) -> np.ndarray:
+    """Rows u with u * M_i.T = lambda_i u for every class matrix
+    M_i = class_matrix(i), normalized so the identity-class coordinate is 1.
+    Splits degenerate eigenspaces by adjoining class matrices in index order,
+    so only the matrices read before every space has dimension one are built."""
     # every space is kept in RREF (it is `eye` or comes from `_mod_rref`),
     # so its pivots are the first nonzero column of each row
     spaces: list[np.ndarray] = [np.eye(tau, dtype=np.int64)]
     for i in range(1, tau):
         if all(s.shape[0] == 1 for s in spaces):
             break
-        Bi = A[i].T % l
+        Bi = class_matrix(i).T % l
         new_spaces: list[np.ndarray] = []
         for B in spaces:
             if B.shape[0] == 1:
@@ -339,8 +357,7 @@ def dixon_character_table(group: GroupTable, cd: ClassData) -> CharacterTable:
     order = group.order
     m = cd.exponent
     l = dixon_prime(order, m)
-    A = _class_coefficient_tensor(group, cd)
-    omega = _common_eigenrows(A, l)  # tau x tau, omega[chi, k]
+    omega = _common_eigenrows(_class_matrices(group, cd), tau, l)  # tau x tau, omega[chi, k]
 
     inv_sizes = np.array([_mod_inv(s, l) for s in cd.class_sizes], dtype=np.int64)
 

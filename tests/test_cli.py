@@ -311,6 +311,37 @@ def test_kl_verify_gl3_f5_stdout_is_pinned(capsys):
         "15bc392d4efc560cd0ed1f8baca6670e75459063242771c8195dc3aadbcb8e64")
 
 
+def test_zero_density_gl2_f16_stdout_is_pinned(capsys):
+    code, out, _ = run_cli(["zero-density", "--n", "2", "--q", "16"], capsys)
+    obj = json.loads(out)
+    assert code == 0 and obj["entries"] == 255 * 255 and obj["match"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "24f7d88be428513c565e9cab76daae6f16384c3b4da14f85e954c62fbcd9f240")
+
+
+@pytest.mark.slow
+def test_zero_density_gl3_f5_stdout_is_pinned(capsys):
+    code, out, _ = run_cli(["zero-density", "--n", "3", "--q", "5"], capsys)
+    obj = json.loads(out)
+    assert code == 0 and obj["entries"] == 120 * 120
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0d9ff2f37f5c5dd2c131dc590399716bed6ed416f8fdeb7f81c50a3188ded574")
+
+
+@pytest.mark.parametrize("command", ["zero-density", "char-table"])
+@pytest.mark.parametrize("n,q,tau", [(2, 43, 1848), (1, 997, 996)])
+def test_too_many_classes_is_refused_before_enumerating(command, n, q, tau, capsys, monkeypatch):
+    from charzero import matgroup
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("group enumeration was reached")
+
+    monkeypatch.setattr(matgroup, "enumerate_group", unreachable)
+    code, out, err = run_cli([command, "--n", str(n), "--q", str(q)], capsys)
+    assert code == 2 and out == ""
+    assert f"class count {tau} exceeds supported maximum 256" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["char-table", "--n", "0", "--q", "2"],
     ["zero-density", "--n", "0", "--q", "3"],

@@ -345,3 +345,39 @@ def test_a_corrupted_degree_fails_the_multiplicity_check(monkeypatch):
 def test_square_root_of_a_non_residue_is_an_internal_error():
     with pytest.raises(RuntimeError, match="not a quadratic residue"):
         _sqrt_mod(3, 7)
+
+
+@pytest.mark.parametrize("n,q,tau,built", [(2, 11, 120, 15), (3, 3, 24, 12)])
+def test_the_split_builds_only_the_class_matrices_it_reads(n, q, tau, built, monkeypatch):
+    """The eigen-split asks for class matrices 1, 2, ... until every space
+    has dimension one.  Each is built once, by `mul_many` calls of at most
+    |G| products, and asking again returns the memoised array."""
+    import charzero.dixon as dixon
+    from charzero.matgroup import MatrixGroupTable
+
+    g = gl_group(n, q)
+    cd = conjugacy_classes(g)
+    products, requested, builders = [], [], []
+    real_mul, real_builder = MatrixGroupTable.mul_many, dixon._class_matrices
+
+    def counting_mul(self, a, b):
+        out = real_mul(self, a, b)
+        products.append(out.size)
+        return out
+
+    def recording_builder(group, classes):
+        class_matrix = real_builder(group, classes)
+        builders.append(class_matrix)
+        return lambda i: requested.append(i) or class_matrix(i)
+
+    monkeypatch.setattr(MatrixGroupTable, "mul_many", counting_mul)
+    monkeypatch.setattr(dixon, "_class_matrices", recording_builder)
+    dixon_character_table(g, cd)
+    assert cd.num_classes == tau and requested == list(range(1, built + 1))
+    assert max(products) <= g.order
+    # one build per matrix: ceil(tau / (|G| // |C_i|)) product calls each
+    calls = sum(-(-tau // (g.order // cd.class_sizes[i])) for i in requested)
+    assert len(products) == calls
+    (class_matrix,) = builders
+    assert all(class_matrix(i) is class_matrix(i) for i in requested)
+    assert len(products) == calls

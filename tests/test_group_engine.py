@@ -1,6 +1,6 @@
 """The batched group engine against pure-Python references: element order of
-the level-batched BFS, least-index class labels and power maps, the
-class-coefficient tensor, and `mul_many` against the scalar product."""
+the level-batched BFS, least-index class labels and power maps, the class
+matrices, and `mul_many` against the scalar product."""
 
 from functools import lru_cache
 from math import lcm
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from orbit_reference import orbit_partition
 
-from charzero.dixon import _class_coefficient_tensor
+from charzero.dixon import _class_matrices
 from charzero.ffield import field_for_order
 from charzero.matgroup import (
     ProductGroupTable,
@@ -112,8 +112,9 @@ def _multiplication_table(kind, n, q):
 @pytest.mark.parametrize("factors", [[("GL", 2, q)] for q in (2, 3, 4, 5)]
                          + [[("GL", 3, 2)], [("SL", 2, 5)], [("GL", 2, 2), ("GL", 2, 3)]])
 def test_class_coefficient_tensor_is_a_pair_count(factors):
-    """A[i, j, k] = #{(u, v) in C_i x C_j : u v = rep_k}, counted over all
-    pairs of a full multiplication table."""
+    """Every slice of the class-coefficient tensor, as `_class_matrices` builds
+    it: class_matrix(i)[j, k] = #{(u, v) in C_i x C_j : u v = rep_k} for every
+    class i, counted over all pairs of a full multiplication table."""
     tables = [_multiplication_table(*f) for f in factors]
     groups = [_group(*f) for f in factors]
     if len(factors) == 1:
@@ -129,7 +130,9 @@ def test_class_coefficient_tensor_is_a_pair_count(factors):
         us, vs = np.nonzero(table == rep)
         brute[:, :, k] = np.bincount(cd.class_of[us] * tau + cd.class_of[vs],
                                      minlength=tau * tau).reshape(tau, tau)
-    assert np.array_equal(_class_coefficient_tensor(g, cd), brute)
+    class_matrix = _class_matrices(g, cd)
+    for i in range(tau):
+        assert np.array_equal(class_matrix(i), brute[i]), i
 
 
 @lru_cache(maxsize=None)
