@@ -10,6 +10,7 @@ from .dixon import (
     verify_orthogonality,
     zero_census,
 )
+from .errors import ExactnessError
 from .ffield import Field, field_for_order, field_make
 from .matgroup import conjugacy_classes, direct_product, enumerate_group, gl_group, sl_group
 from .polynomials import (
@@ -45,6 +46,7 @@ __all__ = [
     "dixon_character_table",
     "zero_census",
     "verify_orthogonality",
+    "ExactnessError",
     "weyl_classes",
     "conjugacy_probability",
     "torus_order_poly",

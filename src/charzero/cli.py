@@ -8,7 +8,8 @@ invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 parameter validation failure (size limits included,
 refused before the work), 1 internal consistency failure (an exactness check
-tripped - always a bug, never swallowed) or running out of memory.
+tripped, `ExactnessError` or another RuntimeError - always a bug, never
+swallowed) or running out of memory.
 """
 
 from __future__ import annotations

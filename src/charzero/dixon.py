@@ -17,12 +17,14 @@ Zero detection afterwards is the canonical coordinate test - no tolerance
 appears anywhere.
 
 Orthogonality is checked independently, from the lifted integer coordinates
-only: through all phi(m) embeddings of Z[zeta_m] into F_L for primes
-L = 1 (mod m), enough of them to exceed twice the coefficient bound.  A
-table has far fewer distinct values than entries (GL_2(F_11): 126 of
-14 400), so only the distinct values are embedded, and the table's image
-under each conjugate pair of embeddings is gathered from theirs through an
-index array for one matrix product; no tau x tau x phi(m) array is built.
+only, by embeddings of Z[zeta_m] into F_L for primes L = 1 (mod m).  When
+the Galois group permutes the table's values, rows and columns (every
+GL_n table here), one embedding and its complex conjugate decide it;
+otherwise all phi(m) embeddings do.  A table has far fewer distinct values
+than entries (GL_2(F_11): 126 of 14 400), so only the distinct values are
+embedded, and the table's image under an embedding is gathered from theirs
+through an index array for one matrix product; no tau x tau x phi(m) array
+is built.
 
 Determinism: the prime l is minimal, degenerate eigenspaces are split by
 class matrices in class-index order, and the finished rows are sorted
@@ -40,6 +42,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .cyclotomic import CycInt, _power_basis, euler_phi, prime_factors
+from .errors import ExactnessError
 from .ffield import is_prime
 from .matgroup import ClassData, GroupTable
 
@@ -149,7 +152,7 @@ def _sqrt_mod(a: int, l: int) -> int:
     if a == 0:
         return 0
     if pow(a, (l - 1) // 2, l) != 1:
-        raise RuntimeError(f"{a} is not a quadratic residue mod {l}")
+        raise ExactnessError(f"{a} is not a quadratic residue mod {l}")
     if l % 4 == 3:
         return pow(a, (l + 1) // 4, l)
     q, s = l - 1, 0
@@ -176,7 +179,7 @@ def _least_primitive_root(l: int) -> int:
     for w in range(2, l):
         if all(pow(w, (l - 1) // f, l) != 1 for f in factors):
             return w
-    raise RuntimeError("no primitive root found")
+    raise ExactnessError("no primitive root found")
 
 
 def _primes_1_mod(m: int, lo: int, hi: int) -> Iterator[int]:
@@ -338,14 +341,14 @@ def _common_eigenrows(class_matrix: Callable[[int], np.ndarray], tau: int, l: in
                 new_spaces.append(_mod_rref(C @ B % l, l)[0])
         spaces = new_spaces
     if any(s.shape[0] != 1 for s in spaces) or len(spaces) != tau:
-        raise RuntimeError(
+        raise ExactnessError(
             "class-matrix eigenspaces failed to split to dimension one; "
             "this signals a bug in the class data"
         )
     rows = np.vstack(spaces)
     lead = rows[:, 0]
     if not lead.all():
-        raise RuntimeError("eigenvector has zero identity coordinate")
+        raise ExactnessError("eigenvector has zero identity coordinate")
     inv = np.array([_mod_inv(a, l) for a in lead.tolist()], dtype=np.int64)
     return rows * inv[:, None] % l
 
@@ -390,7 +393,7 @@ def dixon_character_table(group: GroupTable, cd: ClassData) -> CharacterTable:
         X, inv = _distinct_rows(mod_rows[:, cd.power_map[k]])
         MU = Vinv @ X.T % l  # multiplicities of zeta_d^t, exact in [0, degree]
         if (MU.sum(axis=0)[inv] != degree_vec).any() or (MU.max(axis=0)[inv] > degree_vec).any():
-            raise RuntimeError(
+            raise ExactnessError(
                 "eigenvalue multiplicities failed the degree bound; "
                 "modular table is inconsistent"
             )
@@ -404,13 +407,13 @@ def dixon_character_table(group: GroupTable, cd: ClassData) -> CharacterTable:
     # modular consistency: mapping zeta_m -> z must reproduce the mod-l table
     zpow = np.array([pow(z, i, l) for i in range(phi)], dtype=np.int64)
     if not np.array_equal((D % l @ zpow % l)[entry], mod_rows):
-        raise RuntimeError("lifted table does not reduce to the modular table")
+        raise ExactnessError("lifted table does not reduce to the modular table")
 
     distinct = [CycInt(m, c) for c in map(tuple, D.tolist())]
     rows = [tuple(distinct[e] for e in row) for row in entry.tolist()]
     order_check = sum(d * d for d in degrees)
     if order_check != order:
-        raise RuntimeError("sum of squared degrees does not match the group order")
+        raise ExactnessError("sum of squared degrees does not match the group order")
 
     # canonical presentation: trivial character first, then by degree/values
     paired = sorted(
@@ -422,7 +425,7 @@ def dixon_character_table(group: GroupTable, cd: ClassData) -> CharacterTable:
         ),
     )
     if not all(v == 1 for v in paired[0][1]):
-        raise RuntimeError("trivial character missing from the table")
+        raise ExactnessError("trivial character missing from the table")
     degrees_sorted = tuple(d for d, _ in paired)
     values_sorted = tuple(r for _, r in paired)
     return CharacterTable(
@@ -458,45 +461,125 @@ def _coefficient_bound(t: CharacterTable) -> int:
     )
 
 
-def _orthogonality_primes(t: CharacterTable) -> Iterator[int]:
+def _orthogonality_primes(t: CharacterTable, need: int | None = None) -> Iterator[int]:
     """Primes L = 1 (mod m) with max(tau, phi) * (L-1)^2 < 2^63, so no int64
-    dot product of residues overflows, until their product exceeds
-    2 * (bound + |G|)."""
+    dot product of residues overflows, until their product exceeds `need`,
+    by default 2 * (bound + |G|)."""
     m = t.conductor
     hi = isqrt(((1 << 63) - 1) // max(t.num_classes, euler_phi(m))) + 1
-    need, covered = 2 * (_coefficient_bound(t) + t.group_order), 1
+    if need is None:
+        need = 2 * (_coefficient_bound(t) + t.group_order)
+    covered = 1
     for L in _primes_1_mod(m, hi // 2, hi):
         yield L
         covered *= L
         if covered > need:
             return
-    raise RuntimeError(f"too few primes = 1 (mod {m}) below {hi} for an exact check")
+    raise ExactnessError(f"too few primes = 1 (mod {m}) below {hi} for an exact check")
 
 
-def verify_orthogonality(t: CharacterTable) -> bool:
-    """Exact row and column orthogonality in cyclotomic arithmetic.
+def _unit_generators(m: int) -> list[int]:
+    """Generators of (Z/m)^x: each unit, in increasing order, that the
+    units before it do not generate."""
+    span: set[int] = {1 % m}
+    gens: list[int] = []
+    for a in range(2, m):
+        if gcd(a, m) != 1 or a in span:
+            continue
+        gens.append(a)
+        grown, power = set(span), a
+        while power not in span:  # the cosets span * a^k, until a^k is back in span
+            grown.update(h * power % m for h in span)
+            power = power * a % m
+        span = grown
+    return gens
 
-    Each sum minus its expected value has integer coordinates v with
-    |v| <= _coefficient_bound(t) + |G|.  Modulo each prime L the phi(m)
-    embeddings zeta_m -> z^a (gcd(a, m) = 1) map v to V v, V the Vandermonde
-    matrix on the distinct z^a, invertible mod L; so all images vanish iff
-    v = 0 (mod L), and over primes whose product exceeds 2|v| iff v = 0.
-    Complex conjugation is the embedding at -a.
 
-    Only the table's distinct values are embedded; the image of the table
-    under one embedding is gathered from theirs through an index array.
-    """
-    m, tau, order = t.conductor, t.num_classes, t.group_order
+def _galois_stable(t: CharacterTable, D: np.ndarray, entry: np.ndarray, l1: int) -> bool:
+    """Whether every generator sigma_a: zeta_m -> zeta_m^a of the Galois
+    group maps the distinct values D (l1 the largest sum of |coordinates|)
+    into themselves, permutes the rows of the table `entry` bijectively, and
+    permutes its columns bijectively between classes of equal size."""
+    m, tau = t.conductor, t.num_classes
+    sizes = np.array(t.class_sizes, dtype=np.int64)
+    basis = _power_basis(m)
+    phi = D.shape[1]
+    value_of = {x.tobytes(): i for i, x in enumerate(D)}
+    row_of = {r.tobytes(): i for i, r in enumerate(entry)}
+    col_of = {c.tobytes(): k for k, c in enumerate(entry.T)}
+    xs, js = np.nonzero(D)  # a few percent of the coordinates
+    terms = D[xs, js][:, None]
+    for a in _unit_generators(m):
+        G = np.array([basis[a * j % m] for j in range(phi)], dtype=np.int64)  # sigma_a(zeta^j)
+        if l1 * max(int(G.max()), -int(G.min())) >= 1 << 63:  # bounds every partial sum of D @ G
+            raise ExactnessError(f"Galois images of the values would overflow int64 (m = {m})")
+        # D @ G over the nonzero coordinates only, 64 of them at a time so
+        # that the temporaries stay far below G
+        images = np.zeros_like(D)
+        for s in range(0, len(xs), 64):
+            np.add.at(images, xs[s : s + 64], terms[s : s + 64] * G[js[s : s + 64]])
+        image = [value_of.get(x.tobytes()) for x in images]
+        if None in image:
+            return False
+        moved = np.array(image, dtype=np.int64)[entry]  # sigma_a of the table
+        rows = [row_of.get(r.tobytes()) for r in moved]
+        cols = [col_of.get(c.tobytes()) for c in moved.T]
+        # a lookup can succeed for two rows (or columns) that map to one
+        if None in rows or None in cols or len(set(rows)) < tau or len(set(cols)) < tau:
+            return False
+        if (sizes[cols] != sizes).any():
+            return False
+    return True
+
+
+# holds(image, conj_image, L): the table's Grams under one embedding, mod L
+_Grams = Callable[[np.ndarray, np.ndarray, int], bool]
+
+
+def _gram_check(t: CharacterTable, entry: np.ndarray) -> _Grams:
+    """`holds(image, conj_image, L)`: row and column orthogonality, mod L,
+    of the table's image under one embedding and its complex conjugate,
+    given the images of its distinct values."""
+    tau, order = t.num_classes, t.group_order
+    entry_t = np.ascontiguousarray(entry.T)
+    sizes = np.array(t.class_sizes, dtype=np.int64)
+    centralizers = np.array([order // s for s in t.class_sizes], dtype=np.int64)
+
+    def holds(image: np.ndarray, conj_image: np.ndarray, L: int) -> bool:
+        # C-contiguous gathers (fancy indexing gives strided ones, which
+        # slow the int64 matmul several times)
+        X = np.take(image, entry)  # X[i, k]: chi_i(g_k) under the embedding
+        Yt = np.take(conj_image, entry_t)  # Yt[k, j]: chi_j(g_k) under its conjugate
+        if not (X * (sizes % L) % L @ Yt % L == np.diag(np.full(tau, order % L))).all():
+            return False
+        # columns: Yt @ X is the transpose of X^T Yt^T, and the target is diagonal
+        return bool((Yt @ X % L == np.diag(centralizers % L)).all())
+
+    return holds
+
+
+def _one_embedding_orthogonal(t: CharacterTable, D: np.ndarray, grams: _Grams, need: int) -> bool:
+    """The fast path of `verify_orthogonality`: zeta_m -> z and its
+    conjugate only, over primes whose product exceeds `need`."""
+    m, phi = t.conductor, D.shape[1]
+    for L in _orthogonality_primes(t, need):
+        z = pow(_least_primitive_root(L), (L - 1) // m, L)
+        z_inv = pow(z, m - 1, L)
+        powers = np.array([[pow(z, i, L), pow(z_inv, i, L)] for i in range(phi)], dtype=np.int64)
+        image, conj_image = (D % L @ powers % L).T
+        if not grams(image, conj_image, L):
+            return False
+    return True
+
+
+def _all_embeddings_orthogonal(t: CharacterTable, D: np.ndarray, grams: _Grams) -> bool:
+    """The fallback of `verify_orthogonality`: every conjugate pair of the
+    phi(m) embeddings, over primes whose product exceeds twice the
+    coefficient bound."""
+    m = t.conductor
     units = [a for a in range(m) if gcd(a, m) == 1]
     phi = len(units)
     conj = np.array([units.index((-a) % m) for a in units])
-    distinct: dict[tuple[int, ...], int] = {}  # coordinates -> index of the distinct value
-    entry = np.array([[distinct.setdefault(v.coeffs, len(distinct)) for v in row]
-                      for row in t.values])
-    entry_t = entry.T
-    D = np.array(list(distinct), dtype=np.int64)  # distinct values x phi
-    sizes = np.array(t.class_sizes, dtype=np.int64)
-    centralizers = np.array([order // s for s in t.class_sizes], dtype=np.int64)
     pairs = np.array([a for a in range(phi) if a <= conj[a]])  # one of each conjugate pair (a, -a)
     for L in _orthogonality_primes(t):
         z = pow(_least_primitive_root(L), (L - 1) // m, L)
@@ -505,16 +588,62 @@ def verify_orthogonality(t: CharacterTable) -> bool:
         for u in range(1, phi):
             V[u] = V[u - 1] * step % L
         E = np.ascontiguousarray(((D % L) @ V % L).T)  # E[a, x]: value x at zeta -> z^units[a]
-        gram = np.diag(np.full(tau, order % L))
-        centre = np.diag(centralizers % L)
         for a in pairs:
-            # C-contiguous gathers (fancy indexing gives strided ones, which
-            # slow the int64 matmul several times)
-            X = np.take(E[a], entry)  # X[i, k]: chi_i(g_k) under embedding a
-            Yt = np.take(E[conj[a]], entry_t)  # Yt[k, j]: chi_j(g_k) under -a
-            if not (X * (sizes % L) % L @ Yt % L == gram).all():
-                return False
-            # columns: Yt @ X is the transpose of X^T Yt^T, and the target is diagonal
-            if not (Yt @ X % L == centre).all():
+            if not grams(E[a], E[conj[a]], L):
                 return False
     return True
+
+
+def verify_orthogonality(t: CharacterTable) -> bool:
+    """Exact row and column orthogonality in cyclotomic arithmetic.
+
+    With X the table, S = diag(|C_k|) and c_k = |G| / |C_k|, the check is
+    E_row = X S X* - |G| I = 0 and E_col = X* X - diag(c) = 0, entrywise in
+    Z[zeta_m].  It works modulo primes L = 1 (mod m) through the embeddings
+    zeta_m -> z^a of Z[zeta_m] into F_L, z of order m and gcd(a, m) = 1;
+    complex conjugation is the embedding at -a.  Only the table's distinct
+    values are embedded, and the table's image is gathered from theirs.
+
+    All embeddings (the fallback).  The phi(m) embeddings map the coordinate
+    vector v of an entry to V v, V the Vandermonde matrix on the distinct
+    z^a, invertible mod L; so all images vanish iff v = 0 (mod L), and over
+    primes whose product exceeds 2 (_coefficient_bound(t) + |G|) >= 2|v|
+    iff v = 0.
+
+    One embedding (the fast path), when the table is Galois-stable: for
+    every generator a of (Z/m)^x, sigma_a: zeta_m -> zeta_m^a maps the
+    distinct values into themselves, sigma_a(X) = P X for a permutation
+    matrix P, and sigma_a(X) = X Q for a permutation matrix Q that moves
+    each class to one of the same size.  A row or column lookup that merely
+    succeeds is not enough: P and Q must be bijections, or two rows could
+    map to one and the identities below fail.  P and Q are rational, so
+    sigma_ab(X) = sigma_a(P_b X) = P_b P_a X, and likewise on the right:
+    checking generators covers every sigma_b.  Gal(Q(zeta_m)/Q) is abelian,
+    so sigma_b commutes with complex conjugation (sigma_-1); with
+    Q^T diag(c) Q = diag(c) from the class sizes,
+
+        sigma_b(E_row) = P E_row P^T  and  sigma_b(E_col) = Q^T E_col Q.
+
+    So the embedding at b of an entry of E is the embedding at 1 of another
+    entry.  If every entry vanishes under zeta_m -> z mod L, it vanishes
+    under all phi(m) embeddings, and its coordinates are 0 mod L as above.
+    Over primes with product N, each entry is then N y with y in Z[zeta_m].
+    With M the largest sum of |coordinates| of a value (|zeta^i| = 1), each
+    complex embedding of an entry is at most B = (sum_k |C_k|) M^2 + |G|,
+    which is |G| (M^2 + 1) (tau <= sum_k |C_k| covers E_col, whose sums
+    have tau terms); for y != 0 the norm of the entry is a nonzero
+    multiple of N^phi, and at most B^phi.  So N > B forces E = 0, and the
+    primes run until N > 2B, the fallback's margin.  A value, row or column
+    without its image sends the table to the fallback unchanged, so every
+    verdict is that of the all-embeddings check.
+    """
+    distinct: dict[tuple[int, ...], int] = {}  # coordinates -> index of the distinct value
+    entry = np.array([[distinct.setdefault(v.coeffs, len(distinct)) for v in row]
+                      for row in t.values], dtype=np.int64)
+    D = np.array(list(distinct), dtype=np.int64)  # distinct values x phi
+    l1 = max(sum(map(abs, c)) for c in distinct)
+    grams = _gram_check(t, entry)
+    if _galois_stable(t, D, entry, l1):
+        need = 2 * (sum(t.class_sizes) * l1 * l1 + t.group_order)
+        return _one_embedding_orthogonal(t, D, grams, need)
+    return _all_embeddings_orthogonal(t, D, grams)

@@ -13,6 +13,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
+from .errors import ExactnessError
+
 # Sentinels returned by limit_at_infinity for unbounded quotients.
 POS_INFINITY = "+inf"
 NEG_INFINITY = "-inf"
@@ -124,7 +126,7 @@ class IntPoly:
         for i in range(qlen - 1, -1, -1):
             c = rem[i + len(dcof) - 1]
             if c % dl != 0:
-                raise ValueError("division is not exact over the integers")
+                raise ExactnessError("division is not exact over the integers")
             f = c // dl
             quot[i] = f
             if f:
@@ -135,7 +137,7 @@ class IntPoly:
     def __floordiv__(self, divisor: "IntPoly") -> "IntPoly":
         q, r = self.divmod_exact(divisor)
         if not r.is_zero():
-            raise ValueError("polynomial division left a remainder")
+            raise ExactnessError("polynomial division left a remainder")
         return q
 
     def evaluate(self, x):
@@ -293,7 +295,8 @@ def fit_integer_poly(samples: Sequence[tuple[int, int]], degree: int) -> PolyFit
     Uses the first degree+1 distinct sample points, then demands that the
     interpolant has integer coefficients and reproduces *every* provided
     sample exactly.  Reports whether the result is monic of the requested
-    degree.  Raises ValueError on too few points or a non-integer interpolant.
+    degree.  Raises ValueError on too few points, and ExactnessError on a
+    non-integer interpolant or one that misses a sample.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -327,9 +330,9 @@ def fit_integer_poly(samples: Sequence[tuple[int, int]], degree: int) -> PolyFit
             acc[k] += w * c
     for c in acc:
         if c.denominator != 1:
-            raise ValueError("interpolant has non-integer coefficients")
+            raise ExactnessError("interpolant has non-integer coefficients")
     poly = IntPoly(tuple(int(c) for c in acc))
     for x, y in seen.items():
         if poly.evaluate(x) != y:
-            raise ValueError(f"degree-{degree} interpolant misses sample at q={x}")
+            raise ExactnessError(f"degree-{degree} interpolant misses sample at q={x}")
     return PolyFit(poly, poly.degree == degree and poly.is_monic())

@@ -68,6 +68,22 @@ def test_corrupted_degree_exits_one(capsys, monkeypatch):
     assert "internal check failed" in err and "degree bound" in err
 
 
+def test_exactness_error_mid_run_exits_one(capsys, monkeypatch):
+    # a polynomial division that leaves a remainder is an internal failure
+    # (exit 1), not a parameter error (exit 2)
+    from charzero.polynomials import IntPoly
+
+    def with_remainder(self, divisor):
+        return IntPoly(()), IntPoly((1,))
+
+    monkeypatch.setattr(cli, "weyl_classes", cli.weyl_classes.__wrapped__)  # no cached table
+    monkeypatch.setattr(IntPoly, "divmod_exact", with_remainder)
+    code, out, err = run_cli(["weyl-stats", "--type", "A", "--rank", "2", "--lattice", "reflection"],
+                             capsys)
+    assert code == 1 and out == ""
+    assert "internal check failed" in err and "left a remainder" in err
+
+
 def test_determinism_byte_identical(capsys):
     _, out1, _ = run_cli(["char-table", "--group", "gl", "--n", "2", "--q", "3"], capsys)
     _, out2, _ = run_cli(["char-table", "--group", "gl", "--n", "2", "--q", "3"], capsys)
@@ -370,3 +386,15 @@ def test_char_table_gl3_f3_stdout_is_pinned(capsys):
     assert code == 0 and json.loads(out)["orthogonal"] is True
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "c76005b44b660c12be455eed7383a5983365c9ab3d33295934439a398772b5a9")
+
+
+@pytest.mark.slow
+def test_char_table_gl2_f13_output_is_pinned(tmp_path):
+    path = tmp_path / "gl2_f13.json"
+    assert cli.main(["char-table", "--n", "2", "--q", "13", "--output", str(path)]) == 0
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:  # about 127 MB
+        for block in iter(lambda: f.read(1 << 20), b""):
+            digest.update(block)
+    assert digest.hexdigest() == (
+        "a23e73a00b4b8ff746d83bd2941b8dd98a19dd6fe4c4020844015c01e7b254e1")

@@ -381,3 +381,125 @@ def test_the_split_builds_only_the_class_matrices_it_reads(n, q, tau, built, mon
     (class_matrix,) = builders
     assert all(class_matrix(i) is class_matrix(i) for i in requested)
     assert len(products) == calls
+
+
+def _record_routes(monkeypatch):
+    """The verdicts each orthogonality route returns: {"one": [...], "all": [...]}."""
+    import charzero.dixon as dixon
+
+    verdicts = {"one": [], "all": []}
+    for key, name in (("one", "_one_embedding_orthogonal"), ("all", "_all_embeddings_orthogonal")):
+        real = getattr(dixon, name)
+
+        def recorded(*args, _real=real, _key=key):
+            verdicts[_key].append(_real(*args))
+            return verdicts[_key][-1]
+
+        monkeypatch.setattr(dixon, name, recorded)
+    return verdicts
+
+
+def test_every_census_table_takes_the_one_embedding_route(gl2_census, gl3_census, monkeypatch):
+    routes = _record_routes(monkeypatch)
+    tables = [t for t, _ in list(gl2_census.values()) + list(gl3_census.values())]
+    assert all(verify_orthogonality(t) for t in tables)
+    assert routes == {"one": [True] * len(tables), "all": []}
+
+
+def test_a_row_times_zeta_verifies_through_the_fallback(gl2_census, gl3_census, monkeypatch):
+    """zeta_m * (trivial row) keeps both Grams, but sigma_a sends it to a
+    constant row zeta_m^a that the table lacks, so it is not Galois-stable."""
+    routes = _record_routes(monkeypatch)
+    cases = []
+    for t, _ in list(gl2_census.values()) + list(gl3_census.values()):
+        if t.conductor > 2:
+            zeta = CycInt.zeta(t.conductor)
+            cases.append(_with_values(t, [[zeta * v for v in t.values[0]], *t.values[1:]]))
+    assert all(verify_orthogonality(c) for c in cases)
+    assert routes == {"one": [], "all": [True] * len(cases)}
+    assert _row_orthogonality_by_cycint(cases[0])
+
+
+def test_default_and_fallback_verdicts_agree_with_cyclotomic_arithmetic(
+        gl2_census, gl3_census, monkeypatch):
+    """The cases of `test_orthogonality_matches_cyclotomic_arithmetic` and
+    `test_orthogonality_detects_moved_values`, with their seeds: the default
+    verdict, the verdict with the fast path switched off and the CycInt
+    verdict agree, and each route rejects some of them."""
+    import charzero.dixon as dixon
+
+    rng = random.Random(20250)
+    cases = []
+    for t, _ in list(gl2_census.values()) + list(gl3_census.values()):
+        cases += [t, *_single_entry_mutations(t, rng, 4)]
+        conjugated = _galois_conjugate_row(t)
+        if conjugated is not None:
+            cases.append(conjugated)
+    rng = random.Random(8)
+    for t, _ in [gl2_census[3], gl2_census[4], gl2_census[5], gl3_census[2]]:
+        cases += list(_moved_values(t, rng, 4))
+    routes = _record_routes(monkeypatch)
+    default = [verify_orthogonality(c) for c in cases]
+    assert False in routes["one"] and False in routes["all"]
+    with monkeypatch.context() as m:
+        m.setattr(dixon, "_galois_stable", lambda *args: False)
+        fallback = [verify_orthogonality(c) for c in cases]
+    assert default == fallback == [_row_orthogonality_by_cycint(c) for c in cases]
+
+
+def test_fast_path_rejects_a_stable_table_and_declines_moved_class_sizes(gl2_census, monkeypatch):
+    t = gl2_census[5][0]
+    routes = _record_routes(monkeypatch)
+    # 2X is Galois-stable with the same permutations, and its Grams are 4x
+    assert not verify_orthogonality(_with_values(t, [[v * 2 for v in row] for row in t.values]))
+    assert routes == {"one": [False], "all": []}
+    # a Singer-cycle class grows by one: its Galois conjugates keep their
+    # size, so no column permutation preserves sizes and the fallback decides
+    sizes = list(t.class_sizes)
+    sizes[max(range(t.num_classes), key=lambda k: t.class_rep_orders[k])] += 1
+    resized = CharacterTable(t.conductor, t.degrees, t.values, tuple(sizes),
+                             t.class_rep_orders, t.group_order)
+    assert not verify_orthogonality(resized)
+    assert routes == {"one": [False], "all": [False]}
+
+
+def test_a_lookup_that_merges_two_rows_or_columns_is_not_stable(gl2_census, monkeypatch):
+    """Copy one rational row (column) over another: every sigma_a image is
+    still found, but two rows (columns) map to one, so the fallback decides."""
+    t = gl2_census[3][0]
+    routes = _record_routes(monkeypatch)
+    i, j = [r for r, row in enumerate(t.values) if all(v.is_integer() for v in row)][:2]
+    rows = list(t.values)
+    rows[j] = rows[i]
+    assert not verify_orthogonality(_with_values(t, rows))
+    # the identity and -1: integer columns of equal size, so only the
+    # bijection condition can fail
+    k, l = [c for c in range(t.num_classes) if t.class_sizes[c] == 1]
+    assert all(row[c].is_integer() for row in t.values for c in (k, l))
+    columns = [list(row) for row in t.values]
+    for row in columns:
+        row[l] = row[k]
+    assert not verify_orthogonality(_with_values(t, columns))
+    assert routes == {"one": [], "all": [False, False]}
+
+
+@pytest.mark.parametrize("m", [1, 2, 6, 8, 240, 312, 336, 1260, 2184])
+def test_unit_generators_generate_the_unit_group(m):
+    from charzero.dixon import _unit_generators
+
+    units = {a % m for a in range(m) if gcd(a, m) == 1}
+    span = {1 % m}
+    for a in _unit_generators(m):
+        while not {h * a % m for h in span} <= span:
+            span |= {h * a % m for h in span}
+    assert span == units
+
+
+def test_galois_images_beyond_int64_are_an_exactness_error(gl2_census):
+    from charzero.errors import ExactnessError
+
+    t = gl2_census[2][0]
+    values = [list(row) for row in t.values]
+    values[1][1] = CycInt(t.conductor, (2**62, 2**62))  # coordinate sum 2^63
+    with pytest.raises(ExactnessError, match="overflow int64"):
+        verify_orthogonality(_with_values(t, values))

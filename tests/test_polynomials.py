@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charzero.errors import ExactnessError
 from charzero.matgroup import conjugacy_classes, gl_group
 from charzero.polynomials import (
     IntPoly,
@@ -75,12 +76,12 @@ def test_fit_insufficient_samples():
 
 
 def test_fit_non_integer_interpolant():
-    with pytest.raises(ValueError, match="non-integer"):
+    with pytest.raises(ExactnessError, match="non-integer"):
         fit_integer_poly([(0, 0), (2, 1), (4, 2)], 2)
 
 
 def test_fit_rejects_samples_off_the_curve():
-    with pytest.raises(ValueError, match="misses sample"):
+    with pytest.raises(ExactnessError, match="misses sample"):
         fit_integer_poly([(1, 1), (2, 4), (3, 9), (4, 17)], 2)
 
 
