@@ -2,20 +2,24 @@
 indicators, Green functions by fixed-flag counting, Harish-Chandra induction
 from the split Cartan, and the Kazhdan-Letellier identity check.
 
+The matrix space is decoded once, by the `_MatrixKernel` that owns the
+matrix codes, and the orbit table keeps that digit array and its kernel.
 Orbits are the `orbit_labels` of one conjugation permutation per generator
-of GL_n over the whole matrix space, numbered by least code.  The transform
-of an orbit indicator is F(1_O)(Y) = sum_{y in O} psi(tr(Y y)) with
+of GL_n over the whole space, numbered by least code.  The transform of an
+orbit indicator is F(1_O)(Y) = sum_{y in O} psi(tr(Y y)) with
 psi = zeta_p^Tr the canonical additive character; values are exact
-cyclotomic integers of conductor p, accumulated as counts per trace residue,
-one column (target orbit) per bincount over the whole space.
+cyclotomic integers of conductor p, accumulated as counts per trace residue
+Tr(tr(Y y)), which the kernel's trace form gives for the whole space, one
+column (target orbit) per bincount.
 Jordan decompositions are computed exactly (the semisimple part is the
 q^N-th power of the matrix, N = lcm(1..n)), once per orbit representative.
 Everything the KL check needs is then read off the orbit table, with no
 group element formed: |C(Y_s)| = |G| / |O_{Y_s}|, the diagonal conjugates
 of Y_s are the diagonal members of O_{Y_s}, and the complete flags fixed by
 Y come from the upper-triangular members of O_Y, hence the Green value
-Q_{C(Y_s)}(1 + Y_n).  `green_function` is the Y_s = 0 case.  Each division
-is checked for exact divisibility.
+Q_{C(Y_s)}(1 + Y_n); the KL sums are bincounts of the same whole-space
+trace form at the matrix codes of those diagonal members.  `green_function`
+is the Y_s = 0 case.  Each division is checked for exact divisibility.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import numpy as np
 
 from .cyclotomic import CycInt
 from .dixon import ZeroReport
+from .errors import ExactnessError
 from .ffield import (
     Field,
     fq_poly_factor_cubic_or_less,
@@ -40,8 +45,6 @@ from .matgroup import (
     gl_generators,
     gl_order,
     mat_charpoly,
-    mat_decode,
-    mat_encode,
     mat_identity,
     mat_mul,
     orbit_labels,
@@ -87,11 +90,11 @@ def jordan_decomposition(F: Field, n: int, y: tuple[int, ...]) -> tuple[tuple[in
     ys = _mat_pow(F, n, y, frobenius)
     yn = tuple(F.add[a][F.neg[b]] for a, b in zip(y, ys))
     if _mat_pow(F, n, ys, frobenius) != ys:
-        raise RuntimeError("semisimple part is not semisimple")
+        raise ExactnessError("semisimple part is not semisimple")
     if not _is_nilpotent(F, n, yn):
-        raise RuntimeError("nilpotent part is not nilpotent")
+        raise ExactnessError("nilpotent part is not nilpotent")
     if mat_mul(F, n, ys, yn) != mat_mul(F, n, yn, ys):
-        raise RuntimeError("Jordan parts do not commute")
+        raise ExactnessError("Jordan parts do not commute")
     return ys, yn
 
 
@@ -146,24 +149,22 @@ class OrbitTable:
     orbits: tuple[OrbitRecord, ...]
     orbit_of: np.ndarray  # orbit number, indexed by matrix code
     orbit_elements: tuple[np.ndarray, ...]  # increasing matrix codes per orbit
+    kernel: _MatrixKernel
+    matrices: np.ndarray  # the whole space as a digit array, row c has code c
 
     @property
     def num_orbits(self) -> int:
         return len(self.orbits)
 
-    def decode(self, code: int) -> tuple[int, ...]:
-        return mat_decode(self.field.q, self.n, code)
-
     def orbit_of_matrix(self, a: tuple[int, ...]) -> int:
-        return int(self.orbit_of[mat_encode(self.field.q, a)])
+        return int(self.orbit_of[self.kernel.codes(self.kernel.digits([a]))[0]])
 
     @cached_property
     def shape_masks(self) -> tuple[np.ndarray, np.ndarray]:
         """(upper triangular, diagonal): two boolean masks over matrix codes."""
         n = self.n
         row, col = np.divmod(np.arange(n * n), n)
-        every = _digit_rows(self.field.q, n * n)
-        return ~every[:, row > col].any(axis=1), ~every[:, row != col].any(axis=1)
+        return ~self.matrices[:, row > col].any(axis=1), ~self.matrices[:, row != col].any(axis=1)
 
 
 def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP) -> OrbitTable:
@@ -176,7 +177,8 @@ def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP) ->
     space = q ** (n * n)
     if space > cap:
         raise ValueError(f"matrix space size {space} exceeds cap {cap}")
-    kernel, every = _MatrixKernel(field, n), _digit_rows(q, n * n)
+    kernel = _MatrixKernel(field, n)
+    every = kernel.decode(np.arange(space))
     conjugations = []
     for gen in gl_generators(n, field):
         g = np.broadcast_to(kernel.digits([gen]), every.shape)
@@ -188,7 +190,7 @@ def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP) ->
     by_orbit = np.argsort(orbit_of, kind="stable")  # increasing codes within each orbit
     bounds = np.cumsum(np.bincount(orbit_of))[:-1]
     orbit_elements = tuple(np.split(by_orbit, bounds))
-    orbit_reps = [mat_decode(q, n, code) for code in reps.tolist()]
+    orbit_reps = [tuple(rep) for rep in every[reps].tolist()]
 
     # second pass: flags need orbit_of complete (semisimple part lookup)
     records = []
@@ -210,7 +212,7 @@ def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP) ->
                 is_semisimple=ss,
                 is_regular_semisimple=rss,
                 cartan_partition=cartan,
-                semisimple_part_orbit=int(orbit_of[mat_encode(q, ys)]),
+                semisimple_part_orbit=int(orbit_of[kernel.codes(kernel.digits([ys]))[0]]),
                 nilpotent_jordan_type=_nilpotent_jordan_type(field, n, yn),
             )
         )
@@ -221,20 +223,22 @@ def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP) ->
         orbits=tuple(records),
         orbit_of=orbit_of,
         orbit_elements=orbit_elements,
+        kernel=kernel,
+        matrices=every,
     )
     if sum(r.size for r in records) != space:
-        raise RuntimeError("orbit sizes do not partition the matrix space")
+        raise ExactnessError("orbit sizes do not partition the matrix space")
     if any(gl_order(n, q) % r.size for r in records):
-        raise RuntimeError("an orbit size does not divide |GL_n(F_q)|")
+        raise ExactnessError("an orbit size does not divide |GL_n(F_q)|")
     ss_count = sum(1 for r in records if r.is_semisimple)
     if ss_count != q**n:
-        raise RuntimeError(
+        raise ExactnessError(
             f"semisimple orbit count {ss_count} differs from q^n = {q**n}"
         )
     # similarity classes: one per choice of a partition and q^(parts) eigenvalue data
     classes = sum(q ** len(lam) for lam in partitions(n))
     if len(records) != classes:
-        raise RuntimeError(f"orbit count {len(records)} differs from the class count {classes}")
+        raise ExactnessError(f"orbit count {len(records)} differs from the class count {classes}")
     return table
 
 
@@ -252,36 +256,18 @@ class FourierTable:
         return len(self.orbit_sizes)
 
 
-def _digit_rows(q: int, k: int) -> np.ndarray:
-    """Every vector of k base-q digits, in code order: row c holds the
-    digits of c, digit 0 least significant (for k = n^2, the matrix with
-    `mat_encode` code c)."""
-    codes = np.arange(q**k)
-    out = np.empty((q**k, k), dtype=np.min_scalar_type(q - 1))
-    for t in range(k):
-        out[:, t] = codes // q**t % q
-    return out
-
-
-def _trace_residues(F: Field, rows: np.ndarray, coeffs) -> np.ndarray:
-    """Tr_{F_q/F_p}(sum_t coeffs[t] * rows[:, t]) for every row of a digit
-    array, by gathers from the field tables and a size-q trace array."""
-    add, mul = np.array(F.add).ravel(), np.array(F.mul)
-    acc = np.zeros(len(rows), dtype=np.intp)
-    for t, c in enumerate(coeffs):
-        if c:
-            acc = add[acc * F.q + mul[c][rows[:, t]]]
-    return np.array([F.trace_to_prime(x) for x in range(F.q)])[acc]
-
-
-def _transform_column(o: OrbitTable, every: np.ndarray, y: list[int]) -> list[CycInt]:
-    """F(1_O)(y) for every orbit O: each source orbit's count of matrices x
-    per value of Tr(tr(y x)), from one bincount over the whole space
-    (`every`, in code order)."""
-    n, p = o.n, o.field.p
+def _trace_pairing(o: OrbitTable, y: tuple[int, ...] | list[int]) -> np.ndarray:
+    """Tr(tr(y x)) for every matrix x of the space, in code order."""
+    n = o.n
     # tr(y x) = sum over (a, b) of y[b, a] * x[a, b]
-    residues = _trace_residues(o.field, every, [y[b * n + a] for a in range(n) for b in range(n)])
-    counts = np.bincount(o.orbit_of * p + residues, minlength=o.num_orbits * p)
+    return o.kernel.trace_form(o.matrices, [y[b * n + a] for a in range(n) for b in range(n)])
+
+
+def _transform_column(o: OrbitTable, y: list[int]) -> list[CycInt]:
+    """F(1_O)(y) for every orbit O: each source orbit's count of matrices x
+    per value of Tr(tr(y x)), from one bincount over the whole space."""
+    p = o.field.p
+    counts = np.bincount(o.orbit_of * p + _trace_pairing(o, y), minlength=o.num_orbits * p)
     return [CycInt.from_exponents(p, {t: c for t, c in enumerate(row) if c})
             for row in counts.reshape(-1, p).tolist()]
 
@@ -294,12 +280,10 @@ def fourier_table(o: OrbitTable, scale: int = 1) -> FourierTable:
     canonical character.  Columns are computed one target orbit at a time,
     so no (orbits x q^(n^2)) array is built.
     """
-    F, n = o.field, o.n
+    F = o.field
     if not 1 <= scale < F.q:
         raise ValueError("character scale must be a nonzero field element code")
-    every = _digit_rows(F.q, n * n)
-    columns = [_transform_column(o, every, [F.mul[scale][x] for x in rec.rep])
-               for rec in o.orbits]
+    columns = [_transform_column(o, [F.mul[scale][x] for x in rec.rep]) for rec in o.orbits]
     values = tuple(zip(*columns))
     table = FourierTable(
         conductor=F.p,
@@ -309,7 +293,7 @@ def fourier_table(o: OrbitTable, scale: int = 1) -> FourierTable:
     zero_orbit = int(o.orbit_of[0])  # code 0 is the zero matrix
     for src in range(o.num_orbits):
         if values[src][zero_orbit] != o.orbits[src].size:
-            raise RuntimeError("F(1_O)(0) != |O|; transform is inconsistent")
+            raise ExactnessError("F(1_O)(0) != |O|; transform is inconsistent")
     _recheck_well_defined(o, table, scale)
     return table
 
@@ -317,14 +301,12 @@ def fourier_table(o: OrbitTable, scale: int = 1) -> FourierTable:
 def _recheck_well_defined(o: OrbitTable, t: FourierTable, scale: int) -> None:
     """Recompute a handful of columns at a second orbit representative; the
     choice is deterministic (first five multi-element orbits, second member)."""
-    F, n = o.field, o.n
-    every = _digit_rows(F.q, n * n)
     second = [(tgt, int(members[1])) for tgt, members in enumerate(o.orbit_elements)
               if len(members) > 1]
     for tgt, code in second[:5]:
-        alt = [F.mul[scale][x] for x in o.decode(code)]
-        if _transform_column(o, every, alt) != [row[tgt] for row in t.values]:
-            raise RuntimeError("transform value depends on the orbit representative")
+        alt = [o.field.mul[scale][x] for x in o.matrices[code].tolist()]
+        if _transform_column(o, alt) != [row[tgt] for row in t.values]:
+            raise ExactnessError("transform value depends on the orbit representative")
 
 
 def fourier_zero_census(t: FourierTable) -> ZeroReport:
@@ -365,24 +347,22 @@ def double_fourier_check(o: OrbitTable, t: FourierTable) -> bool:
 
 def _orbit_census(o: OrbitTable, oid: int) -> tuple[int, np.ndarray, int]:
     """For Y in the orbit `oid`, read off the orbit table: |C(Y_s)| =
-    |G| / |O_{Y_s}|; the base-q codes (entry 0 least significant) of the
-    diagonals of the diagonal members of O_{Y_s}, each of which is
-    g Y_s g^-1 for |C(Y_s)| elements g; and `fixing`, the number of g with
-    g Y g^-1 upper triangular, |C(Y)| #(O_Y meet the upper triangular).
+    |G| / |O_{Y_s}|; the matrix codes of the diagonal members of O_{Y_s},
+    each of which is g Y_s g^-1 for |C(Y_s)| elements g; and `fixing`, the
+    number of g with g Y g^-1 upper triangular, |C(Y)| #(O_Y meet the upper
+    triangular).
 
     Y_s and Y_n are polynomials in Y and Y is their sum, so g Y g^-1 is upper
     triangular exactly when both g Y_s g^-1 and g Y_n g^-1 are, that is when
     Y_s and Y_n fix the flag g^-1 F_0 (F_0 the standard flag).  Each complete
     flag is g^-1 F_0 for |B| elements g, so `fixing` is |B| times the number
     of complete flags fixed by both Y_s and 1 + Y_n."""
-    n, q, order = o.n, o.field.q, gl_order(o.n, o.field.q)
+    order = gl_order(o.n, o.field.q)
     upper, diagonal = o.shape_masks
     rec = o.orbits[oid]
     ss = o.orbit_elements[rec.semisimple_part_orbit]
-    diagonals = ss[diagonal[ss]] // q ** (np.arange(n) * (n + 1))[:, None] % q
-    members = o.orbit_elements[oid]
-    fixing = order // rec.size * int(upper[members].sum())
-    return order // len(ss), q ** np.arange(n) @ diagonals, fixing
+    fixing = order // rec.size * int(upper[o.orbit_elements[oid]].sum())
+    return order // len(ss), ss[diagonal[ss]], fixing
 
 
 def _levi_green_value(n: int, q: int, diagonals: np.ndarray, fixing: int) -> int:
@@ -395,7 +375,7 @@ def _levi_green_value(n: int, q: int, diagonals: np.ndarray, fixing: int) -> int
     borel = (q - 1) ** n * q ** (n * (n - 1) // 2)
     green, rem = divmod(fixing, borel * len(diagonals)) if len(diagonals) else (0, fixing)
     if rem:
-        raise RuntimeError("fixed-flag count is not divisible by |B| |W/W_L|")
+        raise ExactnessError("fixed-flag count is not divisible by |B| |W/W_L|")
     return green
 
 
@@ -414,17 +394,9 @@ def green_function(n: int, field: Field, u: tuple[int, ...]) -> int:
 # -- Harish-Chandra induction and the Kazhdan-Letellier check -------------------
 
 
-def _diag_entries(n: int, a: tuple[int, ...]) -> list[int]:
-    return [a[i * (n + 1)] for i in range(n)]
-
-
-def _is_diagonal(n: int, a: tuple[int, ...]) -> bool:
-    return all(a[i * n + j] == 0 for i in range(n) for j in range(n) if i != j)
-
-
 def _residue_counts(residues: np.ndarray, diagonals: np.ndarray, p: int) -> list[int]:
-    """Counts per value of Tr(tr(diag(d) diag(x))) over the diagonals d with
-    the given codes; `residues` holds that trace at every diagonal code."""
+    """Counts per value of Tr(tr(d X)) over the diagonal matrices d with the
+    given codes; `residues` holds that trace at every matrix code."""
     return np.bincount(residues[diagonals], minlength=p).tolist()
 
 
@@ -439,13 +411,13 @@ def hc_induction_split(n: int, field: Field, X: tuple[int, ...], Y: tuple[int, .
     for exact divisibility.
     """
     F = field
-    if not _is_diagonal(n, X) or len(set(_diag_entries(n, X))) != n:
+    # entry t of a flat n x n matrix is on the diagonal exactly when n + 1 divides t
+    if any(x for t, x in enumerate(X) if t % (n + 1)) or len(set(X[:: n + 1])) != n:
         raise ValueError("X must be a regular element of the split Cartan")
     o = adjoint_orbits(n, F)
     _, diagonals, fixing = _orbit_census(o, o.orbit_of_matrix(Y))
     qval = _levi_green_value(n, F.q, diagonals, fixing)
-    residues = _trace_residues(F, _digit_rows(F.q, n), _diag_entries(n, X))
-    counts = _residue_counts(residues, diagonals, F.p)
+    counts = _residue_counts(_trace_pairing(o, X), diagonals, F.p)
     return CycInt.from_exponents(F.p, {t: qval * c for t, c in enumerate(counts) if c})
 
 
@@ -492,13 +464,12 @@ def kl_verify(n: int, field: Field, orbit_tab: OrbitTable | None = None,
 
     # regular split X up to the Weyl (coordinate-permutation) action
     xs = [tuple(c) for c in itertools.combinations(range(F.q), n)]
-    every_diagonal = _digit_rows(F.q, n)
     violations = []
     pairs = 0
     for diag in xs:
         X = tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n))
         ox = orbit_tab.orbit_of_matrix(X)
-        residues = _trace_residues(F, every_diagonal, diag)
+        residues = _trace_pairing(orbit_tab, X)
         for oy in range(orbit_tab.num_orbits):
             diagonals, cent, qval = per_orbit[oy]
             counts = _residue_counts(residues, diagonals, p)

@@ -2,27 +2,29 @@
 
 Matrices over F_q are flat row-major tuples of field element codes, which
 hash in constant time.  This module owns every decision about them: the one
-Gauss-Jordan row reduction (`rref`), the base-q matrix codec (`mat_encode`,
-`mat_decode`) and the one orbit routine (`orbit_labels`), which numbers the
-orbits of a group acting on 0..N-1 through one permutation array per
-generator.
+Gauss-Jordan row reduction (`rref`); the one batched matrix format,
+`_MatrixKernel`, which alone fixes the base-q matrix code and owns its
+inverse (`codes`, `decode`), the batched product and the trace form; the
+one sorted-key lookup (`SortedKeys`); and the one orbit routine
+(`orbit_labels`), which numbers the orbits of a group acting on 0..N-1
+through one permutation array per generator.
 
 A matrix group keeps its elements as one (|G|, n^2) numpy array of digits,
 the entry codes in the smallest dtype that holds q - 1.  All |G|-sized work
 goes through one batched product, `GroupTable.mul_many`: a kernel that
 multiplies whole digit arrays by gathers from the field's add and mul
-tables, then finds the products by their base-q codes, sorted once and
-searched with `np.searchsorted` (no q^(n^2) table is built).  Enumeration is
-breadth-first from the identity, a level at a time, with the generator list
-sorted; each level keeps the first occurrences of unseen products in
-(element, generator) order, so the element order is that of a BFS taking
-one product at a time and two runs produce identical index maps.  Conjugacy
-classes are the `orbit_labels` of one conjugation permutation per generator:
-every element is labelled by the least index of its orbit (labels pulled
-along each permutation, then lowered by pointer jumping), and classes are
-numbered by that least index, which is also the representative.  The
-adjoint orbits of gl_n and the exceptional Weyl classes use the same
-routine.
+tables, then finds the products by their base-q codes through `SortedKeys`,
+sorted once and searched with `np.searchsorted` (no q^(n^2) table is
+built).  Enumeration is breadth-first from the identity, a level at a time,
+with the generator list sorted; each level keeps the first occurrences of
+unseen products in (element, generator) order, so the element order is that
+of a BFS taking one product at a time and two runs produce identical index
+maps.  Conjugacy classes are the `orbit_labels` of one conjugation
+permutation per generator: every element is labelled by the least index of
+its orbit (labels pulled along each permutation, then lowered by pointer
+jumping), and classes are numbered by that least index, which is also the
+representative.  The adjoint orbits of gl_n and the exceptional Weyl
+classes use the same routine.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .ffield import Field, field_for_order, from_digits, to_digits
+from .errors import ExactnessError
+from .ffield import Field, field_for_order
 
 
 class EnumerationCapExceeded(ValueError):
@@ -97,16 +100,6 @@ def mat_inv(F: Field, n: int, a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x for row in reduced for x in row[n:])
 
 
-def mat_encode(q: int, a: tuple[int, ...]) -> int:
-    """Base-q digit code of a flat matrix, entry 0 least significant."""
-    return from_digits(a, q)
-
-
-def mat_decode(q: int, n: int, code: int) -> tuple[int, ...]:
-    """Inverse of `mat_encode` for n x n matrices."""
-    return tuple(to_digits(code, q, n * n))
-
-
 def mat_charpoly(F: Field, n: int, a: tuple[int, ...]) -> list[int]:
     """det(xI - a) over F_q as a dense monic coefficient list (n <= 3)."""
     if n == 1:
@@ -163,12 +156,14 @@ _CHUNK = 1 << 16  # rows per step of the batched product, bounding its temporari
 
 
 class _MatrixKernel:
-    """Batched n x n matrix products over F_q on (N, n*n) digit arrays.
+    """The one owner of the F_q matrix format: (N, n*n) digit arrays, their
+    base-q codes, batched products and the trace form.
 
     Entries are field element codes in the smallest unsigned dtype holding
-    q - 1; sums and products are gathers from the field's flattened add and
-    mul tables at index x*q + y.  A matrix's base-q code is that of
-    `mat_encode`, in int64.
+    q - 1.  A matrix's code is sum_t x_t q^t over its row-major entries x_t,
+    entry 0 least significant, in int64.  Sums and products are gathers from
+    the field's flattened add and mul tables at index x*q + y, built once
+    per kernel with the size-q trace array.
     """
 
     def __init__(self, field: Field, n: int):
@@ -180,6 +175,7 @@ class _MatrixKernel:
         self._wide = np.min_scalar_type(q * q - 1)
         self._add = np.array(field.add, dtype=self.dtype).ravel()
         self._mul = np.array(field.mul, dtype=self.dtype).ravel()
+        self._trace = np.array([field.trace_to_prime(x) for x in range(q)], dtype=self.dtype)
 
     def digits(self, matrices: list[tuple[int, ...]]) -> np.ndarray:
         return np.array(matrices, dtype=self.dtype).reshape(len(matrices), self.n * self.n)
@@ -207,11 +203,52 @@ class _MatrixKernel:
             out += digits[:, t]
         return out
 
+    def decode(self, codes: np.ndarray) -> np.ndarray:
+        """The digit array whose rows have the given codes (`codes` inverted)."""
+        rest = np.array(codes, dtype=np.int64)
+        out = np.empty((len(rest), self.n * self.n), dtype=self.dtype)
+        for t in range(self.n * self.n):
+            rest, out[:, t] = np.divmod(rest, self.q)
+        return out
+
+    def trace_form(self, digits: np.ndarray, coeffs: list[int]) -> np.ndarray:
+        """Tr_{F_q/F_p}(sum_t coeffs[t] * x_t) for every row x of a digit
+        array, one gather chain over the columns with a nonzero coefficient."""
+        q = self.q
+        acc = np.zeros(len(digits), dtype=self._wide)
+        for t, c in enumerate(coeffs):
+            if c:
+                term = np.take(self._mul, digits[:, t] + self._wide.type(c * q))
+                acc = np.take(self._add, acc * q + term).astype(self._wide)
+        return np.take(self._trace, acc)
+
+
+class SortedKeys:
+    """Positions of sortable keys in a fixed 1-D array, by one argsort and
+    binary search."""
+
+    def __init__(self, keys: np.ndarray):
+        self._by_key = np.argsort(keys)
+        self._sorted = keys[self._by_key]
+
+    def index_of(self, wanted: np.ndarray, missing: str) -> np.ndarray:
+        """Positions of a 1-D array of keys; raises `ExactnessError(missing)`
+        if one is absent.  The keys are searched in sorted order, which
+        `np.searchsorted` serves about three times faster than random order."""
+        order = np.argsort(wanted)
+        keys = wanted[order]
+        pos = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
+        if not np.array_equal(self._sorted[pos], keys):
+            raise ExactnessError(missing)
+        out = np.empty_like(pos)
+        out[order] = self._by_key[pos]
+        return out
+
 
 class MatrixGroupTable(GroupTable):
     """A matrix group stored as `digits`, an (|G|, n*n) array of entry
     codes in element order, multiplied by `kernel`.  Matrices are found by
-    their base-q codes, sorted once and searched with `np.searchsorted`."""
+    their base-q codes through `SortedKeys`."""
 
     def __init__(self, kernel: _MatrixKernel, digits: np.ndarray, generators: np.ndarray):
         self.field = kernel.field
@@ -219,23 +256,12 @@ class MatrixGroupTable(GroupTable):
         self.digits = digits
         self.order = len(digits)
         self.kernel = kernel
-        codes = kernel.codes(digits)
-        self._by_code = np.argsort(codes)
-        self._sorted_codes = codes[self._by_code]
+        self._keys = SortedKeys(kernel.codes(digits))
         self.generator_indices = self._index_of(kernel.codes(generators)).tolist()
 
     def _index_of(self, codes: np.ndarray) -> np.ndarray:
-        """Element indices of a 1-D array of matrix codes; raises if a code
-        is not an element.  The codes are searched in sorted order, which
-        `np.searchsorted` serves about three times faster than random order."""
-        order = np.argsort(codes)
-        wanted = codes[order]
-        pos = np.minimum(np.searchsorted(self._sorted_codes, wanted), self.order - 1)
-        if not np.array_equal(self._sorted_codes[pos], wanted):
-            raise RuntimeError("matrix is not an element of the group")
-        out = np.empty_like(pos)
-        out[order] = self._by_code[pos]
-        return out
+        """Element indices of a 1-D array of matrix codes."""
+        return self._keys.index_of(codes, "matrix is not an element of the group")
 
     def element(self, i: int) -> tuple[int, ...]:
         return tuple(self.digits[i].tolist())
@@ -247,7 +273,7 @@ class MatrixGroupTable(GroupTable):
 
     def inv_idx(self, i: int) -> int:
         inverse = mat_inv(self.field, self.dim, self.element(i))
-        return int(self._index_of(np.array([mat_encode(self.field.q, inverse)]))[0])
+        return int(self._index_of(self.kernel.codes(self.kernel.digits([inverse])))[0])
 
 
 def closure_levels(start: np.ndarray, expand: Callable[[np.ndarray], np.ndarray],
@@ -342,7 +368,8 @@ def orbit_labels(size: int, perms: list[np.ndarray]) -> tuple[np.ndarray, np.nda
     label[p[x]])) and lowered by pointer jumping until nothing changes.  Then
     label[x] <= label[p[x]] for every x and p, so labels are constant on the
     cycles of each permutation, hence on orbits, where they equal the least
-    index."""
+    index.  The representatives are then the fixed points of the labelling,
+    and an orbit's number is the count of representatives below its own."""
     label = np.arange(size)
     while True:
         before = label
@@ -351,7 +378,10 @@ def orbit_labels(size: int, perms: list[np.ndarray]) -> tuple[np.ndarray, np.nda
         while not np.array_equal(jumped := label[label], label):
             label = jumped
         if np.array_equal(label, before):
-            return np.unique(label, return_inverse=True)
+            is_rep = label == np.arange(size)
+            number = np.cumsum(is_rep)
+            number -= 1
+            return np.flatnonzero(is_rep), number[label]
 
 
 class ClassData:
@@ -445,7 +475,7 @@ def _classical_group(name: str, generators, n: int, q: int, order: int,
         )
     g = enumerate_group(generators(n, F), F, n, cap)
     if g.order != order:
-        raise RuntimeError(f"{name} closure has the wrong order")
+        raise ExactnessError(f"{name} closure has the wrong order")
     return g
 
 

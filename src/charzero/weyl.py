@@ -31,7 +31,7 @@ from math import factorial
 
 import numpy as np
 
-from .matgroup import closure_levels, orbit_labels
+from .matgroup import SortedKeys, closure_levels, orbit_labels
 from .polynomials import IntPoly
 
 CLASSICAL_TYPES = ("A", "B", "C", "D")
@@ -290,16 +290,11 @@ def _table_exceptional(cartan_type: str) -> WeylClassTable:
             f"W({cartan_type}) closure has order {order}, "
             f"expected {EXCEPTIONAL_ORDERS[cartan_type]}"
         )
-    keys = _keys(elements)
-    by_key = np.argsort(keys)
-    sorted_keys = keys[by_key]
-    conjugations = []
-    for g in gens:  # each is an involution, so g w g is the conjugate
-        conj = _keys(_product(_product(g, elements), g))
-        pos = np.minimum(np.searchsorted(sorted_keys, conj), order - 1)
-        if not np.array_equal(sorted_keys[pos], conj):
-            raise RuntimeError(f"W({cartan_type}) is not closed under conjugation")
-        conjugations.append(by_key[pos])
+    keys = SortedKeys(_keys(elements))
+    # each generator is an involution, so g w g is the conjugate
+    conjugations = [keys.index_of(_keys(_product(_product(g, elements), g)),
+                                  f"W({cartan_type}) is not closed under conjugation")
+                    for g in gens]
     reps, class_of = orbit_labels(order, conjugations)
     sizes = np.bincount(class_of).tolist()
     classes = [WeylClass(f"c{cls}", size, order // size, charpoly_int(elements[rep]))

@@ -8,7 +8,14 @@ from orbit_reference import orbit_partition
 from charzero import liefourier as L
 from charzero import matgroup
 from charzero.cyclotomic import CycInt
-from charzero.ffield import field_for_order, field_make, fq_poly_is_squarefree
+from charzero.errors import ExactnessError
+from charzero.ffield import (
+    field_for_order,
+    field_make,
+    fq_poly_is_squarefree,
+    from_digits,
+    to_digits,
+)
 from charzero.liefourier import (
     additive_lower_bound,
     adjoint_orbits,
@@ -20,7 +27,7 @@ from charzero.liefourier import (
     jordan_decomposition,
     kl_verify,
 )
-from charzero.matgroup import gl_group, mat_decode, mat_encode, mat_identity, mat_inv, mat_mul
+from charzero.matgroup import _MatrixKernel, gl_group, mat_identity, mat_inv, mat_mul
 
 
 @pytest.fixture
@@ -188,7 +195,7 @@ def test_jordan_decomposition_properties():
     # over F_4 the Frobenius power must fix eigenvalues outside F_2
     for n, F in [(2, field_make(3, 1)), (2, field_make(2, 2)), (3, field_make(2, 1))]:
         for code in range(F.q ** (n * n)):
-            y = mat_decode(F.q, n, code)
+            y = tuple(to_digits(code, F.q, n * n))
             ys, yn = jordan_decomposition(F, n, y)
             assert tuple(F.add[a][b] for a, b in zip(ys, yn)) == y
             assert mat_mul(F, n, ys, yn) == mat_mul(F, n, yn, ys)
@@ -242,6 +249,24 @@ def test_kl_rejects_bad_characteristic():
         kl_verify(2, F2)
 
 
+def test_the_matrix_space_is_decoded_once(monkeypatch):
+    calls = []
+    decode = _MatrixKernel.decode
+
+    def counted(self, codes):
+        calls.append(len(codes))
+        return decode(self, codes)
+
+    monkeypatch.setattr(_MatrixKernel, "decode", counted)
+    F = field_make(5, 1)
+    assert kl_verify(2, F).passed
+    assert calls == [5**4]
+    calls.clear()
+    o = adjoint_orbits(2, F)
+    fourier_table(o)
+    assert calls == [5**4]
+
+
 def test_space_cap():
     F = field_make(5, 1)
     with pytest.raises(ValueError, match="cap"):
@@ -262,8 +287,9 @@ def _reference_orbits(n, F):
     def conjugates(level):
         return (mat_mul(F, n, mat_mul(F, n, g, x), g_inv) for x in level for g, g_inv in pairs)
 
-    return orbit_partition(F.q ** (n * n), conjugates, lambda code: mat_decode(F.q, n, code),
-                           lambda a: mat_encode(F.q, a))
+    return orbit_partition(F.q ** (n * n), conjugates,
+                           lambda code: tuple(to_digits(code, F.q, n * n)),
+                           lambda a: from_digits(a, F.q))
 
 
 @pytest.mark.parametrize("n,q", ALGEBRAS)
@@ -273,12 +299,12 @@ def test_adjoint_orbits_match_the_per_seed_bfs(n, q, request):
     request.getfixturevalue("no_enumeration")
     o = adjoint_orbits(n, F)
     assert o.orbit_of.tolist() == orbit_of
-    assert [r.rep for r in o.orbits] == [mat_decode(q, n, members[0]) for members in orbits]
+    assert [list(r.rep) for r in o.orbits] == [to_digits(members[0], q, n * n) for members in orbits]
     assert [members.tolist() for members in o.orbit_elements] == [sorted(members) for members in orbits]
     for rec in o.orbits:
         ys, yn = jordan_decomposition(F, n, rec.rep)
-        assert rec.size == len(orbits[orbit_of[mat_encode(q, rec.rep)]])
-        assert rec.semisimple_part_orbit == orbit_of[mat_encode(q, ys)]
+        assert rec.size == len(orbits[orbit_of[from_digits(rec.rep, q)]])
+        assert rec.semisimple_part_orbit == orbit_of[from_digits(ys, q)]
         assert rec.is_semisimple == (yn == (0,) * (n * n))
 
 
@@ -300,7 +326,7 @@ def test_fourier_table_matches_the_per_matrix_sum(n, q):
         reps = [tuple(F.mul[scale][x] for x in rec.rep) for rec in o.orbits]
         counts = [[[0] * F.p for _ in reps] for _ in reps]
         for code, src in enumerate(o.orbit_of.tolist()):
-            y = o.decode(code)
+            y = to_digits(code, q, n * n)
             for tgt, rep in enumerate(reps):
                 counts[src][tgt][_trace_residue(F, n, rep, y)] += 1
         expected = [[CycInt.from_exponents(F.p, dict(enumerate(c))) for c in row] for row in counts]
@@ -314,12 +340,17 @@ def test_a_corrupted_transform_value_is_caught():
     tgt = next(i for i, members in enumerate(o.orbit_elements) if len(members) > 1)
     values = [list(row) for row in t.values]
     values[0][tgt] = values[0][tgt] + 1
-    with pytest.raises(RuntimeError, match="representative"):
+    with pytest.raises(ExactnessError, match="representative"):
         L._recheck_well_defined(o, dataclasses.replace(t, values=values), 1)
 
 
 def _upper_triangular(n, a):
     return all(a[i * n + j] == 0 for i in range(n) for j in range(i))
+
+
+def _diagonal_matrix_code(q, n, diag):
+    """The matrix code of diag(d_0, ..., d_{n-1}): sum_k d_k q^(k(n+1))."""
+    return sum(d * q ** (k * (n + 1)) for k, d in enumerate(diag))
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (2, 7), (3, 2)])
@@ -343,7 +374,7 @@ def test_flag_census_matches_the_per_element_loop(n, q):
         assert (got_cent, got_fixing) == (cent, fixing)
         # each diagonal member of O_{Y_s} is the conjugate by |C(Y_s)| elements
         assert sorted(codes.tolist() * cent) == sorted(
-            sum(d * q**k for k, d in enumerate(diag)) for diag in diagonals)
+            _diagonal_matrix_code(q, n, diag) for diag in diagonals)
         for x in xs[:3]:
             counts = [0] * F.p
             for d in diagonals:
@@ -351,7 +382,8 @@ def test_flag_census_matches_the_per_element_loop(n, q):
                 for a, b in zip(d, x):
                     acc = F.add[acc][F.mul[a][b]]
                 counts[F.trace_to_prime(acc)] += 1
-            residues = L._trace_residues(F, L._digit_rows(q, n), x)
+            X = tuple(x[i] if i == j else 0 for i in range(n) for j in range(n))
+            residues = L._trace_pairing(o, X)
             assert [c * cent for c in L._residue_counts(residues, codes, F.p)] == counts
 
 
@@ -366,7 +398,9 @@ def test_orbit_census_matches_the_group_flag_census(n, q):
         cent, diagonals, fixing = _flag_census(group, inverse, *jordan_decomposition(F, n, rec.rep))
         got_cent, codes, got_fixing = L._orbit_census(o, oid)
         assert (got_cent, got_fixing) == (cent, fixing)
-        assert sorted(codes.tolist() * cent) == sorted(diagonals.tolist())
+        # the reference codes a diagonal by its n entries alone: sum_k d_k q^k
+        assert sorted(codes.tolist() * cent) == sorted(
+            _diagonal_matrix_code(q, n, to_digits(c, q, n)) for c in diagonals.tolist())
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (2, 5), (2, 7), (3, 2), (3, 3)])

@@ -1,17 +1,20 @@
-"""Properties of the shared F_q matrix layer: row reduction, inverse and
-the base-q matrix codec; and of the reference nullspace and minimal
-polynomial that the Green-value tests rely on."""
+"""Properties of the shared F_q matrix layer: row reduction, inverse, the
+base-q matrix codec and the trace form of `_MatrixKernel`, and the sorted-key
+lookup; and of the reference nullspace and minimal polynomial that the
+Green-value tests rely on."""
 
+import numpy as np
 import pytest
 from green_reference import _min_poly, _nullspace_basis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charzero.ffield import field_for_order, fq_poly_divmod
+from charzero.errors import ExactnessError
+from charzero.ffield import field_for_order, fq_poly_divmod, from_digits, to_digits
 from charzero.matgroup import (
+    SortedKeys,
+    _MatrixKernel,
     mat_charpoly,
-    mat_decode,
-    mat_encode,
     mat_identity,
     mat_inv,
     mat_mul,
@@ -72,10 +75,44 @@ def test_rank_plus_nullity_and_nullspace_is_annihilated(case):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(QS), st.integers(1, 3), st.data())
 def test_codec_round_trips_over_the_code_range(q, n, data):
+    kernel = _MatrixKernel(field_for_order(q), n)
     code = data.draw(st.integers(0, q ** (n * n) - 1))
-    a = mat_decode(q, n, code)
-    assert len(a) == n * n and all(0 <= x < q for x in a)
-    assert mat_encode(q, a) == code
+    a = tuple(kernel.decode(np.array([code]))[0].tolist())
+    assert a == tuple(to_digits(code, q, n * n))  # entry 0 least significant
+    assert kernel.codes(kernel.digits([a])).tolist() == [code] == [from_digits(a, q)]
+
+
+@pytest.mark.parametrize("n,q", [(2, 4), (2, 9), (3, 2)])
+def test_decode_inverts_codes_over_the_whole_space(n, q):
+    kernel = _MatrixKernel(field_for_order(q), n)
+    every = kernel.decode(np.arange(q ** (n * n)))
+    assert every.dtype == kernel.dtype
+    assert every.tolist() == [to_digits(code, q, n * n) for code in range(q ** (n * n))]
+    assert np.array_equal(kernel.codes(every), np.arange(q ** (n * n)))
+    assert np.array_equal(kernel.decode(kernel.codes(every)), every)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_trace_form_matches_the_per_element_trace(q):
+    F = field_for_order(q)
+    kernel = _MatrixKernel(F, 2)
+    every = kernel.decode(np.arange(q**4))
+    for coeffs in ([1, 0, 0, 0], [0, q - 1, 2, 0], [2, 3, q - 1, 1], [0, 0, 0, 0]):
+        expected = []
+        for x in every.tolist():
+            acc = 0
+            for c, d in zip(coeffs, x):
+                acc = F.add[acc][F.mul[c][d]]
+            expected.append(F.trace_to_prime(acc))
+        assert kernel.trace_form(every, coeffs).tolist() == expected
+    assert set(kernel.trace_form(every, [1, 0, 0, 0]).tolist()) == set(range(F.p))
+
+
+def test_sorted_keys_finds_positions_and_raises_on_a_miss():
+    keys = SortedKeys(np.array([30, 10, 20, 50]))
+    assert keys.index_of(np.array([50, 10, 10, 30]), "absent").tolist() == [3, 1, 1, 0]
+    with pytest.raises(ExactnessError, match="absent"):
+        keys.index_of(np.array([20, 40]), "absent")
 
 
 @settings(max_examples=200, deadline=None)
