@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .dixon import dixon_character_table, zero_census
+from .errors import ExactnessError
 from .ffield import fq_poly_is_squarefree
 from .gln import class_count_poly, gln_zero_ratio_formula, regular_ss_class_count
 from .matgroup import MatrixGroupTable, conjugacy_classes, gl_group, gl_order, mat_charpoly
@@ -92,7 +93,7 @@ def simple_bound_polys(r: int) -> tuple[IntPoly, IntPoly]:
     f2 = base2 * base2
     for name, f in (("f1", f1), ("f2", f2)):
         if f.degree != 2 * r or not f.is_monic():
-            raise RuntimeError(f"{name} for r = {r} is not monic of degree 2r")
+            raise ExactnessError(f"{name} for r = {r} is not monic of degree 2r")
     return f1, f2
 
 
@@ -151,7 +152,7 @@ def threshold_search(
     at least eps for every q <= 2c(1-eps)/eps.
 
     An epsilon too small for `search_bound` is an input out of range and
-    raises ValueError; failed certifications raise RuntimeError."""
+    raises ValueError; failed certifications raise ExactnessError."""
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -186,10 +187,10 @@ def threshold_search(
         if q0 is None:
             raise ValueError(f"no threshold below {search_bound}")
         if q0 > 2 and all(holds(Fraction(q0 - 1), r) for r in ranks):
-            raise RuntimeError("threshold certification failed just below q0")
+            raise ExactnessError("threshold certification failed just below q0")
         for q in range(q0, q0 + window + 1):
             if not all(holds(Fraction(q), r) for r in ranks):
-                raise RuntimeError(f"threshold not stable on the window at q={q}")
+                raise ExactnessError(f"threshold not stable on the window at q={q}")
         return ThresholdResult("fixed-rank", which, epsilon, rank_cap, q0, window)
 
     if mode == "growing-rank":

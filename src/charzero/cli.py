@@ -25,6 +25,7 @@ from typing import Iterator
 
 from .cyclotomic import CycInt
 from .dixon import MAX_CLASSES, dixon_character_table, verify_orthogonality, zero_census
+from .errors import ExactnessError
 from .ffield import DEFAULT_FIELD_CAP, field_for_order, is_prime_power
 from .gln import (
     GLDescriptor,
@@ -252,7 +253,7 @@ def _cmd_char_table(args):
     cd = conjugacy_classes(g)
     t = dixon_character_table(g, cd)
     if not verify_orthogonality(t):
-        raise RuntimeError("orthogonality verification failed")
+        raise ExactnessError("orthogonality verification failed")
     result = t.as_dict()
     result["group"] = f"{args.group}{args.n}(F{args.q})"
     result["orthogonal"] = True

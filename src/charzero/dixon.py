@@ -5,26 +5,28 @@ The table is computed modulo a prime l = 1 (mod m) with l > 2*sqrt(|G|)
 Following Schneider, a class matrix is built only when the eigen-split
 reads it, and the split stops once every eigenspace has dimension one:
 GL_2(F_11) builds 15 of its 120 class matrices and GL_2(F_16) 5 of 255, so
-no tau x tau x tau coefficient tensor exists.  The table is then lifted to
-Z[zeta_m]: for each class the eigenvalue multiplicities of a representative
-are recovered by discrete Fourier inversion over the power map; each
-multiplicity is a true integer in [0, degree] < l, so the lift is
-unambiguous and the resulting values are exact cyclotomic integers.  The
-multiplicities depend only on a character's column of power-map values, so
-each distinct column is inverted once per class, and the finished table
-holds one CycInt per distinct value: equal entries are the same object.
-Zero detection afterwards is the canonical coordinate test - no tolerance
-appears anywhere.
+no tau x tau x tau coefficient tensor exists.  Each degree d is the one
+root of d^2 (mod l) in 0..sqrt(|G|), found by search; l > 2*sqrt(|G|) makes
+it unique.  The table is then lifted to Z[zeta_m]: for each class the
+eigenvalue multiplicities of a representative are recovered by discrete
+Fourier inversion over the power map; each multiplicity is a true integer
+in [0, degree] < l, so the lift is unambiguous and the resulting values are
+exact cyclotomic integers.  The multiplicities depend only on a character's
+column of power-map values, so each distinct column is inverted once per
+class, and the finished table holds one CycInt per distinct value: equal
+entries are the same object.  Zero detection afterwards is the canonical
+coordinate test - no tolerance appears anywhere.
 
 Orthogonality is checked independently, from the lifted integer coordinates
 only, by embeddings of Z[zeta_m] into F_L for primes L = 1 (mod m).  When
 the Galois group permutes the table's values, rows and columns (every
 GL_n table here), one embedding and its complex conjugate decide it;
-otherwise all phi(m) embeddings do.  A table has far fewer distinct values
-than entries (GL_2(F_11): 126 of 14 400), so only the distinct values are
-embedded, and the table's image under an embedding is gathered from theirs
-through an index array for one matrix product; no tau x tau x phi(m) array
-is built.
+otherwise all phi(m) embeddings do.  Both choices run through one loop,
+over primes whose product passes one norm bound that holds for any table.
+A table has far fewer distinct values than entries (GL_2(F_11): 126 of
+14 400), so only the distinct values are embedded, and the table's image
+under an embedding is gathered from theirs through an index array for one
+matrix product; no tau x tau x phi(m) array is built.
 
 Determinism: the prime l is minimal, degenerate eigenspaces are split by
 class matrices in class-index order, and the finished rows are sorted
@@ -146,32 +148,14 @@ def _mod_poly_roots(coeffs: list[int], l: int) -> list[int]:
     return sorted(int(x) for x in np.nonzero(acc == 0)[0])
 
 
-def _sqrt_mod(a: int, l: int) -> int:
-    """Tonelli-Shanks; l an odd prime, a a quadratic residue."""
-    a %= l
-    if a == 0:
-        return 0
-    if pow(a, (l - 1) // 2, l) != 1:
-        raise ExactnessError(f"{a} is not a quadratic residue mod {l}")
-    if l % 4 == 3:
-        return pow(a, (l + 1) // 4, l)
-    q, s = l - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (l - 1) // 2, l) != l - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, l), pow(a, q, l), pow(a, (q + 1) // 2, l)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % l
-            i += 1
-        b = pow(c, 1 << (m - i - 1), l)
-        m, c = i, b * b % l
-        t, r = t * c % l, r * b % l
-    return r
+def _degrees(targets: np.ndarray, order: int, l: int) -> np.ndarray:
+    """For each target, the d in 0..isqrt(order) with d^2 = target (mod l).
+    It is unique when l > 2 sqrt(order): two such d < d' would make l divide
+    (d' - d)(d' + d), and both factors lie in (0, l)."""
+    hit = np.arange(isqrt(order) + 1, dtype=np.int64) ** 2 % l == targets[:, None]
+    if not hit.any(axis=1).all():
+        raise ExactnessError(f"a squared degree mod {l} has no root d <= sqrt({order})")
+    return hit.argmax(axis=1)
 
 
 def _least_primitive_root(l: int) -> int:
@@ -366,11 +350,9 @@ def dixon_character_table(group: GroupTable, cd: ClassData) -> CharacterTable:
 
     # degree^2 = |G| / sum_k omega_k omega_{k^-1} / |C_k|
     sums = (omega * omega[:, cd.inverse_class] % l * inv_sizes % l).sum(axis=1) % l
-    degrees = []
-    for s in sums.tolist():
-        d = _sqrt_mod(order % l * _mod_inv(s, l) % l, l)
-        degrees.append(min(d, l - d))  # true degree: bounded by sqrt(|G|) < l/2
-    degree_vec = np.array(degrees, dtype=np.int64)
+    targets = np.array([order % l * _mod_inv(s, l) % l for s in sums.tolist()], dtype=np.int64)
+    degree_vec = _degrees(targets, order, l)
+    degrees = degree_vec.tolist()
     mod_rows = omega * degree_vec[:, None] % l * inv_sizes % l
 
     # -- lift to Z[zeta_m] ------------------------------------------------
@@ -445,30 +427,11 @@ def zero_census(t: CharacterTable) -> ZeroReport:
     return ZeroReport.of_table(t.values)
 
 
-def _coefficient_bound(t: CharacterTable) -> int:
-    """Bound on the canonical coordinates of every orthogonality sum: weight
-    by |C_k|, conjugate, convolve, fold and reduce modulo Phi_m, each stage
-    at its worst."""
-    m, tau = t.conductor, t.num_classes
-    basis = _power_basis(m)
-    phi = len(basis[0])
-    max_c = max(max(map(abs, c)) for c in {v.coeffs for row in t.values for v in row})
-    max_conj = max(abs(c) for i in range(phi) for c in basis[(-i) % m])
-    max_red = max((abs(c) for row in basis[phi : 2 * phi - 1] for c in row), default=1)
-    return (
-        max(t.class_sizes) * max_c * (phi * max_c * max_conj) * tau * phi
-        * (1 + phi * max_red)
-    )
-
-
-def _orthogonality_primes(t: CharacterTable, need: int | None = None) -> Iterator[int]:
+def _orthogonality_primes(t: CharacterTable, need: int) -> Iterator[int]:
     """Primes L = 1 (mod m) with max(tau, phi) * (L-1)^2 < 2^63, so no int64
-    dot product of residues overflows, until their product exceeds `need`,
-    by default 2 * (bound + |G|)."""
+    dot product of residues overflows, until their product exceeds `need`."""
     m = t.conductor
     hi = isqrt(((1 << 63) - 1) // max(t.num_classes, euler_phi(m))) + 1
-    if need is None:
-        need = 2 * (_coefficient_bound(t) + t.group_order)
     covered = 1
     for L in _primes_1_mod(m, hi // 2, hi):
         yield L
@@ -532,64 +495,35 @@ def _galois_stable(t: CharacterTable, D: np.ndarray, entry: np.ndarray, l1: int)
     return True
 
 
-# holds(image, conj_image, L): the table's Grams under one embedding, mod L
-_Grams = Callable[[np.ndarray, np.ndarray, int], bool]
-
-
-def _gram_check(t: CharacterTable, entry: np.ndarray) -> _Grams:
-    """`holds(image, conj_image, L)`: row and column orthogonality, mod L,
-    of the table's image under one embedding and its complex conjugate,
-    given the images of its distinct values."""
-    tau, order = t.num_classes, t.group_order
+def _embeddings_orthogonal(t: CharacterTable, D: np.ndarray, entry: np.ndarray, l1: int,
+                           exponents: list[int]) -> bool:
+    """Row and column orthogonality, modulo primes L = 1 (mod m) whose
+    product exceeds 2 (sum_k |C_k| l1^2 + |G|), of the table's images under
+    zeta_m -> z^a for a in `exponents` (closed under a -> -a), one conjugate
+    pair at a time; D holds the distinct values and entry[i, k] indexes D."""
+    m, tau, order = t.conductor, t.num_classes, t.group_order
+    phi = D.shape[1]
+    conj = [exponents.index(-a % m) for a in exponents]
+    pairs = [i for i in range(len(exponents)) if i <= conj[i]]  # one of each pair (a, -a)
     entry_t = np.ascontiguousarray(entry.T)
     sizes = np.array(t.class_sizes, dtype=np.int64)
     centralizers = np.array([order // s for s in t.class_sizes], dtype=np.int64)
-
-    def holds(image: np.ndarray, conj_image: np.ndarray, L: int) -> bool:
-        # C-contiguous gathers (fancy indexing gives strided ones, which
-        # slow the int64 matmul several times)
-        X = np.take(image, entry)  # X[i, k]: chi_i(g_k) under the embedding
-        Yt = np.take(conj_image, entry_t)  # Yt[k, j]: chi_j(g_k) under its conjugate
-        if not (X * (sizes % L) % L @ Yt % L == np.diag(np.full(tau, order % L))).all():
-            return False
-        # columns: Yt @ X is the transpose of X^T Yt^T, and the target is diagonal
-        return bool((Yt @ X % L == np.diag(centralizers % L)).all())
-
-    return holds
-
-
-def _one_embedding_orthogonal(t: CharacterTable, D: np.ndarray, grams: _Grams, need: int) -> bool:
-    """The fast path of `verify_orthogonality`: zeta_m -> z and its
-    conjugate only, over primes whose product exceeds `need`."""
-    m, phi = t.conductor, D.shape[1]
-    for L in _orthogonality_primes(t, need):
+    for L in _orthogonality_primes(t, 2 * (sum(t.class_sizes) * l1 * l1 + order)):
         z = pow(_least_primitive_root(L), (L - 1) // m, L)
-        z_inv = pow(z, m - 1, L)
-        powers = np.array([[pow(z, i, L), pow(z_inv, i, L)] for i in range(phi)], dtype=np.int64)
-        image, conj_image = (D % L @ powers % L).T
-        if not grams(image, conj_image, L):
-            return False
-    return True
-
-
-def _all_embeddings_orthogonal(t: CharacterTable, D: np.ndarray, grams: _Grams) -> bool:
-    """The fallback of `verify_orthogonality`: every conjugate pair of the
-    phi(m) embeddings, over primes whose product exceeds twice the
-    coefficient bound."""
-    m = t.conductor
-    units = [a for a in range(m) if gcd(a, m) == 1]
-    phi = len(units)
-    conj = np.array([units.index((-a) % m) for a in units])
-    pairs = np.array([a for a in range(phi) if a <= conj[a]])  # one of each conjugate pair (a, -a)
-    for L in _orthogonality_primes(t):
-        z = pow(_least_primitive_root(L), (L - 1) // m, L)
-        V = np.ones((phi, phi), dtype=np.int64)  # V[u, a] = z^(units[a] * u)
-        step = np.array([pow(z, a, L) for a in units], dtype=np.int64)
+        V = np.ones((phi, len(exponents)), dtype=np.int64)  # V[u, i] = z^(exponents[i] * u)
+        step = np.array([pow(z, a, L) for a in exponents], dtype=np.int64)
         for u in range(1, phi):
             V[u] = V[u - 1] * step % L
-        E = np.ascontiguousarray(((D % L) @ V % L).T)  # E[a, x]: value x at zeta -> z^units[a]
+        E = np.ascontiguousarray((D % L @ V % L).T)  # E[i, x]: value x at zeta -> z^exponents[i]
         for a in pairs:
-            if not grams(E[a], E[conj[a]], L):
+            # C-contiguous gathers (fancy indexing gives strided ones, which
+            # slow the int64 matmul several times)
+            X = np.take(E[a], entry)  # X[i, k]: chi_i(g_k) under the embedding
+            Yt = np.take(E[conj[a]], entry_t)  # Yt[k, j]: chi_j(g_k) under its conjugate
+            if not (X * (sizes % L) % L @ Yt % L == np.diag(np.full(tau, order % L))).all():
+                return False
+            # columns: Yt @ X is the transpose of X^T Yt^T, and the target is diagonal
+            if not (Yt @ X % L == np.diag(centralizers % L)).all():
                 return False
     return True
 
@@ -604,14 +538,18 @@ def verify_orthogonality(t: CharacterTable) -> bool:
     complex conjugation is the embedding at -a.  Only the table's distinct
     values are embedded, and the table's image is gathered from theirs.
 
-    All embeddings (the fallback).  The phi(m) embeddings map the coordinate
-    vector v of an entry to V v, V the Vandermonde matrix on the distinct
-    z^a, invertible mod L; so all images vanish iff v = 0 (mod L), and over
-    primes whose product exceeds 2 (_coefficient_bound(t) + |G|) >= 2|v|
-    iff v = 0.
+    The bound.  With M the largest sum of |coordinates| of a value
+    (|zeta^i| = 1), each complex embedding of an entry of E is at most
+    B = (sum_k |C_k|) M^2 + |G| (tau <= sum_k |C_k| covers E_col, whose sums
+    have tau terms).  The phi(m) embeddings mod L map the coordinate vector
+    v of an entry to V v, V the Vandermonde matrix on the distinct z^a,
+    invertible mod L; so if all of them vanish, v = 0 (mod L).  Over primes
+    with product N the entry is then N y with y in Z[zeta_m]; for y != 0 its
+    norm is a nonzero multiple of N^phi, and at most B^phi.  So N > B forces
+    E = 0, and the primes run until N > 2B.
 
-    One embedding (the fast path), when the table is Galois-stable: for
-    every generator a of (Z/m)^x, sigma_a: zeta_m -> zeta_m^a maps the
+    The embeddings.  All phi(m) of them, unless the table is Galois-stable:
+    for every generator a of (Z/m)^x, sigma_a: zeta_m -> zeta_m^a maps the
     distinct values into themselves, sigma_a(X) = P X for a permutation
     matrix P, and sigma_a(X) = X Q for a permutation matrix Q that moves
     each class to one of the same size.  A row or column lookup that merely
@@ -625,25 +563,19 @@ def verify_orthogonality(t: CharacterTable) -> bool:
         sigma_b(E_row) = P E_row P^T  and  sigma_b(E_col) = Q^T E_col Q.
 
     So the embedding at b of an entry of E is the embedding at 1 of another
-    entry.  If every entry vanishes under zeta_m -> z mod L, it vanishes
-    under all phi(m) embeddings, and its coordinates are 0 mod L as above.
-    Over primes with product N, each entry is then N y with y in Z[zeta_m].
-    With M the largest sum of |coordinates| of a value (|zeta^i| = 1), each
-    complex embedding of an entry is at most B = (sum_k |C_k|) M^2 + |G|,
-    which is |G| (M^2 + 1) (tau <= sum_k |C_k| covers E_col, whose sums
-    have tau terms); for y != 0 the norm of the entry is a nonzero
-    multiple of N^phi, and at most B^phi.  So N > B forces E = 0, and the
-    primes run until N > 2B, the fallback's margin.  A value, row or column
-    without its image sends the table to the fallback unchanged, so every
-    verdict is that of the all-embeddings check.
+    entry, and zeta_m -> z with its conjugate decide the check.  A value,
+    row or column without its image sends the table to all phi(m)
+    embeddings unchanged, so every verdict is that of the all-embeddings
+    check.
     """
     distinct: dict[tuple[int, ...], int] = {}  # coordinates -> index of the distinct value
     entry = np.array([[distinct.setdefault(v.coeffs, len(distinct)) for v in row]
                       for row in t.values], dtype=np.int64)
     D = np.array(list(distinct), dtype=np.int64)  # distinct values x phi
     l1 = max(sum(map(abs, c)) for c in distinct)
-    grams = _gram_check(t, entry)
+    m = t.conductor
     if _galois_stable(t, D, entry, l1):
-        need = 2 * (sum(t.class_sizes) * l1 * l1 + t.group_order)
-        return _one_embedding_orthogonal(t, D, grams, need)
-    return _all_embeddings_orthogonal(t, D, grams)
+        exponents = sorted({1 % m, -1 % m})
+    else:
+        exponents = [a for a in range(m) if gcd(a, m) == 1]
+    return _embeddings_orthogonal(t, D, entry, l1, exponents)

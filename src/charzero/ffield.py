@@ -14,6 +14,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .cyclotomic import CycInt, prime_factors
+from .errors import ExactnessError
 
 DEFAULT_FIELD_CAP = 10**6
 
@@ -122,7 +123,7 @@ class Field:
         for g in range(2, self.q):
             if all(self.pow(g, order // f) != 1 for f in factors):
                 return g
-        raise RuntimeError("multiplicative group has no generator; field tables corrupt")
+        raise ExactnessError("multiplicative group has no generator; field tables corrupt")
 
     # -- arithmetic helpers -----------------------------------------------
 
@@ -150,7 +151,7 @@ class Field:
             acc = self.add[acc][cur]
             cur = self.pow(cur, self.p)
         if acc >= self.p:
-            raise RuntimeError("trace left the prime subfield")
+            raise ExactnessError("trace left the prime subfield")
         return acc
 
     def additive_character(self, x: int) -> CycInt:
@@ -200,7 +201,7 @@ def _least_irreducible(p: int, e: int) -> tuple[int, ...]:
         coeffs = to_digits(idx, p, e) + [1]
         if _poly_is_irreducible(coeffs, p):
             return tuple(coeffs)
-    raise RuntimeError(f"no irreducible of degree {e} over F_{p}")  # unreachable
+    raise ExactnessError(f"no irreducible of degree {e} over F_{p}")  # unreachable
 
 
 @lru_cache(maxsize=32)
@@ -310,6 +311,6 @@ def fq_poly_factor_cubic_or_less(F: Field, a: list[int]) -> list[list[int]]:
         lin = [F.neg[r], 1]
         rest, rem = fq_poly_divmod(F, rest, lin)
         if rem:
-            raise RuntimeError("a root's linear factor left a remainder")
+            raise ExactnessError("a root's linear factor left a remainder")
         factors.append(lin)
     return sorted(factors)

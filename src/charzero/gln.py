@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from .errors import ExactnessError
 from .ffield import fq_poly_is_squarefree, is_prime_power
 from .matgroup import conjugacy_classes, gl_group, mat_charpoly
 from .polynomials import IntPoly, RatFunc
@@ -146,11 +147,11 @@ def torus_inventory(n: int, q: int, cap: int = DEFAULT_TORUS_CAP) -> list[TorusR
         c = cycle_centralizer_order(lam)
         f = _regular_element_count(lam, q, cap)
         if f % c != 0:
-            raise RuntimeError(
+            raise ExactnessError(
                 f"regular count {f} not divisible by centralizer {c} at {lam}"
             )
         if poly.evaluate(q) != size:
-            raise RuntimeError(f"torus order polynomial disagrees with |T^F| at {lam}")
+            raise ExactnessError(f"torus order polynomial disagrees with |T^F| at {lam}")
         out.append(
             TorusRecord(
                 partition=lam,
@@ -221,7 +222,7 @@ def general_position_count(partition: tuple[int, ...], q: int,
     c = cycle_centralizer_order(partition)
     actions = _weyl_centralizer_elements(partition)
     if len(actions) != c:
-        raise RuntimeError("wreath centralizer enumeration has the wrong order")
+        raise ExactnessError("wreath centralizer enumeration has the wrong order")
     moduli = [q**p - 1 for p in partition]
     free = 0
     for chars in itertools.product(*[range(m) for m in moduli]):
@@ -238,11 +239,11 @@ def general_position_count(partition: tuple[int, ...], q: int,
         if not stabilized:
             free += 1
     if free % c != 0:
-        raise RuntimeError("free characters not divisible by the centralizer order")
+        raise ExactnessError("free characters not divisible by the centralizer order")
     orbits = free // c
     expected = _regular_element_count(partition, q, cap) // c
     if orbits != expected:
-        raise RuntimeError(
+        raise ExactnessError(
             f"general-position orbit count {orbits} != regular class count "
             f"{expected} at lambda={partition}, q={q}"
         )
@@ -266,11 +267,7 @@ def gl3_zero_ratio_ratfunc() -> RatFunc:
 
 def gln_zero_ratio_formula(n: int, q: int) -> Fraction:
     """Evaluate the closed-form zero-density expression (n = 2 or 3 only)."""
-    if n == 2:
-        return gl2_zero_ratio_ratfunc().evaluate(q)
-    if n == 3:
-        return gl3_zero_ratio_ratfunc().evaluate(q)
-    raise ValueError("closed-form zero ratios are available for n = 2 and 3 only")
+    return gln_zero_ratio_ratfunc(n).evaluate(q)
 
 
 def gln_zero_ratio_ratfunc(n: int) -> RatFunc:

@@ -48,7 +48,6 @@ from .matgroup import (
     mat_identity,
     mat_mul,
     orbit_labels,
-    rref,
 )
 from .weyl import partitions, sum_inv_c_sq_stream
 
@@ -108,26 +107,6 @@ def _is_nilpotent(F: Field, n: int, a: tuple[int, ...]) -> bool:
     return power == zero
 
 
-def _nilpotent_jordan_type(F: Field, n: int, a: tuple[int, ...]) -> tuple[int, ...]:
-    """Jordan block sizes of a nilpotent matrix, from ranks of powers."""
-    ranks = [n]
-    cur = mat_identity(n)
-    for _ in range(n):
-        cur = mat_mul(F, n, cur, a)
-        rows = [list(cur[i * n : (i + 1) * n]) for i in range(n)]
-        ranks.append(len(rref(F, rows)[1]))
-    # number of blocks of size >= k is ranks[k-1] - ranks[k]
-    sizes = []
-    for k in range(1, n + 1):
-        count_ge_k = ranks[k - 1] - ranks[k]
-        sizes.append(count_ge_k)
-    jordan = []
-    for size in range(n, 0, -1):
-        mult = sizes[size - 1] - (sizes[size] if size < n else 0)
-        jordan.extend([size] * mult)
-    return tuple(jordan)
-
-
 # -- orbit table --------------------------------------------------------------
 
 
@@ -139,7 +118,6 @@ class OrbitRecord:
     is_regular_semisimple: bool
     cartan_partition: tuple[int, ...] | None
     semisimple_part_orbit: int
-    nilpotent_jordan_type: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -213,7 +191,6 @@ def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP) ->
                 is_regular_semisimple=rss,
                 cartan_partition=cartan,
                 semisimple_part_orbit=int(orbit_of[kernel.codes(kernel.digits([ys]))[0]]),
-                nilpotent_jordan_type=_nilpotent_jordan_type(field, n, yn),
             )
         )
 

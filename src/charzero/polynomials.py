@@ -147,9 +147,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
-
     def content(self) -> int:
         g = 0
         for c in self.coeffs:

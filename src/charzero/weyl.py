@@ -31,6 +31,7 @@ from math import factorial
 
 import numpy as np
 
+from .errors import ExactnessError
 from .matgroup import SortedKeys, closure_levels, orbit_labels
 from .polynomials import IntPoly
 
@@ -124,16 +125,16 @@ class WeylClassTable:
 def _check_table(t: WeylClassTable) -> WeylClassTable:
     total = sum(c.class_size for c in t.classes)
     if total != t.group_order:
-        raise RuntimeError(f"class sizes sum to {total}, not |W| = {t.group_order}")
+        raise ExactnessError(f"class sizes sum to {total}, not |W| = {t.group_order}")
     for c in t.classes:
         if c.class_size * c.centralizer_order != t.group_order:
-            raise RuntimeError(f"orbit-stabilizer failure at class {c.label}")
+            raise ExactnessError(f"orbit-stabilizer failure at class {c.label}")
         if c.char_poly.degree != t.lattice_rank or not c.char_poly.is_monic():
-            raise RuntimeError(f"torus polynomial of {c.label} is not monic of rank")
+            raise ExactnessError(f"torus polynomial of {c.label} is not monic of rank")
         if c.char_poly.evaluate(1) < 0:
-            raise RuntimeError(f"torus polynomial of {c.label} negative at 1")
+            raise ExactnessError(f"torus polynomial of {c.label} negative at 1")
     if t.sum_inv_c() != 1:
-        raise RuntimeError("sum of 1/centralizer over classes is not 1")
+        raise ExactnessError("sum of 1/centralizer over classes is not 1")
     return t
 
 
@@ -225,7 +226,7 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if an entry leaves the int8 range."""
     prod = np.matmul(a, b, dtype=np.int32)
     if prod.size and (prod.min() < -128 or prod.max() > 127):
-        raise RuntimeError("a Weyl group product has entries beyond the int8 range")
+        raise ExactnessError("a Weyl group product has entries beyond the int8 range")
     return prod.astype(np.int8)
 
 
@@ -245,7 +246,7 @@ def _simple_reflections(cartan: list[list[int]]) -> list[np.ndarray]:
         for j in range(r):
             m[i, j] = (1 if i == j else 0) - cartan[j][i]
         if not np.array_equal(_product(m, m), np.eye(r, dtype=np.int8)):
-            raise RuntimeError(f"simple reflection s_{i} is not an involution")
+            raise ExactnessError(f"simple reflection s_{i} is not an involution")
         mats.append(m)
     return mats
 
@@ -263,7 +264,7 @@ def charpoly_int(m: np.ndarray) -> IntPoly:
               for i in range(n)]
         trace = sum(mk[i][i] for i in range(n))
         if trace % k:
-            raise RuntimeError(f"Faddeev-LeVerrier trace {trace} is not divisible by {k}")
+            raise ExactnessError(f"Faddeev-LeVerrier trace {trace} is not divisible by {k}")
         coeffs[n - k] = -trace // k
         for i in range(n):
             mk[i][i] += coeffs[n - k]
@@ -286,7 +287,7 @@ def _table_exceptional(cartan_type: str) -> WeylClassTable:
                                                   right_products, _keys)))
     order = len(elements)
     if order != EXCEPTIONAL_ORDERS[cartan_type]:
-        raise RuntimeError(
+        raise ExactnessError(
             f"W({cartan_type}) closure has order {order}, "
             f"expected {EXCEPTIONAL_ORDERS[cartan_type]}"
         )

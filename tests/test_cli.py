@@ -61,8 +61,8 @@ def test_internal_failure_exits_one(capsys, monkeypatch):
 def test_corrupted_degree_exits_one(capsys, monkeypatch):
     from charzero import dixon
 
-    real = dixon._sqrt_mod  # every degree d comes out as d + 1
-    monkeypatch.setattr(dixon, "_sqrt_mod", lambda a, l: min(real(a, l), l - real(a, l)) + 1)
+    real = dixon._degrees  # every degree d comes out as d + 1
+    monkeypatch.setattr(dixon, "_degrees", lambda *args: real(*args) + 1)
     code, out, err = run_cli(["zero-density", "--group", "gl", "--n", "2", "--q", "3"], capsys)
     assert code == 1 and out == ""
     assert "internal check failed" in err and "degree bound" in err

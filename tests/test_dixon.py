@@ -10,7 +10,7 @@ from gl2_reference import gl2_reference
 from charzero.cyclotomic import CycInt
 from charzero.dixon import (
     CharacterTable,
-    _sqrt_mod,
+    _degrees,
     dixon_character_table,
     verify_orthogonality,
     zero_census,
@@ -160,14 +160,33 @@ def test_per_character_zero_counts(gl2_census):
     assert len(zc.per_character_zero_counts) == t.num_classes
 
 
-def test_orthogonality_primes_cover_the_coefficient_bound(gl2_census, gl3_census):
+def test_orthogonality_primes_cover_the_norm_bound(gl2_census, gl3_census, monkeypatch):
+    """Both routes run over the same primes, whose product exceeds
+    2 (sum_k |C_k| M^2 + |G|), M the largest sum of |coordinates|, and no
+    int64 dot product of residues overflows.  One prime covers every census
+    table; the table scaled by 2^24 (not orthogonal) needs several."""
     import charzero.dixon as dixon
 
-    for t, _ in list(gl2_census.values()) + list(gl3_census.values()):
-        primes = list(dixon._orthogonality_primes(t))
+    used, real = [], dixon._orthogonality_primes  # every prime each call would use
+    monkeypatch.setattr(dixon, "_orthogonality_primes",
+                        lambda t, need: used.append(list(real(t, need))) or iter(used[-1]))
+    tables = [t for t, _ in list(gl2_census.values()) + list(gl3_census.values())]
+    t = gl2_census[5][0]
+    tables.append(_with_values(t, [[v * (1 << 24) for v in row] for row in t.values]))
+    verdicts = []
+    for t in tables:
+        M = max(sum(map(abs, v.coeffs)) for row in t.values for v in row)
         width = max(t.num_classes, len(t.values[0][0].coeffs))
-        assert prod(primes) > 2 * (dixon._coefficient_bound(t) + t.group_order)
-        assert all(L % t.conductor == 1 and width * (L - 1) ** 2 < 2**63 for L in primes)
+        verdicts.append(verify_orthogonality(t))
+        with monkeypatch.context() as m:
+            m.setattr(dixon, "_galois_stable", lambda *args: False)
+            assert verify_orthogonality(t) == verdicts[-1]
+        one, every = used[-2:]
+        assert one == every
+        assert prod(one) > 2 * (sum(t.class_sizes) * M * M + t.group_order)
+        assert all(L % t.conductor == 1 and width * (L - 1) ** 2 < 2**63 for L in one)
+    assert verdicts == [True] * (len(tables) - 1) + [False]
+    assert len(used[-1]) > 1
 
 
 def test_orthogonality_without_enough_primes_is_an_internal_error(gl2_census, monkeypatch):
@@ -335,16 +354,22 @@ def test_trivial_and_abelian_groups():
 def test_a_corrupted_degree_fails_the_multiplicity_check(monkeypatch):
     import charzero.dixon as dixon
 
-    real = dixon._sqrt_mod  # every degree d comes out as d + 1
-    monkeypatch.setattr(dixon, "_sqrt_mod", lambda a, l: min(real(a, l), l - real(a, l)) + 1)
+    real = dixon._degrees  # every degree d comes out as d + 1
+    monkeypatch.setattr(dixon, "_degrees", lambda *args: real(*args) + 1)
     g = gl_group(2, 3)
     with pytest.raises(RuntimeError, match="failed the degree bound"):
         dixon_character_table(g, conjugacy_classes(g))
 
 
-def test_square_root_of_a_non_residue_is_an_internal_error():
-    with pytest.raises(RuntimeError, match="not a quadratic residue"):
-        _sqrt_mod(3, 7)
+def test_a_non_square_target_is_an_internal_error():
+    import numpy as np
+
+    # squares of 0..6 mod 17 are 0, 1, 4, 9, 16, 8, 2; 13 = 8^2 is a square
+    # mod 17, but its roots 8 and 9 exceed sqrt(48)
+    assert _degrees(np.array([0, 1, 4, 9, 16, 8, 2]), 48, 17).tolist() == list(range(7))
+    for target in (3, 13):
+        with pytest.raises(RuntimeError, match="has no root"):
+            _degrees(np.array([1, target]), 48, 17)
 
 
 @pytest.mark.parametrize("n,q,tau,built", [(2, 11, 120, 15), (3, 3, 24, 12)])
@@ -384,18 +409,26 @@ def test_the_split_builds_only_the_class_matrices_it_reads(n, q, tau, built, mon
 
 
 def _record_routes(monkeypatch):
-    """The verdicts each orthogonality route returns: {"one": [...], "all": [...]}."""
+    """The verdicts of each orthogonality route, {"one": [...], "all": [...]}:
+    "one" when `_galois_stable` chose the conjugate pair at 1, "all" when it
+    declined or was not asked."""
     import charzero.dixon as dixon
 
     verdicts = {"one": [], "all": []}
-    for key, name in (("one", "_one_embedding_orthogonal"), ("all", "_all_embeddings_orthogonal")):
-        real = getattr(dixon, name)
+    route = ["all"]
+    real_stable, real_check = dixon._galois_stable, dixon._embeddings_orthogonal
 
-        def recorded(*args, _real=real, _key=key):
-            verdicts[_key].append(_real(*args))
-            return verdicts[_key][-1]
+    def stable(*args):
+        route[0] = "one" if real_stable(*args) else "all"
+        return route[0] == "one"
 
-        monkeypatch.setattr(dixon, name, recorded)
+    def check(*args):
+        key, route[0] = route[0], "all"
+        verdicts[key].append(real_check(*args))
+        return verdicts[key][-1]
+
+    monkeypatch.setattr(dixon, "_galois_stable", stable)
+    monkeypatch.setattr(dixon, "_embeddings_orthogonal", check)
     return verdicts
 
 
