@@ -1,6 +1,7 @@
 """GL_n(F_q) structure theory: maximal tori by partition, regular-element
 counts, regular-semisimple class counts, general-position character counts,
-and the closed-form zero-density expressions for GL_2 and GL_3.
+the closed-form zero-density expressions for GL_2 and GL_3, and the exact
+GL_2 zero count for every q.
 
 Torus enumeration is pure exponent arithmetic: T_lambda^F is realized as
 prod_i F_{q^{lambda_i}}^x inside the cyclic group F_{q^L}^x (L = lcm of the
@@ -22,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+from .cyclotomic import euler_phi
 from .errors import ExactnessError
 from .ffield import fq_poly_is_squarefree, is_prime_power
 from .matgroup import conjugacy_classes, gl_group, mat_charpoly
@@ -276,3 +278,54 @@ def gln_zero_ratio_ratfunc(n: int) -> RatFunc:
     if n == 3:
         return gl3_zero_ratio_ratfunc()
     raise ValueError("closed-form zero ratios are available for n = 2 and 3 only")
+
+
+def _order_two_pairs(m: int) -> int:
+    """#{(psi, x) : psi(x) = -1} over the characters psi and elements x of a
+    cyclic group of order m.  An x of order d takes each d-th root of unity
+    under m/d characters, and -1 is one of them only for even d, so the count
+    is sum_{d | m, d even} phi(d) m/d = m S(m)."""
+    return sum(euler_phi(d) * (m // d) for d in range(2, m + 1, 2) if m % d == 0)
+
+
+def gl2_zero_count(q: int) -> int:
+    """The number of zero entries in the character table of GL_2(F_q):
+
+        Z(q) = (q-1)^2 (q^2-2q+2)/2 + (q-1)^3/4 S(q-1) + (q-1)(q^2-1)/4 S(q+1),
+
+    where S(N) = sum_{d | N, d even} phi(d)/d.
+
+    Derivation, over the textbook families (q^2 - 1 classes: q - 1 central,
+    q - 1 non-semisimple, (q-1)(q-2)/2 split {a, b}, q(q-1)/2 elliptic
+    {t, t^q}).  The q - 1 linear characters never vanish.  The q - 1
+    Steinberg twists vanish exactly on the q - 1 non-semisimple classes.  A
+    principal series character {theta_1, theta_2} (degree q + 1) vanishes on
+    every elliptic class, and a cuspidal character phi (degree q - 1) on
+    every split class; these give (q-1)^2 + q(q-1)^2(q-2)/2, the first term.
+    No other value is forced to vanish: on central and non-semisimple
+    classes, and for the linear and Steinberg characters on semisimple ones,
+    every value is a root of unity times a nonzero integer.  The remaining
+    zeros are sums of two roots of unity that cancel:
+
+    - principal series on a split class: theta_1(a) theta_2(b) +
+      theta_1(b) theta_2(a) = 0 iff psi(x) = -1 for psi = theta_1/theta_2
+      and x = a/b in the cyclic group F_q^x of order q - 1.  Each (psi, x)
+      with psi(x) = -1 comes from (q-1)^2 choices of (theta_2, b) and each
+      unordered pair of pairs from 4 ordered ones, giving
+      (q-1)^2/4 (q-1) S(q-1);
+    - cuspidal on an elliptic class: -(phi(t) + phi(t^q)) = 0 iff
+      psi(u) = -1 for u = t^(q-1) and psi = phi restricted to the norm-one
+      group of order q + 1, onto which t -> t^(q-1) maps with kernel F_q^x.
+      Again (q-1)^2 choices lie over each (psi, u) and 4 ordered pairs over
+      each unordered one, giving (q-1)^2/4 (q+1) S(q+1).
+
+    Both extra terms need psi(x) = -1, an element of order 2 in the image
+    of a character, so they vanish when the cyclic group has odd order: S(N)
+    = 0 for odd N, which is why the extra terms are absent for even q.  N S(N)
+    is counted by `_order_two_pairs`, so Z(q) is computed in integers."""
+    if is_prime_power(q) is None:
+        raise ValueError(f"q = {q} is not a prime power")
+    extra = (q - 1) ** 2 * (_order_two_pairs(q - 1) + _order_two_pairs(q + 1))
+    if extra % 4:
+        raise ExactnessError(f"the cancelling pairs of GL_2(F_{q}) do not come in fours")
+    return (q - 1) ** 2 * (q * q - 2 * q + 2) // 2 + extra // 4

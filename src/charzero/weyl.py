@@ -5,10 +5,18 @@ of rank+1; types B/C are pairs of partitions (positive / negative cycles);
 type D restricts to an even number of negative cycles, with the classes
 whose cycles are all positive and even split in two.  G2, F4 and E6 are
 enumerated as integer matrix groups generated by the simple reflections in
-the root basis, as int8 stacks a breadth-first level at a time, with every
-product checked to stay in the int8 range; their classes are the
-`orbit_labels` of conjugation by the reflections (E7/E8 are rejected: their
-orders exceed the desk budget).
+the root basis, as int8 stacks a breadth-first level at a time; their
+classes are the `orbit_labels` of conjugation by the reflections (E7/E8 are
+rejected: their orders exceed the desk budget).
+
+A simple reflection is s_i = Id + e_i a_i^T, so a right product
+w s_i = w + w[:, i] a_i^T and a conjugate s_i w s_i are rank-one updates,
+formed in a wider integer type and checked to stay in the int8 range.  An
+element w is keyed by one int64, the image w(rho) of the integer vector rho
+(<rho, alpha_i^vee> = 1 for every simple coroot) packed as balanced digits.
+rho is regular, so its stabiliser in W is trivial and w -> w(rho) is
+injective; the closure keeps one element per key, so any collision would
+merge two elements and show as a closure smaller than |W|, which is checked.
 
 The characteristic polynomial det(q*Id - w) attached to each class is the
 order polynomial of the corresponding twisted maximal torus (computed by
@@ -19,7 +27,9 @@ reflection lattice.
 The streaming sums of 1/|centralizer|^k stay exact up to rank 60 without
 materializing class records: each is a coefficient of, or a convolution of,
 generating series over partitions, one cached series per (power, base
-factor, sign, even parts only) serving every rank up to its length.
+factor, sign, even parts only) serving every rank up to its length.  The
+series are kept in integers, as sums of (class size)^k, so each sum read
+is one `Fraction` with denominator (b^n n!)^k for base factor b.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, lcm
 
 import numpy as np
 
@@ -221,19 +231,42 @@ _CARTAN = {
 }
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over stacks of int8 integer matrices, computed in int32; raises
-    if an entry leaves the int8 range."""
-    prod = np.matmul(a, b, dtype=np.int32)
-    if prod.size and (prod.min() < -128 or prod.max() > 127):
+def _narrow(wide: np.ndarray) -> np.ndarray:
+    """The int8 copy of an integer array; raises if an entry leaves the
+    int8 range."""
+    if wide.size and (wide.min() < -128 or wide.max() > 127):
         raise ExactnessError("a Weyl group product has entries beyond the int8 range")
-    return prod.astype(np.int8)
+    return wide.astype(np.int8)
 
 
-def _keys(mats: np.ndarray) -> np.ndarray:
-    """One sortable key per matrix of an (N, r, r) int8 stack: its bytes."""
-    rows = np.ascontiguousarray(mats).reshape(len(mats), -1)
-    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+def _times_reflection(w: np.ndarray, i: int, a: np.ndarray) -> np.ndarray:
+    """w s_i over an int8 stack, for s_i = Id + e_i a^T: the rank-one update
+    w + w[:, i] a^T, which changes only the columns where a is nonzero.  Each
+    new column is formed in int16, exact for int8 entries."""
+    out = w.copy()
+    pivot = w[:, :, i].astype(np.int16)
+    for j in np.flatnonzero(a):
+        out[:, :, j] = _narrow(w[:, :, j] + pivot * a[j])
+    return out
+
+
+def _conjugate_by_reflection(w: np.ndarray, i: int, a: np.ndarray) -> np.ndarray:
+    """s_i w s_i over an int8 stack: u = w s_i, then s_i u = u + e_i (a^T u),
+    which changes only row i; the row is summed in int32."""
+    out = _times_reflection(w, i, a)
+    row = out[:, i].astype(np.int32)
+    for j in np.flatnonzero(a):
+        row += out[:, j] * np.int32(a[j])
+    out[:, i] = _narrow(row)
+    return out
+
+
+def _reflection_row(s: np.ndarray, i: int) -> np.ndarray:
+    """The a with s = Id + e_i a^T for a simple reflection s, which differs
+    from the identity in row i only, in int16."""
+    a = s[i].astype(np.int16)
+    a[i] -= 1
+    return a
 
 
 def _simple_reflections(cartan: list[list[int]]) -> list[np.ndarray]:
@@ -245,10 +278,59 @@ def _simple_reflections(cartan: list[list[int]]) -> list[np.ndarray]:
         m = np.eye(r, dtype=np.int8)
         for j in range(r):
             m[i, j] = (1 if i == j else 0) - cartan[j][i]
-        if not np.array_equal(_product(m, m), np.eye(r, dtype=np.int8)):
+        if not np.array_equal(_times_reflection(m[None], i, _reflection_row(m, i))[0],
+                              np.eye(r, dtype=np.int8)):
             raise ExactnessError(f"simple reflection s_{i} is not an involution")
         mats.append(m)
     return mats
+
+
+def _regular_vector(cartan: list[list[int]]) -> tuple[int, ...]:
+    """rho in root coordinates, scaled to integers: the solution of
+    <rho, alpha_i^vee> = sum_j rho_j cartan[j][i] = 1 for every i, by exact
+    Gauss-Jordan elimination.  rho pairs positively with every simple coroot,
+    so it lies inside the fundamental chamber and its stabiliser in W is
+    trivial."""
+    r = len(cartan)
+    rows = [[Fraction(cartan[j][i]) for j in range(r)] + [Fraction(1)] for i in range(r)]
+    for c in range(r):
+        pivot = next((k for k in range(c, r) if rows[k][c]), None)
+        if pivot is None:
+            raise ExactnessError("the Cartan matrix is singular")
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for k in range(r):
+            if k != c and (f := rows[k][c]):
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[c])]
+    rho = [row[-1] for row in rows]
+    scale = lcm(*(x.denominator for x in rho))
+    return tuple(int(x * scale) for x in rho)
+
+
+def _key_radix(v: tuple[int, ...]) -> int:
+    """The radix whose balanced digits pack w(v) into one int64.
+
+    For dominant v every coordinate of w(v) lies in [-max v, max v] (v - w(v)
+    and w(v) - w_0(v) are sums of positive roots), so the balanced digits in
+    radix 2 max(v) + 1 are injective on the orbit W v."""
+    radix = 2 * max(abs(x) for x in v) + 1
+    if radix ** len(v) >= 2**63:
+        raise ExactnessError("the Weyl group keys do not fit in int64")
+    return radix
+
+
+def _keys(mats: np.ndarray, v: np.ndarray, radix: int) -> np.ndarray:
+    """One int64 key per matrix of an (N, r, r) integer stack: the image
+    w(v), summed column by column in int64, read as balanced digits in
+    `radix`."""
+    image = np.zeros(mats.shape[:2], dtype=np.int64)
+    for col, x in zip(np.moveaxis(mats, 2, 0), v):
+        image += col * x
+    key = image[:, -1].copy()
+    for digit in image[:, -2::-1].T:
+        key *= radix
+        key += digit
+    return key
 
 
 def charpoly_int(m: np.ndarray) -> IntPoly:
@@ -278,24 +360,32 @@ def _table_exceptional(cartan_type: str) -> WeylClassTable:
     least element index."""
     cartan = _CARTAN[cartan_type]
     rank = len(cartan)
-    gens = _simple_reflections(cartan)
+    rows = [_reflection_row(g, i) for i, g in enumerate(_simple_reflections(cartan))]
+    v = _regular_vector(cartan)
+    radix = _key_radix(v)
+    v = np.array(v, dtype=np.int64)
+
+    def keys(stack: np.ndarray) -> np.ndarray:
+        return _keys(stack, v, radix)
 
     def right_products(level: np.ndarray) -> np.ndarray:
-        return _product(level[None], np.stack(gens)[:, None]).reshape(-1, rank, rank)
+        return np.concatenate([_times_reflection(level, i, a) for i, a in enumerate(rows)])
 
     elements = np.concatenate(list(closure_levels(np.eye(rank, dtype=np.int8)[None],
-                                                  right_products, _keys)))
+                                                  right_products, keys)))
     order = len(elements)
+    # distinct elements carry distinct keys here, so a key shared by two
+    # elements of W would merge them and shrink the closure
     if order != EXCEPTIONAL_ORDERS[cartan_type]:
         raise ExactnessError(
             f"W({cartan_type}) closure has order {order}, "
             f"expected {EXCEPTIONAL_ORDERS[cartan_type]}"
         )
-    keys = SortedKeys(_keys(elements))
-    # each generator is an involution, so g w g is the conjugate
-    conjugations = [keys.index_of(_keys(_product(_product(g, elements), g)),
-                                  f"W({cartan_type}) is not closed under conjugation")
-                    for g in gens]
+    index = SortedKeys(keys(elements))
+    # each generator is an involution, so s_i w s_i is the conjugate
+    conjugations = [index.index_of(keys(_conjugate_by_reflection(elements, i, a)),
+                                   f"W({cartan_type}) is not closed under conjugation")
+                    for i, a in enumerate(rows)]
     reps, class_of = orbit_labels(order, conjugations)
     sizes = np.bincount(class_of).tolist()
     classes = [WeylClass(f"c{cls}", size, order // size, charpoly_int(elements[rep]))
@@ -356,35 +446,47 @@ def torus_order_poly(t: WeylClassTable, label: str) -> IntPoly:
 # -- streaming sums (no table materialization) -------------------------------
 
 
-# (power, base factor, sign, even parts only) -> the series to the longest
-# order asked for so far; no coefficient depends on the truncation order
-_SERIES: dict[tuple[int, int, int, bool], tuple[Fraction, ...]] = {}
+# (power, base factor, sign, even parts only) -> the integer series to the
+# longest order asked for so far; no coefficient depends on the truncation order
+_SERIES: dict[tuple[int, int, int, bool], tuple[int, ...]] = {}
 
 
 def _zsum_series(n: int, power: int, base_factor: int, sign: int,
-                 even_parts_only: bool) -> tuple[Fraction, ...]:
-    """Power series, to x^n at least, of
-    prod_i sum_m (sign^m x^{im}) / ((base*i)^m m!)^power, whose x^j
-    coefficient is a centralizer-reciprocal sum over partitions of j."""
+                 even_parts_only: bool) -> tuple[int, ...]:
+    """The integers T_d = (b^d d!)^k S_d for d <= n at least, where b is the
+    base factor, k the power and S_d the x^d coefficient of
+    prod_i sum_m (sign^m x^{im}) / ((b*i)^m m!)^k over the parts i (even ones
+    only when asked).  S_d is a centralizer-reciprocal sum over partitions
+    lam of d, so T_d is the sum of sign^len(lam) (b^(d - len(lam)) d!/z_lam)^k:
+    a sum of (class size)^k, an integer.
+
+    Multiplying S by the factor of part i becomes, on T,
+    T_d += sum_{m>=1} sign^m (b^{m(i-1)} C(d, im) (im)!/(i^m m!))^k T_{d-im},
+    where C(d, im) (im)!/(i^m m!) counts the ways to choose m disjoint
+    i-cycles among d points."""
     key = (power, base_factor, sign, even_parts_only)
     cached = _SERIES.get(key)
     if cached is not None and len(cached) > n:
         return cached
-    series = [Fraction(1)] + [Fraction(0)] * n
+    binomials = [[comb(d, j) ** power for j in range(d + 1)] for d in range(n + 1)]
+    series = [1] + [0] * n
     step = 2 if even_parts_only else 1
     for i in range(step, n + 1, step):
-        terms = [Fraction(sign**m, ((base_factor * i) ** m * factorial(m)) ** power)
-                 for m in range(n // i + 1)]
+        cycles = [sign**m * (base_factor ** (m * (i - 1)) * factorial(i * m)
+                             // (i**m * factorial(m))) ** power
+                  for m in range(n // i + 1)]
         # multiply in place, top down, so every coefficient read is still old
         for d in range(n, i - 1, -1):
-            series[d] += sum(terms[m] * series[d - i * m] for m in range(1, d // i + 1))
+            row = binomials[d]
+            series[d] += sum(row[i * m] * cycles[m] * series[d - i * m]
+                             for m in range(1, d // i + 1))
     _SERIES[key] = cached = tuple(series)
     return cached
 
 
 def _sym_inv_pows(n: int, power: int) -> Fraction:
     """sum over partitions of n of 1/(prod i^m_i m_i!)^power."""
-    return _zsum_series(n, power, 1, 1, False)[n]
+    return Fraction(_zsum_series(n, power, 1, 1, False)[n], factorial(n) ** power)
 
 
 def _sum_inv_c_pow_stream(cartan_type: str, rank: int, k: int) -> Fraction:
@@ -394,22 +496,26 @@ def _sum_inv_c_pow_stream(cartan_type: str, rank: int, k: int) -> Fraction:
     the same sum signed by (-1)^(number of parts), a B/C class is a pair of
     partitions (lam, mu) of j and rank - j, so the sum is the x^rank
     coefficient of S*S; type D keeps the mu with evenly many parts, whose
-    sum is (s + a)/2."""
+    sum is (s + a)/2.  The code holds the integers (2^j j!)^k s_j and
+    (2^j j!)^k a_j from `_zsum_series`; as (2^r r!)^k / (2^j j! 2^(r-j) (r-j)!)^k
+    = C(r, j)^k, each sum is one integer over (2^rank rank!)^k."""
     cartan_type = cartan_type.upper()
     if cartan_type == "A":
         return _sym_inv_pows(rank + 1, k)
     if cartan_type not in ("B", "C", "D"):
         raise ValueError(f"streaming sums support classical types only, not {cartan_type!r}")
     s = _zsum_series(rank, k, 2, 1, False)
+    denominator = (2**rank * factorial(rank)) ** k
     if cartan_type in ("B", "C"):
-        return sum((s[j] * s[rank - j] for j in range(rank + 1)), Fraction(0))
+        return Fraction(sum(comb(rank, j) ** k * s[j] * s[rank - j] for j in range(rank + 1)),
+                        denominator)
     a = _zsum_series(rank, k, 2, -1, False)
-    base = sum((s[j] * (s[rank - j] + a[rank - j]) for j in range(rank + 1)),
-               Fraction(0)) / 2
+    base = sum(comb(rank, j) ** k * s[j] * (s[rank - j] + a[rank - j])
+               for j in range(rank + 1))
     # split classes: mu empty, lam all even; odd ranks have none
-    even = _zsum_series(rank, k, 2, 1, True)[rank] if rank % 2 == 0 else Fraction(0)
+    even = _zsum_series(rank, k, 2, 1, True)[rank] if rank % 2 == 0 else 0
     # non-split classes contribute (2/c_B)^k, every split pair 2/c_B^k
-    return 2**k * base - (2**k - 2) * even
+    return Fraction(2**k * base - 2 * (2**k - 2) * even, 2 * denominator)
 
 
 def sum_inv_c_sq_stream(cartan_type: str, rank: int) -> Fraction:

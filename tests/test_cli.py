@@ -398,3 +398,16 @@ def test_char_table_gl2_f13_output_is_pinned(tmp_path):
             digest.update(block)
     assert digest.hexdigest() == (
         "a23e73a00b4b8ff746d83bd2941b8dd98a19dd6fe4c4020844015c01e7b254e1")
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("weyl-stats --type E6 --rank 6",
+     "129790da9bfc9133b5a860d372e347e69c939939a5c0cd99efbbc11553024ea0"),
+    ("weyl-stats --type F4 --rank 4",
+     "8711dd8a7b1ef0b4d9859a15f8de2e9b7b24c6274a159e5f65afe6fb60592367"),
+])
+def test_exceptional_weyl_stats_stdout_is_pinned(argv, digest, capsys):
+    # pins the class order, labels and torus polynomials of the enumeration
+    code, out, _ = run_cli(argv.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,7 +1,10 @@
+import itertools
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
+from gl2_reference import gl2_reference
 
 import charzero.gln as G
 from charzero.gln import (
@@ -9,11 +12,14 @@ from charzero.gln import (
     brute_regular_ss_class_count,
     class_count_poly,
     general_position_count,
+    gl2_zero_count,
     gln_zero_ratio_formula,
     gln_zero_ratio_ratfunc,
     regular_ss_class_count,
     torus_inventory,
 )
+from charzero.dixon import dixon_character_table, zero_census
+from charzero.ffield import is_prime_power
 from charzero.matgroup import conjugacy_classes, gl_group
 from charzero.polynomials import IntPoly, fit_integer_poly, limit_at_infinity
 from charzero.weyl import partitions
@@ -128,3 +134,58 @@ def test_formula_values():
 def test_formula_limits():
     assert limit_at_infinity(gln_zero_ratio_ratfunc(2)) == Fraction(1, 2)
     assert limit_at_infinity(gln_zero_ratio_ratfunc(3)) == Fraction(11, 18)
+
+
+# -- the exact GL_2 zero count -------------------------------------------------
+
+PRIME_POWERS_TO_64 = [q for q in range(2, 65) if is_prime_power(q) is not None]
+
+
+def _slow_above(bound, qs):
+    return [pytest.param(q, marks=pytest.mark.slow) if q > bound else q for q in qs]
+
+
+def _cancellation_count(q):
+    """GL_2(F_q) zeros enumerated over the textbook parametrization, with the
+    rule that zeta_n^e1 + zeta_n^e2 = 0 iff e1 - e2 = n/2 mod n: a principal
+    series {j1, j2} on a split class {a, b} sums exponents differing by
+    (j1 - j2)(a - b) mod q - 1, a cuspidal j on an elliptic class k by
+    jk(q - 1) mod q^2 - 1."""
+    n1, n2 = q - 1, q * q - 1
+    split = np.array([a - b for a, b in itertools.combinations(range(n1), 2)], dtype=np.int64)
+    elliptic = np.array(sorted({min(k, k * q % n2) for k in range(n2) if k % (q + 1)}),
+                        dtype=np.int64)
+    cuspidal = elliptic  # j ~ jq indexes the cuspidal characters the same way
+    zeros = n1 * n1 + 2 * len(split) * len(elliptic)  # Steinberg, then the forced zeros
+    if n1 % 2 == 0:
+        zeros += sum(int(np.count_nonzero(d * split % n1 == n1 // 2)) for d in split)
+        zeros += sum(int(np.count_nonzero(j * (q - 1) * elliptic % n2 == n2 // 2))
+                     for j in cuspidal)
+    return zeros
+
+
+@pytest.mark.parametrize("q", _slow_above(16, [q for q in PRIME_POWERS_TO_64 if q <= 32]))
+def test_gl2_zero_count_matches_the_classical_parametrization(q):
+    assert gl2_zero_count(q) == gl2_reference(q).zero_count
+
+
+@pytest.mark.parametrize("q", _slow_above(11, [q for q in PRIME_POWERS_TO_64 if q <= 16]))
+def test_gl2_zero_count_matches_the_dixon_census(q):
+    g = gl_group(2, q)
+    census = zero_census(dixon_character_table(g, conjugacy_classes(g)))
+    assert gl2_zero_count(q) == census.zero_entries
+
+
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS_TO_64 if q <= 16])
+def test_the_cancellation_rule_reproduces_the_classical_parametrization(q):
+    assert _cancellation_count(q) == gl2_reference(q).zero_count
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
+def test_gl2_zero_count_matches_the_cancellation_rule(q):
+    assert gl2_zero_count(q) == _cancellation_count(q)
+
+
+def test_gl2_zero_count_refuses_a_non_prime_power():
+    with pytest.raises(ValueError, match="prime power"):
+        gl2_zero_count(6)

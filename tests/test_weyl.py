@@ -1,7 +1,7 @@
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from orbit_reference import closure, orbit_partition
 
 import charzero.weyl as W
+from charzero.errors import ExactnessError
 from charzero.polynomials import IntPoly
 from charzero.weyl import (
     bbw_bound_check,
     charpoly_int,
     conjugacy_probability,
+    cycle_centralizer_order,
     partitions,
+    signed_cycle_factor,
     sum_inv_c_sq_stream,
     sum_inv_c_stream,
     torus_order_poly,
@@ -260,6 +263,40 @@ def test_series_cache_does_not_depend_on_request_order(monkeypatch):
     assert results[0][("B", 10)][0] == _reference_stream("B", 10, 2)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_integer_series_are_sums_of_class_sizes_over_partitions(k):
+    # T_j = (b^j j!)^k S_j is the sum over partitions of j of
+    # sign^parts (b^j j! / (b^parts z_lam))^k, rebuilt from the class formulas
+    n = 20
+    for j in range(n + 1):
+        lams = list(partitions(j))
+        assert W._zsum_series(n, k, 1, 1, False)[j] == sum(
+            (factorial(j) // cycle_centralizer_order(lam)) ** k for lam in lams)
+        order = 2**j * factorial(j)
+        sizes = [(order // signed_cycle_factor(lam)) ** k for lam in lams]
+        assert W._zsum_series(n, k, 2, 1, False)[j] == sum(sizes)
+        assert W._zsum_series(n, k, 2, -1, False)[j] == sum(
+            (-1) ** len(lam) * size for lam, size in zip(lams, sizes))
+        assert W._zsum_series(n, k, 2, 1, True)[j] == sum(
+            size for lam, size in zip(lams, sizes) if all(p % 2 == 0 for p in lam))
+
+
+def test_integer_series_count_the_group_at_power_one():
+    a = W._zsum_series(20, 1, 1, 1, False)
+    b = W._zsum_series(20, 1, 2, 1, False)
+    for j in range(21):
+        assert a[j] == factorial(j)
+        # the classes of W(B_j) are pairs of partitions, one per sign class
+        assert sum(comb(j, i) * b[i] * b[j - i] for i in range(j + 1)) == 2**j * factorial(j)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("ct", ["A", "B", "D"])
+def test_rank_60_streaming_sums_match_the_per_j_definition(ct, k):
+    assert W._sum_inv_c_pow_stream(ct, 60, k) == _reference_stream(ct, 60, k)
+
+
 # -- reference for charpoly_int: Leibniz expansion ---------------------------
 
 
@@ -348,3 +385,23 @@ def test_int8_overflow_is_refused(monkeypatch):
     monkeypatch.setitem(W._CARTAN, "G2", [[2, -100], [-100, 2]])
     with pytest.raises(RuntimeError, match="int8"):
         W._table_exceptional("G2")
+
+
+@pytest.mark.parametrize("cartan_type", ["G2", "F4", "E6"])
+def test_the_key_vector_pairs_to_one_with_every_simple_coroot(cartan_type):
+    # s_i rho = rho - alpha_i: rho is inside the fundamental chamber
+    rho = np.array(W._regular_vector(W._CARTAN[cartan_type]))
+    for i, s in enumerate(W._simple_reflections(W._CARTAN[cartan_type])):
+        assert np.array_equal(s.astype(np.int64) @ rho, rho - np.eye(len(rho), dtype=int)[i])
+
+
+@pytest.mark.parametrize("cartan_type", ["G2", "F4", "E6"])
+def test_a_non_regular_key_vector_is_caught_by_the_order_check(cartan_type, monkeypatch):
+    cartan = W._CARTAN[cartan_type]
+    rho = np.array(W._regular_vector(cartan))
+    s0 = W._simple_reflections(cartan)[0].astype(np.int64)
+    fixed = rho + s0 @ rho  # fixed by s_0, so orthogonal to the root alpha_0
+    assert np.array_equal(s0 @ fixed, fixed) and fixed.any()
+    monkeypatch.setattr(W, "_regular_vector", lambda cartan: tuple(fixed.tolist()))
+    with pytest.raises(ExactnessError, match="closure has order"):
+        W._table_exceptional(cartan_type)
