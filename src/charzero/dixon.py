@@ -5,17 +5,26 @@ The table is computed modulo a prime l = 1 (mod m) with l > 2*sqrt(|G|)
 Following Schneider, a class matrix is built only when the eigen-split
 reads it, and the split stops once every eigenspace has dimension one:
 GL_2(F_11) builds 15 of its 120 class matrices and GL_2(F_16) 5 of 255, so
-no tau x tau x tau coefficient tensor exists.  Each degree d is the one
+no tau x tau x tau coefficient tensor exists.  Within one space, every
+simple eigenvalue's line comes from one Krylov sequence of the all-ones row
+(`_eigenspaces`): the class algebra mod l is split semisimple, so the line
+is spanned by that row times m(R) / (x - lambda), m the product of the
+distinct eigenvalue factors.  Each such row is kept only after the exact
+check u R = lambda u; a repeated eigenvalue, or a row that the check
+rejects or that comes out zero, takes one nullspace.  GL_2(F_11) computes 6
+nullspaces instead of one per eigenvalue (126).  Each degree d is the one
 root of d^2 (mod l) in 0..sqrt(|G|), found by search; l > 2*sqrt(|G|) makes
 it unique.  The table is then lifted to Z[zeta_m]: for each class the
 eigenvalue multiplicities of a representative are recovered by discrete
 Fourier inversion over the power map; each multiplicity is a true integer
 in [0, degree] < l, so the lift is unambiguous and the resulting values are
 exact cyclotomic integers.  The multiplicities depend only on a character's
-column of power-map values, so each distinct column is inverted once per
-class, and the finished table holds one CycInt per distinct value: equal
-entries are the same object.  Zero detection afterwards is the canonical
-coordinate test - no tolerance appears anywhere.
+column of power-map values and the element order d, so the columns of all
+classes of order d are inverted together, each distinct column once
+(GL_2(F_11): 619 of 4 964), and the finished table holds one CycInt per
+distinct value: equal entries are the same object.  Zero detection
+afterwards is the canonical coordinate test - no tolerance appears
+anywhere.
 
 Orthogonality is checked independently, from the lifted integer coordinates
 only, by embeddings of Z[zeta_m] into F_L for primes L = 1 (mod m).  When
@@ -39,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -59,29 +68,32 @@ def _mod_inv(a: int, l: int) -> int:
 
 
 def _mod_rref(M: np.ndarray, l: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod l and its pivot columns.  Each pivot
-    clears its column with one masked rank-1 update; residues are < l <=
-    10^7, so the products stay inside int64."""
+    """Reduced row echelon form mod l and its pivot columns.  The next pivot
+    column is found by one scan of the block not yet reduced, M[r:, c:], and
+    the reduction stops once that block is zero; each pivot clears its
+    column with one masked rank-1 update on columns c:, the only ones where
+    the pivot row is nonzero.  Residues are < l <= 10^7, so the products
+    stay inside int64."""
     M = M % l
     rows, cols = M.shape
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
+    r = c = 0
+    while r < rows and c < cols:
+        live = np.flatnonzero(M[r:, c:].any(axis=0))
+        if live.size == 0:
             break
-        nz = np.flatnonzero(M[r:, c])
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
+        c += int(live[0])
+        piv = r + int(np.flatnonzero(M[r:, c])[0])
         if piv != r:
             M[[r, piv]] = M[[piv, r]]
-        M[r] = M[r] * _mod_inv(M[r, c], l) % l
+        M[r, c:] = M[r, c:] * _mod_inv(M[r, c], l) % l
         f = M[:, c].copy()
         f[r] = 0
         hit = np.flatnonzero(f)
-        M[hit] = (M[hit] - f[hit, None] * M[r]) % l
+        M[hit, c:] = (M[hit, c:] - f[hit, None] * M[r, c:]) % l
         pivots.append(c)
         r += 1
+        c += 1
     return M[:r], pivots
 
 
@@ -146,6 +158,44 @@ def _mod_poly_roots(coeffs: list[int], l: int) -> list[int]:
     for c in reversed(coeffs):
         acc = (acc * xs + c) % l
     return sorted(int(x) for x in np.nonzero(acc == 0)[0])
+
+
+def _eigenspaces(R: np.ndarray, l: int) -> list[tuple[int, np.ndarray]]:
+    """For each root lambda of the characteristic polynomial p of R mod l,
+    in increasing order, rows spanning {u : u R = lambda u (mod l)}.
+
+    A simple root (p'(lambda) != 0) has a one-dimensional space.  When R is
+    diagonalizable over F_l, as every restricted class matrix is (the class
+    algebra mod l is split semisimple), that space is spanned by
+    u = v q_lambda(R) for q_lambda = m / (x - lambda), m the product of
+    (x - mu) over the distinct roots mu, unless the start row v misses it
+    (then u = 0).  One Krylov block K[j] = v R^j (v the all-ones row) gives
+    every such u at once as Q K, Q the synthetic-division quotients.  A u is
+    kept only if it is nonzero and u R = lambda u holds exactly, so it spans
+    the space whatever R is; repeated roots and rejected rows take the
+    nullspace of (R - lambda)^T.  Every sum has at most tau <= 256 terms
+    below l^2 <= 10^14, so int64 holds it."""
+    p = _mod_charpoly(R, l)
+    roots = _mod_poly_roots(p, l)
+    k = len(roots)
+    lam = np.array(roots, dtype=np.int64)
+    slope = np.zeros(k, dtype=np.int64)  # p'(lambda), by Horner
+    for j in range(len(p) - 1, 0, -1):
+        slope = (slope * lam + j * p[j]) % l
+    m = np.ones(1, dtype=np.int64)  # prod (x - mu), lowest degree first
+    for mu in roots:
+        m = (np.append(0, m) - mu * np.append(m, 0)) % l
+    Q = np.zeros((k, k + 1), dtype=np.int64)  # Q[i, j]: coefficient of x^j in m / (x - roots[i])
+    for j in range(k, 0, -1):
+        Q[:, j - 1] = (m[j] + lam * Q[:, j]) % l
+    K = np.ones((k, R.shape[0]), dtype=np.int64)
+    for j in range(1, k):
+        K[j] = K[j - 1] @ R % l
+    U = Q[:, :k] @ K % l
+    kept = (slope != 0) & U.any(axis=1) & (U @ R % l == U * lam[:, None] % l).all(axis=1)
+    eye = np.eye(R.shape[0], dtype=np.int64)
+    return [(x, U[i : i + 1] if kept[i] else _mod_nullspace((R - x * eye).T % l, l))
+            for i, x in enumerate(roots)]
 
 
 def _degrees(targets: np.ndarray, order: int, l: int) -> np.ndarray:
@@ -286,13 +336,21 @@ def _class_matrices(group: GroupTable, cd: ClassData) -> Callable[[int], np.ndar
     return class_matrix
 
 
-def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a C-contiguous X in first-seen order, and the
-    index of each row of X among them.  Keyed on row bytes: `np.unique`
-    with axis=0 sorts the rows as void records, several times slower."""
+def _distinct_rows(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the blocks stacked in turn, in first-seen order,
+    and the index of each stacked row among them.  Keyed on row bytes one
+    block at a time, so the stack is never built; `np.unique` with axis=0
+    sorts the rows as void records, several times slower."""
     seen: dict[bytes, int] = {}
-    inverse = np.array([seen.setdefault(r.tobytes(), len(seen)) for r in X], dtype=np.int64)
-    return X[np.unique(inverse, return_index=True)[1]], inverse
+    rows: list[np.ndarray] = []
+    inverse: list[int] = []
+    for X in blocks:
+        for r in X:
+            i = seen.setdefault(r.tobytes(), len(rows))
+            if i == len(rows):
+                rows.append(r)
+            inverse.append(i)
+    return np.array(rows), np.array(inverse, dtype=np.int64)
 
 
 def _common_eigenrows(class_matrix: Callable[[int], np.ndarray], tau: int, l: int) -> np.ndarray:
@@ -313,15 +371,10 @@ def _common_eigenrows(class_matrix: Callable[[int], np.ndarray], tau: int, l: in
                 new_spaces.append(B)
                 continue
             R = (B @ Bi % l)[:, (B != 0).argmax(axis=1)]
-            roots = _mod_poly_roots(_mod_charpoly(R, l), l)
-            if len(roots) == 1:
-                new_spaces.append(B)
+            if np.array_equal(R, R[0, 0] * np.eye(len(R), dtype=np.int64)):
+                new_spaces.append(B)  # a diagonalizable R with one eigenvalue is scalar
                 continue
-            for lam in roots:
-                shifted = (R - lam * np.eye(R.shape[0], dtype=np.int64)) % l
-                C = _mod_nullspace(shifted.T, l)
-                if C.shape[0] == 0:
-                    continue
+            for _, C in _eigenspaces(R, l):
                 new_spaces.append(_mod_rref(C @ B % l, l)[0])
         spaces = new_spaces
     if any(s.shape[0] != 1 for s in spaces) or len(spaces) != tau:
@@ -361,29 +414,33 @@ def dixon_character_table(group: GroupTable, cd: ClassData) -> CharacterTable:
     phi = euler_phi(m)
     basis = np.array(_power_basis(m), dtype=np.int64)  # m x phi
 
-    coords: list[np.ndarray] = []  # per class: the coordinates of its distinct columns
-    column = np.empty((tau, tau), dtype=np.int64)  # row of chi_i(g_k) in vstack(coords)
+    by_order: dict[int, list[int]] = {}  # element order d -> the classes of that order
+    for k, d in enumerate(cd.rep_orders):
+        by_order.setdefault(d, []).append(k)
+    coords: list[np.ndarray] = []  # per order: the coordinates of its distinct columns
+    column = np.empty((tau, tau), dtype=np.int64)  # row of chi_i(g_k) in the stacked coords
     start = 0
-    for k in range(tau):
-        d = cd.rep_orders[k]
+    for d, ks in by_order.items():
         t = np.arange(d)
         zd_inv = _mod_inv(pow(z, m // d, l), l)
         # Vinv[t, j] = zd^(-t j) / d
         pw = np.array([pow(zd_inv, s, l) for s in range(d)], dtype=np.int64)
         Vinv = pw[np.outer(t, t) % d] * _mod_inv(d, l) % l
-        # characters with equal power-map columns have equal multiplicities
-        X, inv = _distinct_rows(mod_rows[:, cd.power_map[k]])
+        # the power-map columns of every character at every class of order d,
+        # class by class; equal columns have equal multiplicities
+        X, inv = _distinct_rows(mod_rows[:, cd.power_map[k]] for k in ks)
         MU = Vinv @ X.T % l  # multiplicities of zeta_d^t, exact in [0, degree]
-        if (MU.sum(axis=0)[inv] != degree_vec).any() or (MU.max(axis=0)[inv] > degree_vec).any():
+        degree_rows = np.tile(degree_vec, len(ks))
+        if (MU.sum(axis=0)[inv] != degree_rows).any() or (MU.max(axis=0)[inv] > degree_rows).any():
             raise ExactnessError(
                 "eigenvalue multiplicities failed the degree bound; "
                 "modular table is inconsistent"
             )
         # value = sum_t MU[t] * zeta_m^(t*m/d), already-canonical rows of `basis`
         coords.append(MU.T @ basis[t * (m // d) % m])
-        column[:, k] = start + inv
+        column[:, ks] = start + inv.reshape(len(ks), tau).T
         start += len(X)
-    D, entry = _distinct_rows(np.vstack(coords))
+    D, entry = _distinct_rows(coords)
     entry = entry[column]  # entry[i, k]: row of chi_i(g_k) in D
 
     # modular consistency: mapping zeta_m -> z must reproduce the mod-l table

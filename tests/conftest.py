@@ -25,3 +25,15 @@ def gl3_census():
         t = dixon_character_table(g, cd)
         out[q] = (t, zero_census(t))
     return out
+
+
+@pytest.fixture
+def nullspace_nullities(monkeypatch):
+    """The nullity of every `_mod_nullspace` call that `dixon` makes, in order."""
+    import charzero.dixon as dixon
+
+    nullities = []
+    real = dixon._mod_nullspace
+    monkeypatch.setattr(dixon, "_mod_nullspace",
+                        lambda M, l: nullities.append(len(real(M, l))) or real(M, l))
+    return nullities

@@ -408,6 +408,16 @@ def test_the_split_builds_only_the_class_matrices_it_reads(n, q, tau, built, mon
     assert len(products) == calls
 
 
+@pytest.mark.parametrize("q,nullspaces", [(11, 6), pytest.param(16, 4, marks=pytest.mark.slow)])
+def test_the_split_takes_a_nullspace_only_at_repeated_roots(q, nullspaces, nullspace_nullities):
+    """Simple eigenvalues are split off by one Krylov sequence per space; a
+    nullspace is computed only for a repeated root, whose space then has
+    dimension at least two (one per eigenvalue would be 126 at q = 11)."""
+    g = gl_group(2, q)
+    dixon_character_table(g, conjugacy_classes(g))
+    assert len(nullspace_nullities) == nullspaces and min(nullspace_nullities) >= 2
+
+
 def _record_routes(monkeypatch):
     """The verdicts of each orthogonality route, {"one": [...], "all": [...]}:
     "one" when `_galois_stable` chose the conjugate pair at 1, "all" when it

@@ -1,14 +1,16 @@
 """The whole-array modular elimination in `dixon` against the pivot-loop
 references: identical RREF and pivots, identical nullspace bases, and the
-kernel and rank-nullity properties, over small primes and Dixon-size ones."""
+kernel and rank-nullity properties, over small primes and Dixon-size ones;
+and the Krylov eigenspace split against one nullspace per root."""
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modular_reference import mod_nullspace, mod_rref
 
-from charzero.dixon import _mod_nullspace, _mod_rref
+from charzero.dixon import _eigenspaces, _mod_nullspace, _mod_rref
 
 # small primes, the Dixon primes of GL2(F16) and GL2(F11), and the largest
 # prime below the Dixon search bound 10^7
@@ -72,3 +74,133 @@ def test_nullspace_matches_the_pivot_loop_and_is_the_kernel(case):
     assert not (M @ N.T % l).any()
     rank = len(_mod_rref(M, l)[1])
     assert rank + N.shape[0] == M.shape[1]
+
+
+# -- the early exit of `_mod_rref` -------------------------------------------
+
+
+def _spread(cols: int, at: list[int], block: np.ndarray) -> np.ndarray:
+    """A matrix of `cols` columns, zero except for the columns of `block`
+    placed at the positions `at`."""
+    M = np.zeros((block.shape[0], cols), dtype=np.int64)
+    M[:, at] = block
+    return M
+
+
+_rng = np.random.default_rng(17)
+_L = 9_999_991  # the largest prime below the Dixon search bound
+
+
+def _near_bound(rows: int, cols: int) -> np.ndarray:
+    return _L - 1 - _rng.integers(0, 50, size=(rows, cols))
+
+
+_A = _near_bound(2, 6)
+ZERO_BLOCKS = {
+    "all-zero": (np.zeros((4, 6), dtype=np.int64), _L),
+    "zero-columns-around-pivots": (_spread(9, [2, 4, 7], _near_bound(3, 3)), _L),
+    "zero-columns-around-dependent-columns": (
+        _spread(8, [1, 3, 4, 6], _near_bound(4, 2) @ _near_bound(2, 4) % _L), _L),
+    "zero-trailing-block": (np.vstack([_A, _near_bound(3, 2) @ _A % _L]), _L),
+    "tall": (_spread(2, [1], _near_bound(7, 1)), 1021),
+    "wide": (_spread(11, [0, 5, 9, 10], _near_bound(2, 4) % 1321), 1321),
+    "single-row": (_spread(5, [3, 4], _near_bound(1, 2)), _L),
+    "single-zero-row": (np.zeros((1, 5), dtype=np.int64), 7),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_BLOCKS)
+def test_rref_stops_at_a_zero_block_and_matches_the_pivot_loop(name):
+    M, l = ZERO_BLOCKS[name]
+    R, pivots = _mod_rref(M, l)
+    R_ref, pivots_ref = mod_rref(M, l)
+    assert pivots == pivots_ref and np.array_equal(R, R_ref)
+    assert np.array_equal(_mod_nullspace(M, l), mod_nullspace(M, l))
+
+
+# -- eigenspaces from one Krylov sequence --------------------------------------
+
+
+def _inverse(P: np.ndarray, l: int) -> np.ndarray | None:
+    s = P.shape[0]
+    R, pivots = mod_rref(np.hstack([P, np.eye(s, dtype=np.int64)]), l)
+    return R[:, s:] if pivots == list(range(s)) else None
+
+
+def _conjugate(J: np.ndarray, P: np.ndarray, l: int) -> np.ndarray:
+    """P^-1 J P mod l; the rows of P are left eigenvectors when J is diagonal."""
+    return _inverse(P, l) @ J % l @ P % l
+
+
+def _assert_the_nullspace_answer(R: np.ndarray, l: int, roots: list[int]) -> None:
+    """`_eigenspaces` lists the roots in increasing order, and the space of each
+    equals {u : u R = lambda u} from the pivot-loop nullspace, after RREF."""
+    spaces = _eigenspaces(R, l)
+    assert [lam for lam, _ in spaces] == sorted(set(roots))
+    eye = np.eye(R.shape[0], dtype=np.int64)
+    for lam, C in spaces:
+        want = mod_rref(mod_nullspace((R - lam * eye).T % l, l), l)[0]
+        assert np.array_equal(mod_rref(C, l)[0], want), lam
+        assert not ((C @ R - lam * C) % l).any()
+
+
+@st.composite
+def triangularizable(draw):
+    """(R, l, eigenvalues): R = P^-1 J P mod l for an invertible P, with J
+    diagonal (eigenvalues repeated or not) or, when drawn, with one 2 x 2
+    Jordan block, so R is not diagonalizable."""
+    l = draw(st.sampled_from((7, 11, 101, 1021, 1321)))
+    s = draw(st.integers(1, 6))
+    eig = draw(st.lists(st.integers(0, l - 1), min_size=s, max_size=s))
+    J = np.diag(np.array(eig, dtype=np.int64))
+    if s >= 2 and draw(st.booleans()):
+        eig[1] = eig[0]
+        J[1, 1], J[0, 1] = eig[0], 1
+    flat = draw(st.lists(st.integers(0, l - 1), min_size=s * s, max_size=s * s))
+    P = np.array(flat, dtype=np.int64).reshape(s, s)
+    assume(_inverse(P, l) is not None)
+    return _conjugate(J, P, l), l, eig
+
+
+@settings(max_examples=300, deadline=None)
+@given(triangularizable())
+def test_eigenspaces_match_the_nullspace_route(case):
+    R, l, eig = case
+    _assert_the_nullspace_answer(R, l, eig)
+
+
+def test_simple_roots_take_no_nullspace_and_repeated_ones_do(nullspace_nullities):
+    l = 101
+    P = np.array([[1, 2, 0, 5], [0, 1, 3, 0], [4, 0, 1, 1], [2, 2, 2, 1]], dtype=np.int64)
+    _assert_the_nullspace_answer(_conjugate(np.diag([2, 5, 9, 40]), P, l), l, [2, 5, 9, 40])
+    assert nullspace_nullities == []
+    _assert_the_nullspace_answer(_conjugate(np.diag([2, 5, 5, 40]), P, l), l, [2, 5, 5, 40])
+    assert nullspace_nullities == [2]
+
+
+def test_a_start_row_that_misses_a_space_takes_the_fallback(nullspace_nullities):
+    # the rows of P are the eigenvectors; the all-ones row is (0, 1, 1) in
+    # that basis, so it has no part in the space of 2
+    l = 101
+    P = np.array([[1, 0, 0], [1, 1, 0], [0, 0, 1]], dtype=np.int64)
+    assert (np.ones(3, dtype=np.int64) @ _inverse(P, l) % l).tolist() == [0, 1, 1]
+    _assert_the_nullspace_answer(_conjugate(np.diag([2, 5, 9]), P, l), l, [2, 5, 9])
+    assert nullspace_nullities == [1]
+
+
+def test_a_jordan_block_gets_the_nullspace_answer_at_every_root(nullspace_nullities):
+    # R has the repeated root 3 with a one-dimensional space and the simple
+    # root 7; the Krylov row for 7, (1, 1, 1)(R - 3), is (0, 1, 4), which is
+    # not an eigenvector, so the exact check must send 7 to the nullspace
+    l = 101
+    R = np.array([[3, 1, 0], [0, 3, 0], [0, 0, 7]], dtype=np.int64)
+    u = np.ones(3, dtype=np.int64) @ (R - 3 * np.eye(3, dtype=np.int64)) % l
+    assert u.tolist() == [0, 1, 4] and ((u @ R - 7 * u) % l).any()
+    _assert_the_nullspace_answer(R, l, [3, 3, 7])
+    assert nullspace_nullities == [1, 1]
+    assert [C.tolist() for _, C in _eigenspaces(R, l)] == [[[0, 1, 0]], [[0, 0, 1]]]
+
+
+def test_a_characteristic_polynomial_without_roots_gives_no_spaces():
+    # x^2 + 1 has no root mod 7, so R has no eigenvector over F_7
+    assert _eigenspaces(np.array([[0, 6], [1, 0]], dtype=np.int64), 7) == []
