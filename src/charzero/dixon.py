@@ -287,12 +287,11 @@ class ZeroReport:
     per_character_zero_counts: tuple[int, ...]
 
     @staticmethod
-    def of_table(values: tuple[tuple[CycInt, ...], ...]) -> "ZeroReport":
-        """Census of the zero entries of a table of cyclotomic values."""
-        per_row = tuple(sum(1 for v in row if v.is_zero()) for row in values)
+    def of_mask(zero: np.ndarray) -> "ZeroReport":
+        """Census of a table from its (rows x columns) boolean zero mask."""
+        per_row = tuple(zero.sum(axis=1).tolist())
         zeros = sum(per_row)
-        total = sum(len(row) for row in values)
-        return ZeroReport(zeros, total, Fraction(zeros, total), per_row)
+        return ZeroReport(zeros, zero.size, Fraction(zeros, zero.size), per_row)
 
     def to_json(self) -> dict:
         from .serial import frac_str
@@ -481,7 +480,11 @@ def dixon_character_table(group: GroupTable, cd: ClassData) -> CharacterTable:
 
 
 def zero_census(t: CharacterTable) -> ZeroReport:
-    return ZeroReport.of_table(t.values)
+    """Equal entries of a Dixon table are one shared `CycInt`, so each
+    distinct value object is tested once, keyed by its id within the call."""
+    distinct = {id(v): v for row in t.values for v in row}
+    zero = {key: v.is_zero() for key, v in distinct.items()}
+    return ZeroReport.of_mask(np.array([[zero[id(v)] for v in row] for row in t.values]))
 
 
 def _orthogonality_primes(t: CharacterTable, need: int) -> Iterator[int]:

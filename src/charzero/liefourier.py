@@ -5,21 +5,30 @@ from the split Cartan, and the Kazhdan-Letellier identity check.
 The matrix space is decoded once, by the `_MatrixKernel` that owns the
 matrix codes, and the orbit table keeps that digit array and its kernel.
 Orbits are the `orbit_labels` of one conjugation permutation per generator
-of GL_n over the whole space, numbered by least code.  The transform of an
-orbit indicator is F(1_O)(Y) = sum_{y in O} psi(tr(Y y)) with
-psi = zeta_p^Tr the canonical additive character; values are exact
-cyclotomic integers of conductor p, accumulated as counts per trace residue
-Tr(tr(Y y)), which the kernel's trace form gives for the whole space, one
-column (target orbit) per bincount.
+of GL_n over the whole space, numbered by least code.
+
+The transform of an orbit indicator is F(1_O)(Y) = sum_{y in O} psi(tr(Y y))
+with psi = zeta_p^Tr the canonical additive character, so the Fourier table
+is held as integer counts: counts[O, O', t] = #{y in O : Tr(tr(rep(O') y)) = t},
+one (orbits, orbits, p) array.  A column is one trace form (the kernel's
+field-table gathers) and one bincount by orbit.  Counting the pairs in
+O' x O by trace gives |O'| counts[O, O'] = |O| counts[O', O], so a column is
+counted only over the orbits no larger than its own and the rest of the
+table follows by checked divisions.  p is prime, so an entry is zero exactly
+when its counts are equal across the residues; the exact cyclotomic values
+are formed only when output reads them.
+
 Jordan decompositions are computed exactly (the semisimple part is the
 q^N-th power of the matrix, N = lcm(1..n)), once per orbit representative.
 Everything the KL check needs is then read off the orbit table, with no
 group element formed: |C(Y_s)| = |G| / |O_{Y_s}|, the diagonal conjugates
 of Y_s are the diagonal members of O_{Y_s}, and the complete flags fixed by
 Y come from the upper-triangular members of O_Y, hence the Green value
-Q_{C(Y_s)}(1 + Y_n); the KL sums are bincounts of the same whole-space
-trace form at the matrix codes of those diagonal members.  `green_function`
-is the Y_s = 0 case.  Each division is checked for exact divisibility.
+Q_{C(Y_s)}(1 + Y_n).  For each split X one trace form over the space gives
+the column of O_X, hence by the same symmetry the row F(1_{O_X}), and the
+KL sums are the residue counts at the diagonal members of every O_{Y_s}, so
+no Fourier table is built.  `green_function` is the Y_s = 0 case.  Each
+division is checked for exact divisibility.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from math import lcm
 
 import numpy as np
 
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, _power_basis
 from .dixon import ZeroReport
 from .errors import ExactnessError
 from .ffield import (
@@ -225,69 +234,108 @@ def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP) ->
 @dataclass(frozen=True)
 class FourierTable:
     conductor: int
-    values: tuple[tuple[CycInt, ...], ...]  # (source orbit, target orbit)
+    counts: np.ndarray  # [O, O', t] = #{y in O : Tr tr(a rep(O') y) = t}, a the scale
     orbit_sizes: tuple[int, ...]
 
     @property
     def num_orbits(self) -> int:
         return len(self.orbit_sizes)
 
+    @cached_property
+    def values(self) -> tuple[tuple[CycInt, ...], ...]:
+        """values[O, O'] = sum_t counts[O, O', t] zeta_p^t in canonical
+        coordinates: one product of the counts with the power-basis rows."""
+        p = self.conductor
+        coeffs = (self.counts @ np.array(_power_basis(p)[:p], dtype=np.int64)).tolist()
+        return tuple(tuple(CycInt(p, tuple(c)) for c in row) for row in coeffs)
+
+
+def _pairing(n: int, y: tuple[int, ...] | list[int]) -> list[int]:
+    """The coefficients of x -> tr(y x): tr(y x) = sum over (a, b) of y[b, a] * x[a, b]."""
+    return [y[b * n + a] for a in range(n) for b in range(n)]
+
 
 def _trace_pairing(o: OrbitTable, y: tuple[int, ...] | list[int]) -> np.ndarray:
     """Tr(tr(y x)) for every matrix x of the space, in code order."""
-    n = o.n
-    # tr(y x) = sum over (a, b) of y[b, a] * x[a, b]
-    return o.kernel.trace_form(o.matrices, [y[b * n + a] for a in range(n) for b in range(n)])
+    return o.kernel.trace_form(o.matrices, _pairing(o.n, y))
 
 
-def _transform_column(o: OrbitTable, y: list[int]) -> list[CycInt]:
-    """F(1_O)(y) for every orbit O: each source orbit's count of matrices x
-    per value of Tr(tr(y x)), from one bincount over the whole space."""
+def _column_counts(o: OrbitTable, y: tuple[int, ...] | list[int], digits: np.ndarray,
+                   labels: np.ndarray) -> np.ndarray:
+    """counts[O, t] = #{x : Tr(tr(y x)) = t} over the matrices x of the digit
+    array whose orbit `labels` are O, as an (orbits, p) array: one trace form
+    and one bincount."""
     p = o.field.p
-    counts = np.bincount(o.orbit_of * p + _trace_pairing(o, y), minlength=o.num_orbits * p)
-    return [CycInt.from_exponents(p, {t: c for t, c in enumerate(row) if c})
-            for row in counts.reshape(-1, p).tolist()]
+    residues = o.kernel.trace_form(digits, _pairing(o.n, y))
+    return np.bincount(labels * p + residues, minlength=o.num_orbits * p).reshape(-1, p)
 
 
 def fourier_table(o: OrbitTable, scale: int = 1) -> FourierTable:
-    """values[O, O'] = F(1_O)(rep(O')) = sum_{y in O} psi(scale * tr(rep(O') y)).
+    """counts[O, O', t] = #{y in O : Tr(scale * tr(rep(O') y)) = t}, so that
+    F(1_O)(rep(O')) = sum_{y in O} psi(scale * tr(rep(O') y)) = sum_t
+    counts[O, O', t] zeta_p^t.
 
     `scale` (a nonzero field element) replaces psi by psi(scale * .), which
     permutes rows but must not change the zero census; the default is the
-    canonical character.  Columns are computed one target orbit at a time,
-    so no (orbits x q^(n^2)) array is built.
+    canonical character.  Counting the pairs (x, y) in O' x O by trace gives
+    |O'| counts[O, O'] = |O| counts[O', O], so the column of O' is counted
+    directly only over the orbits no larger than O' (a prefix of the members
+    sorted by orbit size) and every other entry is |O| counts[O', O] / |O'|.
+    Each division is checked for exactness, and a pair of equal sizes,
+    counted both ways, must agree.
     """
     F = o.field
     if not 1 <= scale < F.q:
         raise ValueError("character scale must be a nonzero field element code")
-    columns = [_transform_column(o, [F.mul[scale][x] for x in rec.rep]) for rec in o.orbits]
-    values = tuple(zip(*columns))
-    table = FourierTable(
-        conductor=F.p,
-        values=values,
-        orbit_sizes=tuple(r.size for r in o.orbits),
-    )
+    tau = o.num_orbits
+    sizes = np.array([r.size for r in o.orbits], dtype=np.int64)
+    by_size = np.argsort(sizes, kind="stable")
+    members = np.concatenate([o.orbit_elements[i] for i in by_size])
+    digits, labels = o.matrices[members], o.orbit_of[members]
+    # the members of the orbits no larger than orbit i are the first prefix[i] rows
+    ends = np.cumsum(sizes[by_size])
+    prefix = ends[np.searchsorted(sizes[by_size], sizes, side="right") - 1]
+    # int64 is exact: |O| |O'| <= (q^(n^2))^2
+    counts = np.zeros((tau, tau, F.p), dtype=np.int64)
+    # increasing size, so a larger orbit's row fills the zeros its column left
+    for tgt in by_size.tolist():
+        rep, end = [F.mul[scale][x] for x in o.orbits[tgt].rep], prefix[tgt]
+        column = counts[:, tgt] = _column_counts(o, rep, digits[:end], labels[:end])
+        smaller = sizes < sizes[tgt]
+        row, rem = np.divmod(sizes[tgt] * column[smaller], sizes[smaller, None])
+        if rem.any():
+            raise ExactnessError("|O| counts[O', O] is not divisible by |O'|")
+        counts[tgt, smaller] = row
+    equal = sizes[:, None] == sizes[None, :]
+    if not np.array_equal(counts[equal], counts.swapaxes(0, 1)[equal]):
+        raise ExactnessError("two orbits of equal size disagree on their transform counts")
     zero_orbit = int(o.orbit_of[0])  # code 0 is the zero matrix
-    for src in range(o.num_orbits):
-        if values[src][zero_orbit] != o.orbits[src].size:
-            raise ExactnessError("F(1_O)(0) != |O|; transform is inconsistent")
+    at_zero = np.zeros((tau, F.p), dtype=np.int64)
+    at_zero[:, 0] = sizes
+    if not np.array_equal(counts[:, zero_orbit], at_zero):
+        raise ExactnessError("F(1_O)(0) != |O|; transform is inconsistent")
+    table = FourierTable(conductor=F.p, counts=counts, orbit_sizes=tuple(sizes.tolist()))
     _recheck_well_defined(o, table, scale)
     return table
 
 
 def _recheck_well_defined(o: OrbitTable, t: FourierTable, scale: int) -> None:
-    """Recompute a handful of columns at a second orbit representative; the
-    choice is deterministic (first five multi-element orbits, second member)."""
+    """Recount a handful of columns over the whole space at a second orbit
+    representative; the choice is deterministic (first five multi-element
+    orbits, second member)."""
     second = [(tgt, int(members[1])) for tgt, members in enumerate(o.orbit_elements)
               if len(members) > 1]
     for tgt, code in second[:5]:
         alt = [o.field.mul[scale][x] for x in o.matrices[code].tolist()]
-        if _transform_column(o, alt) != [row[tgt] for row in t.values]:
+        if not np.array_equal(_column_counts(o, alt, o.matrices, o.orbit_of), t.counts[:, tgt]):
             raise ExactnessError("transform value depends on the orbit representative")
 
 
 def fourier_zero_census(t: FourierTable) -> ZeroReport:
-    return ZeroReport.of_table(t.values)
+    """The zero entries, read off the counts: p is prime, so the only relation
+    among 1, zeta_p, ..., zeta_p^(p-1) is that their sum is 0, and an entry
+    vanishes exactly when every residue has the same count."""
+    return ZeroReport.of_mask((t.counts == t.counts[..., :1]).all(axis=-1))
 
 
 def additive_lower_bound(o: OrbitTable) -> tuple[Fraction, Fraction]:
@@ -412,10 +460,15 @@ class KLReport:
         return not self.violations
 
 
-def kl_verify(n: int, field: Field, orbit_tab: OrbitTable | None = None,
-              four: FourierTable | None = None) -> KLReport:
+def kl_verify(n: int, field: Field, orbit_tab: OrbitTable | None = None) -> KLReport:
     """For every regular split-Cartan class X and every orbit representative
     Y, check |C(Y_s)| * F(1_{O_X})(Y) = q^{#pos roots} * Q * S exactly.
+
+    The row of O_X is read off the column of X without a Fourier table:
+    F(1_{O_X})(Y) counts |O_X| counts[O_Y, O_X] / |O_Y| matrices per residue
+    (the orbit-size symmetry of `fourier_table`), the division checked.
+    Both sides are count vectors over the residues, and two of them give the
+    same element of Z[zeta_p] exactly when their difference is constant.
 
     Requires very good characteristic (p does not divide n)."""
     _check_additive_n(n)
@@ -426,43 +479,43 @@ def kl_verify(n: int, field: Field, orbit_tab: OrbitTable | None = None,
         )
     if orbit_tab is None:
         orbit_tab = adjoint_orbits(n, F)
-    if four is None:
-        four = fourier_table(orbit_tab)
-    p = F.p
+    o = orbit_tab
     pos_roots = n * (n - 1) // 2
     q_pow = F.q**pos_roots
 
     # per-orbit data shared across all X, read off the orbit table: the
-    # diagonal members of O_{Y_s}, |C(Y_s)| and the centralizer Green value
-    per_orbit = []
-    for oid in range(orbit_tab.num_orbits):
-        cent, diagonals, fixing = _orbit_census(orbit_tab, oid)
-        per_orbit.append((diagonals, cent, _levi_green_value(n, F.q, diagonals, fixing)))
+    # diagonal members of O_{Y_s}, |C(Y_s)| and the centralizer Green value;
+    # each diagonal member of O_{Y_s} is g Y_s g^-1 for |C(Y_s)| elements g
+    sizes = np.array([r.size for r in o.orbits], dtype=np.int64)
+    census = [_orbit_census(o, oid) for oid in range(o.num_orbits)]
+    cent = np.array([c for c, _, _ in census], dtype=np.int64)
+    green = [_levi_green_value(n, F.q, diags, fixing) for _, diags, fixing in census]
+    rhs_scale = cent * q_pow * np.array(green, dtype=np.int64)
+    owner = np.repeat(np.arange(o.num_orbits), [len(diags) for _, diags, _ in census])
+    diagonal_digits = o.matrices[np.concatenate([diags for _, diags, _ in census])]
+    # int64 is exact: each side is at most 8 |G| q^(n^2), since Q counts at most
+    # (q + 1)^(n(n-1)/2) flags and O_{Y_s} has at most q^n diagonal members
 
     # regular split X up to the Weyl (coordinate-permutation) action
     xs = [tuple(c) for c in itertools.combinations(range(F.q), n)]
     violations = []
-    pairs = 0
     for diag in xs:
         X = tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n))
-        ox = orbit_tab.orbit_of_matrix(X)
-        residues = _trace_pairing(orbit_tab, X)
-        for oy in range(orbit_tab.num_orbits):
-            diagonals, cent, qval = per_orbit[oy]
-            counts = _residue_counts(residues, diagonals, p)
-            lhs = four.values[ox][oy] * cent
-            # each diagonal member of O_{Y_s} is g Y_s g^-1 for |C(Y_s)| elements g
-            rhs = CycInt.from_exponents(
-                p, {t: q_pow * qval * cent * c for t, c in enumerate(counts) if c}
-            )
-            pairs += 1
-            if lhs != rhs:
-                violations.append((diag, oy))
+        ox = o.orbit_of_matrix(X)
+        row, rem = np.divmod(sizes[ox] * _column_counts(o, X, o.matrices, o.orbit_of),
+                             sizes[:, None])
+        if rem.any():
+            raise ExactnessError("|O_X| counts[O_Y, O_X] is not divisible by |O_Y|")
+        lhs = cent[:, None] * row
+        rhs = rhs_scale[:, None] * _column_counts(o, X, diagonal_digits, owner)
+        diff = lhs - rhs
+        unequal = (diff != diff[:, :1]).any(axis=1)
+        violations.extend((diag, int(oy)) for oy in np.flatnonzero(unequal))
     return KLReport(
         n=n,
         q=F.q,
         cartan_reps=len(xs),
-        orbits=orbit_tab.num_orbits,
-        pairs_checked=pairs,
+        orbits=o.num_orbits,
+        pairs_checked=len(xs) * o.num_orbits,
         violations=tuple(violations),
     )

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 from green_reference import _flag_census, _inverse_indices, _min_poly, flag_count, levi_green_value
 from orbit_reference import orbit_partition
@@ -8,6 +9,7 @@ from orbit_reference import orbit_partition
 from charzero import liefourier as L
 from charzero import matgroup
 from charzero.cyclotomic import CycInt
+from charzero.dixon import ZeroReport
 from charzero.errors import ExactnessError
 from charzero.ffield import (
     field_for_order,
@@ -238,7 +240,7 @@ def test_hc_rejects_non_regular_X(gl2_f3):
 
 def test_kl_verify_passes(gl2_f3, gl2_f5, no_enumeration):
     for F, o, t in (gl2_f3, gl2_f5):
-        rep = kl_verify(2, F, o, t)
+        rep = kl_verify(2, F, o)
         assert rep.passed
         assert rep.pairs_checked == rep.cartan_reps * rep.orbits
 
@@ -338,10 +340,61 @@ def test_a_corrupted_transform_value_is_caught():
     o = adjoint_orbits(2, F)
     t = fourier_table(o)
     tgt = next(i for i, members in enumerate(o.orbit_elements) if len(members) > 1)
-    values = [list(row) for row in t.values]
-    values[0][tgt] = values[0][tgt] + 1
+    counts = t.counts.copy()
+    counts[0, tgt, 0] += 1
     with pytest.raises(ExactnessError, match="representative"):
-        L._recheck_well_defined(o, dataclasses.replace(t, values=values), 1)
+        L._recheck_well_defined(o, dataclasses.replace(t, counts=counts), 1)
+
+
+def test_a_corrupted_orbit_size_breaks_the_symmetry_division():
+    F = field_make(3, 1)
+    o = adjoint_orbits(2, F)
+    big = max(range(o.num_orbits), key=lambda i: o.orbits[i].size)
+    orbits = list(o.orbits)
+    orbits[big] = dataclasses.replace(orbits[big], size=orbits[big].size + 1)
+    with pytest.raises(ExactnessError, match="not divisible"):
+        fourier_table(dataclasses.replace(o, orbits=tuple(orbits)))
+
+
+def test_a_wrong_representative_breaks_the_equal_size_cross_check():
+    # give an orbit the representative of another orbit of the same size
+    F = field_make(3, 1)
+    o = adjoint_orbits(2, F)
+    sizes = [r.size for r in o.orbits]
+    a, b = [i for i, s in enumerate(sizes) if s == max(sizes)][:2]
+    orbits = list(o.orbits)
+    orbits[a] = dataclasses.replace(orbits[a], rep=orbits[b].rep)
+    with pytest.raises(ExactnessError, match="equal size"):
+        fourier_table(dataclasses.replace(o, orbits=tuple(orbits)))
+
+
+def test_the_kl_check_sees_a_wrong_green_value(monkeypatch):
+    green = L._levi_green_value
+    monkeypatch.setattr(L, "_levi_green_value", lambda *args: green(*args) + 1)
+    rep = kl_verify(2, field_make(5, 1))
+    assert not rep.passed
+    assert rep.pairs_checked == rep.cartan_reps * rep.orbits
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 5), (2, 7), (3, 2), (3, 3)])
+def test_the_count_census_matches_the_cyclotomic_census(n, q):
+    t = fourier_table(adjoint_orbits(n, field_make(q, 1)))
+    by_value = np.array([[v.is_zero() for v in row] for row in t.values])
+    assert fourier_zero_census(t) == ZeroReport.of_mask(by_value)
+
+
+def test_the_count_path_forms_no_cyclotomic_value_and_kl_no_table(monkeypatch):
+    def unreachable(*args, **kwargs):
+        pytest.fail("the count path formed a cyclotomic value or a Fourier table")
+
+    table = L.fourier_table
+    monkeypatch.setattr(CycInt, "from_exponents", staticmethod(unreachable))
+    monkeypatch.setattr(L, "fourier_table", unreachable)
+    F = field_make(5, 1)
+    assert kl_verify(2, F).passed
+    t = table(adjoint_orbits(2, F))
+    fourier_zero_census(t)
+    assert "values" not in vars(t)  # the lazy CycInt table was never built
 
 
 def _upper_triangular(n, a):
