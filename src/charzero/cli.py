@@ -279,10 +279,11 @@ def _cmd_zero_density(args):
 
 
 def _cmd_lie_fourier(args):
-    from .liefourier import adjoint_orbits, fourier_table, fourier_zero_census
+    from .liefourier import adjoint_orbits, check_fourier_size, fourier_table, fourier_zero_census
 
     _validate_prime_power(args.q, "--q")
     F = field_for_order(args.q)
+    check_fourier_size(args.n, F)
     o = adjoint_orbits(args.n, F)
     ft = fourier_table(o)
     zc = fourier_zero_census(ft)

@@ -61,12 +61,30 @@ from .matgroup import (
 from .weyl import partitions, sum_inv_c_sq_stream
 
 DEFAULT_MATRIX_SPACE_CAP = 10**7
+MAX_FOURIER_BYTES = 1 << 30  # the (orbits, orbits, p) int64 count array of `fourier_table`
 
 
 def _check_additive_n(n: int) -> None:
     # mat_charpoly and fq_poly_factor_cubic_or_less stop at n = 3
     if not 1 <= n <= 3:
         raise ValueError(f"gl_{n} is out of range: the additive side supports 1 <= n <= 3")
+
+
+def _orbit_count(n: int, q: int) -> int:
+    """The number of adjoint orbits of gl_n(F_q), that is of similarity
+    classes: one per choice of a partition and q^(parts) eigenvalue data."""
+    return sum(q ** len(lam) for lam in partitions(n))
+
+
+def check_fourier_size(n: int, field: Field) -> None:
+    """Refuse a Fourier table whose count array would exceed
+    MAX_FOURIER_BYTES, predicted from the orbit count before any orbit or
+    table is built."""
+    _check_additive_n(n)
+    size = _orbit_count(n, field.q) ** 2 * field.p * 8
+    if size > MAX_FOURIER_BYTES:
+        raise ValueError(f"the Fourier table of gl_{n}(F_{field.q}) needs {size} bytes, "
+                         f"above the supported maximum {MAX_FOURIER_BYTES}")
 
 
 # -- Jordan decomposition -------------------------------------------------------
@@ -221,8 +239,7 @@ def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP) ->
         raise ExactnessError(
             f"semisimple orbit count {ss_count} differs from q^n = {q**n}"
         )
-    # similarity classes: one per choice of a partition and q^(parts) eigenvalue data
-    classes = sum(q ** len(lam) for lam in partitions(n))
+    classes = _orbit_count(n, q)
     if len(records) != classes:
         raise ExactnessError(f"orbit count {len(records)} differs from the class count {classes}")
     return table
@@ -287,6 +304,7 @@ def fourier_table(o: OrbitTable, scale: int = 1) -> FourierTable:
     F = o.field
     if not 1 <= scale < F.q:
         raise ValueError("character scale must be a nonzero field element code")
+    check_fourier_size(o.n, F)
     tau = o.num_orbits
     sizes = np.array([r.size for r in o.orbits], dtype=np.int64)
     by_size = np.argsort(sizes, kind="stable")

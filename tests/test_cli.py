@@ -298,6 +298,27 @@ def test_merged_orbit_labels_are_an_internal_failure(capsys, monkeypatch):
     assert "orbit count 11 differs from the class count 12" in err
 
 
+def test_an_oversized_fourier_table_is_refused_before_the_orbits(capsys, monkeypatch):
+    """gl2(F53) passes the matrix-space cap but would need a 3.5 GB count
+    array, (53^2 + 53)^2 * 53 * 8 bytes; gl2(F32) and gl3(F5) stay within
+    MAX_FOURIER_BYTES and reach the orbit table."""
+    from charzero import liefourier
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(liefourier, "adjoint_orbits", reached)
+    code, out, err = run_cli(["lie-fourier", "--n", "2", "--q", "53"], capsys)
+    assert code == 2 and out == ""
+    assert f"needs {2862 ** 2 * 53 * 8} bytes" in err and str(liefourier.MAX_FOURIER_BYTES) in err
+    for n, q in [(2, 32), (3, 5)]:
+        with pytest.raises(Reached):
+            cli.main(["lie-fourier", "--n", str(n), "--q", str(q)])
+
+
 def test_kl_verify_over_an_extension_field(capsys):
     code, out, _ = run_cli(["kl-verify", "--n", "2", "--q", "9"], capsys)
     obj = json.loads(out)
@@ -333,6 +354,14 @@ def test_zero_density_gl2_f16_stdout_is_pinned(capsys):
     assert code == 0 and obj["entries"] == 255 * 255 and obj["match"] is True
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "24f7d88be428513c565e9cab76daae6f16384c3b4da14f85e954c62fbcd9f240")
+
+
+def test_zero_density_gl3_f4_stdout_is_pinned(capsys):
+    code, out, _ = run_cli(["zero-density", "--n", "3", "--q", "4"], capsys)
+    obj = json.loads(out)
+    assert code == 0 and obj["entries"] == 60 * 60
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ee1dfa75363637f0e9c920b24a595ba70369572b694afe49d55387231dd5c57b")
 
 
 @pytest.mark.slow

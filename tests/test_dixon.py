@@ -372,18 +372,23 @@ def test_a_non_square_target_is_an_internal_error():
             _degrees(np.array([1, target]), 48, 17)
 
 
-@pytest.mark.parametrize("n,q,tau,built", [(2, 11, 120, 15), (3, 3, 24, 12)])
-def test_the_split_builds_only_the_class_matrices_it_reads(n, q, tau, built, monkeypatch):
+@pytest.mark.parametrize("n,q,tau,built,rows", [pytest.param(2, 11, 120, 15, 486, id="2-11-120-15"),
+                                                 pytest.param(3, 3, 24, 12, 116, id="3-3-24-12")])
+def test_the_split_builds_only_the_class_matrices_it_reads(n, q, tau, built, rows, monkeypatch):
     """The eigen-split asks for class matrices 1, 2, ... until every space
-    has dimension one.  Each is built once, by `mul_many` calls of at most
-    |G| products, and asking again returns the memoised array."""
+    has dimension one, once each and only for the rows at the pivot columns
+    of its multi-row spaces.  Each row (i, j) is built once, at |C_i|
+    products, by `mul_many` calls of at most |G| products, and asking again
+    returns equal rows without another product."""
+    import numpy as np
+
     import charzero.dixon as dixon
     from charzero.matgroup import MatrixGroupTable
 
     g = gl_group(n, q)
     cd = conjugacy_classes(g)
     products, requested, builders = [], [], []
-    real_mul, real_builder = MatrixGroupTable.mul_many, dixon._class_matrices
+    real_mul, real_builder = MatrixGroupTable.mul_many, dixon._class_rows
 
     def counting_mul(self, a, b):
         out = real_mul(self, a, b)
@@ -391,20 +396,30 @@ def test_the_split_builds_only_the_class_matrices_it_reads(n, q, tau, built, mon
         return out
 
     def recording_builder(group, classes):
-        class_matrix = real_builder(group, classes)
-        builders.append(class_matrix)
-        return lambda i: requested.append(i) or class_matrix(i)
+        class_rows = real_builder(group, classes)
+        builders.append(class_rows)
+
+        def recording(i, js):
+            js = list(js)
+            requested.append((i, js, class_rows(i, js)))
+            return requested[-1][2]
+
+        return recording
 
     monkeypatch.setattr(MatrixGroupTable, "mul_many", counting_mul)
-    monkeypatch.setattr(dixon, "_class_matrices", recording_builder)
+    monkeypatch.setattr(dixon, "_class_rows", recording_builder)
     dixon_character_table(g, cd)
-    assert cd.num_classes == tau and requested == list(range(1, built + 1))
+    assert cd.num_classes == tau and [i for i, _, _ in requested] == list(range(1, built + 1))
+    pairs = {(i, j) for i, js, _ in requested for j in js}
+    assert len(pairs) == rows
     assert max(products) <= g.order
-    # one build per matrix: ceil(tau / (|G| // |C_i|)) product calls each
-    calls = sum(-(-tau // (g.order // cd.class_sizes[i])) for i in requested)
+    # one build per (i, j): |C_i| products each, in ceil(rows / (|G| // |C_i|)) calls per class
+    assert sum(products) == sum(cd.class_sizes[i] for i, _ in pairs)
+    calls = sum(-(-len(set(js)) // (g.order // cd.class_sizes[i])) for i, js, _ in requested)
     assert len(products) == calls
-    (class_matrix,) = builders
-    assert all(class_matrix(i) is class_matrix(i) for i in requested)
+    (class_rows,) = builders
+    for i, js, first in requested:
+        assert np.array_equal(class_rows(i, js), first), i
     assert len(products) == calls
 
 
@@ -440,6 +455,36 @@ def _record_routes(monkeypatch):
     monkeypatch.setattr(dixon, "_galois_stable", stable)
     monkeypatch.setattr(dixon, "_embeddings_orthogonal", check)
     return verdicts
+
+
+def test_a_json_round_trip_gives_the_same_orthogonality_index(monkeypatch):
+    """`verify_orthogonality` indexes the entries by value object, then
+    dedupes the coordinates of those objects.  A table read back from JSON
+    holds one object per entry, where the Dixon table shares one per
+    distinct value; both must give the same distinct values D, index array,
+    route and verdict."""
+    import numpy as np
+
+    import charzero.dixon as dixon
+
+    g = gl_group(2, 7)
+    t = dixon_character_table(g, conjugacy_classes(g))
+    back = CharacterTable.from_json(t.to_json())
+    objects = [len({id(v) for row in table.values for v in row}) for table in (t, back)]
+    assert back == t and objects[0] < objects[1] == t.num_classes ** 2
+    calls = []
+    real = dixon._embeddings_orthogonal
+
+    def recording(table, D, entry, l1, exponents):
+        calls.append((D, entry, l1, exponents, real(table, D, entry, l1, exponents)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(dixon, "_embeddings_orthogonal", recording)
+    assert verify_orthogonality(t) and verify_orthogonality(back)
+    (D, entry, l1, exponents, verdict), again = calls
+    assert len(D) == objects[0] and exponents == sorted({1, t.conductor - 1})
+    assert np.array_equal(D, again[0]) and np.array_equal(entry, again[1])
+    assert (l1, exponents, verdict) == again[2:]
 
 
 def test_every_census_table_takes_the_one_embedding_route(gl2_census, gl3_census, monkeypatch):

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from orbit_reference import orbit_partition
 
-from charzero.dixon import _class_matrices
+from charzero.dixon import _class_rows
+from charzero.errors import ExactnessError
 from charzero.ffield import field_for_order
 from charzero.matgroup import (
     ProductGroupTable,
@@ -112,9 +113,11 @@ def _multiplication_table(kind, n, q):
 @pytest.mark.parametrize("factors", [[("GL", 2, q)] for q in (2, 3, 4, 5)]
                          + [[("GL", 3, 2)], [("SL", 2, 5)], [("GL", 2, 2), ("GL", 2, 3)]])
 def test_class_coefficient_tensor_is_a_pair_count(factors):
-    """Every slice of the class-coefficient tensor, as `_class_matrices` builds
-    it: class_matrix(i)[j, k] = #{(u, v) in C_i x C_j : u v = rep_k} for every
-    class i, counted over all pairs of a full multiplication table."""
+    """Every row of every slice of the class-coefficient tensor, as
+    `_class_rows` builds it from the class-algebra identity:
+    class_rows(i, [j])[0, k] = #{(u, v) in C_i x C_j : u v = rep_k} for
+    every class i and j, counted over all pairs of a full multiplication
+    table."""
     tables = [_multiplication_table(*f) for f in factors]
     groups = [_group(*f) for f in factors]
     if len(factors) == 1:
@@ -130,9 +133,24 @@ def test_class_coefficient_tensor_is_a_pair_count(factors):
         us, vs = np.nonzero(table == rep)
         brute[:, :, k] = np.bincount(cd.class_of[us] * tau + cd.class_of[vs],
                                      minlength=tau * tau).reshape(tau, tau)
-    class_matrix = _class_matrices(g, cd)
+    class_rows = _class_rows(g, cd)
     for i in range(tau):
-        assert np.array_equal(class_matrix(i), brute[i]), i
+        assert np.array_equal(class_rows(i, range(tau)), brute[i]), i
+        for j in range(tau):  # one row at a time, from the memo
+            assert np.array_equal(class_rows(i, [j]), brute[i, j : j + 1]), (i, j)
+
+
+def test_a_corrupted_class_size_breaks_the_row_division():
+    """Each class row is divided by the class sizes |C_k|; a class size one
+    too large leaves a remainder, which is an internal error."""
+    g = _group("GL", 2, 3)
+    cd = conjugacy_classes(g)
+    k = int(np.argmax(cd.class_sizes))
+    cd.class_sizes = [s + (c == k) for c, s in enumerate(cd.class_sizes)]
+    class_rows = _class_rows(g, cd)
+    with pytest.raises(ExactnessError, match="not divisible by"):
+        for i in range(cd.num_classes):
+            class_rows(i, range(cd.num_classes))
 
 
 @lru_cache(maxsize=None)

@@ -488,3 +488,15 @@ def test_green_function_matches_the_projective_point_count(n, q, request):
     for u in unipotents:
         assert green_function(n, F, u) == flag_count(n, F, u)
 
+
+
+def test_fourier_table_checks_its_size_before_allocating(monkeypatch):
+    """`fourier_table` predicts its count array, orbits^2 * p * 8 bytes,
+    from the closed-form orbit count and refuses one above MAX_FOURIER_BYTES."""
+    o = adjoint_orbits(2, field_for_order(3))
+    assert o.num_orbits == 12
+    monkeypatch.setattr(L, "MAX_FOURIER_BYTES", 12 * 12 * 3 * 8 - 1)
+    with pytest.raises(ValueError, match=f"needs {12 * 12 * 3 * 8} bytes"):
+        fourier_table(o)
+    monkeypatch.setattr(L, "MAX_FOURIER_BYTES", 12 * 12 * 3 * 8)
+    assert fourier_table(o).counts.nbytes == 12 * 12 * 3 * 8

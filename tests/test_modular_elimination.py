@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from modular_reference import mod_nullspace, mod_rref
 
-from charzero.dixon import _eigenspaces, _mod_nullspace, _mod_rref
+from charzero.dixon import _eigenspaces, _mod_nullspace, _mod_rref, _rref_row
 
 # small primes, the Dixon primes of GL2(F16) and GL2(F11), and the largest
 # prime below the Dixon search bound 10^7
@@ -74,6 +74,27 @@ def test_nullspace_matches_the_pivot_loop_and_is_the_kernel(case):
     assert not (M @ N.T % l).any()
     rank = len(_mod_rref(M, l)[1])
     assert rank + N.shape[0] == M.shape[1]
+
+
+@st.composite
+def single_rows(draw):
+    """(u, l): one row, often with leading zeros, sometimes all zero, with
+    entries anywhere in 0..l-1 or beyond (the row is reduced first)."""
+    l = draw(st.sampled_from(PRIMES))
+    cols = draw(st.integers(1, 9))
+    lead = draw(st.integers(0, cols))
+    tail = draw(st.lists(st.integers(0, 3 * l), min_size=cols - lead, max_size=cols - lead))
+    return np.array([[0] * lead + tail], dtype=np.int64), l
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_rows())
+@example((np.array([[0, 0, 3, 5]], dtype=np.int64), 7))
+@example((np.zeros((1, 3), dtype=np.int64), 1021))
+def test_one_row_shortcut_equals_the_rref(case):
+    u, l = case
+    R = _rref_row(u, l)
+    assert R.shape == _mod_rref(u, l)[0].shape and np.array_equal(R, _mod_rref(u, l)[0])
 
 
 # -- the early exit of `_mod_rref` -------------------------------------------
