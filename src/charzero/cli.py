@@ -37,7 +37,7 @@ from .gln import (
 )
 from .matgroup import DEFAULT_GROUP_CAP, conjugacy_classes, gl_group, gl_order, sl_group
 from .serial import frac_str
-from .weyl import torus_order_poly, weyl_classes
+from .weyl import weyl_classes
 
 CAP_ENV_VAR = "CHARZERO_GROUP_CAP"
 
@@ -193,8 +193,8 @@ def _cmd_torus_orders(args):
     rows = [
         {
             "label": c.label,
-            "torus_order_poly": str(torus_order_poly(t, c.label)),
-            "coeffs": list(torus_order_poly(t, c.label).coeffs),
+            "torus_order_poly": str(c.char_poly),
+            "coeffs": list(c.char_poly.coeffs),
         }
         for c in t.classes
     ]

@@ -4,19 +4,18 @@ Classical types use cycle-type combinatorics: type A classes are partitions
 of rank+1; types B/C are pairs of partitions (positive / negative cycles);
 type D restricts to an even number of negative cycles, with the classes
 whose cycles are all positive and even split in two.  G2, F4 and E6 are
-enumerated as integer matrix groups generated by the simple reflections in
-the root basis, as int8 stacks a breadth-first level at a time; their
-classes are the `orbit_labels` of conjugation by the reflections (E7/E8 are
-rejected: their orders exceed the desk budget).
+enumerated as the orbit W rho of the integer vector rho in root coordinates
+(<rho, alpha_i^vee> = 1 for every simple coroot), with no matrices; their
+classes are the `orbit_labels` of conjugation by the simple reflections
+(E7/E8 are rejected: their orders exceed the desk budget).
 
-A simple reflection is s_i = Id + e_i a_i^T, so a right product
-w s_i = w + w[:, i] a_i^T and a conjugate s_i w s_i are rank-one updates,
-formed in a wider integer type and checked to stay in the int8 range.  An
-element w is keyed by one int64, the image w(rho) of the integer vector rho
-(<rho, alpha_i^vee> = 1 for every simple coroot) packed as balanced digits.
-rho is regular, so its stabiliser in W is trivial and w -> w(rho) is
-injective; the closure keeps one element per key, so any collision would
-merge two elements and show as a closure smaller than |W|, which is checked.
+rho is regular, so its stabiliser in W is trivial and w -> w(rho) is a
+bijection from W onto the orbit; the closure keeps one vector per key (its
+balanced digits in one int64), so a collision would merge two elements and
+show as a closure smaller than |W|, which is checked.  A left product s_i w
+changes one coordinate of w(rho), in int8; a right product w s_i follows
+from the left products by the word recurrence, and a class
+representative's matrix from the vectors of its right products.
 
 The characteristic polynomial det(q*Id - w) attached to each class is the
 order polynomial of the corresponding twisted maximal torus (computed by
@@ -231,60 +230,6 @@ _CARTAN = {
 }
 
 
-def _narrow(wide: np.ndarray) -> np.ndarray:
-    """The int8 copy of an integer array; raises if an entry leaves the
-    int8 range."""
-    if wide.size and (wide.min() < -128 or wide.max() > 127):
-        raise ExactnessError("a Weyl group product has entries beyond the int8 range")
-    return wide.astype(np.int8)
-
-
-def _times_reflection(w: np.ndarray, i: int, a: np.ndarray) -> np.ndarray:
-    """w s_i over an int8 stack, for s_i = Id + e_i a^T: the rank-one update
-    w + w[:, i] a^T, which changes only the columns where a is nonzero.  Each
-    new column is formed in int16, exact for int8 entries."""
-    out = w.copy()
-    pivot = w[:, :, i].astype(np.int16)
-    for j in np.flatnonzero(a):
-        out[:, :, j] = _narrow(w[:, :, j] + pivot * a[j])
-    return out
-
-
-def _conjugate_by_reflection(w: np.ndarray, i: int, a: np.ndarray) -> np.ndarray:
-    """s_i w s_i over an int8 stack: u = w s_i, then s_i u = u + e_i (a^T u),
-    which changes only row i; the row is summed in int32."""
-    out = _times_reflection(w, i, a)
-    row = out[:, i].astype(np.int32)
-    for j in np.flatnonzero(a):
-        row += out[:, j] * np.int32(a[j])
-    out[:, i] = _narrow(row)
-    return out
-
-
-def _reflection_row(s: np.ndarray, i: int) -> np.ndarray:
-    """The a with s = Id + e_i a^T for a simple reflection s, which differs
-    from the identity in row i only, in int16."""
-    a = s[i].astype(np.int16)
-    a[i] -= 1
-    return a
-
-
-def _simple_reflections(cartan: list[list[int]]) -> list[np.ndarray]:
-    """Simple reflections in the root basis, in int8; each is checked to be
-    an involution, so it serves as its own inverse under conjugation."""
-    r = len(cartan)
-    mats = []
-    for i in range(r):
-        m = np.eye(r, dtype=np.int8)
-        for j in range(r):
-            m[i, j] = (1 if i == j else 0) - cartan[j][i]
-        if not np.array_equal(_times_reflection(m[None], i, _reflection_row(m, i))[0],
-                              np.eye(r, dtype=np.int8)):
-            raise ExactnessError(f"simple reflection s_{i} is not an involution")
-        mats.append(m)
-    return mats
-
-
 def _regular_vector(cartan: list[list[int]]) -> tuple[int, ...]:
     """rho in root coordinates, scaled to integers: the solution of
     <rho, alpha_i^vee> = sum_j rho_j cartan[j][i] = 1 for every i, by exact
@@ -319,77 +264,126 @@ def _key_radix(v: tuple[int, ...]) -> int:
     return radix
 
 
-def _keys(mats: np.ndarray, v: np.ndarray, radix: int) -> np.ndarray:
-    """One int64 key per matrix of an (N, r, r) integer stack: the image
-    w(v), summed column by column in int64, read as balanced digits in
-    `radix`."""
-    image = np.zeros(mats.shape[:2], dtype=np.int64)
-    for col, x in zip(np.moveaxis(mats, 2, 0), v):
-        image += col * x
-    key = image[:, -1].copy()
-    for digit in image[:, -2::-1].T:
-        key *= radix
-        key += digit
-    return key
-
-
 def charpoly_int(m: np.ndarray) -> IntPoly:
-    """det(q*Id - m) by Faddeev-LeVerrier over Python ints: with M_1 = Id,
-    c_{n-k} = -tr(m M_k)/k and M_{k+1} = m M_k + c_{n-k} Id.  Every
-    division is checked to be exact."""
-    a = m.tolist()
+    """det(q*Id - m) by Faddeev-LeVerrier over Python ints (object arrays):
+    with M_1 = Id, c_{n-k} = -tr(m M_k)/k and M_{k+1} = m M_k + c_{n-k} Id.
+    Every division is checked to be exact."""
+    a = np.array(m.tolist(), dtype=object)
     n = len(a)
     coeffs = [0] * n + [1]
-    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    mk = np.eye(n, dtype=object)
+    diagonal = np.diag_indices(n)
     for k in range(1, n + 1):
-        mk = [[sum(a[i][l] * mk[l][j] for l in range(n)) for j in range(n)]
-              for i in range(n)]
-        trace = sum(mk[i][i] for i in range(n))
+        mk = a @ mk
+        trace = mk.trace()
         if trace % k:
             raise ExactnessError(f"Faddeev-LeVerrier trace {trace} is not divisible by {k}")
         coeffs[n - k] = -trace // k
-        for i in range(n):
-            mk[i][i] += coeffs[n - k]
+        mk[diagonal] += coeffs[n - k]
     return IntPoly(tuple(coeffs))
 
 
-def _table_exceptional(cartan_type: str) -> WeylClassTable:
-    """W as an int8 stack in breadth-first order from the identity (each
-    level's right products taken generator by generator), and its classes
-    as the orbits of conjugation by the simple reflections, numbered by
-    least element index."""
-    cartan = _CARTAN[cartan_type]
+def _regular_orbit(cartan_type: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W as the orbit W rho: element w is the int8 vector x_w = w(rho), in
+    breadth-first order from rho (each level's left products taken generator
+    by generator), with `left[i, w]` and `right[i, w]` the int32 indices of
+    s_i w and w s_i.
+
+    s_i x = x - <x, alpha_i^vee> alpha_i changes coordinate i only, by the
+    pairing (x @ cartan)[i], and the key (balanced digits of x) is linear in
+    x, so a product and its key cost about `rank` operations.  Every
+    coordinate is checked to stay within the dominance bound max|rho| of
+    `_key_radix`, which also bounds the closure of a Cartan matrix whose
+    group is infinite."""
+    cartan = np.array(_CARTAN[cartan_type], dtype=np.int64)
     rank = len(cartan)
-    rows = [_reflection_row(g, i) for i, g in enumerate(_simple_reflections(cartan))]
-    v = _regular_vector(cartan)
-    radix = _key_radix(v)
-    v = np.array(v, dtype=np.int64)
+    rho = _regular_vector(_CARTAN[cartan_type])
+    bound = max(map(abs, rho))
+    if bound > np.iinfo(np.int8).max:
+        raise ExactnessError(f"rho has an entry of size {bound}, beyond the int8 range")
+    powers = _key_radix(rho) ** np.arange(rank, dtype=np.int64)
 
-    def keys(stack: np.ndarray) -> np.ndarray:
-        return _keys(stack, v, radix)
+    def left_products(level: np.ndarray) -> np.ndarray:
+        out = np.repeat(level[None], rank, axis=0)
+        for i, column in enumerate(cartan.T):
+            moved = level[:, i] - level @ column
+            if np.abs(moved).max() > bound:
+                raise ExactnessError(
+                    f"W({cartan_type}) moves rho beyond the dominance bound {bound}")
+            out[i, :, i] = moved
+        return out.reshape(-1, rank)
 
-    def right_products(level: np.ndarray) -> np.ndarray:
-        return np.concatenate([_times_reflection(level, i, a) for i, a in enumerate(rows)])
-
-    elements = np.concatenate(list(closure_levels(np.eye(rank, dtype=np.int8)[None],
-                                                  right_products, keys)))
-    order = len(elements)
+    levels = list(closure_levels(np.array([rho], dtype=np.int8), left_products,
+                                 lambda x: x @ powers))
+    x = np.concatenate(levels)
+    order = len(x)
     # distinct elements carry distinct keys here, so a key shared by two
-    # elements of W would merge them and shrink the closure
+    # elements of W (a non-regular rho) would merge them and shrink the closure
     if order != EXCEPTIONAL_ORDERS[cartan_type]:
         raise ExactnessError(
             f"W({cartan_type}) closure has order {order}, "
             f"expected {EXCEPTIONAL_ORDERS[cartan_type]}"
         )
-    index = SortedKeys(keys(elements))
-    # each generator is an involution, so s_i w s_i is the conjugate
-    conjugations = [index.index_of(keys(_conjugate_by_reflection(elements, i, a)),
-                                   f"W({cartan_type}) is not closed under conjugation")
-                    for i, a in enumerate(rows)]
-    reps, class_of = orbit_labels(order, conjugations)
+    keys = x @ powers
+    index = SortedKeys(keys)
+    left = np.empty((rank, order), dtype=np.int32)
+    for i, (column, power) in enumerate(zip(cartan.T, powers)):
+        left[i] = index.index_of(keys - (x @ column) * power,
+                                 f"W({cartan_type}) is not closed under s_{i}")
+    right = _right_permutations(left, np.cumsum([0] + [len(lv) for lv in levels]).tolist())
+    identity = np.arange(order)
+    for side, perms in (("left", left), ("right", right)):
+        for i, p in enumerate(perms):
+            if not np.array_equal(p[p], identity):
+                raise ExactnessError(
+                    f"the {side} product by s_{i} in W({cartan_type}) is not an involution")
+    return x, left, right
+
+
+def _right_permutations(left: np.ndarray, starts: list[int]) -> np.ndarray:
+    """right[i, w], the index of w s_i, level by level from the left
+    products: an element w of breadth-first level L > 0 is s_a w' for some a
+    with w' = s_a w on level L - 1, and then w s_i = s_a (w' s_i).  Element 0
+    is the identity, where w s_i = s_i w; `starts` are the level offsets."""
+    right = np.empty_like(left)
+    right[:, 0] = left[:, 0]
+    for lo, hi in zip(starts[1:], starts[2:]):
+        a = (left[:, lo:hi] < lo).argmax(axis=0)
+        lower = left[a, np.arange(lo, hi)]
+        right[:, lo:hi] = left[a, right[:, lower]]
+    return right
+
+
+def _matrices(x: np.ndarray, right: np.ndarray, ws: np.ndarray,
+              cartan: np.ndarray) -> np.ndarray:
+    """The root-basis matrices of the elements `ws`: as rho - s_j rho =
+    <rho, alpha_j^vee> alpha_j, column j of w is (x_w - x_{w s_j}) divided
+    by that pairing, which is checked to be exact, and w rho = x_w is
+    checked.  Element 0 is the identity, so x_0 = rho."""
+    rho = x[0].astype(np.int64)
+    pairing = rho @ cartan
+    images = x[ws].astype(np.int64)
+    columns = images[:, None, :] - x[right[:, ws].T]
+    if (columns % pairing[:, None]).any():
+        raise ExactnessError("a Weyl group matrix column is not integral")
+    mats = (columns // pairing[:, None]).transpose(0, 2, 1)
+    if not np.array_equal(mats @ rho, images):
+        raise ExactnessError("a rebuilt Weyl group matrix does not map rho to its orbit vector")
+    return mats
+
+
+def _table_exceptional(cartan_type: str) -> WeylClassTable:
+    """W as its regular orbit (`_regular_orbit`), and its classes as the
+    orbits of conjugation by the simple reflections, s_i w s_i being
+    `right[i][left[i]]`, numbered by least element index; each class's
+    torus polynomial is read off its representative's matrix."""
+    x, left, right = _regular_orbit(cartan_type)
+    order, rank = x.shape
+    reps, class_of = orbit_labels(order, [r[lt] for lt, r in zip(left, right)])
     sizes = np.bincount(class_of).tolist()
-    classes = [WeylClass(f"c{cls}", size, order // size, charpoly_int(elements[rep]))
-               for cls, (rep, size) in enumerate(zip(reps.tolist(), sizes))]
+    mats = _matrices(x, right, reps, np.array(_CARTAN[cartan_type], dtype=np.int64))
+    classes = [WeylClass(f"c{cls}", size, order // size, charpoly_int(m))
+               for cls, (m, size) in enumerate(zip(mats, sizes))]
     return WeylClassTable(cartan_type, rank, rank, order, tuple(classes))
 
 

@@ -440,3 +440,17 @@ def test_exceptional_weyl_stats_stdout_is_pinned(argv, digest, capsys):
     code, out, _ = run_cli(argv.split(), capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("torus-orders --type D --rank 10",
+     "6b7f37e64225ae81f6dd16d6493da18ce3692800f84c23bc677915c2c608993d"),
+    ("torus-orders --type E6 --rank 6",
+     "2e46bc02857e11a06a6fe421a592c2ace66f2734597b593674b0211b80a0b957"),
+])
+def test_torus_orders_stdout_is_pinned(argv, digest, capsys):
+    # the D10 digest is the one the benchmark pins; E6 pins the torus
+    # polynomials read off the reconstructed class representatives
+    code, out, _ = run_cli(argv.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -350,25 +350,48 @@ def test_charpoly_int_refuses_an_inexact_division():
         charpoly_int(np.array([[Fraction(1, 2)]], dtype=object))
 
 
-def _reference_exceptional_classes(cartan_type):
-    """(label, size, charpoly) per class from a breadth-first closure over
-    the bytes of int64 matrices (each level's products taken generator by
-    generator) and orbits closed one seed at a time."""
-    gens = W._simple_reflections(W._CARTAN[cartan_type])
+def _simple_reflections(cartan):
+    """Simple reflections in the root basis as int64 matrices: s_i differs
+    from the identity in row i, where s_i x = x - <x, alpha_i^vee> alpha_i."""
+    r = len(cartan)
+    mats = []
+    for i in range(r):
+        m = np.eye(r, dtype=np.int64)
+        m[i] -= np.array(cartan, dtype=np.int64)[:, i]
+        assert np.array_equal(m @ m, np.eye(r, dtype=np.int64))
+        mats.append(m)
+    return mats
+
+
+@lru_cache(maxsize=None)
+def _reference_closure(cartan_type):
+    """W as int64 matrices from a breadth-first closure over their bytes
+    (each level's right products taken generator by generator): the
+    generators, the elements' bytes and their index."""
+    gens = _simple_reflections(W._CARTAN[cartan_type])
     r = len(gens)
 
-    def stack(level):
-        return np.frombuffer(b"".join(level), dtype=np.int64).reshape(-1, r, r)
-
     def right_products(level):
-        return (row.tobytes() for g in gens for row in stack(level) @ g)
+        return (row.tobytes() for g in gens for row in _stack(level, r) @ g)
+
+    return (gens, *closure(np.eye(r, dtype=np.int64).tobytes(), right_products))
+
+
+def _stack(level, r):
+    return np.frombuffer(b"".join(level), dtype=np.int64).reshape(-1, r, r)
+
+
+def _reference_exceptional_classes(cartan_type):
+    """(label, size, charpoly) per class from the reference closure, with
+    orbits closed one seed at a time."""
+    gens, elements, index = _reference_closure(cartan_type)
+    r = len(gens)
 
     def conjugates(level):
-        return (row.tobytes() for g in gens for row in g @ stack(level) @ g)
+        return (row.tobytes() for g in gens for row in g @ _stack(level, r) @ g)
 
-    elements, index = closure(np.eye(r, dtype=np.int64).tobytes(), right_products)
     _, orbits = orbit_partition(len(elements), conjugates, elements.__getitem__, index.__getitem__)
-    return [(f"c{i}", len(members), charpoly_int(stack([elements[members[0]]])[0]))
+    return [(f"c{i}", len(members), charpoly_int(_stack([elements[members[0]]], r)[0]))
             for i, members in enumerate(orbits)]
 
 
@@ -379,11 +402,60 @@ def test_exceptional_classes_match_the_reference_closure(cartan_type):
     assert got == _reference_exceptional_classes(cartan_type)
 
 
+@pytest.mark.parametrize("cartan_type", ["G2", "F4", "E6"])
+def test_the_orbit_closure_lists_the_inverses_of_the_reference_closure(cartan_type):
+    # element k of the left-product orbit closure is the inverse of element k
+    # of the right-product matrix closure, and its reconstructed matrix maps
+    # rho to its orbit vector
+    gens, elements, _ = _reference_closure(cartan_type)
+    x, left, right = W._regular_orbit(cartan_type)
+    r = len(gens)
+    assert x.dtype == np.int8 and left.dtype == right.dtype == np.int32
+    mats = W._matrices(x, right, np.arange(len(x)), np.array(W._CARTAN[cartan_type]))
+    assert np.array_equal(mats @ _stack(elements, r), np.broadcast_to(np.eye(r), mats.shape))
+    for i, g in enumerate(gens):
+        assert np.array_equal(mats[left[i]], g @ mats)
+        assert np.array_equal(mats[right[i]], mats @ g)
+
+
 def test_int8_overflow_is_refused(monkeypatch):
     # reflections with large off-diagonal entries generate an infinite group
-    # whose products soon leave the int8 range
+    # whose orbit soon leaves the dominance bound
     monkeypatch.setitem(W._CARTAN, "G2", [[2, -100], [-100, 2]])
-    with pytest.raises(RuntimeError, match="int8"):
+    with pytest.raises(RuntimeError, match="dominance bound"):
+        W._table_exceptional("G2")
+
+
+def test_a_corrupted_right_product_is_caught_by_the_involution_check(monkeypatch):
+    real = W._right_permutations
+
+    def corrupted(left, starts):
+        right = real(left, starts)
+        right[2, 7] = right[2, 8]
+        return right
+
+    monkeypatch.setattr(W, "_right_permutations", corrupted)
+    with pytest.raises(ExactnessError, match="right product by s_2 .* is not an involution"):
+        W._table_exceptional("F4")
+
+
+@pytest.mark.parametrize("pairings,message", [
+    (None, "does not map rho"),
+    ((1, 2), "not integral"),  # the vector (8, 5): column 1 divides by 2
+])
+def test_swapped_right_products_are_caught_by_the_matrix_checks(pairings, message, monkeypatch):
+    if pairings:
+        monkeypatch.setattr(W, "_regular_vector", lambda cartan: (8, 5))
+        assert (np.array([8, 5]) @ np.array(W._CARTAN["G2"])).tolist() == list(pairings)
+    x, _, right = W._regular_orbit("G2")
+    with pytest.raises(ExactnessError, match=message):
+        W._matrices(x, right[::-1], np.arange(len(x)), np.array(W._CARTAN["G2"]))
+
+
+def test_a_key_vector_beyond_int8_is_refused(monkeypatch):
+    big = tuple(200 * x for x in W._regular_vector(W._CARTAN["G2"]))
+    monkeypatch.setattr(W, "_regular_vector", lambda cartan: big)
+    with pytest.raises(ExactnessError, match="beyond the int8 range"):
         W._table_exceptional("G2")
 
 
@@ -391,7 +463,7 @@ def test_int8_overflow_is_refused(monkeypatch):
 def test_the_key_vector_pairs_to_one_with_every_simple_coroot(cartan_type):
     # s_i rho = rho - alpha_i: rho is inside the fundamental chamber
     rho = np.array(W._regular_vector(W._CARTAN[cartan_type]))
-    for i, s in enumerate(W._simple_reflections(W._CARTAN[cartan_type])):
+    for i, s in enumerate(_simple_reflections(W._CARTAN[cartan_type])):
         assert np.array_equal(s.astype(np.int64) @ rho, rho - np.eye(len(rho), dtype=int)[i])
 
 
@@ -399,7 +471,7 @@ def test_the_key_vector_pairs_to_one_with_every_simple_coroot(cartan_type):
 def test_a_non_regular_key_vector_is_caught_by_the_order_check(cartan_type, monkeypatch):
     cartan = W._CARTAN[cartan_type]
     rho = np.array(W._regular_vector(cartan))
-    s0 = W._simple_reflections(cartan)[0].astype(np.int64)
+    s0 = _simple_reflections(cartan)[0].astype(np.int64)
     fixed = rho + s0 @ rho  # fixed by s_0, so orthogonal to the root alpha_0
     assert np.array_equal(s0 @ fixed, fixed) and fixed.any()
     monkeypatch.setattr(W, "_regular_vector", lambda cartan: tuple(fixed.tolist()))
