@@ -5,13 +5,16 @@ from the split Cartan, and the Kazhdan-Letellier identity check.
 The matrix space is decoded once, by the `_MatrixKernel` that owns the
 matrix codes, and the orbit table keeps that digit array and its kernel.
 Orbits are the `orbit_labels` of one conjugation permutation per generator
-of GL_n over the whole space, numbered by least code.
+g of GL_n over the whole space, numbered by least code; y -> g y g^-1 is
+F_p-linear, so each permutation is one `_MatrixKernel.apply` of its map,
+and the codes it gives are the permutation itself.
 
 The transform of an orbit indicator is F(1_O)(Y) = sum_{y in O} psi(tr(Y y))
 with psi = zeta_p^Tr the canonical additive character, so the Fourier table
 is held as integer counts: counts[O, O', t] = #{y in O : Tr(tr(rep(O') y)) = t},
-one (orbits, orbits, p) array.  A column is one trace form (the kernel's
-field-table gathers) and one bincount by orbit.  Counting the pairs in
+one (orbits, orbits, p) array.  A column is one trace form, an F_p-linear
+form on the matrix coordinates, and one bincount by orbit; the trace forms
+of eight columns share one `_MatrixKernel.apply`.  Counting the pairs in
 O' x O by trace gives |O'| counts[O, O'] = |O| counts[O', O], so a column is
 counted only over the orbits no larger than its own and the rest of the
 table follows by checked divisions.  p is prime, so an entry is zero exactly
@@ -55,6 +58,7 @@ from .matgroup import (
     gl_order,
     mat_charpoly,
     mat_identity,
+    mat_inv,
     mat_mul,
     orbit_labels,
 )
@@ -186,11 +190,9 @@ def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP) ->
     every = kernel.decode(np.arange(space))
     conjugations = []
     for gen in gl_generators(n, field):
-        g = np.broadcast_to(kernel.digits([gen]), every.shape)
-        left, right = (kernel.codes(kernel.product(*f)) for f in ((g, every), (every, g)))
-        conj = np.empty_like(left)
-        conj[right] = left  # x g -> g x, that is y -> g y g^-1
-        conjugations.append(conj)
+        g, g_inv = kernel.digits([gen, mat_inv(field, n, gen)])
+        # the code of y goes to the code of g y g^-1
+        conjugations.append(kernel.apply(every, [kernel.linear_map(g, g_inv)])[:, 0])
     reps, orbit_of = orbit_labels(space, conjugations)
     by_orbit = np.argsort(orbit_of, kind="stable")  # increasing codes within each orbit
     bounds = np.cumsum(np.bincount(orbit_of))[:-1]
@@ -274,7 +276,14 @@ def _pairing(n: int, y: tuple[int, ...] | list[int]) -> list[int]:
 
 def _trace_pairing(o: OrbitTable, y: tuple[int, ...] | list[int]) -> np.ndarray:
     """Tr(tr(y x)) for every matrix x of the space, in code order."""
-    return o.kernel.trace_form(o.matrices, _pairing(o.n, y))
+    return o.kernel.trace_forms(o.matrices, [_pairing(o.n, y)])[:, 0]
+
+
+def _orbit_counts(o: OrbitTable, labels: np.ndarray, residues: np.ndarray) -> np.ndarray:
+    """counts[O, t] = #{x : residue t} over the matrices x whose orbit
+    `labels` are O, as an (orbits, p) array: one bincount."""
+    p = o.field.p
+    return np.bincount(labels * p + residues, minlength=o.num_orbits * p).reshape(-1, p)
 
 
 def _column_counts(o: OrbitTable, y: tuple[int, ...] | list[int], digits: np.ndarray,
@@ -282,9 +291,10 @@ def _column_counts(o: OrbitTable, y: tuple[int, ...] | list[int], digits: np.nda
     """counts[O, t] = #{x : Tr(tr(y x)) = t} over the matrices x of the digit
     array whose orbit `labels` are O, as an (orbits, p) array: one trace form
     and one bincount."""
-    p = o.field.p
-    residues = o.kernel.trace_form(digits, _pairing(o.n, y))
-    return np.bincount(labels * p + residues, minlength=o.num_orbits * p).reshape(-1, p)
+    return _orbit_counts(o, labels, o.kernel.trace_forms(digits, [_pairing(o.n, y)])[:, 0])
+
+
+_COLUMNS = 8  # Fourier-table columns per trace-form pass
 
 
 def fourier_table(o: OrbitTable, scale: int = 1) -> FourierTable:
@@ -315,15 +325,20 @@ def fourier_table(o: OrbitTable, scale: int = 1) -> FourierTable:
     prefix = ends[np.searchsorted(sizes[by_size], sizes, side="right") - 1]
     # int64 is exact: |O| |O'| <= (q^(n^2))^2
     counts = np.zeros((tau, tau, F.p), dtype=np.int64)
-    # increasing size, so a larger orbit's row fills the zeros its column left
-    for tgt in by_size.tolist():
-        rep, end = [F.mul[scale][x] for x in o.orbits[tgt].rep], prefix[tgt]
-        column = counts[:, tgt] = _column_counts(o, rep, digits[:end], labels[:end])
-        smaller = sizes < sizes[tgt]
-        row, rem = np.divmod(sizes[tgt] * column[smaller], sizes[smaller, None])
-        if rem.any():
-            raise ExactnessError("|O| counts[O', O] is not divisible by |O'|")
-        counts[tgt, smaller] = row
+    # increasing size, so a larger orbit's row fills the zeros its column left;
+    # the trace forms of a few columns at a time share one pass over the members
+    for b in range(0, tau, _COLUMNS):
+        batch = by_size[b : b + _COLUMNS].tolist()
+        pairings = [_pairing(o.n, [F.mul[scale][x] for x in o.orbits[tgt].rep]) for tgt in batch]
+        residues = o.kernel.trace_forms(digits[: prefix[batch].max()], pairings)
+        for tgt, res in zip(batch, residues.T):
+            end = prefix[tgt]
+            column = counts[:, tgt] = _orbit_counts(o, labels[:end], res[:end])
+            smaller = sizes < sizes[tgt]
+            row, rem = np.divmod(sizes[tgt] * column[smaller], sizes[smaller, None])
+            if rem.any():
+                raise ExactnessError("|O| counts[O', O] is not divisible by |O'|")
+            counts[tgt, smaller] = row
     equal = sizes[:, None] == sizes[None, :]
     if not np.array_equal(counts[equal], counts.swapaxes(0, 1)[equal]):
         raise ExactnessError("two orbits of equal size disagree on their transform counts")

@@ -4,27 +4,39 @@ Matrices over F_q are flat row-major tuples of field element codes, which
 hash in constant time.  This module owns every decision about them: the one
 Gauss-Jordan row reduction (`rref`); the one batched matrix format,
 `_MatrixKernel`, which alone fixes the base-q matrix code and owns its
-inverse (`codes`, `decode`), the batched product and the trace form; the
-one sorted-key lookup (`SortedKeys`); and the one orbit routine
-(`orbit_labels`), which numbers the orbits of a group acting on 0..N-1
-through one permutation array per generator.
+inverse (`codes`, `decode`), the gather product, the F_p-linear maps and
+the trace form; the two code lookups (`DenseKeys`, `SortedKeys`); and the
+one orbit routine (`orbit_labels`), which numbers the orbits of a group
+acting on 0..N-1 through one permutation array per generator.
 
 A matrix group keeps its elements as one (|G|, n^2) numpy array of digits,
-the entry codes in the smallest dtype that holds q - 1.  All |G|-sized work
-goes through one batched product, `GroupTable.mul_many`: a kernel that
-multiplies whole digit arrays by gathers from the field's add and mul
-tables, then finds the products by their base-q codes through `SortedKeys`,
-sorted once and searched with `np.searchsorted` (no q^(n^2) table is
-built).  Enumeration is breadth-first from the identity, a level at a time,
-with the generator list sorted; each level keeps the first occurrences of
-unseen products in (element, generator) order, so the element order is that
-of a BFS taking one product at a time and two runs produce identical index
-maps.  Conjugacy classes are the `orbit_labels` of one conjugation
-permutation per generator: every element is labelled by the least index of
-its orbit (labels pulled along each permutation, then lowered by pointer
-jumping), and classes are numbered by that least index, which is also the
-representative.  The adjoint orbits of gl_n and the exceptional Weyl
-classes use the same routine.
+the entry codes in the smallest dtype that holds q - 1.  Every |G|- or
+q^(n^2)-sized product has one fixed factor: a level of the enumeration
+times a generator, the conjugation x -> g x g^-1 by a generator (classes
+here, adjoint orbits in `liefourier`), the class rows u rep_j in `dixon`,
+and the trace form.  A field element's code is its base-p digit vector, so
+each of these is one F_p-linear map on the n^2 e base-p digits of the
+matrix codes: built once from the gather product on the basis matrices
+(`_MatrixKernel.linear_map`) and applied to whole digit arrays, several
+maps side by side, as one float BLAS product per chunk of rows, exact
+integers reduced mod p by a lookup (`_MatrixKernel.apply`).  The gather
+product itself, from the field's add and mul tables, serves only the
+tau-sized power-map products, the building of those maps, and direct
+products of groups, which keep the generic `mul_many` route.  Products are
+found by their base-q codes: through one int32 code -> index array when
+the q^(n^2) codes are at most four times |G| (every GL_n, at most 3.5
+times), else by one argsort and `np.searchsorted` (SL_n, the Weyl orbits).
+
+Enumeration is breadth-first from the identity, a level at a time, over
+matrix codes, with the generator list sorted; each level keeps the first
+occurrences of unseen products in (element, generator) order, so the
+element order is that of a BFS taking one product at a time and two runs
+produce identical index maps.  Conjugacy classes are the `orbit_labels` of
+one conjugation permutation per generator: every element is labelled by the
+least index of its orbit (labels pulled along each permutation, then
+lowered by pointer jumping), and classes are numbered by that least index,
+which is also the representative.  The adjoint orbits of gl_n and the
+exceptional Weyl classes use the same routine.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ExactnessError
-from .ffield import Field, field_for_order
+from .ffield import Field, field_for_order, to_digits
 
 
 class EnumerationCapExceeded(ValueError):
@@ -133,7 +145,9 @@ class GroupTable:
 
     Subclasses provide batched multiplication (`mul_many`) and scalar
     inversion; everything the character-table machinery needs
-    (class data, power maps, exponent) is derived here.
+    (class data, power maps, exponent) is derived here.  The products with
+    one fixed factor (`mul_right`, `conjugations`) default to `mul_many`;
+    a matrix group overrides them with F_p-linear maps.
     """
 
     # populated by subclasses:
@@ -147,27 +161,61 @@ class GroupTable:
     def inv_idx(self, i: int) -> int:
         raise NotImplementedError
 
+    def mul_right(self, xs: np.ndarray, rights: np.ndarray) -> np.ndarray:
+        """The (len(xs), len(rights)) indices of the products x r."""
+        return self.mul_many(np.asarray(xs)[:, None], np.asarray(rights)[None, :])
+
+    def conjugations(self) -> list[np.ndarray]:
+        """One permutation of the element indices per generator g, x -> g x g^-1."""
+        everything = np.arange(self.order)
+        return [self.mul_many(self.mul_many(g, everything), self.inv_idx(g))
+                for g in self.generator_indices]
+
     @property
     def identity_idx(self) -> int:
         return 0
 
 
-_CHUNK = 1 << 16  # rows per step of the batched product, bounding its temporaries
+_CHUNK = 1 << 16  # rows per step of the gather product, bounding its temporaries
+# Multiply-adds per BLAS call of `_MatrixKernel.apply`.  OpenBLAS threads a
+# product above about 2^19 of them, and on these thin shapes (a few dozen
+# columns) the threads cost about 100 times the product itself on a 2-CPU
+# machine; below it the call stays single-threaded and its temporaries small.
+_MACS = 1 << 18
+
+
+def _exact_float(width: int, p: int) -> type:
+    """The float dtype in which every dot product of `width` pairs of
+    residues mod p is exact: its largest value, width * (p-1)^2, must lie
+    below 2^24 for float32 or 2^53 for float64."""
+    bound = width * (p - 1) ** 2
+    if bound < 1 << 24:
+        return np.float32
+    if bound < 1 << 53:
+        return np.float64
+    raise ExactnessError(f"F_{p}-linear products of width {width} are not exact in float64")
 
 
 class _MatrixKernel:
     """The one owner of the F_q matrix format: (N, n*n) digit arrays, their
-    base-q codes, batched products and the trace form.
+    base-q codes, batched products, F_p-linear maps and the trace form.
 
     Entries are field element codes in the smallest unsigned dtype holding
     q - 1.  A matrix's code is sum_t x_t q^t over its row-major entries x_t,
     entry 0 least significant, in int64.  Sums and products are gathers from
     the field's flattened add and mul tables at index x*q + y, built once
-    per kernel with the size-q trace array.
+    per kernel.
+
+    A field element's code is its base-p digit vector, so the base-p digits
+    of a matrix code, coordinate c = t*e + i being digit i of entry t, are
+    its `width` = n^2 e coordinates over F_p, and a map x -> a x b with fixed
+    a and b is an F_p-linear map K on them, a (width, width) matrix over
+    F_p (`linear_map`).  `apply` takes such maps to whole digit arrays by
+    one float BLAS product, exact below the bound of `_exact_float`.
     """
 
     def __init__(self, field: Field, n: int):
-        q = field.q
+        q, p, e = field.q, field.p, field.e
         if q ** (n * n) > 1 << 63:
             raise ValueError(f"{n} x {n} matrices over F_{q} have codes beyond 64 bits")
         self.field, self.n, self.q = field, n, q
@@ -175,7 +223,19 @@ class _MatrixKernel:
         self._wide = np.min_scalar_type(q * q - 1)
         self._add = np.array(field.add, dtype=self.dtype).ravel()
         self._mul = np.array(field.mul, dtype=self.dtype).ravel()
-        self._trace = np.array([field.trace_to_prime(x) for x in range(q)], dtype=self.dtype)
+        self.width = n * n * e
+        self._float = _exact_float(self.width, p)
+        # each field element's e base-p digits as one record, for one gather per entry
+        coords = np.array([to_digits(x, p, e) for x in range(q)], dtype=self._float)
+        self._coords = coords.view(np.dtype((np.void, coords.itemsize * e))).ravel()
+        # the basis matrices: coordinate c = t*e + i is entry t = p^i
+        self._basis = np.zeros((self.width, n * n), dtype=self.dtype)
+        entries = np.arange(self.width)
+        self._basis[entries, entries // e] = np.tile(p ** np.arange(e), n * n)
+        self._powers = p ** np.arange(self.width, dtype=np.int64)
+        # residues of the exact dot products, by lookup while the table is small
+        top = self.width * (p - 1) ** 2
+        self._residue = (np.arange(top + 1) % p).astype(self.dtype) if top < 1 << 16 else None
 
     def digits(self, matrices: list[tuple[int, ...]]) -> np.ndarray:
         return np.array(matrices, dtype=self.dtype).reshape(len(matrices), self.n * self.n)
@@ -192,6 +252,50 @@ class _MatrixKernel:
                 term = np.take(self._mul, x[:, :, k, None] * q + y[:, None, k, :])
                 acc = np.take(self._add, acc.astype(self._wide) * q + term)
             out[s : s + _CHUNK] = acc.reshape(-1, n * n)
+        return out
+
+    def linear_map(self, left: np.ndarray | None = None,
+                   right: np.ndarray | None = None) -> np.ndarray:
+        """K, the (width, width) matrix over F_p of x -> left x right (either
+        factor may be left out) on coordinates: row c is the image of the
+        c-th basis matrix, formed by the gather product."""
+        images = self._basis
+        if left is not None:
+            images = self.product(np.broadcast_to(left, images.shape), images)
+        if right is not None:
+            images = self.product(images, np.broadcast_to(right, images.shape))
+        return self._coordinates(images)
+
+    def _coordinates(self, digits: np.ndarray) -> np.ndarray:
+        """The (N, width) float array of the F_p coordinates of a digit
+        array's rows: over a prime field the digits themselves."""
+        if self.field.e == 1:
+            return digits.astype(self._float)
+        return np.take(self._coords, digits).view(self._float).reshape(len(digits), self.width)
+
+    def apply(self, digits: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
+        """The images of the rows of a digit array under F_p-linear maps, each
+        a (width, w) matrix over F_p, as an (N, len(maps)) array of the values
+        sum_c y_c p^c of the image coordinates y: the int64 matrix codes of
+        the images when w is the width, the one residue when w is 1.
+
+        The maps are stacked side by side for one float product per chunk of
+        rows; its entries are exact integers, reduced mod p by a lookup
+        while the lookup table is small, and the codes are one product by
+        the powers p^c."""
+        w = maps[0].shape[1]
+        stacked = np.concatenate(maps, axis=1).astype(self._float)
+        out = np.empty((len(digits), len(maps)), dtype=np.int64 if w > 1 else self.dtype)
+        step = max(1, _MACS // stacked.size)
+        for s in range(0, len(digits), step):
+            dots = self._coordinates(digits[s : s + step]) @ stacked
+            if self._residue is None:
+                residues = np.fmod(dots, self.field.p).astype(self.dtype)
+            else:
+                residues = np.take(self._residue, dots.astype(np.intp))
+            if w > 1:
+                residues = (residues.reshape(-1, w) @ self._powers[:w]).reshape(len(dots), -1)
+            out[s : s + step] = residues
         return out
 
     def codes(self, digits: np.ndarray) -> np.ndarray:
@@ -211,16 +315,15 @@ class _MatrixKernel:
             rest, out[:, t] = np.divmod(rest, self.q)
         return out
 
-    def trace_form(self, digits: np.ndarray, coeffs: list[int]) -> np.ndarray:
-        """Tr_{F_q/F_p}(sum_t coeffs[t] * x_t) for every row x of a digit
-        array, one gather chain over the columns with a nonzero coefficient."""
-        q = self.q
-        acc = np.zeros(len(digits), dtype=self._wide)
-        for t, c in enumerate(coeffs):
-            if c:
-                term = np.take(self._mul, digits[:, t] + self._wide.type(c * q))
-                acc = np.take(self._add, acc * q + term).astype(self._wide)
-        return np.take(self._trace, acc)
+    def trace_forms(self, digits: np.ndarray, coeffs: list[list[int]]) -> np.ndarray:
+        """Tr_{F_q/F_p}(sum_t c[t] * x_t) for every row x of a digit array and
+        every coefficient list c, as an (N, len(coeffs)) array.  Each is
+        F_p-linear in x, so together they are one `apply` of their values
+        on the basis matrices."""
+        F = self.field
+        weights = [np.array([F.trace_to_prime(F.mul[ct][F.p**i]) for ct in c for i in range(F.e)])
+                   for c in coeffs]
+        return self.apply(digits, [wt[:, None] for wt in weights])
 
 
 class SortedKeys:
@@ -245,10 +348,31 @@ class SortedKeys:
         return out
 
 
+class DenseKeys:
+    """Positions of distinct keys in [0, size), by one int32 array over the
+    whole range, -1 where a key is absent: `SortedKeys` without the sort,
+    for key sets that fill a good part of their range."""
+
+    def __init__(self, keys: np.ndarray, size: int):
+        self._position = np.full(size, -1, dtype=np.int32)
+        self._position[keys] = np.arange(len(keys), dtype=np.int32)
+
+    def index_of(self, wanted: np.ndarray, missing: str) -> np.ndarray:
+        """Positions of a 1-D array of keys in [0, size); raises
+        `ExactnessError(missing)` if one is absent."""
+        out = self._position[wanted]
+        if (out < 0).any():
+            raise ExactnessError(missing)
+        return out.astype(np.intp)  # as `SortedKeys`; numpy gathers faster by intp
+
+
 class MatrixGroupTable(GroupTable):
     """A matrix group stored as `digits`, an (|G|, n*n) array of entry
     codes in element order, multiplied by `kernel`.  Matrices are found by
-    their base-q codes through `SortedKeys`."""
+    their base-q codes, through `DenseKeys` when the q^(n^2) codes are at
+    most four times |G| (every GL_n), else through `SortedKeys`.  A product
+    with a fixed factor is one F_p-linear map; the right multiplication by
+    an element is kept once built."""
 
     def __init__(self, kernel: _MatrixKernel, digits: np.ndarray, generators: np.ndarray):
         self.field = kernel.field
@@ -256,8 +380,10 @@ class MatrixGroupTable(GroupTable):
         self.digits = digits
         self.order = len(digits)
         self.kernel = kernel
-        self._keys = SortedKeys(kernel.codes(digits))
+        codes, space = kernel.codes(digits), kernel.q ** (kernel.n**2)
+        self._keys = DenseKeys(codes, space) if space <= 4 * self.order else SortedKeys(codes)
         self.generator_indices = self._index_of(kernel.codes(generators)).tolist()
+        self._right_maps: dict[int, np.ndarray] = {}
 
     def _index_of(self, codes: np.ndarray) -> np.ndarray:
         """Element indices of a 1-D array of matrix codes."""
@@ -270,6 +396,22 @@ class MatrixGroupTable(GroupTable):
         a, b = np.broadcast_arrays(np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp))
         prod = self.kernel.product(self.digits[a.ravel()], self.digits[b.ravel()])
         return self._index_of(self.kernel.codes(prod)).reshape(a.shape)
+
+    def mul_right(self, xs: np.ndarray, rights: np.ndarray) -> np.ndarray:
+        maps = []
+        for r in np.asarray(rights).tolist():
+            if r not in self._right_maps:
+                self._right_maps[r] = self.kernel.linear_map(right=self.digits[r])
+            maps.append(self._right_maps[r])
+        codes = self.kernel.apply(self.digits[xs], maps)
+        return self._index_of(codes.ravel()).reshape(codes.shape)
+
+    def conjugations(self) -> list[np.ndarray]:
+        kernel, perms = self.kernel, []
+        for g in self.generator_indices:
+            conjugation = kernel.linear_map(self.digits[g], self.digits[self.inv_idx(g)])
+            perms.append(self._index_of(kernel.apply(self.digits, [conjugation])[:, 0]))
+        return perms
 
     def inv_idx(self, i: int) -> int:
         inverse = mat_inv(self.field, self.dim, self.element(i))
@@ -304,20 +446,19 @@ def enumerate_group(generators: list[tuple[int, ...]], field: Field, dim: int,
         mat_inv(field, dim, g)  # raises on a singular generator
     kernel = _MatrixKernel(field, dim)
     gen_digits = kernel.digits(gens)
+    right_maps = [kernel.linear_map(right=g) for g in gen_digits]
 
     def right_products(level: np.ndarray) -> np.ndarray:
-        products = np.empty((len(level), len(gens), dim * dim), dtype=kernel.dtype)
-        for t, g in enumerate(gen_digits):
-            products[:, t] = kernel.product(level, np.broadcast_to(g, level.shape))
-        return products.reshape(-1, dim * dim)
+        return kernel.apply(kernel.decode(level), right_maps).ravel()
 
+    identity = kernel.codes(kernel.digits([mat_identity(dim)]))
     levels, found = [], 0
-    for level in closure_levels(kernel.digits([mat_identity(dim)]), right_products, kernel.codes):
+    for level in closure_levels(identity, right_products, lambda codes: codes):
         found += len(level)
         if found > cap:
             raise EnumerationCapExceeded(f"group closure exceeded cap {cap}")
         levels.append(level)
-    group = MatrixGroupTable(kernel, np.concatenate(levels), gen_digits)
+    group = MatrixGroupTable(kernel, kernel.decode(np.concatenate(levels)), gen_digits)
     # closure under inverse is implied (finite order); spot-check a sample
     for i in range(min(group.order, 16)):
         group.inv_idx(i)
@@ -391,10 +532,7 @@ class ClassData:
     representative; `class_of` is an index array over the elements."""
 
     def __init__(self, group: GroupTable):
-        everything = np.arange(group.order)
-        conjugations = [group.mul_many(group.mul_many(g, everything), group.inv_idx(g))
-                        for g in group.generator_indices]
-        reps, class_of = orbit_labels(group.order, conjugations)
+        reps, class_of = orbit_labels(group.order, group.conjugations())
         reps = reps.tolist()
         self.group = group
         self.class_reps = reps

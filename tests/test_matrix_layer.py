@@ -104,8 +104,8 @@ def test_trace_form_matches_the_per_element_trace(q):
             for c, d in zip(coeffs, x):
                 acc = F.add[acc][F.mul[c][d]]
             expected.append(F.trace_to_prime(acc))
-        assert kernel.trace_form(every, coeffs).tolist() == expected
-    assert set(kernel.trace_form(every, [1, 0, 0, 0]).tolist()) == set(range(F.p))
+        assert kernel.trace_forms(every, [coeffs])[:, 0].tolist() == expected
+    assert set(kernel.trace_forms(every, [[1, 0, 0, 0]])[:, 0].tolist()) == set(range(F.p))
 
 
 def test_sorted_keys_finds_positions_and_raises_on_a_miss():
