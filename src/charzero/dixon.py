@@ -353,8 +353,8 @@ def _class_rows(group: GroupTable, cd: ClassData) -> Callable[[int, Sequence[int
 def _distinct_rows(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of the blocks stacked in turn, in first-seen order,
     and the index of each stacked row among them.  Keyed on row bytes one
-    block at a time, so the stack is never built; it serves the few rows of
-    lifted coordinates, one per distinct power-map column."""
+    block at a time, so the stack is never built; `np.unique` with axis=0
+    sorts the rows as void records, several times slower."""
     seen: dict[bytes, int] = {}
     rows: list[np.ndarray] = []
     inverse: list[int] = []
@@ -365,44 +365,6 @@ def _distinct_rows(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray
                 rows.append(r)
             inverse.append(i)
     return np.array(rows), np.array(inverse, dtype=np.int64)
-
-
-_HASH_PRIME = (1 << 31) - 1
-
-
-def _distinct_power_columns(mod_rows: np.ndarray, powers: np.ndarray,
-                            l: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct power-map columns mod_rows[chi, powers[j]], one per class
-    j of one element order d (`powers` holds their power maps, one row each)
-    and character chi, in first-seen order (class by class, characters in
-    order), and the index of each column among them, class-major.
-
-    A column is keyed by its values at the points r = 2, 3 of F_L,
-    L = 2^31 - 1, as a polynomial in the power t: sum_t mod_rows[chi,
-    powers[j, t]] r^t is (mod_rows @ W)[chi, j] with W[c, j] the sum of r^t
-    over the t with powers[j, t] = c, one product per point, exact in int64
-    below tau l L < 2^63.  Columns with equal keys are then compared back,
-    one class at a time, so the (classes, tau, d) stack is never built; a
-    key collision raises `ExactnessError` rather than merge two columns."""
-    tau, (count, d) = len(mod_rows), powers.shape
-    if tau * l * _HASH_PRIME >= 1 << 63:
-        raise ExactnessError(f"power-map column keys would overflow int64 (l = {l})")
-    keys = np.zeros((tau, count), dtype=np.int64)
-    for r in (2, 3):
-        weights = np.zeros((tau, count), dtype=np.int64)
-        pw = np.array([pow(r, t, _HASH_PRIME) for t in range(d)], dtype=np.int64)
-        np.add.at(weights, (powers, np.arange(count)[:, None]), pw)
-        keys = keys * _HASH_PRIME + mod_rows @ (weights % _HASH_PRIME) % _HASH_PRIME
-    _, first, inverse = np.unique(keys.T.ravel(), return_index=True, return_inverse=True)
-    seen = np.argsort(first)  # the distinct keys in first-seen order
-    rank = np.empty_like(seen)
-    rank[seen] = np.arange(len(seen))
-    index, chi, j = rank[inverse], first[seen] % tau, first[seen] // tau
-    X = mod_rows[chi[:, None], powers[j]]
-    by_class = index.reshape(count, tau)
-    if not all(np.array_equal(mod_rows[:, powers[k]], X[by_class[k]]) for k in range(count)):
-        raise ExactnessError("two distinct power-map columns have the same key")
-    return X, index
 
 
 def _rref_row(u: np.ndarray, l: int) -> np.ndarray:
@@ -494,7 +456,7 @@ def dixon_character_table(group: GroupTable, cd: ClassData) -> CharacterTable:
         Vinv = pw[np.outer(t, t) % d] * _mod_inv(d, l) % l
         # the power-map columns of every character at every class of order d,
         # class by class; equal columns have equal multiplicities
-        X, inv = _distinct_power_columns(mod_rows, np.array([cd.power_map[k] for k in ks]), l)
+        X, inv = _distinct_rows(mod_rows[:, cd.power_map[k]] for k in ks)
         MU = Vinv @ X.T % l  # multiplicities of zeta_d^t, exact in [0, degree]
         degree_rows = np.tile(degree_vec, len(ks))
         if (MU.sum(axis=0)[inv] != degree_rows).any() or (MU.max(axis=0)[inv] > degree_rows).any():

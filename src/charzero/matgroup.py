@@ -18,14 +18,14 @@ and the trace form.  A field element's code is its base-p digit vector, so
 each of these is one F_p-linear map on the n^2 e base-p digits of the
 matrix codes: built once from the gather product on the basis matrices
 (`_MatrixKernel.linear_map`) and applied to whole digit arrays, several
-maps side by side, as one float BLAS product per chunk of rows, exact
+maps side by side, as one float32 BLAS product per chunk of rows, exact
 integers reduced mod p by a lookup (`_MatrixKernel.apply`).  The gather
 product itself, from the field's add and mul tables, serves only the
 tau-sized power-map products, the building of those maps, and direct
 products of groups, which keep the generic `mul_many` route.  Products are
 found by their base-q codes: through one int32 code -> index array when
-the q^(n^2) codes are at most four times |G| (every GL_n, at most 3.5
-times), else by one argsort and `np.searchsorted` (SL_n, the Weyl orbits).
+q^(n^2) <= 4 |G| (every GL_n, where the ratio is below 3.5, and every SL_n
+over F_2 and F_3), else by one argsort and `np.searchsorted`.
 
 Enumeration is breadth-first from the identity, a level at a time, over
 matrix codes, with the generator list sorted; each level keeps the first
@@ -184,16 +184,13 @@ _CHUNK = 1 << 16  # rows per step of the gather product, bounding its temporarie
 _MACS = 1 << 18
 
 
-def _exact_float(width: int, p: int) -> type:
-    """The float dtype in which every dot product of `width` pairs of
-    residues mod p is exact: its largest value, width * (p-1)^2, must lie
-    below 2^24 for float32 or 2^53 for float64."""
-    bound = width * (p - 1) ** 2
-    if bound < 1 << 24:
-        return np.float32
-    if bound < 1 << 53:
-        return np.float64
-    raise ExactnessError(f"F_{p}-linear products of width {width} are not exact in float64")
+def _check_float32_exact(width: int, p: int) -> None:
+    """Every dot product of `width` pairs of residues mod p is at most
+    width * (p-1)^2; float32 holds it exactly, and the residue table has
+    that many entries, while it lies below 2^24.  Under the default
+    enumeration caps it stays below 2^17 (SL_2(F_167): 4 * 166^2)."""
+    if width * (p - 1) ** 2 >= 1 << 24:
+        raise ExactnessError(f"F_{p}-linear products of width {width} are not exact in float32")
 
 
 class _MatrixKernel:
@@ -211,7 +208,7 @@ class _MatrixKernel:
     its `width` = n^2 e coordinates over F_p, and a map x -> a x b with fixed
     a and b is an F_p-linear map K on them, a (width, width) matrix over
     F_p (`linear_map`).  `apply` takes such maps to whole digit arrays by
-    one float BLAS product, exact below the bound of `_exact_float`.
+    one float32 BLAS product, exact below the bound of `_check_float32_exact`.
     """
 
     def __init__(self, field: Field, n: int):
@@ -224,18 +221,17 @@ class _MatrixKernel:
         self._add = np.array(field.add, dtype=self.dtype).ravel()
         self._mul = np.array(field.mul, dtype=self.dtype).ravel()
         self.width = n * n * e
-        self._float = _exact_float(self.width, p)
+        _check_float32_exact(self.width, p)
         # each field element's e base-p digits as one record, for one gather per entry
-        coords = np.array([to_digits(x, p, e) for x in range(q)], dtype=self._float)
+        coords = np.array([to_digits(x, p, e) for x in range(q)], dtype=np.float32)
         self._coords = coords.view(np.dtype((np.void, coords.itemsize * e))).ravel()
         # the basis matrices: coordinate c = t*e + i is entry t = p^i
         self._basis = np.zeros((self.width, n * n), dtype=self.dtype)
         entries = np.arange(self.width)
         self._basis[entries, entries // e] = np.tile(p ** np.arange(e), n * n)
         self._powers = p ** np.arange(self.width, dtype=np.int64)
-        # residues of the exact dot products, by lookup while the table is small
-        top = self.width * (p - 1) ** 2
-        self._residue = (np.arange(top + 1) % p).astype(self.dtype) if top < 1 << 16 else None
+        # the residue mod p of every exact dot product, by lookup
+        self._residue = (np.arange(self.width * (p - 1) ** 2 + 1) % p).astype(self.dtype)
 
     def digits(self, matrices: list[tuple[int, ...]]) -> np.ndarray:
         return np.array(matrices, dtype=self.dtype).reshape(len(matrices), self.n * self.n)
@@ -270,8 +266,8 @@ class _MatrixKernel:
         """The (N, width) float array of the F_p coordinates of a digit
         array's rows: over a prime field the digits themselves."""
         if self.field.e == 1:
-            return digits.astype(self._float)
-        return np.take(self._coords, digits).view(self._float).reshape(len(digits), self.width)
+            return digits.astype(np.float32)
+        return np.take(self._coords, digits).view(np.float32).reshape(len(digits), self.width)
 
     def apply(self, digits: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
         """The images of the rows of a digit array under F_p-linear maps, each
@@ -279,20 +275,16 @@ class _MatrixKernel:
         sum_c y_c p^c of the image coordinates y: the int64 matrix codes of
         the images when w is the width, the one residue when w is 1.
 
-        The maps are stacked side by side for one float product per chunk of
-        rows; its entries are exact integers, reduced mod p by a lookup
-        while the lookup table is small, and the codes are one product by
-        the powers p^c."""
+        The maps are stacked side by side for one float32 product per chunk
+        of rows; its entries are exact integers, reduced mod p by a lookup,
+        and the codes are one product by the powers p^c."""
         w = maps[0].shape[1]
-        stacked = np.concatenate(maps, axis=1).astype(self._float)
+        stacked = np.concatenate(maps, axis=1).astype(np.float32)
         out = np.empty((len(digits), len(maps)), dtype=np.int64 if w > 1 else self.dtype)
         step = max(1, _MACS // stacked.size)
         for s in range(0, len(digits), step):
             dots = self._coordinates(digits[s : s + step]) @ stacked
-            if self._residue is None:
-                residues = np.fmod(dots, self.field.p).astype(self.dtype)
-            else:
-                residues = np.take(self._residue, dots.astype(np.intp))
+            residues = np.take(self._residue, dots.astype(np.intp))
             if w > 1:
                 residues = (residues.reshape(-1, w) @ self._powers[:w]).reshape(len(dots), -1)
             out[s : s + step] = residues
@@ -369,8 +361,8 @@ class DenseKeys:
 class MatrixGroupTable(GroupTable):
     """A matrix group stored as `digits`, an (|G|, n*n) array of entry
     codes in element order, multiplied by `kernel`.  Matrices are found by
-    their base-q codes, through `DenseKeys` when the q^(n^2) codes are at
-    most four times |G| (every GL_n), else through `SortedKeys`.  A product
+    their base-q codes, through `DenseKeys` when q^(n^2) <= 4 |G| (every
+    GL_n, and SL_n over F_2 and F_3), else through `SortedKeys`.  A product
     with a fixed factor is one F_p-linear map; the right multiplication by
     an element is kept once built."""
 

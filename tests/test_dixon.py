@@ -591,34 +591,3 @@ def test_galois_images_beyond_int64_are_an_exactness_error(gl2_census):
     values[1][1] = CycInt(t.conductor, (2**62, 2**62))  # coordinate sum 2^63
     with pytest.raises(ExactnessError, match="overflow int64"):
         verify_orthogonality(_with_values(t, values))
-
-
-@pytest.mark.parametrize("tau,count,d,values", [(12, 9, 6, 2), (40, 25, 12, 3), (7, 3, 1, 5)])
-def test_power_columns_are_keyed_like_the_byte_route(tau, count, d, values):
-    """The hashed power-map columns give the rows, order and index of the
-    bytes-keyed dedupe of the stacked blocks, on tables with many equal columns."""
-    import numpy as np
-
-    from charzero.dixon import _distinct_power_columns, _distinct_rows
-
-    rng = np.random.default_rng(tau)
-    mod_rows = rng.integers(0, values, size=(tau, tau)).astype(np.int64)
-    powers = rng.integers(0, tau, size=(count, d))
-    X, index = _distinct_power_columns(mod_rows, powers, 10007)
-    Y, expected = _distinct_rows(mod_rows[:, p] for p in powers)
-    assert np.array_equal(X, Y) and np.array_equal(index, expected)
-    assert len(X) < count * tau
-
-
-def test_colliding_power_column_keys_are_caught_by_the_comparison(monkeypatch):
-    """Under a hash prime of 2 distinct columns share keys; the comparison
-    back must refuse them rather than merge them."""
-    import numpy as np
-
-    import charzero.dixon as dixon
-    from charzero.errors import ExactnessError
-
-    monkeypatch.setattr(dixon, "_HASH_PRIME", 2)
-    mod_rows = np.arange(16, dtype=np.int64).reshape(4, 4)
-    with pytest.raises(ExactnessError, match="same key"):
-        dixon._distinct_power_columns(mod_rows, np.array([[0, 1], [2, 3]]), 17)

@@ -14,7 +14,7 @@ from charzero.ffield import field_for_order
 from charzero.matgroup import (
     DenseKeys,
     SortedKeys,
-    _exact_float,
+    _check_float32_exact,
     _MatrixKernel,
     conjugacy_classes,
     direct_product,
@@ -97,27 +97,15 @@ def test_trace_forms_agree_with_the_gather_chain(n, q):
         assert np.array_equal(got[:, j], _gather_trace(kernel, x, c)), c
 
 
-def test_the_exactness_bound_picks_float32_then_float64_then_raises():
-    assert _exact_float(9, 5) is np.float32  # GL_3(F_5): 9 * 16
-    assert _exact_float(1, 4096) is np.float32  # 4095^2 < 2^24
-    assert _exact_float(1, 4097) is np.float64  # 4096^2 = 2^24
-    assert _exact_float(1 << 20, 1 << 16) is np.float64  # 2^20 (2^16 - 1)^2 < 2^52
+def test_the_exactness_bound_raises_at_2_to_the_24():
+    """Checked on the bound alone, without building a field that large."""
+    _check_float32_exact(9, 5)  # GL_3(F_5): 9 * 4^2
+    _check_float32_exact(4, 167)  # SL_2(F_167), the largest prime under the group cap
+    _check_float32_exact(1, 4096)  # 4095^2 < 2^24
     with pytest.raises(ExactnessError, match="not exact"):
-        _exact_float(1 << 20, (1 << 17) + 1)  # 2^20 2^34 = 2^54
-
-
-@pytest.mark.parametrize("n,q", [(2, 7), (3, 5), (3, 97)])
-def test_the_float64_and_fmod_routes_agree_with_the_table_route(n, q):
-    """Over a prime field the residues come from a lookup table while
-    width (p-1)^2 < 2^16 and from `np.fmod` beyond (F_97, n = 3); forcing
-    float64 without the table must not change a code."""
-    kernel = _MatrixKernel(field_for_order(q), n)
-    assert (kernel._residue is None) == (q == 97)
-    x = _random_digits(kernel, 200, seed=q)
-    K = kernel.linear_map(right=kernel.digits([_invertible(kernel, seed=1)])[0])
-    expected = kernel.apply(x, [K])
-    kernel._float, kernel._residue = np.float64, None
-    assert np.array_equal(kernel.apply(x, [K]), expected)
+        _check_float32_exact(1, 4097)  # 4096^2 = 2^24
+    with pytest.raises(ExactnessError, match="not exact"):
+        _check_float32_exact(9, 1367)  # 9 * 1366^2 > 2^24
 
 
 def test_chunks_bound_the_float_product(monkeypatch):
