@@ -8,6 +8,8 @@ plain integer comparisons: no tolerance exists anywhere in this module.
 
 Mixed-conductor arithmetic lifts both operands to the least common
 multiple conductor via zeta_m = zeta_M^(M/m).  All values are immutable.
+Array code reads chosen powers zeta_m^k as int64 rows from `power_rows`,
+and only `CycInt` keeps the whole tuple basis.
 """
 
 from __future__ import annotations
@@ -15,7 +17,11 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, prod
+from typing import Sequence
 
+import numpy as np
+
+from .errors import ExactnessError
 from .polynomials import IntPoly
 
 
@@ -43,49 +49,109 @@ def euler_phi(m: int) -> int:
     return result
 
 
+# Every intermediate of `cyclotomic_polynomial` and `power_rows` stays
+# below this, so no int64 sum of two of them can overflow.
+_INT64_BOUND = 1 << 62
+
+
+def _radical(m: int) -> int:
+    return prod(prime_factors(m))
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> IntPoly:
-    """Phi_m via the Moebius product prod_{d|m} (x^d - 1)^mu(m/d), whose
-    nonzero factors are d = m / (a product of k distinct primes of m), with
-    mu(m/d) = (-1)^k."""
+    """Phi_m from the radical r of m: Phi_m(x) = Phi_r(x^(m/r)).
+
+    For squarefree r > 1, Phi_r = prod_{d|r} (1 - x^d)^mu(r/d), whose factors
+    are d = r / (a product of k distinct primes of r) with mu(r/d) = (-1)^k.
+    It is evaluated as a power series cut off at degree phi(r): one shifted
+    subtraction per numerator factor, then one stride-d prefix sum per
+    denominator factor, O(2^omega phi(r)) int64 work for omega distinct
+    primes; a factor with d > phi(r) is 1 to that degree.  Before each step
+    max|a| * len(a) must stay below 2^62, which bounds every partial sum,
+    or ExactnessError is raised."""
     if m < 1:
         raise ValueError("conductor must be positive")
     if m == 1:
         return IntPoly((-1, 1))
-    numer = IntPoly((1,))
-    denom = IntPoly((1,))
-    primes = prime_factors(m)
-    for k in range(len(primes) + 1):
-        for chosen in combinations(primes, k):
-            if k % 2:
-                denom = denom * IntPoly.x_pow_minus_one(m // prod(chosen))
-            else:
-                numer = numer * IntPoly.x_pow_minus_one(m // prod(chosen))
-    return numer // denom
+    r = _radical(m)
+    if r != m:
+        stride = m // r
+        coeffs = [0] * (euler_phi(m) + 1)
+        coeffs[::stride] = cyclotomic_polynomial(r).coeffs
+        return IntPoly(tuple(coeffs))
+    primes = prime_factors(r)
+    phi = euler_phi(r)
+    a = np.zeros(phi + 1, dtype=np.int64)
+    a[0] = 1
+    factors = [(k % 2, r // prod(chosen)) for k in range(len(primes) + 1)
+               for chosen in combinations(primes, k)]
+    for divide, d in sorted(factors):  # numerator factors first
+        if d > phi:
+            continue
+        if int(np.abs(a).max()) * len(a) >= _INT64_BOUND:
+            raise ExactnessError(f"cyclotomic polynomial {m} would overflow int64")
+        if divide:
+            padded = np.zeros(-(-len(a) // d) * d, dtype=np.int64)
+            padded[: len(a)] = a
+            a = padded.reshape(-1, d).cumsum(axis=0).ravel()[: phi + 1]
+        else:
+            a[d:] = a[d:] - a[:-d]
+    return IntPoly(tuple(a.tolist()))
+
+
+def power_rows(m: int, ks: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Canonical coordinates of x^k mod Phi_m, one int64 row of phi(m) per
+    k in `ks`, in request order (duplicates allowed).
+
+    With r the radical of m and y = x^(m/r), Phi_m(x) = Phi_r(y).  Writing
+    k mod m = (m/r) j + s with 0 <= s < m/r, x^k = x^s (y^j mod Phi_r(y)),
+    which is already reduced, so the recurrence y^(j+1) = y y^j mod Phi_r
+    runs on phi(r)-wide rows up to the largest j requested (< r), and each
+    row lands in its phi(m)-wide row with stride m/r at offset s.  A running
+    bound on max|y^j| must stay below 2^62 with each carry * max|top| added,
+    or ExactnessError is raised."""
+    ks = np.asarray(ks, dtype=np.int64) % m
+    r = _radical(m)
+    stride = m // r
+    phi_r = np.array(cyclotomic_polynomial(r).coeffs, dtype=np.int64)
+    phi = len(phi_r) - 1
+    top = -phi_r[:phi]  # y^phi = -(c_0 + ... + c_{phi-1} y^(phi-1)): Phi_r is monic
+    top_max = int(np.abs(top).max())
+    js, offsets = np.divmod(ks, stride)
+    out = np.zeros((len(ks), phi * stride), dtype=np.int64)
+    if not len(ks):
+        return out
+    steps = int(js.max())
+    # y^j is the window window[steps - j : steps - j + phi]: multiplying by y
+    # moves the window one place left onto a zero, then adds carry * top
+    window = np.zeros(steps + phi, dtype=np.int64)
+    window[steps] = 1
+    wanted = sorted(zip(js.tolist(), offsets.tolist(), range(len(ks))))
+    bound, i = 1, 0
+    for j in range(steps + 1):
+        lo = steps - j
+        while i < len(wanted) and wanted[i][0] == j:
+            _, offset, row = wanted[i]
+            out[row, offset::stride] = window[lo : lo + phi]
+            i += 1
+        if j == steps:
+            break
+        carry = int(window[lo + phi - 1])
+        if carry:
+            bound += abs(carry) * top_max
+            if bound >= _INT64_BOUND:
+                raise ExactnessError(f"powers of zeta_{m} would overflow int64")
+            window[lo - 1 : lo - 1 + phi] += carry * top
+    return out
 
 
 @lru_cache(maxsize=None)
 def _power_basis(m: int) -> tuple[tuple[int, ...], ...]:
     """Canonical coordinates of x^i mod Phi_m, for i up to the largest
     exponent a product of two reduced elements can reach (2*phi(m) - 2)."""
-    phi_poly = cyclotomic_polynomial(m)
-    phi = phi_poly.degree
-    # x^phi = -(c_0 + c_1 x + ... + c_{phi-1} x^{phi-1}) since Phi_m is monic
-    top = tuple(-c for c in phi_poly.coeffs[:phi])
-    rows: list[tuple[int, ...]] = []
-    for i in range(phi):
-        row = [0] * phi
-        row[i] = 1
-        rows.append(tuple(row))
-    for _ in range(phi, max(m, 2 * phi - 1)):
-        prev = rows[-1]
-        carry = prev[phi - 1]
-        row = [0] + list(prev[:-1])
-        if carry:
-            for j in range(phi):
-                row[j] += carry * top[j]
-        rows.append(tuple(row))
-    return tuple(rows)
+    rows = power_rows(m, range(max(m, 2 * euler_phi(m) - 1)))
+    return tuple(map(tuple, rows.tolist()))
 
 
 class CycInt:

@@ -26,10 +26,12 @@ in [0, degree] < l, so the lift is unambiguous and the resulting values are
 exact cyclotomic integers.  The multiplicities depend only on a character's
 column of power-map values and the element order d, so the columns of all
 classes of order d are inverted together, each distinct column once
-(GL_2(F_11): 619 of 4 964), and the finished table holds one CycInt per
-distinct value: equal entries are the same object.  Zero detection
-afterwards is the canonical coordinate test - no tolerance appears
-anywhere.
+(GL_2(F_11): 619 of 4 964).  The lift reads only the powers zeta_m^(t m/d),
+t < d, of the element orders d, each built once by `power_rows` (GL_2(F_11):
+220 of 1 320 rows, SL_2(F_31): 120 of 14 880), and the finished table holds
+one CycInt per distinct value: equal entries are the same object.  Zero
+detection afterwards is the canonical coordinate test - no tolerance
+appears anywhere.
 
 Orthogonality is checked independently, from the lifted integer coordinates
 only, by embeddings of Z[zeta_m] into F_L for primes L = 1 (mod m).  When
@@ -56,7 +58,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .cyclotomic import CycInt, _power_basis, euler_phi, prime_factors
+from .cyclotomic import CycInt, euler_phi, power_rows, prime_factors
 from .errors import ExactnessError
 from .ffield import is_prime
 from .matgroup import ClassData, GroupTable
@@ -440,11 +442,13 @@ def dixon_character_table(group: GroupTable, cd: ClassData) -> CharacterTable:
     w = _least_primitive_root(l)
     z = pow(w, (l - 1) // m, l)  # the chosen primitive m-th root in F_l
     phi = euler_phi(m)
-    basis = np.array(_power_basis(m), dtype=np.int64)  # m x phi
 
     by_order: dict[int, list[int]] = {}  # element order d -> the classes of that order
     for k, d in enumerate(cd.rep_orders):
         by_order.setdefault(d, []).append(k)
+    # every exponent t*m/d (t < d) of every order d, each row built once
+    exponents = np.array(sorted({t * (m // d) for d in by_order for t in range(d)}), dtype=np.int64)
+    roots = power_rows(m, exponents)
     coords: list[np.ndarray] = []  # per order: the coordinates of its distinct columns
     column = np.empty((tau, tau), dtype=np.int64)  # row of chi_i(g_k) in the stacked coords
     start = 0
@@ -464,8 +468,8 @@ def dixon_character_table(group: GroupTable, cd: ClassData) -> CharacterTable:
                 "eigenvalue multiplicities failed the degree bound; "
                 "modular table is inconsistent"
             )
-        # value = sum_t MU[t] * zeta_m^(t*m/d), already-canonical rows of `basis`
-        coords.append(MU.T @ basis[t * (m // d) % m])
+        # value = sum_t MU[t] * zeta_m^(t*m/d), in canonical coordinates
+        coords.append(MU.T @ roots[np.searchsorted(exponents, t * (m // d))])
         column[:, ks] = start + inv.reshape(len(ks), tau).T
         start += len(X)
     D, entry = _distinct_rows(coords)
@@ -554,7 +558,6 @@ def _galois_stable(t: CharacterTable, D: np.ndarray, entry: np.ndarray, l1: int)
     permutes its columns bijectively between classes of equal size."""
     m, tau = t.conductor, t.num_classes
     sizes = np.array(t.class_sizes, dtype=np.int64)
-    basis = _power_basis(m)
     phi = D.shape[1]
     value_of = {x.tobytes(): i for i, x in enumerate(D)}
     row_of = {r.tobytes(): i for i, r in enumerate(entry)}
@@ -562,7 +565,7 @@ def _galois_stable(t: CharacterTable, D: np.ndarray, entry: np.ndarray, l1: int)
     xs, js = np.nonzero(D)  # a few percent of the coordinates
     terms = D[xs, js][:, None]
     for a in _unit_generators(m):
-        G = np.array([basis[a * j % m] for j in range(phi)], dtype=np.int64)  # sigma_a(zeta^j)
+        G = power_rows(m, np.arange(phi) * a)  # G[j] = sigma_a(zeta^j)
         if l1 * max(int(G.max()), -int(G.min())) >= 1 << 63:  # bounds every partial sum of D @ G
             raise ExactnessError(f"Galois images of the values would overflow int64 (m = {m})")
         # D @ G over the nonzero coordinates only, 64 of them at a time so

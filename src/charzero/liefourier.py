@@ -44,7 +44,7 @@ from math import lcm
 
 import numpy as np
 
-from .cyclotomic import CycInt, _power_basis
+from .cyclotomic import CycInt, power_rows
 from .dixon import ZeroReport
 from .errors import ExactnessError
 from .ffield import (
@@ -263,9 +263,9 @@ class FourierTable:
     @cached_property
     def values(self) -> tuple[tuple[CycInt, ...], ...]:
         """values[O, O'] = sum_t counts[O, O', t] zeta_p^t in canonical
-        coordinates: one product of the counts with the power-basis rows."""
+        coordinates: one product of the counts with the rows of zeta_p^t, t < p."""
         p = self.conductor
-        coeffs = (self.counts @ np.array(_power_basis(p)[:p], dtype=np.int64)).tolist()
+        coeffs = (self.counts @ power_rows(p, range(p))).tolist()
         return tuple(tuple(CycInt(p, tuple(c)) for c in row) for row in coeffs)
 
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -371,6 +373,34 @@ def test_zero_density_gl3_f5_stdout_is_pinned(capsys):
     assert code == 0 and obj["entries"] == 120 * 120
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "0d9ff2f37f5c5dd2c131dc590399716bed6ed416f8fdeb7f81c50a3188ded574")
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["--n", "2", "--q", "11"],
+     "0e84e282aa952d6684a011f6712b9c0540bc9b0cd83a817424810be94570706b"),
+    # conductor 14 880, where the whole m x phi(m) power basis takes 878 MiB
+    (["--group", "sl", "--n", "2", "--q", "31"],
+     "3aa8f5763f1cb73213dc676227a1df5e251f674ac67a52647bf633837e2ff485"),
+], ids=["gl2-f11", "sl2-f31"])
+def test_zero_density_builds_no_power_basis(argv, digest, capsys, monkeypatch):
+    def unreachable(m):
+        raise AssertionError(f"the power basis of conductor {m} was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("charzero") and hasattr(module, "_power_basis"):
+            monkeypatch.setattr(module, "_power_basis", unreachable)
+    code, out, _ = run_cli(["zero-density", *argv], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", [37, 41, 43, 47, 53])
+def test_zero_density_sl2_past_the_old_power_basis_limit(q, capsys):
+    code, out, _ = run_cli(["zero-density", "--group", "sl", "--n", "2", "--q", str(q)], capsys)
+    obj = json.loads(out)
+    assert code == 0 and obj["entries"] == (q + 4) ** 2
+    assert Fraction(obj["ratio"]) == Fraction(obj["zeros"], obj["entries"])
 
 
 @pytest.mark.parametrize("command", ["zero-density", "char-table"])

@@ -1,14 +1,22 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charzero import cyclotomic
 from charzero.cyclotomic import (
     CycInt,
+    _power_basis,
     cyc_is_zero,
     cyc_make,
     cyclotomic_polynomial,
     euler_phi,
+    power_rows,
 )
+from charzero.errors import ExactnessError
+from charzero.polynomials import IntPoly
+
+from cyclotomic_reference import mobius_cyclotomic_polynomial, power_row_by_division
 
 
 def test_rational_case():
@@ -48,6 +56,68 @@ def test_all_roots_sum_to_zero(m):
 def test_phi_agreement():
     for m in range(1, 40):
         assert cyclotomic_polynomial(m).degree == euler_phi(m)
+
+
+def test_cyclotomic_polynomial_matches_the_moebius_product():
+    for m in [*range(1, 501), 1320, 2184, 14880, 25308]:
+        assert cyclotomic_polynomial(m) == mobius_cyclotomic_polynomial(m), m
+
+
+def test_cyclotomic_polynomials_of_the_divisors_multiply_to_x_m_minus_one():
+    for m in range(1, 121):
+        product = IntPoly((1,))
+        for d in range(1, m + 1):
+            if m % d == 0:
+                product = product * cyclotomic_polynomial(d)
+        assert product == IntPoly.x_pow_minus_one(m), m
+
+
+def test_power_rows_match_long_division():
+    for m in range(1, 201):
+        expected = [power_row_by_division(m, k) for k in range(m)]
+        assert power_rows(m, range(m)).tolist() == expected, m
+
+
+def test_power_rows_follow_the_request_order_with_duplicates():
+    ks = [7, 3, 3, 0, 100, 7, 11]
+    rows = power_rows(12, np.array(ks))
+    assert rows.dtype == np.int64 and rows.shape == (len(ks), 4)
+    assert rows.tolist() == [power_row_by_division(12, k) for k in ks]  # x^100 divided as is
+    assert power_rows(12, []).shape == (0, 4)
+
+
+def test_power_rows_at_conductors_one_and_two():
+    assert power_rows(1, [0, 1, 5]).tolist() == [[1], [1], [1]]
+    assert power_rows(2, [0, 1, 2, 3]).tolist() == [[1], [-1], [1], [-1]]
+
+
+@pytest.mark.parametrize("m,stride,ks", [
+    (8, 4, range(8)),
+    (12, 2, range(12)),
+    (1320, 4, [0, 1, 3, 319, 320, 321, 661, 990, 1000, 1319]),
+])
+def test_power_rows_sit_on_the_radical_stride(m, stride, ks):
+    # m / rad(m) = stride: x^k lives on the exponents = k (mod stride)
+    rows = power_rows(m, ks)
+    for k, row in zip(ks, rows.tolist()):
+        assert row == power_row_by_division(m, k), (m, k)
+        assert all(c == 0 for i, c in enumerate(row) if i % stride != k % stride)
+
+
+def test_power_basis_rows_past_the_conductor_match_long_division():
+    for m in (13, 25, 30):
+        basis = _power_basis(m)
+        assert len(basis) == max(m, 2 * euler_phi(m) - 1)
+        assert [list(row) for row in basis] == [power_row_by_division(m, k) for k in range(len(basis))]
+
+
+def test_power_rows_and_cyclotomic_polynomial_refuse_an_int64_overflow(monkeypatch):
+    cyclotomic_polynomial(105)  # cached before the limit drops; Phi_105 has a -2
+    monkeypatch.setattr(cyclotomic, "_INT64_BOUND", 8)
+    with pytest.raises(ExactnessError, match="overflow int64"):
+        power_rows(105, range(105))
+    with pytest.raises(ExactnessError, match="overflow int64"):
+        cyclotomic_polynomial.__wrapped__(105)
 
 
 def test_mixed_conductor_lift():
