@@ -1,12 +1,14 @@
 """Closed-form bounds and threshold searches for zero densities.
 
-Everything here is exact rational arithmetic: the general lower bound on
-the zero proportion, the rank-parametrized monic square polynomials that
-bound the simple-group term, certified threshold searches for the two
-asymptotic inequalities, the regular-semisimple proportion check for SL_n,
-the class-count bound, and the trend report rows.  The threshold searches
-evaluate the square polynomials from their factored forms at each (q, r),
-never expanding them; `simple_bound_polys` gives the expanded forms.
+Everything here is exact: the general lower bound on the zero proportion,
+the rank-parametrized monic square polynomials that bound the simple-group
+term, certified threshold searches for the two asymptotic inequalities, the
+regular-semisimple proportion check for SL_n, the class-count bound, and
+the trend report rows.  The threshold searches test each (q, r) in Python
+integers, the rational inequality cross-multiplied by the positive
+denominators of q and epsilon, and evaluate the square polynomials from
+their factored forms, never expanding them; `simple_bound_polys` gives the
+expanded forms.
 """
 
 from __future__ import annotations
@@ -101,18 +103,29 @@ def simple_bound_polys(r: int) -> tuple[IntPoly, IntPoly]:
 
 
 def _power_ratio_holds(q: Fraction, r: int, eps: Fraction) -> bool:
-    """((q+1)/q)^{2r} < 1 + eps, exactly."""
-    q = Fraction(q)
-    return (q + 1) ** (2 * r) < (1 + eps) * q ** (2 * r)
+    """((q+1)/q)^{2r} < 1 + eps, exactly, for q an int or a `Fraction`: with
+    q = a/b and eps = u/v (b, v > 0), v (a+b)^{2r} < (u+v) a^{2r}."""
+    a, b = q.numerator, q.denominator
+    u, v = eps.numerator, eps.denominator
+    return v * (a + b) ** (2 * r) < (u + v) * a ** (2 * r)
 
 
 def _poly_ratio_holds(q: Fraction, r: int, eps: Fraction) -> bool:
     """1 - f1(q)/f2(q) < eps, exactly, from the factored forms
-    f1 = ((q-1)^{r-2} ((q-1)^2 - 3(q-1) - 2))^2 and f2 = (q^{r-1} (q+40))^2."""
-    q = Fraction(q)
-    v1 = ((q - 1) ** (r - 2) * ((q - 1) ** 2 - 3 * (q - 1) - 2)) ** 2
-    v2 = (q ** (r - 1) * (q + 40)) ** 2
-    return 1 - v1 / v2 < eps
+    f1 = ((q-1)^{r-2} ((q-1)^2 - 3(q-1) - 2))^2 and f2 = (q^{r-1} (q+40))^2.
+    With q = a/b and eps = u/v (b, v > 0), b^{2r} f_k(q) = V_k for
+    V1 = ((a-b)^{r-2} ((a-b)^2 - 3(a-b)b - 2b^2))^2 and
+    V2 = (a^{r-1} (a+40b))^2, so the test is v (V2 - V1) < u V2 when V2 > 0;
+    V2 = 0 (q = 0 or -40) raises ZeroDivisionError, as f1/f2 is undefined.
+    r >= 2, as `threshold_search` checks."""
+    a, b = q.numerator, q.denominator
+    u, v = eps.numerator, eps.denominator
+    c = a - b
+    v1 = (c ** (r - 2) * (c * c - 3 * c * b - 2 * b * b)) ** 2
+    v2 = (a ** (r - 1) * (a + 40 * b)) ** 2
+    if not v2:
+        raise ZeroDivisionError(f"f2 vanishes at q = {q}")
+    return v * (v2 - v1) < u * v2
 
 
 @dataclass(frozen=True)
@@ -138,7 +151,7 @@ def threshold_search(
     every rank 2 <= r <= rank_cap and all q >= q0.  Growing-rank mode: least
     r0 such that they hold for r in [r0, r0 + window] at q = r * growth(r).
 
-    The result is certified by exact rational evaluation at the threshold
+    The result is certified by exact evaluation at the threshold
     (holds), just below it (fails), and across the verification window;
     the first inequality is monotone in q since 2r*log(1+1/q) decreases.
     When the first inequality is selected, the fixed-rank scan starts above
@@ -181,15 +194,15 @@ def threshold_search(
             start = max(start, second_fails_to // 1 + 1)
         q0 = None
         for q in range(start, search_bound):
-            if all(holds(Fraction(q), r) for r in ranks):
+            if all(holds(q, r) for r in ranks):
                 q0 = q
                 break
         if q0 is None:
             raise ValueError(f"no threshold below {search_bound}")
-        if q0 > 2 and all(holds(Fraction(q0 - 1), r) for r in ranks):
+        if q0 > 2 and all(holds(q0 - 1, r) for r in ranks):
             raise ExactnessError("threshold certification failed just below q0")
         for q in range(q0, q0 + window + 1):
-            if not all(holds(Fraction(q), r) for r in ranks):
+            if not all(holds(q, r) for r in ranks):
                 raise ExactnessError(f"threshold not stable on the window at q={q}")
         return ThresholdResult("fixed-rank", which, epsilon, rank_cap, q0, window)
 

@@ -319,12 +319,16 @@ class _MatrixKernel:
 
 
 class SortedKeys:
-    """Positions of sortable keys in a fixed 1-D array, by one argsort and
-    binary search."""
+    """Positions of distinct sortable keys in a fixed 1-D array, by one
+    argsort and binary search; a repeated key raises `ExactnessError`, as
+    it would stand for two elements."""
 
     def __init__(self, keys: np.ndarray):
         self._by_key = np.argsort(keys)
         self._sorted = keys[self._by_key]
+        repeated = self._sorted[1:] == self._sorted[:-1]
+        if repeated.any():
+            raise ExactnessError(f"the key {self._sorted[repeated.argmax()]} occurs twice")
 
     def index_of(self, wanted: np.ndarray, missing: str) -> np.ndarray:
         """Positions of a 1-D array of keys; raises `ExactnessError(missing)`

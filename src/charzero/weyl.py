@@ -10,12 +10,13 @@ classes are the `orbit_labels` of conjugation by the simple reflections
 (E7/E8 are rejected: their orders exceed the desk budget).
 
 rho is regular, so its stabiliser in W is trivial and w -> w(rho) is a
-bijection from W onto the orbit; the closure keeps one vector per key (its
-balanced digits in one int64), so a collision would merge two elements and
-show as a closure smaller than |W|, which is checked.  A left product s_i w
-changes one coordinate of w(rho), in int8; a right product w s_i follows
-from the left products by the word recurrence, and a class
-representative's matrix from the vectors of its right products.
+bijection from W onto the orbit, which is generated level by level, each
+element once from its least left descent, and checked to have |W|
+elements.  A left product s_i w changes one coordinate of w(rho), in int8,
+and is looked up by its key (balanced digits in one int64), a key shared by
+two elements being refused; a right product w s_i follows from the left
+products by the word recurrence, and a class representative's matrix from
+the vectors of its right products.
 
 The characteristic polynomial det(q*Id - w) attached to each class is the
 order polynomial of the corresponding twisted maximal torus (computed by
@@ -41,7 +42,7 @@ from math import comb, factorial, lcm
 import numpy as np
 
 from .errors import ExactnessError
-from .matgroup import SortedKeys, closure_levels, orbit_labels
+from .matgroup import SortedKeys, orbit_labels
 from .polynomials import IntPoly
 
 CLASSICAL_TYPES = ("A", "B", "C", "D")
@@ -284,17 +285,22 @@ def charpoly_int(m: np.ndarray) -> IntPoly:
 
 
 def _regular_orbit(cartan_type: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """W as the orbit W rho: element w is the int8 vector x_w = w(rho), in
-    breadth-first order from rho (each level's left products taken generator
-    by generator), with `left[i, w]` and `right[i, w]` the int32 indices of
-    s_i w and w s_i.
+    """W as the orbit W rho: element w is the int8 vector x_w = w(rho), level
+    by level in length, with `left[i, w]` and `right[i, w]` the int32
+    indices of s_i w and w s_i.
 
-    s_i x = x - <x, alpha_i^vee> alpha_i changes coordinate i only, by the
-    pairing (x @ cartan)[i], and the key (balanced digits of x) is linear in
-    x, so a product and its key cost about `rank` operations.  Every
-    coordinate is checked to stay within the dominance bound max|rho| of
-    `_key_radix`, which also bounds the closure of a Cartan matrix whose
-    group is infinite."""
+    s_i x = x - <x, alpha_i^vee> alpha_i changes coordinate i only, and lies
+    one level up iff the pairing <x, alpha_i^vee> is positive.  Each element
+    y above rho is generated once, from its parent s_j y for j the least
+    index with <y, alpha_j^vee> < 0 (its least left descent), so no key is
+    looked up while the orbit grows.  Taking the generators in order, each
+    over the level in order, lists every level as a breadth-first closure
+    would: y first occurs as a product at its least descent.  The pairings
+    are carried with the vectors, s_i changing them by
+    -<x, alpha_i^vee> cartan[i].  Every coordinate is checked to stay
+    within the dominance bound max|rho| of `_key_radix`, and the element
+    count within |W|, which also stops the generation of a Cartan matrix
+    whose group is infinite."""
     cartan = np.array(_CARTAN[cartan_type], dtype=np.int64)
     rank = len(cartan)
     rho = _regular_vector(_CARTAN[cartan_type])
@@ -302,28 +308,35 @@ def _regular_orbit(cartan_type: str) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if bound > np.iinfo(np.int8).max:
         raise ExactnessError(f"rho has an entry of size {bound}, beyond the int8 range")
     powers = _key_radix(rho) ** np.arange(rank, dtype=np.int64)
+    expected = EXCEPTIONAL_ORDERS[cartan_type]
 
-    def left_products(level: np.ndarray) -> np.ndarray:
-        out = np.repeat(level[None], rank, axis=0)
-        for i, column in enumerate(cartan.T):
-            moved = level[:, i] - level @ column
-            if np.abs(moved).max() > bound:
-                raise ExactnessError(
-                    f"W({cartan_type}) moves rho beyond the dominance bound {bound}")
-            out[i, :, i] = moved
-        return out.reshape(-1, rank)
-
-    levels = list(closure_levels(np.array([rho], dtype=np.int8), left_products,
-                                 lambda x: x @ powers))
+    level = np.array([rho], dtype=np.int8)
+    pairings = level @ cartan
+    levels, order = [], 0
+    while len(level):
+        levels.append(level)
+        order += len(level)
+        if order > expected:
+            raise ExactnessError(f"W({cartan_type}) closure has order above {expected}")
+        # the rising products s_i x, generator-major, and their pairings
+        gen, parent = np.divmod(np.flatnonzero(pairings.T > 0), len(level))
+        step = pairings.take(parent * rank + gen)
+        moved = pairings.take(parent, axis=0) - step[:, None] * cartan.take(gen, axis=0)
+        # <s_i x, alpha_i^vee> = -step < 0, so i is a descent; keep the least
+        keep = np.flatnonzero((moved < 0).argmax(axis=1) == gen)
+        gen, step, pairings = gen.take(keep), step.take(keep), moved.take(keep, axis=0)
+        level = level.take(parent.take(keep), axis=0)
+        flat, at = level.reshape(-1), np.arange(len(level)) * rank + gen
+        coordinate = flat.take(at) - step
+        if np.abs(coordinate).max(initial=0) > bound:
+            raise ExactnessError(
+                f"W({cartan_type}) moves rho beyond the dominance bound {bound}")
+        flat[at] = coordinate
     x = np.concatenate(levels)
-    order = len(x)
-    # distinct elements carry distinct keys here, so a key shared by two
-    # elements of W (a non-regular rho) would merge them and shrink the closure
-    if order != EXCEPTIONAL_ORDERS[cartan_type]:
+    # a non-regular rho has a smaller orbit
+    if order != expected:
         raise ExactnessError(
-            f"W({cartan_type}) closure has order {order}, "
-            f"expected {EXCEPTIONAL_ORDERS[cartan_type]}"
-        )
+            f"W({cartan_type}) closure has order {order}, expected {expected}")
     keys = x @ powers
     index = SortedKeys(keys)
     left = np.empty((rank, order), dtype=np.int32)

@@ -190,6 +190,50 @@ def test_poly_ratio_matches_the_expanded_polynomials():
             assert _poly_ratio_holds(q, r, ratio + tiny), (r, q)
 
 
+def _power_ratio_reference(q, r, eps):
+    """((q+1)/q)^{2r} < 1 + eps in `Fraction`s."""
+    q = Fraction(q)
+    return (q + 1) ** (2 * r) < (1 + eps) * q ** (2 * r)
+
+
+def _factored_f1_f2(q, r):
+    q = Fraction(q)
+    return (((q - 1) ** (r - 2) * ((q - 1) ** 2 - 3 * (q - 1) - 2)) ** 2,
+            (q ** (r - 1) * (q + 40)) ** 2)
+
+
+def _poly_ratio_reference(q, r, eps):
+    """1 - f1(q)/f2(q) < eps in `Fraction`s, from the factored forms."""
+    v1, v2 = _factored_f1_f2(q, r)
+    return 1 - v1 / v2 < eps
+
+
+_EPSILONS = [Fraction(-1, 3), Fraction(1, 20), Fraction(7, 2)]
+
+
+@pytest.mark.parametrize("r", range(2, 41))
+def test_integer_ratio_tests_agree_with_the_fraction_forms(r):
+    qs = ([Fraction(q) for q in range(2, 401)] + _QS
+          + [r * Fraction(r), r * Fraction(r + 1, 2)])
+    for q in qs:
+        power = (q + 1) ** (2 * r) / q ** (2 * r) - 1
+        v1, v2 = _factored_f1_f2(q, r)
+        poly = 1 - v1 / v2
+        # the generic epsilons, and each ratio itself, where the strict test flips
+        for eps in _EPSILONS + [power, poly]:
+            assert _power_ratio_holds(q, r, eps) == _power_ratio_reference(q, r, eps), (q, eps)
+            assert _poly_ratio_holds(q, r, eps) == _poly_ratio_reference(q, r, eps), (q, eps)
+        assert not _power_ratio_holds(q, r, power) and not _poly_ratio_holds(q, r, poly)
+
+
+@pytest.mark.parametrize("q", [Fraction(0), Fraction(-40)])
+def test_poly_ratio_is_undefined_where_f2_vanishes(q):
+    with pytest.raises(ZeroDivisionError):
+        _poly_ratio_reference(q, 3, Fraction(1, 2))
+    with pytest.raises(ZeroDivisionError):
+        _poly_ratio_holds(q, 3, Fraction(1, 2))
+
+
 def _plain_scan_threshold(rank_cap, eps, which):
     """Least q >= 2 at which the selected inequalities hold for every rank."""
     def holds(q, r):

@@ -464,6 +464,8 @@ def test_char_table_gl2_f13_output_is_pinned(tmp_path):
      "129790da9bfc9133b5a860d372e347e69c939939a5c0cd99efbbc11553024ea0"),
     ("weyl-stats --type F4 --rank 4",
      "8711dd8a7b1ef0b4d9859a15f8de2e9b7b24c6274a159e5f65afe6fb60592367"),
+    ("weyl-stats --type G2 --rank 2",
+     "bb102605524446c2f2fcf17ebead8fc8d509aea9eb917371a58e259db7265bc7"),
 ])
 def test_exceptional_weyl_stats_stdout_is_pinned(argv, digest, capsys):
     # pins the class order, labels and torus polynomials of the enumeration
@@ -482,5 +484,20 @@ def test_torus_orders_stdout_is_pinned(argv, digest, capsys):
     # the D10 digest is the one the benchmark pins; E6 pins the torus
     # polynomials read off the reconstructed class representatives
     code, out, _ = run_cli(argv.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("--rank-cap 60 --epsilon 1/1000 --which both",
+     "fe4f510ee50dd0bf727c1dedc0d5c7a5f416ef15ea136173bcf578b528c1acee"),
+    ("--rank-cap 16 --epsilon 1/20 --which both",
+     "388363b7611fe1035a6e741e253e9a82f99c8f5e50ce4f4bc5fd23dac1c4f527"),
+    ("--mode growing-rank --epsilon 1/100 --which both",
+     "f90e30025e76775201bc3b26393ce92da3d89332cc81ac91ada3388e105b8cb7"),
+])
+def test_threshold_stdout_is_pinned(argv, digest, capsys):
+    # the rank-16 and growing-rank searches are the two the benchmark runs
+    code, out, _ = run_cli(["bounds", "--check", "threshold", *argv.split()], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -115,6 +115,11 @@ def test_sorted_keys_finds_positions_and_raises_on_a_miss():
         keys.index_of(np.array([20, 40]), "absent")
 
 
+def test_sorted_keys_refuse_a_repeated_key():
+    with pytest.raises(ExactnessError, match="the key 20 occurs twice"):
+        SortedKeys(np.array([30, 20, 10, 20]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(square_matrices())
 def test_min_poly_annihilates_and_divides_charpoly(case):

@@ -11,6 +11,7 @@ from orbit_reference import closure, orbit_partition
 
 import charzero.weyl as W
 from charzero.errors import ExactnessError
+from charzero.matgroup import closure_levels
 from charzero.polynomials import IntPoly
 from charzero.weyl import (
     bbw_bound_check,
@@ -416,6 +417,57 @@ def test_the_orbit_closure_lists_the_inverses_of_the_reference_closure(cartan_ty
     for i, g in enumerate(gens):
         assert np.array_equal(mats[left[i]], g @ mats)
         assert np.array_equal(mats[right[i]], mats @ g)
+
+
+def _closure_levels_orbit(cartan_type):
+    """The levels of W rho from `closure_levels` over the balanced-digit
+    keys: every left product of every level, in generator-major order, the
+    first occurrences of unseen keys kept."""
+    cartan = np.array(W._CARTAN[cartan_type], dtype=np.int64)
+    rho = W._regular_vector(W._CARTAN[cartan_type])
+    powers = W._key_radix(rho) ** np.arange(len(rho), dtype=np.int64)
+
+    def left_products(level):
+        out = np.repeat(level[None], len(rho), axis=0)
+        for i, column in enumerate(cartan.T):
+            out[i, :, i] = level[:, i] - level @ column
+        return out.reshape(-1, len(rho))
+
+    return list(closure_levels(np.array([rho], dtype=np.int8), left_products,
+                               lambda x: x @ powers))
+
+
+@pytest.mark.parametrize("cartan_type", ["G2", "F4", "E6"])
+def test_descent_generation_lists_the_orbit_in_closure_order(cartan_type, monkeypatch):
+    # generating each element from its least left descent lists the same
+    # elements, level by level and in the same order, as the closure
+    levels = _closure_levels_orbit(cartan_type)
+    seen_starts = []
+    real = W._right_permutations
+
+    def recording(left, starts):
+        seen_starts.append(starts)
+        return real(left, starts)
+
+    monkeypatch.setattr(W, "_right_permutations", recording)
+    x, _, _ = W._regular_orbit(cartan_type)
+    assert x.dtype == np.int8
+    assert np.array_equal(x, np.concatenate(levels))
+    assert seen_starts == [np.cumsum([0] + [len(lv) for lv in levels]).tolist()]
+
+
+def test_colliding_keys_are_refused(monkeypatch):
+    # radix 3 gives the 1152 elements of W(F4) at most 3^4 keys; the index
+    # refuses a shared key instead of looking up the wrong element
+    monkeypatch.setattr(W, "_key_radix", lambda v: 3)
+    with pytest.raises(ExactnessError, match="occurs twice"):
+        W._table_exceptional("F4")
+
+
+def test_an_orbit_beyond_the_group_order_is_refused(monkeypatch):
+    monkeypatch.setitem(W.EXCEPTIONAL_ORDERS, "F4", 1000)
+    with pytest.raises(ExactnessError, match="closure has order above 1000"):
+        W._table_exceptional("F4")
 
 
 def test_int8_overflow_is_refused(monkeypatch):
