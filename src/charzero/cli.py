@@ -21,6 +21,7 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import factorial
 from typing import Iterator
 
 from .cyclotomic import CycInt
@@ -28,6 +29,7 @@ from .dixon import MAX_CLASSES, dixon_character_table, verify_orthogonality, zer
 from .errors import ExactnessError
 from .ffield import DEFAULT_FIELD_CAP, field_for_order, is_prime_power
 from .gln import (
+    DEFAULT_TORUS_CAP,
     GLDescriptor,
     class_count_poly,
     general_position_count,
@@ -202,7 +204,13 @@ def _cmd_torus_orders(args):
 
 
 def _cmd_gln_structure(args):
+    _validate_n(args.n)
     _validate_prime_power(args.q, "--q")
+    # the general-position census lists C_W(w) for every partition; the
+    # largest, at lambda = 1^n, has n! elements
+    if factorial(args.n) > DEFAULT_TORUS_CAP:
+        raise SystemExit2(f"--n = {args.n}: the Weyl centralizer of order {args.n}! exceeds "
+                          f"the cap {DEFAULT_TORUS_CAP}")
     d = GLDescriptor.make(args.n, args.q)
     inv = torus_inventory(args.n, args.q)
     rows = [
@@ -279,12 +287,18 @@ def _cmd_zero_density(args):
 
 
 def _cmd_lie_fourier(args):
-    from .liefourier import adjoint_orbits, check_fourier_size, fourier_table, fourier_zero_census
+    from .liefourier import (
+        adjoint_orbits,
+        check_fourier_size,
+        check_matrix_space,
+        fourier_table,
+        fourier_zero_census,
+    )
 
     _validate_prime_power(args.q, "--q")
-    F = field_for_order(args.q)
-    check_fourier_size(args.n, F)
-    o = adjoint_orbits(args.n, F)
+    check_fourier_size(args.n, args.q)
+    check_matrix_space(args.n, args.q)
+    o = adjoint_orbits(args.n, field_for_order(args.q))
     ft = fourier_table(o)
     zc = fourier_zero_census(ft)
     result = {
@@ -308,11 +322,11 @@ def _cmd_lie_fourier(args):
 
 
 def _cmd_kl_verify(args):
-    from .liefourier import kl_verify
+    from .liefourier import check_matrix_space, kl_verify
 
     _validate_prime_power(args.q, "--q")
-    F = field_for_order(args.q)
-    rep = kl_verify(args.n, F)
+    check_matrix_space(args.n, args.q)
+    rep = kl_verify(args.n, field_for_order(args.q))
     result = {
         "algebra": f"gl{args.n}(F{args.q})",
         "cartan_representatives": rep.cartan_reps,

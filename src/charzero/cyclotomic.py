@@ -9,7 +9,8 @@ plain integer comparisons: no tolerance exists anywhere in this module.
 Mixed-conductor arithmetic lifts both operands to the least common
 multiple conductor via zeta_m = zeta_M^(M/m).  All values are immutable.
 Array code reads chosen powers zeta_m^k as int64 rows from `power_rows`,
-and only `CycInt` keeps the whole tuple basis.
+and only `CycInt` keeps the whole tuple basis, built on the first product of
+two values or the first exponent at or above phi(m) in its conductor.
 """
 
 from __future__ import annotations
@@ -168,16 +169,19 @@ class CycInt:
 
     @staticmethod
     def from_exponents(m: int, exponent_coeffs: dict[int, int]) -> "CycInt":
-        """Canonical reduction of sum_e c_e * zeta_m^e."""
-        if m < 1:
-            raise ValueError("conductor must be positive")
-        basis = _power_basis(m)
-        phi = len(basis[0])
+        """Canonical reduction of sum_e c_e * zeta_m^e.  An exponent below
+        phi(m) is its own basis coordinate, so the power basis is read (and
+        built) only for the others."""
+        phi = euler_phi(m)
         acc = [0] * phi
         for e, c in exponent_coeffs.items():
             if c == 0:
                 continue
-            row = basis[e % m]
+            e %= m
+            if e < phi:
+                acc[e] += c
+                continue
+            row = _power_basis(m)[e]
             for j in range(phi):
                 acc[j] += c * row[j]
         return CycInt(m, tuple(acc))

@@ -61,7 +61,7 @@ import numpy as np
 from .cyclotomic import CycInt, euler_phi, power_rows, prime_factors
 from .errors import ExactnessError
 from .ffield import is_prime
-from .matgroup import ClassData, GroupTable
+from .matgroup import ClassData, Group
 
 MAX_CLASSES = 256
 
@@ -313,7 +313,7 @@ class ZeroReport:
 # -- the algorithm ----------------------------------------------------------
 
 
-def _class_rows(group: GroupTable, cd: ClassData) -> Callable[[int, Sequence[int]], np.ndarray]:
+def _class_rows(group: Group, cd: ClassData) -> Callable[[int, Sequence[int]], np.ndarray]:
     """A memoised `class_rows(i, js)`: the rows js of the tau x tau class
     matrix M_i, M_i[j, k] = #{(u, v) in C_i x C_j : u v = rep_k}, each row
     built on its first request.
@@ -420,7 +420,7 @@ def _common_eigenrows(class_rows: Callable[[int, Sequence[int]], np.ndarray], ta
     return rows * inv[:, None] % l
 
 
-def dixon_character_table(group: GroupTable, cd: ClassData) -> CharacterTable:
+def dixon_character_table(group: Group, cd: ClassData) -> CharacterTable:
     tau = cd.num_classes
     if tau > MAX_CLASSES:
         raise ValueError(f"class count {tau} exceeds supported maximum {MAX_CLASSES}")

@@ -222,6 +222,8 @@ def general_position_count(partition: tuple[int, ...], q: int,
     if torus_size > cap:
         raise ValueError(f"character census beyond cap at lambda={partition}, q={q}")
     c = cycle_centralizer_order(partition)
+    if c > cap:  # the action list holds c elements
+        raise ValueError(f"Weyl centralizer of order {c} beyond cap at lambda={partition}")
     actions = _weyl_centralizer_elements(partition)
     if len(actions) != c:
         raise ExactnessError("wreath centralizer enumeration has the wrong order")

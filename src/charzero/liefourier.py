@@ -51,6 +51,7 @@ from .ffield import (
     Field,
     fq_poly_factor_cubic_or_less,
     fq_poly_is_squarefree,
+    is_prime_power,
 )
 from .matgroup import (
     _MatrixKernel,
@@ -80,14 +81,23 @@ def _orbit_count(n: int, q: int) -> int:
     return sum(q ** len(lam) for lam in partitions(n))
 
 
-def check_fourier_size(n: int, field: Field) -> None:
-    """Refuse a Fourier table whose count array would exceed
-    MAX_FOURIER_BYTES, predicted from the orbit count before any orbit or
-    table is built."""
+def check_matrix_space(n: int, q: int, cap: int = DEFAULT_MATRIX_SPACE_CAP) -> None:
+    """Refuse gl_n(F_q) when its q^(n^2) matrices exceed `cap`, before the
+    field or any orbit is built."""
     _check_additive_n(n)
-    size = _orbit_count(n, field.q) ** 2 * field.p * 8
+    if q ** (n * n) > cap:
+        raise ValueError(f"matrix space size {q ** (n * n)} exceeds cap {cap}")
+
+
+def check_fourier_size(n: int, q: int) -> None:
+    """Refuse a Fourier table whose count array would exceed
+    MAX_FOURIER_BYTES, predicted from the orbit count before the field, any
+    orbit or the table is built.  q must be a prime power."""
+    _check_additive_n(n)
+    p, _ = is_prime_power(q)
+    size = _orbit_count(n, q) ** 2 * p * 8
     if size > MAX_FOURIER_BYTES:
-        raise ValueError(f"the Fourier table of gl_{n}(F_{field.q}) needs {size} bytes, "
+        raise ValueError(f"the Fourier table of gl_{n}(F_{q}) needs {size} bytes, "
                          f"above the supported maximum {MAX_FOURIER_BYTES}")
 
 
@@ -181,11 +191,9 @@ def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP) ->
 
     The generators of GL_n act; neither the group nor an inverse is formed.
     Orbits are numbered by least code, whatever the generating set."""
-    _check_additive_n(n)
     q = field.q
+    check_matrix_space(n, q, cap)
     space = q ** (n * n)
-    if space > cap:
-        raise ValueError(f"matrix space size {space} exceeds cap {cap}")
     kernel = _MatrixKernel(field, n)
     every = kernel.decode(np.arange(space))
     conjugations = []
@@ -314,7 +322,7 @@ def fourier_table(o: OrbitTable, scale: int = 1) -> FourierTable:
     F = o.field
     if not 1 <= scale < F.q:
         raise ValueError("character scale must be a nonzero field element code")
-    check_fourier_size(o.n, F)
+    check_fourier_size(o.n, F.q)
     tau = o.num_orbits
     sizes = np.array([r.size for r in o.orbits], dtype=np.int64)
     by_size = np.argsort(sizes, kind="stable")

@@ -21,19 +21,22 @@ matrix codes: built once from the gather product on the basis matrices
 maps side by side, as one float32 BLAS product per chunk of rows, exact
 integers reduced mod p by a lookup (`_MatrixKernel.apply`).  The gather
 product itself, from the field's add and mul tables, serves only the
-tau-sized power-map products, the building of those maps, and direct
-products of groups, which keep the generic `mul_many` route.  Products are
-found by their base-q codes: through one int32 code -> index array when
-q^(n^2) <= 4 |G| (every GL_n, where the ratio is below 3.5, and every SL_n
-over F_2 and F_3), else by one argsort and `np.searchsorted`.
+tau-sized power-map products and the building of those maps.  A direct
+product of groups holds pairs of factor indices and takes every product in
+its factors, so its fixed-factor products are its factors' linear maps.
+Products are found by their base-q codes: through one int32 code -> index
+array when q^(n^2) <= 4 |G| (every GL_n, where the ratio is below 3.5, and
+every SL_n over F_2 and F_3), else by one argsort and `np.searchsorted`.
 
-Enumeration is breadth-first from the identity, a level at a time, over
-matrix codes, with the generator list sorted; each level keeps the first
+`enumerate_group` is the one matrix-group closure: breadth-first from the
+identity, a level of matrix codes at a time, with the generator list sorted
+and the known codes in one sorted array; each level keeps the first
 occurrences of unseen products in (element, generator) order, so the
 element order is that of a BFS taking one product at a time and two runs
-produce identical index maps.  Conjugacy classes are the `orbit_labels` of
-one conjugation permutation per generator: every element is labelled by the
-least index of its orbit (labels pulled along each permutation, then
+produce identical index maps.  The group decodes the concatenated level
+codes once into its digit array.  Conjugacy classes are the `orbit_labels`
+of one conjugation permutation per generator: every element is labelled by
+the least index of its orbit (labels pulled along each permutation, then
 lowered by pointer jumping), and classes are numbered by that least index,
 which is also the representative.  The adjoint orbits of gl_n and the
 exceptional Weyl classes use the same routine.
@@ -43,7 +46,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Iterator
 
 import numpy as np
 
@@ -138,42 +140,6 @@ def mat_charpoly(F: Field, n: int, a: tuple[int, ...]) -> list[int]:
         s2 = add[add[m1][m2]][m3]
         return [neg[det3()], s2, neg[tr], 1]
     raise ValueError("characteristic polynomial helper limited to n <= 3")
-
-
-class GroupTable:
-    """A finite group with a deterministic element index.
-
-    Subclasses provide batched multiplication (`mul_many`) and scalar
-    inversion; everything the character-table machinery needs
-    (class data, power maps, exponent) is derived here.  The products with
-    one fixed factor (`mul_right`, `conjugations`) default to `mul_many`;
-    a matrix group overrides them with F_p-linear maps.
-    """
-
-    # populated by subclasses:
-    order: int
-    generator_indices: list[int]
-
-    def mul_many(self, a, b) -> np.ndarray:
-        """Indices of the products a[t] * b[t], with numpy broadcasting."""
-        raise NotImplementedError
-
-    def inv_idx(self, i: int) -> int:
-        raise NotImplementedError
-
-    def mul_right(self, xs: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        """The (len(xs), len(rights)) indices of the products x r."""
-        return self.mul_many(np.asarray(xs)[:, None], np.asarray(rights)[None, :])
-
-    def conjugations(self) -> list[np.ndarray]:
-        """One permutation of the element indices per generator g, x -> g x g^-1."""
-        everything = np.arange(self.order)
-        return [self.mul_many(self.mul_many(g, everything), self.inv_idx(g))
-                for g in self.generator_indices]
-
-    @property
-    def identity_idx(self) -> int:
-        return 0
 
 
 _CHUNK = 1 << 16  # rows per step of the gather product, bounding its temporaries
@@ -362,23 +328,25 @@ class DenseKeys:
         return out.astype(np.intp)  # as `SortedKeys`; numpy gathers faster by intp
 
 
-class MatrixGroupTable(GroupTable):
+class MatrixGroupTable:
     """A matrix group stored as `digits`, an (|G|, n*n) array of entry
-    codes in element order, multiplied by `kernel`.  Matrices are found by
-    their base-q codes, through `DenseKeys` when q^(n^2) <= 4 |G| (every
-    GL_n, and SL_n over F_2 and F_3), else through `SortedKeys`.  A product
-    with a fixed factor is one F_p-linear map; the right multiplication by
-    an element is kept once built."""
+    codes in element order, multiplied by `kernel`; element 0 is the
+    identity.  Matrices are found by their base-q codes, through `DenseKeys`
+    when q^(n^2) <= 4 |G| (every GL_n, and SL_n over F_2 and F_3), else
+    through `SortedKeys`.  A product with a fixed factor is one F_p-linear
+    map; the right multiplication by an element is kept once built."""
 
-    def __init__(self, kernel: _MatrixKernel, digits: np.ndarray, generators: np.ndarray):
+    def __init__(self, kernel: _MatrixKernel, codes: np.ndarray, generators: np.ndarray):
+        """`codes` are the elements' matrix codes in element order and
+        `generators` the generators' codes."""
         self.field = kernel.field
         self.dim = kernel.n
-        self.digits = digits
-        self.order = len(digits)
+        self.digits = kernel.decode(codes)
+        self.order = len(codes)
         self.kernel = kernel
-        codes, space = kernel.codes(digits), kernel.q ** (kernel.n**2)
+        space = kernel.q ** (kernel.n**2)
         self._keys = DenseKeys(codes, space) if space <= 4 * self.order else SortedKeys(codes)
-        self.generator_indices = self._index_of(kernel.codes(generators)).tolist()
+        self.generator_indices = self._index_of(generators).tolist()
         self._right_maps: dict[int, np.ndarray] = {}
 
     def _index_of(self, codes: np.ndarray) -> np.ndarray:
@@ -389,11 +357,13 @@ class MatrixGroupTable(GroupTable):
         return tuple(self.digits[i].tolist())
 
     def mul_many(self, a, b) -> np.ndarray:
+        """Indices of the products a[t] * b[t], with numpy broadcasting."""
         a, b = np.broadcast_arrays(np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp))
         prod = self.kernel.product(self.digits[a.ravel()], self.digits[b.ravel()])
         return self._index_of(self.kernel.codes(prod)).reshape(a.shape)
 
     def mul_right(self, xs: np.ndarray, rights: np.ndarray) -> np.ndarray:
+        """The (len(xs), len(rights)) indices of the products x r."""
         maps = []
         for r in np.asarray(rights).tolist():
             if r not in self._right_maps:
@@ -403,6 +373,7 @@ class MatrixGroupTable(GroupTable):
         return self._index_of(codes.ravel()).reshape(codes.shape)
 
     def conjugations(self) -> list[np.ndarray]:
+        """One permutation of the element indices per generator g, x -> g x g^-1."""
         kernel, perms = self.kernel, []
         for g in self.generator_indices:
             conjugation = kernel.linear_map(self.digits[g], self.digits[self.inv_idx(g)])
@@ -414,64 +385,50 @@ class MatrixGroupTable(GroupTable):
         return int(self._index_of(self.kernel.codes(self.kernel.digits([inverse])))[0])
 
 
-def closure_levels(start: np.ndarray, expand: Callable[[np.ndarray], np.ndarray],
-                   keys: Callable[[np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
-    """Breadth-first closure of the rows of `start`, yielded a level at a
-    time: `expand(level)` gives the level's images in a fixed order, and
-    their first occurrences whose `keys` (sortable, one per row) are not yet
-    known form the next level."""
-    level, known = start, np.sort(keys(start))  # `known` stays sorted
-    while len(level):
-        yield level
-        products = expand(level)
-        codes, first = np.unique(keys(products), return_index=True)
-        pos = np.searchsorted(known, codes)
-        fresh = known[np.minimum(pos, len(known) - 1)] != codes
-        level = products[np.sort(first[fresh])]
-        known = np.insert(known, pos[fresh], codes[fresh])
-
-
 def enumerate_group(generators: list[tuple[int, ...]], field: Field, dim: int,
                     cap: int = DEFAULT_GROUP_CAP) -> MatrixGroupTable:
     """Breadth-first closure of the generators under multiplication, one
-    level at a time: the level's products with the sorted generators, taken
-    in (element, generator) order, contribute their first occurrences that
-    are not yet known, in order of discovery."""
+    level of matrix codes at a time: the level's products with the sorted
+    generators, taken in (element, generator) order, contribute their first
+    occurrences that are not yet known, in order of discovery."""
     gens = sorted(set(generators))
     for g in gens:
         mat_inv(field, dim, g)  # raises on a singular generator
     kernel = _MatrixKernel(field, dim)
     gen_digits = kernel.digits(gens)
     right_maps = [kernel.linear_map(right=g) for g in gen_digits]
-
-    def right_products(level: np.ndarray) -> np.ndarray:
-        return kernel.apply(kernel.decode(level), right_maps).ravel()
-
-    identity = kernel.codes(kernel.digits([mat_identity(dim)]))
-    levels, found = [], 0
-    for level in closure_levels(identity, right_products, lambda codes: codes):
-        found += len(level)
-        if found > cap:
+    level = known = kernel.codes(kernel.digits([mat_identity(dim)]))  # `known` stays sorted
+    levels = []
+    while len(level):
+        if len(known) > cap:
             raise EnumerationCapExceeded(f"group closure exceeded cap {cap}")
         levels.append(level)
-    group = MatrixGroupTable(kernel, kernel.decode(np.concatenate(levels)), gen_digits)
+        products = kernel.apply(kernel.decode(level), right_maps).ravel()
+        codes, first = np.unique(products, return_index=True)
+        pos = np.searchsorted(known, codes)
+        fresh = known[np.minimum(pos, len(known) - 1)] != codes
+        level = products[np.sort(first[fresh])]
+        known = np.insert(known, pos[fresh], codes[fresh])
+    group = MatrixGroupTable(kernel, np.concatenate(levels), kernel.codes(gen_digits))
     # closure under inverse is implied (finite order); spot-check a sample
     for i in range(min(group.order, 16)):
         group.inv_idx(i)
     return group
 
 
-class ProductGroupTable(GroupTable):
+class ProductGroupTable:
     """Direct product; elements are pairs of factor indices (block-diagonal
-    in spirit, but the factors may live over different fields)."""
+    in spirit, but the factors may live over different fields), packed as
+    i * |B| + j, so element 0 is the identity.  Every product is taken in
+    the factors."""
 
-    def __init__(self, a: GroupTable, b: GroupTable):
+    def __init__(self, a: Group, b: Group):
         self.a = a
         self.b = b
         self.order = a.order * b.order
         self._nb = b.order
-        self.generator_indices = [self._pack(g, b.identity_idx) for g in a.generator_indices]
-        self.generator_indices += [self._pack(a.identity_idx, g) for g in b.generator_indices]
+        self.generator_indices = [self._pack(g, 0) for g in a.generator_indices]
+        self.generator_indices += [self._pack(0, g) for g in b.generator_indices]
 
     def _pack(self, i, j):
         return i * self._nb + j
@@ -480,16 +437,29 @@ class ProductGroupTable(GroupTable):
         return divmod(k, self._nb)
 
     def mul_many(self, i, j) -> np.ndarray:
+        """Indices of the products i[t] * j[t], with numpy broadcasting."""
         ia, ib = self._unpack(np.asarray(i, dtype=np.intp))
         ja, jb = self._unpack(np.asarray(j, dtype=np.intp))
         return self._pack(self.a.mul_many(ia, ja), self.b.mul_many(ib, jb))
 
-    def inv_idx(self, i: int) -> int:
-        ia, ib = self._unpack(i)
-        return self._pack(self.a.inv_idx(ia), self.b.inv_idx(ib))
+    def mul_right(self, xs: np.ndarray, rights: np.ndarray) -> np.ndarray:
+        """The (len(xs), len(rights)) indices of the products x r."""
+        xa, xb = self._unpack(np.asarray(xs, dtype=np.intp))
+        ra, rb = self._unpack(np.asarray(rights, dtype=np.intp))
+        return self._pack(self.a.mul_right(xa, ra), self.b.mul_right(xb, rb))
+
+    def conjugations(self) -> list[np.ndarray]:
+        """One permutation of the element indices per generator, in
+        generator order: each factor's conjugations lifted to the pairs."""
+        ia, ib = self._unpack(np.arange(self.order))
+        return ([self._pack(p[ia], ib) for p in self.a.conjugations()]
+                + [self._pack(ia, p[ib]) for p in self.b.conjugations()])
 
 
-def direct_product(a: GroupTable, b: GroupTable, cap: int = DEFAULT_GROUP_CAP) -> ProductGroupTable:
+Group = MatrixGroupTable | ProductGroupTable
+
+
+def direct_product(a: Group, b: Group, cap: int = DEFAULT_GROUP_CAP) -> ProductGroupTable:
     if a.order * b.order > cap:
         raise EnumerationCapExceeded(f"product order {a.order * b.order} exceeds cap {cap}")
     return ProductGroupTable(a, b)
@@ -527,7 +497,7 @@ class ClassData:
     Classes are numbered by their least element index, which is also the
     representative; `class_of` is an index array over the elements."""
 
-    def __init__(self, group: GroupTable):
+    def __init__(self, group: Group):
         reps, class_of = orbit_labels(group.order, group.conjugations())
         reps = reps.tolist()
         self.group = group
@@ -536,7 +506,7 @@ class ClassData:
         self.class_of = class_of
         self.num_classes = len(reps)
         # power_map[c][k] = class of rep_c^k for 0 <= k < order(rep_c)
-        identity = group.identity_idx
+        identity = 0  # element 0 of either table
         cur = np.full(len(reps), identity)
         columns, orders = [], np.zeros(len(reps), dtype=np.int64)
         while not orders.all():
@@ -553,7 +523,7 @@ class ClassData:
         return self.power_map[c][k % self.rep_orders[c]]
 
 
-def conjugacy_classes(group: GroupTable) -> ClassData:
+def conjugacy_classes(group: Group) -> ClassData:
     return ClassData(group)
 
 
@@ -602,11 +572,11 @@ def gl_order(n: int, q: int) -> int:
 
 def _classical_group(name: str, generators, n: int, q: int, order: int,
                      cap: int) -> MatrixGroupTable:
-    F = field_for_order(q)
-    if order > cap:
+    if order > cap:  # refused before the field's q x q tables are built
         raise EnumerationCapExceeded(
             f"{name}_{n}(F_{q}) has order {order}, over the enumeration cap {cap}"
         )
+    F = field_for_order(q)
     g = enumerate_group(generators(n, F), F, n, cap)
     if g.order != order:
         raise ExactnessError(f"{name} closure has the wrong order")

@@ -149,8 +149,8 @@ def levi_green_value(F: Field, n: int, ys: tuple[int, ...], yn: tuple[int, ...])
 
 def _inverse_indices(group: MatrixGroupTable) -> np.ndarray:
     """The index of every element's inverse, g^(|G| - 1), by square and
-    multiply over the whole group."""
-    result, power = np.full(group.order, group.identity_idx), np.arange(group.order)
+    multiply over the whole group; element 0 is the identity."""
+    result, power = np.zeros(group.order, dtype=np.intp), np.arange(group.order)
     e = group.order - 1
     while e:
         if e & 1:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -501,3 +502,49 @@ def test_threshold_stdout_is_pinned(argv, digest, capsys):
     code, out, _ = run_cli(["bounds", "--check", "threshold", *argv.split()], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    "zero-density --n 2 --q 4001",
+    "zero-density --n 2 --q 9973",
+    "zero-density --group sl --n 2 --q 9973",
+    "bounds --check sl --n 2 --q 4001",
+    "bounds --check sl --n 2 --q 9973",
+    "lie-fourier --n 2 --q 2003",
+    "lie-fourier --n 3 --q 7",
+    "kl-verify --n 2 --q 2003",
+    "kl-verify --n 3 --q 7",
+])
+def test_an_oversize_request_is_refused_before_the_field_is_built(argv, capsys, monkeypatch):
+    # the group order, the Fourier table and the matrix space are predicted
+    # from q alone; F_q's q x q tables take tens of seconds at q ~ 10^4
+    from charzero import ffield
+
+    def unreachable(self):
+        raise AssertionError("the field tables were built")
+
+    monkeypatch.setattr(ffield.Field, "_build_tables", unreachable)
+    code, out, err = run_cli(argv.split(), capsys)
+    assert code == 2 and out == ""
+    assert "cap" in err or "supported maximum" in err
+
+
+def test_gln_structure_stdout_is_pinned(capsys):
+    # n = 9 lists the 9! elements of the largest Weyl centralizer
+    code, out, _ = run_cli(["gln-structure", "--n", "9", "--q", "2"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "351960d4dfe656d20d7f5863fc572358a93595598c2fb964ff5596b6d79fc5c1")
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_gln_structure_refuses_a_weyl_centralizer_over_the_cap(n, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the torus inventory was reached")
+
+    monkeypatch.setattr(cli, "torus_inventory", unreachable)
+    start = time.perf_counter()
+    code, out, err = run_cli(["gln-structure", "--n", str(n), "--q", "2"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert f"order {n}! exceeds the cap" in err

@@ -120,6 +120,24 @@ def test_power_rows_and_cyclotomic_polynomial_refuse_an_int64_overflow(monkeypat
         cyclotomic_polynomial.__wrapped__(105)
 
 
+def test_reduced_exponents_do_not_build_the_power_basis(monkeypatch):
+    # m = 25308 (SL_2(F_37)): its whole basis would hold 25308 rows of 7776
+    m, phi = 25308, 7776
+    assert euler_phi(m) == phi
+
+    def unreachable(m):
+        raise AssertionError("the whole power basis was built")
+
+    monkeypatch.setattr(cyclotomic, "_power_basis", unreachable)
+    assert CycInt.integer(1, m).coeffs == (1,) + (0,) * (phi - 1)
+    assert list(CycInt.zeta(m).coeffs) == power_rows(m, [1])[0].tolist() == [0, 1] + [0] * (phi - 2)
+    v = CycInt.zeta(m, phi - 1) * 3 + 1
+    assert list(v.coeffs) == (power_rows(m, [0])[0] + 3 * power_rows(m, [phi - 1])[0]).tolist()
+    expected = [0] * phi
+    expected[0], expected[5] = 1, 2
+    assert list(cyc_make(m, {m + 5: 2, -m: 1}).coeffs) == expected
+
+
 def test_mixed_conductor_lift():
     assert CycInt.zeta(6, 2) == CycInt.zeta(3)
     assert CycInt.zeta(4, 2) == -1

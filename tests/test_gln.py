@@ -118,6 +118,15 @@ def test_general_position_equals_regular_class_count(n, q):
         assert rec.dual_regular_count == rec.regular_count
 
 
+def test_a_large_weyl_centralizer_is_refused_before_its_elements_are_listed(monkeypatch):
+    def unreachable(partition):
+        raise AssertionError("the centralizer elements were listed")
+
+    monkeypatch.setattr(G, "_weyl_centralizer_elements", unreachable)
+    with pytest.raises(ValueError, match=f"order {factorial(10)} beyond cap"):
+        general_position_count((1,) * 10, 2)
+
+
 def test_budget_guard():
     with pytest.raises(ValueError, match="cap"):
         torus_inventory(6, 16, cap=10**4)

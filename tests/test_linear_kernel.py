@@ -166,8 +166,8 @@ def test_the_breadth_first_element_order_is_pinned(n, q, digest):
 
 
 def test_direct_product_classes_are_pinned():
-    """`ProductGroupTable` takes the `mul_many` defaults of the fixed-factor
-    products; its class data must not move."""
+    """`ProductGroupTable` takes its fixed-factor products from its factors'
+    linear maps; its class data must not move."""
     cd = conjugacy_classes(direct_product(gl_group(2, 3), sl_group(2, 4)))
     blob = json.dumps([cd.class_of.tolist(), cd.class_reps, cd.class_sizes, cd.power_map])
     assert cd.num_classes == 40
@@ -175,12 +175,28 @@ def test_direct_product_classes_are_pinned():
         "d18a31ccad406e6bcd1fb760642d701c91dd8b07853db75615e451e46ad70c4a")
 
 
-@pytest.mark.parametrize("n,q", [(2, 4), (2, 5), (3, 2)])
-def test_matrix_fixed_factor_products_agree_with_the_generic_defaults(n, q):
-    g = gl_group(n, q)
-    generic = matgroup.GroupTable
+def _gathered_conjugations(g):
+    """x -> g x g^-1 per generator from `mul_many` alone, the inverse found
+    as the element whose product with g is the identity (element 0)."""
+    everything, perms = np.arange(g.order), []
+    for gen in g.generator_indices:
+        inverse = int(np.flatnonzero(g.mul_many(gen, everything) == 0)[0])
+        perms.append(g.mul_many(g.mul_many(gen, everything), inverse))
+    return perms
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gl_group(2, 4),
+    lambda: gl_group(2, 5),
+    lambda: gl_group(3, 2),
+    lambda: direct_product(gl_group(2, 3), sl_group(2, 4)),
+], ids=["2-4", "2-5", "3-2", "GL2(F3)xSL2(F4)"])
+def test_matrix_fixed_factor_products_agree_with_the_generic_defaults(make):
+    # the references take products and inverses from `mul_many` (the gather
+    # product) alone, independent of the linear maps
+    g = make()
     reps = np.asarray(conjugacy_classes(g).class_reps)
     xs = np.arange(0, g.order, 3)
-    assert np.array_equal(g.mul_right(xs, reps), generic.mul_right(g, xs, reps))
-    for mine, theirs in zip(g.conjugations(), generic.conjugations(g), strict=True):
+    assert np.array_equal(g.mul_right(xs, reps), g.mul_many(xs[:, None], reps[None, :]))
+    for mine, theirs in zip(g.conjugations(), _gathered_conjugations(g), strict=True):
         assert np.array_equal(mine, theirs)

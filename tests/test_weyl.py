@@ -11,7 +11,6 @@ from orbit_reference import closure, orbit_partition
 
 import charzero.weyl as W
 from charzero.errors import ExactnessError
-from charzero.matgroup import closure_levels
 from charzero.polynomials import IntPoly
 from charzero.weyl import (
     bbw_bound_check,
@@ -419,29 +418,32 @@ def test_the_orbit_closure_lists_the_inverses_of_the_reference_closure(cartan_ty
         assert np.array_equal(mats[right[i]], mats @ g)
 
 
-def _closure_levels_orbit(cartan_type):
-    """The levels of W rho from `closure_levels` over the balanced-digit
-    keys: every left product of every level, in generator-major order, the
-    first occurrences of unseen keys kept."""
+def _breadth_first_levels(cartan_type):
+    """The levels of W rho by a breadth-first search over vectors as tuples:
+    every left product s_i x of a level, generator-major (s_1 over the whole
+    level, then s_2, ...), the first occurrences of unseen vectors kept."""
     cartan = np.array(W._CARTAN[cartan_type], dtype=np.int64)
     rho = W._regular_vector(W._CARTAN[cartan_type])
-    powers = W._key_radix(rho) ** np.arange(len(rho), dtype=np.int64)
-
-    def left_products(level):
-        out = np.repeat(level[None], len(rho), axis=0)
+    levels, seen = [np.array([rho], dtype=np.int64)], {tuple(rho)}
+    while True:
+        level, fresh = levels[-1], []
         for i, column in enumerate(cartan.T):
-            out[i, :, i] = level[:, i] - level @ column
-        return out.reshape(-1, len(rho))
-
-    return list(closure_levels(np.array([rho], dtype=np.int8), left_products,
-                               lambda x: x @ powers))
+            images = level.copy()
+            images[:, i] -= level @ column
+            for y in map(tuple, images.tolist()):
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        if not fresh:
+            return levels
+        levels.append(np.array(fresh, dtype=np.int64))
 
 
 @pytest.mark.parametrize("cartan_type", ["G2", "F4", "E6"])
 def test_descent_generation_lists_the_orbit_in_closure_order(cartan_type, monkeypatch):
     # generating each element from its least left descent lists the same
     # elements, level by level and in the same order, as the closure
-    levels = _closure_levels_orbit(cartan_type)
+    levels = _breadth_first_levels(cartan_type)
     seen_starts = []
     real = W._right_permutations
 
