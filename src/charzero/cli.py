@@ -206,8 +206,8 @@ def _cmd_torus_orders(args):
 def _cmd_gln_structure(args):
     _validate_n(args.n)
     _validate_prime_power(args.q, "--q")
-    # the general-position census lists C_W(w) for every partition; the
-    # largest, at lambda = 1^n, has n! elements
+    # the torus cap bounds each torus; this n! bound (n <= 9) bounds how many
+    # partitions the per-element Python loops of the torus inventory visit
     if factorial(args.n) > DEFAULT_TORUS_CAP:
         raise SystemExit2(f"--n = {args.n}: the Weyl centralizer of order {args.n}! exceeds "
                           f"the cap {DEFAULT_TORUS_CAP}")
@@ -363,6 +363,9 @@ def _cmd_bounds(args):
         }
         return result, None
     if args.check == "sl":
+        if args.n > 3:  # refused before enumerating: mat_charpoly stops at n = 3
+            raise SystemExit2(f"--n = {args.n}: the SL checks read characteristic "
+                              "polynomials, limited to n <= 3")
         g = sl_group(args.n, args.q, _group_cap(args))
         gl_chk = guralnick_lubeck_check(g, args.q)
         fg_chk = fulman_guralnick_check(g, args.q)
@@ -428,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS)
     common.add_argument("--output", default=argparse.SUPPRESS,
                         help="output path (default: stdout)")
-    common.add_argument("--cap", type=int, default=argparse.SUPPRESS,
+    capped = argparse.ArgumentParser(add_help=False)  # the subcommands that enumerate a group
+    capped.add_argument("--cap", type=int, default=argparse.SUPPRESS,
                         help=f"group enumeration cap (or env {CAP_ENV_VAR})")
 
     p = argparse.ArgumentParser(
@@ -439,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = p.add_subparsers(dest="command", required=True)
 
-    def sub(name, help):
-        return subparsers.add_parser(name, parents=[common], help=help)
+    def sub(name, help, *parents):
+        return subparsers.add_parser(name, parents=[common, *parents], help=help)
 
     sp = sub("weyl-stats", help="Weyl class statistics")
     sp.add_argument("--type", required=True)
@@ -461,13 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, required=True)
     sp.set_defaults(fn=_cmd_gln_structure)
 
-    sp = sub("char-table", help="exact character table")
+    sp = sub("char-table", "exact character table", capped)
     sp.add_argument("--group", choices=("gl", "sl"), default="gl")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.set_defaults(fn=_cmd_char_table)
 
-    sp = sub("zero-density", help="character table zero census")
+    sp = sub("zero-density", "character table zero census", capped)
     sp.add_argument("--group", choices=("gl", "sl"), default="gl")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
@@ -484,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, required=True)
     sp.set_defaults(fn=_cmd_kl_verify)
 
-    sp = sub("bounds", help="lower bound, SL checks, thresholds")
+    sp = sub("bounds", "lower bound, SL checks, thresholds", capped)
     sp.add_argument("--check", choices=("lower", "sl", "threshold"), required=True)
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--q", type=int, default=5)

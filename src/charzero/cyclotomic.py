@@ -8,9 +8,10 @@ plain integer comparisons: no tolerance exists anywhere in this module.
 
 Mixed-conductor arithmetic lifts both operands to the least common
 multiple conductor via zeta_m = zeta_M^(M/m).  All values are immutable.
-Array code reads chosen powers zeta_m^k as int64 rows from `power_rows`,
-and only `CycInt` keeps the whole tuple basis, built on the first product of
-two values or the first exponent at or above phi(m) in its conductor.
+Every power zeta_m^k past the basis is read as an int64 row from
+`power_rows`.  `CycInt` keeps the rows it has read, per conductor, and
+reads a row only when a value or a product has a nonzero term there, so it
+never builds the whole basis.
 """
 
 from __future__ import annotations
@@ -147,12 +148,21 @@ def power_rows(m: int, ks: Sequence[int] | np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _power_basis(m: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical coordinates of x^i mod Phi_m, for i up to the largest
-    exponent a product of two reduced elements can reach (2*phi(m) - 2)."""
-    rows = power_rows(m, range(max(m, 2 * euler_phi(m) - 1)))
-    return tuple(map(tuple, rows.tolist()))
+# The rows x^e (e >= phi(m)) that `CycInt` has read, per conductor m.
+_rows_read: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
+
+
+def _rows_past_basis(m: int, es: list[int]) -> list[tuple[tuple[int, int], ...]]:
+    """The nonzero canonical coordinates (j, c_j) of x^e for the distinct
+    exponents e >= phi(m) in `es`; those not read before come from one
+    `power_rows` call."""
+    known = _rows_read.setdefault(m, {})
+    missing = [e for e in es if e not in known]
+    if missing:
+        for e, row in zip(missing, power_rows(m, missing)):
+            nonzero = np.flatnonzero(row)
+            known[e] = tuple(zip(nonzero.tolist(), row[nonzero].tolist()))
+    return [known[e] for e in es]
 
 
 class CycInt:
@@ -170,20 +180,21 @@ class CycInt:
     @staticmethod
     def from_exponents(m: int, exponent_coeffs: dict[int, int]) -> "CycInt":
         """Canonical reduction of sum_e c_e * zeta_m^e.  An exponent below
-        phi(m) is its own basis coordinate, so the power basis is read (and
-        built) only for the others."""
+        phi(m) is its own basis coordinate; each other one adds its row from
+        `_rows_past_basis`."""
         phi = euler_phi(m)
         acc = [0] * phi
+        high: dict[int, int] = {}
         for e, c in exponent_coeffs.items():
-            if c == 0:
-                continue
             e %= m
             if e < phi:
                 acc[e] += c
-                continue
-            row = _power_basis(m)[e]
-            for j in range(phi):
-                acc[j] += c * row[j]
+            elif c:
+                high[e] = high.get(e, 0) + c
+        if high:
+            for c, row in zip(high.values(), _rows_past_basis(m, list(high))):
+                for j, r in row:
+                    acc[j] += c * r
         return CycInt(m, tuple(acc))
 
     @staticmethod
@@ -254,7 +265,6 @@ class CycInt:
             return CycInt(self.conductor, tuple(other * c for c in self.coeffs))
         a, b = self._common(other)
         m = a.conductor
-        basis = _power_basis(m)
         phi = len(a.coeffs)
         conv = [0] * (2 * phi - 1)
         for i, ca in enumerate(a.coeffs):
@@ -262,13 +272,12 @@ class CycInt:
                 for j, cb in enumerate(b.coeffs):
                     if cb:
                         conv[i + j] += ca * cb
-        acc = list(conv[:phi]) + [0] * max(0, phi - len(conv))
-        for e in range(phi, len(conv)):
-            c = conv[e]
-            if c:
-                row = basis[e]
-                for j in range(phi):
-                    acc[j] += c * row[j]
+        acc = conv[:phi]
+        high = [e for e in range(phi, len(conv)) if conv[e]]
+        if high:
+            for e, row in zip(high, _rows_past_basis(m, high)):
+                for j, r in row:
+                    acc[j] += conv[e] * r
         return CycInt(m, tuple(acc))
 
     __rmul__ = __mul__

@@ -12,7 +12,8 @@ the counts stay exact for any prime power q.
 
 GL_n is self-dual and w, w^{-1} are conjugate in S_n, so the dual-torus
 regular count equals f_lambda; the general-position census checks that
-equality by explicit orbit counting on the character group.
+equality by counting the free orbits of the Weyl centralizer C_W(w), given
+by generators, on the character group with `matgroup.orbit_labels`.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
+
+import numpy as np
 
 from .cyclotomic import euler_phi
 from .errors import ExactnessError
 from .ffield import fq_poly_is_squarefree, is_prime_power
-from .matgroup import conjugacy_classes, gl_group, mat_charpoly
+from .matgroup import conjugacy_classes, gl_group, mat_charpoly, orbit_labels
 from .polynomials import IntPoly, RatFunc
 from .weyl import cycle_centralizer_order, partitions
 
@@ -189,62 +192,34 @@ def brute_regular_ss_class_count(n: int, q: int) -> int:
     return count
 
 
-def _weyl_centralizer_elements(partition: tuple[int, ...]):
-    """All elements of C_{S_n}(w) acting on the torus factor list: pairs
-    (position permutation preserving part sizes, per-factor Frobenius twist)."""
-    s = len(partition)
-    blocks: dict[int, list[int]] = {}
-    for i, p in enumerate(partition):
-        blocks.setdefault(p, []).append(i)
-    block_perms = []
-    for p, idxs in sorted(blocks.items()):
-        block_perms.append([list(zip(idxs, perm)) for perm in itertools.permutations(idxs)])
-    perms = []
-    for combo in itertools.product(*block_perms):
-        perm = [0] * s
-        for pairs in combo:
-            for src, dst in pairs:
-                perm[src] = dst
-        perms.append(tuple(perm))
-    twists = list(itertools.product(*[range(p) for p in partition]))
-    return [(perm, tw) for perm in perms for tw in twists]
-
-
 def general_position_count(partition: tuple[int, ...], q: int,
                            cap: int = DEFAULT_TORUS_CAP) -> int:
     """Number of C_W(w)-orbits of characters of T_lambda^F in general
     position (trivial stabilizer); checked equal to the regular class count
-    of the same torus (GL_n is self-dual)."""
+    of the same torus (GL_n is self-dual).
+
+    The characters of T_lambda^F = prod_i Z/(q^{lambda_i} - 1) are numbered
+    in mixed radix, and C_W(w) acts through its generators: one Frobenius
+    twist a_i -> q a_i per factor and one swap per pair of adjacent equal
+    parts.  By orbit-stabilizer the general-position characters are those
+    whose `orbit_labels` orbit has the full size c_lambda."""
     partition = tuple(sorted(partition, reverse=True))
-    torus_size = 1
-    for p in partition:
-        torus_size *= q**p - 1
+    moduli = [q**p - 1 for p in partition]
+    torus_size = prod(moduli)
     if torus_size > cap:
         raise ValueError(f"character census beyond cap at lambda={partition}, q={q}")
-    c = cycle_centralizer_order(partition)
-    if c > cap:  # the action list holds c elements
-        raise ValueError(f"Weyl centralizer of order {c} beyond cap at lambda={partition}")
-    actions = _weyl_centralizer_elements(partition)
-    if len(actions) != c:
-        raise ExactnessError("wreath centralizer enumeration has the wrong order")
-    moduli = [q**p - 1 for p in partition]
-    free = 0
-    for chars in itertools.product(*[range(m) for m in moduli]):
-        stabilized = False
-        for perm, tw in actions:
-            if all(k == 0 for k in tw) and all(perm[i] == i for i in range(len(perm))):
-                continue
-            image = list(chars)
-            for i, (a, k) in enumerate(zip(chars, tw)):
-                image[perm[i]] = a * q**k % moduli[i]
-            if tuple(image) == chars:
-                stabilized = True
-                break
-        if not stabilized:
-            free += 1
-    if free % c != 0:
-        raise ExactnessError("free characters not divisible by the centralizer order")
-    orbits = free // c
+    chars = np.unravel_index(np.arange(torus_size), moduli)
+    images = []
+    for i, m in enumerate(moduli):
+        images.append(chars[:i] + (chars[i] * q % m,) + chars[i + 1:])
+        if i and partition[i - 1] == partition[i]:
+            images.append(chars[:i - 1] + (chars[i], chars[i - 1]) + chars[i + 1:])
+    perms = [np.ravel_multi_index(image, moduli) for image in images]
+    sizes, counts = np.unique(np.bincount(orbit_labels(torus_size, perms)[1]), return_counts=True)
+    c = cycle_centralizer_order(partition)  # a Python int: n! passes int64 at n = 21
+    if any(c % s for s in sizes.tolist()):
+        raise ExactnessError(f"an orbit size does not divide the centralizer order {c}")
+    orbits = dict(zip(sizes.tolist(), counts.tolist())).get(c, 0)
     expected = _regular_element_count(partition, q, cap) // c
     if orbits != expected:
         raise ExactnessError(

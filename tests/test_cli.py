@@ -384,12 +384,16 @@ def test_zero_density_gl3_f5_stdout_is_pinned(capsys):
      "3aa8f5763f1cb73213dc676227a1df5e251f674ac67a52647bf633837e2ff485"),
 ], ids=["gl2-f11", "sl2-f31"])
 def test_zero_density_builds_no_power_basis(argv, digest, capsys, monkeypatch):
-    def unreachable(m):
-        raise AssertionError(f"the power basis of conductor {m} was built")
+    from charzero.cyclotomic import euler_phi, power_rows
+
+    def no_whole_basis(m, ks):
+        if len(ks) >= max(m, 2 * euler_phi(m) - 1):
+            raise AssertionError(f"the power basis of conductor {m} was built")
+        return power_rows(m, ks)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("charzero") and hasattr(module, "_power_basis"):
-            monkeypatch.setattr(module, "_power_basis", unreachable)
+        if name.startswith("charzero") and hasattr(module, "power_rows"):
+            monkeypatch.setattr(module, "power_rows", no_whole_basis)
     code, out, _ = run_cli(["zero-density", *argv], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -530,7 +534,7 @@ def test_an_oversize_request_is_refused_before_the_field_is_built(argv, capsys, 
 
 
 def test_gln_structure_stdout_is_pinned(capsys):
-    # n = 9 lists the 9! elements of the largest Weyl centralizer
+    # n = 9: the largest Weyl centralizer, at lambda = 1^9, has 9! elements
     code, out, _ = run_cli(["gln-structure", "--n", "9", "--q", "2"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -548,3 +552,53 @@ def test_gln_structure_refuses_a_weyl_centralizer_over_the_cap(n, capsys, monkey
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert f"order {n}! exceeds the cap" in err
+
+
+# one invocation of every subcommand; --cap 5 is below every group order they reach
+CAP_ARGV = {
+    "weyl-stats": ["--type", "A", "--rank", "3"],
+    "torus-orders": ["--type", "A", "--rank", "3"],
+    "gln-structure": ["--n", "2", "--q", "3"],
+    "char-table": ["--n", "2", "--q", "3"],
+    "zero-density": ["--n", "2", "--q", "3"],
+    "lie-fourier": ["--n", "2", "--q", "3"],
+    "kl-verify": ["--n", "2", "--q", "3"],
+    "bounds": ["--check", "sl", "--n", "2", "--q", "3"],
+    "trend": ["--n", "2", "--q", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CAP_ARGV))
+def test_cap_is_accepted_only_where_it_is_read(command, capsys):
+    argv = [command, *CAP_ARGV[command], "--cap", "5"]
+    if command in ("char-table", "zero-density", "bounds"):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert "over the enumeration cap 5" in err
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["char-table", "zero-density", "bounds"])
+def test_the_cap_environment_variable_is_still_read(command, capsys, monkeypatch):
+    monkeypatch.setenv(cli.CAP_ENV_VAR, "5")
+    code, out, err = run_cli([command, *CAP_ARGV[command]], capsys)
+    assert code == 2 and out == ""
+    assert "over the enumeration cap 5" in err
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_bounds_sl_refuses_n_above_three_before_enumerating(n, capsys, monkeypatch):
+    from charzero import matgroup
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a group was enumerated")
+
+    monkeypatch.setattr(matgroup, "enumerate_group", unreachable)
+    code, out, err = run_cli(["bounds", "--check", "sl", "--n", str(n), "--q", "2",
+                              "--cap", str(10**8)], capsys)
+    assert code == 2 and out == ""
+    assert "limited to n <= 3" in err

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from charzero import cyclotomic
 from charzero.cyclotomic import (
     CycInt,
-    _power_basis,
     cyc_is_zero,
     cyc_make,
     cyclotomic_polynomial,
@@ -106,9 +107,36 @@ def test_power_rows_sit_on_the_radical_stride(m, stride, ks):
 
 def test_power_basis_rows_past_the_conductor_match_long_division():
     for m in (13, 25, 30):
-        basis = _power_basis(m)
-        assert len(basis) == max(m, 2 * euler_phi(m) - 1)
-        assert [list(row) for row in basis] == [power_row_by_division(m, k) for k in range(len(basis))]
+        phi = euler_phi(m)
+        ks = range(max(m, 2 * phi - 1))
+        assert power_rows(m, ks).tolist() == [power_row_by_division(m, k) for k in ks]
+        # the rows past the basis that a product of two reduced values reads
+        high = list(range(phi, 2 * phi - 1))
+        assert [dict(row) for row in cyclotomic._rows_past_basis(m, high)] == [
+            {j: c for j, c in enumerate(power_row_by_division(m, k)) if c} for k in high]
+
+
+def test_products_read_only_the_rows_past_the_basis(monkeypatch):
+    requests = []
+
+    def recording(m, ks):
+        requests.append((m, list(ks)))
+        return power_rows(m, ks)
+
+    monkeypatch.setattr(cyclotomic, "power_rows", recording)
+    monkeypatch.setattr(cyclotomic, "_rows_read", {})
+    # conductor 14 880: the convolution stays below phi(m) = 3840, so no row
+    start = time.perf_counter()
+    assert CycInt.zeta(14880, 1) * CycInt.zeta(14880, 2) == CycInt.zeta(14880, 3)
+    assert time.perf_counter() - start < 1 and requests == []
+    # conductor 13 (phi = 12): each row past the basis is read once, when a
+    # product first has a nonzero term there
+    z = CycInt.zeta
+    assert z(13, 11) * z(13, 11) == z(13, 9)
+    assert z(13, 10) * z(13, 11) == z(13, 8)
+    assert z(13, 11) * z(13, 11) == z(13, 9)
+    assert (z(13, 10) + z(13, 11)) * (z(13, 10) + z(13, 11)) == z(13, 7) + 2 * z(13, 8) + z(13, 9)
+    assert requests == [(13, [22]), (13, [21]), (13, [20])]
 
 
 def test_power_rows_and_cyclotomic_polynomial_refuse_an_int64_overflow(monkeypatch):
@@ -125,14 +153,16 @@ def test_reduced_exponents_do_not_build_the_power_basis(monkeypatch):
     m, phi = 25308, 7776
     assert euler_phi(m) == phi
 
-    def unreachable(m):
-        raise AssertionError("the whole power basis was built")
+    one, zeta, top = power_rows(m, [0, 1, phi - 1])
 
-    monkeypatch.setattr(cyclotomic, "_power_basis", unreachable)
+    def unreachable(m, ks):
+        raise AssertionError(f"power rows {ks} of conductor {m} were built")
+
+    monkeypatch.setattr(cyclotomic, "power_rows", unreachable)
     assert CycInt.integer(1, m).coeffs == (1,) + (0,) * (phi - 1)
-    assert list(CycInt.zeta(m).coeffs) == power_rows(m, [1])[0].tolist() == [0, 1] + [0] * (phi - 2)
+    assert list(CycInt.zeta(m).coeffs) == zeta.tolist() == [0, 1] + [0] * (phi - 2)
     v = CycInt.zeta(m, phi - 1) * 3 + 1
-    assert list(v.coeffs) == (power_rows(m, [0])[0] + 3 * power_rows(m, [phi - 1])[0]).tolist()
+    assert list(v.coeffs) == (one + 3 * top).tolist()
     expected = [0] * phi
     expected[0], expected[5] = 1, 2
     assert list(cyc_make(m, {m + 5: 2, -m: 1}).coeffs) == expected
@@ -175,6 +205,19 @@ def test_product_stays_in_conductor(m, da, db):
     p = a * b
     assert p.conductor == m
     assert len(p.coeffs) == euler_phi(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 30), da=exp_dicts, db=exp_dicts)
+def test_product_matches_long_division(m, da, db):
+    a, b = cyc_make(m, da), cyc_make(m, db)
+    phi = euler_phi(m)
+    rows = [power_row_by_division(m, k) for k in range(2 * phi - 1)]
+    expected = [0] * phi
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            expected = [e + x * y * r for e, r in zip(expected, rows[i + j])]
+    assert list((a * b).coeffs) == expected
 
 
 @settings(max_examples=40, deadline=None)

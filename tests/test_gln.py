@@ -1,10 +1,12 @@
 import itertools
+import time
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
 from gl2_reference import gl2_reference
+from orbit_reference import general_position_by_stabilizers
 
 import charzero.gln as G
 from charzero.gln import (
@@ -19,6 +21,7 @@ from charzero.gln import (
     torus_inventory,
 )
 from charzero.dixon import dixon_character_table, zero_census
+from charzero.errors import ExactnessError
 from charzero.ffield import is_prime_power
 from charzero.matgroup import conjugacy_classes, gl_group
 from charzero.polynomials import IntPoly, fit_integer_poly, limit_at_infinity
@@ -118,13 +121,28 @@ def test_general_position_equals_regular_class_count(n, q):
         assert rec.dual_regular_count == rec.regular_count
 
 
-def test_a_large_weyl_centralizer_is_refused_before_its_elements_are_listed(monkeypatch):
-    def unreachable(partition):
-        raise AssertionError("the centralizer elements were listed")
+@pytest.mark.parametrize("n,q", [(n, q) for n in (1, 2, 3, 4) for q in (2, 3, 4, 5, 7)]
+                         + [(5, 2), (5, 3), (6, 2), (3, 9)])
+def test_general_position_count_matches_the_listed_stabilizer_search(n, q):
+    for lam in partitions(n):
+        assert general_position_count(lam, q) == general_position_by_stabilizers(lam, q), lam
 
-    monkeypatch.setattr(G, "_weyl_centralizer_elements", unreachable)
-    with pytest.raises(ValueError, match=f"order {factorial(10)} beyond cap"):
-        general_position_count((1,) * 10, 2)
+
+def test_a_large_weyl_centralizer_is_counted_from_its_generators():
+    # c_lambda = 6!, 10! and 21! (past int64): none of them is listed
+    start = time.perf_counter()
+    assert general_position_count((1,) * 6, 7) == 1  # the 6! orderings of Z/6
+    assert general_position_count((1,) * 10, 2) == 0
+    assert general_position_count((1,) * 21, 2) == 0
+    assert time.perf_counter() - start < 5
+
+
+def test_an_orbit_size_that_does_not_divide_the_centralizer_is_refused(monkeypatch):
+    # one orbit through all 3 characters of Z/(2^2 - 1) x Z/(2 - 1): its size
+    # does not divide c_(2, 1) = 2
+    monkeypatch.setattr(G, "orbit_labels", lambda size, perms: (None, np.zeros(size, dtype=int)))
+    with pytest.raises(ExactnessError, match="does not divide"):
+        general_position_count((2, 1), 2)
 
 
 def test_budget_guard():
