@@ -7,6 +7,7 @@ from .dixon import (
     CharacterTable,
     ZeroReport,
     dixon_character_table,
+    dixon_zero_census,
     verify_orthogonality,
     zero_census,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "CharacterTable",
     "ZeroReport",
     "dixon_character_table",
+    "dixon_zero_census",
     "zero_census",
     "verify_orthogonality",
     "ExactnessError",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .dixon import dixon_character_table, zero_census
+from .dixon import dixon_zero_census
 from .errors import ExactnessError
 from .ffield import fq_poly_is_squarefree
 from .gln import class_count_poly, gln_zero_ratio_formula, regular_ss_class_count
@@ -306,9 +306,7 @@ def trend_report(
                     formula = gln_zero_ratio_formula(n, q)
                 if gl_order(n, q) <= brute_cap:
                     g = gl_group(n, q)
-                    brute = zero_census(
-                        dixon_character_table(g, conjugacy_classes(g))
-                    ).ratio
+                    brute = dixon_zero_census(g, conjugacy_classes(g)).ratio
             rows.append(
                 TrendRow(n=n, q=q, weyl_complement=weyl, formula_ratio=formula,
                          brute_ratio=brute)

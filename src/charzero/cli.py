@@ -25,7 +25,7 @@ from math import factorial
 from typing import Iterator
 
 from .cyclotomic import CycInt
-from .dixon import MAX_CLASSES, dixon_character_table, verify_orthogonality, zero_census
+from .dixon import MAX_CLASSES, dixon_character_table, dixon_zero_census, verify_orthogonality
 from .errors import ExactnessError
 from .ffield import DEFAULT_FIELD_CAP, field_for_order, is_prime_power
 from .gln import (
@@ -34,7 +34,6 @@ from .gln import (
     class_count_poly,
     general_position_count,
     gln_zero_ratio_formula,
-    regular_ss_class_count,
     torus_inventory,
 )
 from .matgroup import DEFAULT_GROUP_CAP, conjugacy_classes, gl_group, gl_order, sl_group
@@ -220,7 +219,7 @@ def _cmd_gln_structure(args):
             "regular_count": rec.regular_count,
             "weyl_centralizer": rec.weyl_centralizer,
             "regular_class_count": rec.regular_class_count,
-            "general_position_orbits": general_position_count(rec.partition, args.q),
+            "general_position_orbits": general_position_count(rec.partition, args.q, rec.regular_count),
         }
         for rec in inv
     ]
@@ -232,7 +231,7 @@ def _cmd_gln_structure(args):
         "center_order": d.center_order,
         "positive_root_count": d.positive_root_count,
         "class_count": d.class_count,
-        "regular_ss_class_count": regular_ss_class_count(args.n, args.q),
+        "regular_ss_class_count": sum(rec.regular_class_count for rec in inv),
     }
     return result, rows
 
@@ -270,9 +269,7 @@ def _cmd_char_table(args):
 
 def _cmd_zero_density(args):
     g = _group_for(args)
-    cd = conjugacy_classes(g)
-    t = dixon_character_table(g, cd)
-    zc = zero_census(t)
+    zc = dixon_zero_census(g, conjugacy_classes(g))
     result = {
         "group": f"{args.group}{args.n}(F{args.q})",
         "zeros": zc.zero_entries,
@@ -347,6 +344,8 @@ def _cmd_bounds(args):
         threshold_search,
     )
 
+    if args.check != "sl" and hasattr(args, "cap"):  # only --check sl enumerates a group
+        raise SystemExit2(f"--cap applies to --check sl only, not --check {args.check}")
     if args.check != "threshold":
         _validate_n(args.n)
         _validate_prime_power(args.q, "--q")

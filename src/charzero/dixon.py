@@ -26,12 +26,19 @@ in [0, degree] < l, so the lift is unambiguous and the resulting values are
 exact cyclotomic integers.  The multiplicities depend only on a character's
 column of power-map values and the element order d, so the columns of all
 classes of order d are inverted together, each distinct column once
-(GL_2(F_11): 619 of 4 964).  The lift reads only the powers zeta_m^(t m/d),
-t < d, of the element orders d, each built once by `power_rows` (GL_2(F_11):
-220 of 1 320 rows, SL_2(F_31): 120 of 14 880), and the finished table holds
-one CycInt per distinct value: equal entries are the same object.  Zero
-detection afterwards is the canonical coordinate test - no tolerance
-appears anywhere.
+(GL_2(F_11): 619 of 4 964); `_order_multiplicities` does this, with the
+degree-bound check, for both routes below.  The table reads only the powers
+zeta_m^(t m/d), t < d, of the element orders d, each built once by
+`power_rows` (GL_2(F_11): 220 of 1 320 rows, SL_2(F_31): 120 of 14 880), and
+the finished table holds one CycInt per distinct value: equal entries are
+the same object.  Zero detection afterwards is the canonical coordinate
+test - no tolerance appears anywhere.
+
+`dixon_zero_census` counts the zeros without the table.  A value at an
+element of order d lies in Z[zeta_d], so it is zero exactly when
+sum_t MU[t] x^t = 0 mod Phi_d: phi(d) integer coordinates per distinct
+column instead of phi(m), with the modular check made at conductor d and no
+CycInt, conductor-m row or sort.
 
 Orthogonality is checked independently, from the lifted integer coordinates
 only, by embeddings of Z[zeta_m] into F_L for primes L = 1 (mod m).  When
@@ -54,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -420,7 +427,18 @@ def _common_eigenrows(class_rows: Callable[[int, Sequence[int]], np.ndarray], ta
     return rows * inv[:, None] % l
 
 
-def dixon_character_table(group: Group, cd: ClassData) -> CharacterTable:
+class _ModularTable(NamedTuple):
+    """The table modulo the Dixon prime l: rows[chi, k] = chi(g_k) mod l, in
+    eigenvector order, the degrees, and z, the primitive m-th root of unity
+    in F_l that the lift maps zeta_m to."""
+
+    l: int
+    z: int
+    degrees: np.ndarray
+    rows: np.ndarray
+
+
+def _modular_table(group: Group, cd: ClassData) -> _ModularTable:
     tau = cd.num_classes
     if tau > MAX_CLASSES:
         raise ValueError(f"class count {tau} exceeds supported maximum {MAX_CLASSES}")
@@ -434,61 +452,81 @@ def dixon_character_table(group: Group, cd: ClassData) -> CharacterTable:
     # degree^2 = |G| / sum_k omega_k omega_{k^-1} / |C_k|
     sums = (omega * omega[:, cd.inverse_class] % l * inv_sizes % l).sum(axis=1) % l
     targets = np.array([order % l * _mod_inv(s, l) % l for s in sums.tolist()], dtype=np.int64)
-    degree_vec = _degrees(targets, order, l)
-    degrees = degree_vec.tolist()
-    mod_rows = omega * degree_vec[:, None] % l * inv_sizes % l
+    degrees = _degrees(targets, order, l)
+    z = pow(_least_primitive_root(l), (l - 1) // m, l)
+    return _ModularTable(l, z, degrees, omega * degrees[:, None] % l * inv_sizes % l)
 
-    # -- lift to Z[zeta_m] ------------------------------------------------
-    w = _least_primitive_root(l)
-    z = pow(w, (l - 1) // m, l)  # the chosen primitive m-th root in F_l
-    phi = euler_phi(m)
 
+def _order_multiplicities(cd: ClassData, mt: _ModularTable, order: int
+                          ) -> Iterator[tuple[int, list[int], np.ndarray, np.ndarray, np.ndarray]]:
+    """For each element order d, in order of first appearance among the
+    classes: (d, ks, X, inv, MU), where ks are the classes of order d, X the
+    distinct power-map columns (chi(g_k^t) mod l for t < d, one row per
+    character and class of order d, equal ones once), inv[chi, j] the row
+    of X of character chi at class ks[j], and MU[t, x] the multiplicity
+    of zeta_d^t among the eigenvalues of a representative under the
+    characters with column X[x].  So chi(g) = sum_t MU[t] zeta_d^t.
+
+    MU is the discrete Fourier inversion of X over the powers of
+    z^(m/d); each multiplicity is checked to be a true integer in
+    [0, degree] summing to the degree (less than l, so the lift is
+    unambiguous), and after the last order the degrees are checked against
+    sum deg^2 = |G|."""
+    l, m, tau = mt.l, cd.exponent, cd.num_classes
     by_order: dict[int, list[int]] = {}  # element order d -> the classes of that order
     for k, d in enumerate(cd.rep_orders):
         by_order.setdefault(d, []).append(k)
-    # every exponent t*m/d (t < d) of every order d, each row built once
-    exponents = np.array(sorted({t * (m // d) for d in by_order for t in range(d)}), dtype=np.int64)
-    roots = power_rows(m, exponents)
-    coords: list[np.ndarray] = []  # per order: the coordinates of its distinct columns
-    column = np.empty((tau, tau), dtype=np.int64)  # row of chi_i(g_k) in the stacked coords
-    start = 0
     for d, ks in by_order.items():
         t = np.arange(d)
-        zd_inv = _mod_inv(pow(z, m // d, l), l)
+        zd_inv = _mod_inv(pow(mt.z, m // d, l), l)
         # Vinv[t, j] = zd^(-t j) / d
         pw = np.array([pow(zd_inv, s, l) for s in range(d)], dtype=np.int64)
         Vinv = pw[np.outer(t, t) % d] * _mod_inv(d, l) % l
         # the power-map columns of every character at every class of order d,
         # class by class; equal columns have equal multiplicities
-        X, inv = _distinct_rows(mod_rows[:, cd.power_map[k]] for k in ks)
+        X, inv = _distinct_rows(mt.rows[:, cd.power_map[k]] for k in ks)
         MU = Vinv @ X.T % l  # multiplicities of zeta_d^t, exact in [0, degree]
-        degree_rows = np.tile(degree_vec, len(ks))
+        degree_rows = np.tile(mt.degrees, len(ks))
         if (MU.sum(axis=0)[inv] != degree_rows).any() or (MU.max(axis=0)[inv] > degree_rows).any():
             raise ExactnessError(
                 "eigenvalue multiplicities failed the degree bound; "
                 "modular table is inconsistent"
             )
+        yield d, ks, X, inv.reshape(len(ks), tau).T, MU
+    if sum(d * d for d in mt.degrees.tolist()) != order:
+        raise ExactnessError("sum of squared degrees does not match the group order")
+
+
+def dixon_character_table(group: Group, cd: ClassData) -> CharacterTable:
+    mt = _modular_table(group, cd)
+    tau, m, l = cd.num_classes, cd.exponent, mt.l
+    phi = euler_phi(m)
+    # every exponent t*m/d (t < d) of every order d, each row built once
+    exponents = np.array(sorted({t * (m // d) for d in set(cd.rep_orders) for t in range(d)}),
+                         dtype=np.int64)
+    roots = power_rows(m, exponents)
+    coords: list[np.ndarray] = []  # per order: the coordinates of its distinct columns
+    column = np.empty((tau, tau), dtype=np.int64)  # row of chi_i(g_k) in the stacked coords
+    start = 0
+    for d, ks, X, inv, MU in _order_multiplicities(cd, mt, group.order):
         # value = sum_t MU[t] * zeta_m^(t*m/d), in canonical coordinates
-        coords.append(MU.T @ roots[np.searchsorted(exponents, t * (m // d))])
-        column[:, ks] = start + inv.reshape(len(ks), tau).T
+        coords.append(MU.T @ roots[np.searchsorted(exponents, np.arange(d) * (m // d))])
+        column[:, ks] = start + inv
         start += len(X)
     D, entry = _distinct_rows(coords)
     entry = entry[column]  # entry[i, k]: row of chi_i(g_k) in D
 
     # modular consistency: mapping zeta_m -> z must reproduce the mod-l table
-    zpow = np.array([pow(z, i, l) for i in range(phi)], dtype=np.int64)
-    if not np.array_equal((D % l @ zpow % l)[entry], mod_rows):
+    zpow = np.array([pow(mt.z, i, l) for i in range(phi)], dtype=np.int64)
+    if not np.array_equal((D % l @ zpow % l)[entry], mt.rows):
         raise ExactnessError("lifted table does not reduce to the modular table")
 
     distinct = [CycInt(m, c) for c in map(tuple, D.tolist())]
     rows = [tuple(distinct[e] for e in row) for row in entry.tolist()]
-    order_check = sum(d * d for d in degrees)
-    if order_check != order:
-        raise ExactnessError("sum of squared degrees does not match the group order")
 
     # canonical presentation: trivial character first, then by degree/values
     paired = sorted(
-        zip(degrees, rows),
+        zip(mt.degrees.tolist(), rows),
         key=lambda dr: (
             not all(v == 1 for v in dr[1]),  # trivial row first
             dr[0],
@@ -505,8 +543,43 @@ def dixon_character_table(group: Group, cd: ClassData) -> CharacterTable:
         values=values_sorted,
         class_sizes=tuple(cd.class_sizes),
         class_rep_orders=tuple(cd.rep_orders),
-        group_order=order,
+        group_order=group.order,
     )
+
+
+def dixon_zero_census(group: Group, cd: ClassData) -> ZeroReport:
+    """The census `zero_census(dixon_character_table(group, cd))`, counted
+    from the multiplicities without building the table.  A value chi(g), g
+    of order d, is sum_t MU[t] zeta_d^t in Z[zeta_d], so its phi(d)
+    canonical coordinates decide whether it is zero: the powers x^t with
+    t < phi(d) are their own rows, and only the d - phi(d) rows past them
+    are built (`power_rows(d, ...)`), never a conductor-m row or a `CycInt`.
+    The checks are those of the table: the degree bound, sum deg^2 = |G|,
+    the modular consistency (zeta_d -> z^(m/d) must give back chi(g) mod l,
+    at conductor d) and a character whose every value is 1.
+
+    Nothing is sorted: `per_character_zero_counts` come in eigenvector
+    order (the order of the split), not the table's canonical row order;
+    as multisets they agree."""
+    mt = _modular_table(group, cd)
+    tau, m, l = cd.num_classes, cd.exponent, mt.l
+    zero = np.zeros((tau, tau), dtype=bool)
+    trivial = np.ones(tau, dtype=bool)  # characters whose values so far are all 1
+    for d, ks, X, inv, MU in _order_multiplicities(cd, mt, group.order):
+        phi = euler_phi(d)
+        past = power_rows(d, range(phi, d))  # x^t mod Phi_d for phi(d) <= t < d
+        # |coordinate| <= degree * max|past|, as each column of MU sums to the degree
+        if past.size and int(np.abs(past).max()) * int(mt.degrees.max()) >= 1 << 62:
+            raise ExactnessError(f"the coordinates of order {d} would overflow int64")
+        C = MU[:phi].T + MU[phi:].T @ past  # C[x]: coordinates of the value of column X[x]
+        zpow = np.array([pow(mt.z, (m // d) * i, l) for i in range(phi)], dtype=np.int64)
+        if not np.array_equal(C % l @ zpow % l, X[:, 1 % d]):
+            raise ExactnessError(f"lifted values of order {d} do not reduce to the modular table")
+        zero[:, ks] = ~C.any(axis=1)[inv]
+        trivial &= ((C[:, 0] == 1) & ~C[:, 1:].any(axis=1))[inv].all(axis=1)
+    if not trivial.any():
+        raise ExactnessError("trivial character missing from the table")
+    return ZeroReport.of_mask(zero)
 
 
 # -- censuses and checks ----------------------------------------------------

@@ -192,11 +192,12 @@ def brute_regular_ss_class_count(n: int, q: int) -> int:
     return count
 
 
-def general_position_count(partition: tuple[int, ...], q: int,
+def general_position_count(partition: tuple[int, ...], q: int, regular_count: int,
                            cap: int = DEFAULT_TORUS_CAP) -> int:
     """Number of C_W(w)-orbits of characters of T_lambda^F in general
     position (trivial stabilizer); checked equal to the regular class count
-    of the same torus (GL_n is self-dual).
+    f_lambda / c_lambda of the same torus (GL_n is self-dual), where
+    f_lambda = `regular_count` is the count of a `TorusRecord`.
 
     The characters of T_lambda^F = prod_i Z/(q^{lambda_i} - 1) are numbered
     in mixed radix, and C_W(w) acts through its generators: one Frobenius
@@ -220,7 +221,7 @@ def general_position_count(partition: tuple[int, ...], q: int,
     if any(c % s for s in sizes.tolist()):
         raise ExactnessError(f"an orbit size does not divide the centralizer order {c}")
     orbits = dict(zip(sizes.tolist(), counts.tolist())).get(c, 0)
-    expected = _regular_element_count(partition, q, cap) // c
+    expected = regular_count // c
     if orbits != expected:
         raise ExactnessError(
             f"general-position orbit count {orbits} != regular class count "

@@ -174,7 +174,7 @@ def test_criterion_5_duality():
         for q in (2, 3, 4, 5, 7):
             inv = {rec.partition: rec for rec in torus_inventory(n, q)}
             for lam, rec in inv.items():
-                assert general_position_count(lam, q) == rec.regular_class_count
+                assert general_position_count(lam, q, rec.regular_count) == rec.regular_class_count
                 pairs += 1
     elapsed = time.monotonic() - t0
     ok = elapsed < 60

@@ -399,6 +399,44 @@ def test_zero_density_builds_no_power_basis(argv, digest, capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv", [["--n", "2", "--q", "11"], ["--n", "3", "--q", "3"],
+                                  ["--group", "sl", "--n", "2", "--q", "31"]], ids=lambda a: "-".join(a))
+def test_zero_density_builds_no_cyclotomic_value_and_no_conductor_m_row(argv, capsys, monkeypatch):
+    """The census reads each value of an element of order d in Z[zeta_d]:
+    every power row it builds has an element order as its conductor."""
+    from charzero import dixon
+    from charzero.cyclotomic import CycInt
+    from charzero.matgroup import conjugacy_classes, gl_group, sl_group
+
+    def no_value(self, *args):
+        raise AssertionError("a CycInt was built")
+
+    conductors = set()
+    real = dixon.power_rows
+    monkeypatch.setattr(dixon, "power_rows", lambda m, ks: conductors.add(m) or real(m, ks))
+    monkeypatch.setattr(CycInt, "__init__", no_value)
+    code, out, _ = run_cli(["zero-density", *argv], capsys)
+    assert code == 0 and json.loads(out)["zeros"] > 0
+    args = dict(zip(argv[::2], argv[1::2]))
+    g = (sl_group if args.get("--group") == "sl" else gl_group)(int(args["--n"]), int(args["--q"]))
+    orders = set(conjugacy_classes(g).rep_orders)
+    assert conductors and conductors <= orders
+
+
+@pytest.mark.parametrize("q,digest", [
+    (61, "6bc2af87eeeb4a703b3e7ba7d61faf6be6c25eb730083dc006cef2695c6f1cd9"),
+    pytest.param(101, "214ec6542afbc1c64d92fec005cd6c2ee13529e48390d1d72b8683c60d29fee1",
+                 marks=pytest.mark.slow),
+    # conductor 2 328 648: the conductor-m table did not finish in 120 s
+    pytest.param(167, "97634452b71439e0851af7a0df0550cf10102c54260da39d131aaf886b74d6ee",
+                 marks=pytest.mark.slow),
+])
+def test_zero_density_sl2_stdout_is_pinned(q, digest, capsys):
+    code, out, _ = run_cli(["zero-density", "--group", "sl", "--n", "2", "--q", str(q)], capsys)
+    assert code == 0 and json.loads(out)["entries"] == (q + 4) ** 2
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("q", [37, 41, 43, 47, 53])
 def test_zero_density_sl2_past_the_old_power_basis_limit(q, capsys):
@@ -602,3 +640,16 @@ def test_bounds_sl_refuses_n_above_three_before_enumerating(n, capsys, monkeypat
                               "--cap", str(10**8)], capsys)
     assert code == 2 and out == ""
     assert "limited to n <= 3" in err
+
+
+@pytest.mark.parametrize("argv", [["--check", "threshold"], ["--check", "lower", "--n", "2", "--q", "3"]],
+                         ids=["threshold", "lower"])
+def test_bounds_refuses_the_cap_where_it_enumerates_no_group(argv, capsys):
+    code, out, err = run_cli(["bounds", *argv, "--cap", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "--cap applies to --check sl only" in err
+
+
+def test_bounds_sl_runs_under_a_cap_that_admits_the_group(capsys):
+    code, out, _ = run_cli(["bounds", "--check", "sl", "--n", "2", "--q", "3", "--cap", "24"], capsys)
+    assert code == 0 and json.loads(out)["group"] == "sl2(F3)"

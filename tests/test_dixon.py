@@ -12,10 +12,11 @@ from charzero.dixon import (
     CharacterTable,
     _degrees,
     dixon_character_table,
+    dixon_zero_census,
     verify_orthogonality,
     zero_census,
 )
-from charzero.matgroup import conjugacy_classes, direct_product, gl_group
+from charzero.matgroup import conjugacy_classes, direct_product, gl_group, sl_group
 
 
 def test_s3_table(gl2_census):
@@ -359,6 +360,76 @@ def test_a_corrupted_degree_fails_the_multiplicity_check(monkeypatch):
     g = gl_group(2, 3)
     with pytest.raises(RuntimeError, match="failed the degree bound"):
         dixon_character_table(g, conjugacy_classes(g))
+
+
+def _census_groups():
+    for q in (2, 5):
+        yield f"gl1-f{q}", lambda q=q: gl_group(1, q)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        yield f"gl2-f{q}", lambda q=q: gl_group(2, q)
+    for q in (2, 3):
+        yield f"gl3-f{q}", lambda q=q: gl_group(3, q)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        yield f"sl2-f{q}", lambda q=q: sl_group(2, q)
+    for q in (2, 3):
+        yield f"sl3-f{q}", lambda q=q: sl_group(3, q)
+    yield "gl2-f2-x-sl2-f3", lambda: direct_product(gl_group(2, 2), sl_group(2, 3))
+
+
+@pytest.mark.parametrize("make", [make for _, make in _census_groups()],
+                         ids=[name for name, _ in _census_groups()])
+def test_the_zero_census_matches_the_census_of_the_table(make):
+    """The census from the multiplicities counts what the conductor-m table
+    does; its per-character counts come in eigenvector order, so they are
+    compared as multisets."""
+    g = make()
+    cd = conjugacy_classes(g)
+    table = zero_census(dixon_character_table(g, cd))
+    census = dixon_zero_census(g, cd)
+    assert (census.zero_entries, census.total_entries, census.ratio) == (
+        table.zero_entries, table.total_entries, table.ratio)
+    assert sorted(census.per_character_zero_counts) == sorted(table.per_character_zero_counts)
+
+
+def test_a_corrupted_degree_fails_the_census_multiplicity_check(monkeypatch):
+    import charzero.dixon as dixon
+
+    real = dixon._degrees  # every degree d comes out as d + 1
+    monkeypatch.setattr(dixon, "_degrees", lambda *args: real(*args) + 1)
+    g = gl_group(2, 3)
+    with pytest.raises(RuntimeError, match="failed the degree bound"):
+        dixon_zero_census(g, conjugacy_classes(g))
+
+
+def test_census_coordinates_that_could_overflow_int64_are_refused(monkeypatch):
+    import charzero.dixon as dixon
+
+    real = dixon.power_rows  # the rows past the unit rows, scaled past 2^62 / degree
+    monkeypatch.setattr(dixon, "power_rows", lambda m, ks: real(m, ks) << 60)
+    g = gl_group(2, 3)
+    with pytest.raises(RuntimeError, match="would overflow int64"):
+        dixon_zero_census(g, conjugacy_classes(g))
+
+
+def test_a_wrong_reduction_target_fails_the_modular_check_at_the_element_order(monkeypatch):
+    """Corrupt the value chi(g) mod l of one power-map column after its
+    multiplicities are formed: the degree bound and sum deg^2 = |G| still
+    hold, and only the check at conductor d (zeta_d -> z^(m/d)) sees it."""
+    import charzero.dixon as dixon
+
+    real = dixon._order_multiplicities
+
+    def corrupted(cd, mt, order):
+        for d, ks, X, inv, MU in real(cd, mt, order):
+            if d == 8:
+                X = X.copy()
+                X[0, 1] = (X[0, 1] + 1) % mt.l
+            yield d, ks, X, inv, MU
+
+    monkeypatch.setattr(dixon, "_order_multiplicities", corrupted)
+    g = gl_group(2, 3)
+    with pytest.raises(RuntimeError, match="of order 8 do not reduce to the modular table"):
+        dixon_zero_census(g, conjugacy_classes(g))
 
 
 def test_a_non_square_target_is_an_internal_error():

@@ -103,10 +103,14 @@ def test_class_sizes_partition_sn():
         assert total == factorial(n)
 
 
+def _regular_count(lam, q):
+    return next(r.regular_count for r in torus_inventory(sum(lam), q) if r.partition == lam)
+
+
 def test_general_position_examples():
-    assert general_position_count((1, 1), 5) == 6
-    assert general_position_count((2,), 3) == 3
-    assert general_position_count((1, 1), 2) == 0
+    assert general_position_count((1, 1), 5, _regular_count((1, 1), 5)) == 6
+    assert general_position_count((2,), 3, _regular_count((2,), 3)) == 3
+    assert general_position_count((1, 1), 2, _regular_count((1, 1), 2)) == 0
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -114,9 +118,8 @@ def test_general_position_examples():
 def test_general_position_equals_regular_class_count(n, q):
     # the equality is asserted inside general_position_count; this sweep is
     # the per-partition duality check
-    for lam in partitions(n):
-        orbits = general_position_count(lam, q)
-        rec = next(r for r in torus_inventory(n, q) if r.partition == lam)
+    for rec in torus_inventory(n, q):
+        orbits = general_position_count(rec.partition, q, rec.regular_count)
         assert orbits == rec.regular_class_count
         assert rec.dual_regular_count == rec.regular_count
 
@@ -124,16 +127,35 @@ def test_general_position_equals_regular_class_count(n, q):
 @pytest.mark.parametrize("n,q", [(n, q) for n in (1, 2, 3, 4) for q in (2, 3, 4, 5, 7)]
                          + [(5, 2), (5, 3), (6, 2), (3, 9)])
 def test_general_position_count_matches_the_listed_stabilizer_search(n, q):
-    for lam in partitions(n):
-        assert general_position_count(lam, q) == general_position_by_stabilizers(lam, q), lam
+    for rec in torus_inventory(n, q):
+        lam = rec.partition
+        assert general_position_count(lam, q, rec.regular_count) == general_position_by_stabilizers(lam, q), lam
+
+
+def test_a_regular_count_that_disagrees_with_the_orbits_is_refused():
+    f = _regular_count((1, 1), 5)  # 12, in 6 classes of c_(1,1) = 2 elements
+    assert general_position_count((1, 1), 5, f) == 6
+    with pytest.raises(ExactnessError, match="!= regular class count"):
+        general_position_count((1, 1), 5, f + 2)
+
+
+def test_gln_structure_counts_each_f_lambda_once(capsys, monkeypatch):
+    from charzero import cli
+
+    calls = []
+    real = G._regular_element_count
+    monkeypatch.setattr(G, "_regular_element_count", lambda lam, q, cap: calls.append(lam) or real(lam, q, cap))
+    assert cli.main(["gln-structure", "--n", "5", "--q", "2"]) == 0
+    assert sorted(calls) == sorted(partitions(5))
 
 
 def test_a_large_weyl_centralizer_is_counted_from_its_generators():
     # c_lambda = 6!, 10! and 21! (past int64): none of them is listed
     start = time.perf_counter()
-    assert general_position_count((1,) * 6, 7) == 1  # the 6! orderings of Z/6
-    assert general_position_count((1,) * 10, 2) == 0
-    assert general_position_count((1,) * 21, 2) == 0
+    # f_lambda = 6! at q = 7 (F_7^* in some order) and 0 at q = 2 (F_2^* has one element)
+    assert general_position_count((1,) * 6, 7, factorial(6)) == 1  # the 6! orderings of Z/6
+    assert general_position_count((1,) * 10, 2, 0) == 0
+    assert general_position_count((1,) * 21, 2, 0) == 0
     assert time.perf_counter() - start < 5
 
 
@@ -142,7 +164,7 @@ def test_an_orbit_size_that_does_not_divide_the_centralizer_is_refused(monkeypat
     # does not divide c_(2, 1) = 2
     monkeypatch.setattr(G, "orbit_labels", lambda size, perms: (None, np.zeros(size, dtype=int)))
     with pytest.raises(ExactnessError, match="does not divide"):
-        general_position_count((2, 1), 2)
+        general_position_count((2, 1), 2, _regular_count((2, 1), 2))
 
 
 def test_budget_guard():
