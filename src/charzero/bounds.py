@@ -128,6 +128,9 @@ def _poly_ratio_holds(q: Fraction, r: int, eps: Fraction) -> bool:
     return v * (v2 - v1) < u * v2
 
 
+_WINDOW = 50  # a threshold t is certified on every q (or r) in [t, t + _WINDOW]
+
+
 @dataclass(frozen=True)
 class ThresholdResult:
     mode: str
@@ -144,12 +147,11 @@ def threshold_search(
     mode: str = "fixed-rank",
     which: str = "both",
     growth: Callable[[int], Fraction] | None = None,
-    window: int = 50,
     search_bound: int = 10**6,
 ) -> ThresholdResult:
     """Fixed-rank mode: least q0 such that the selected inequalities hold for
     every rank 2 <= r <= rank_cap and all q >= q0.  Growing-rank mode: least
-    r0 such that they hold for r in [r0, r0 + window] at q = r * growth(r).
+    r0 such that they hold for r in [r0, r0 + 50] at q = r * growth(r).
 
     The result is certified by exact evaluation at the threshold
     (holds), just below it (fails), and across the verification window;
@@ -201,20 +203,20 @@ def threshold_search(
             raise ValueError(f"no threshold below {search_bound}")
         if q0 > 2 and all(holds(q0 - 1, r) for r in ranks):
             raise ExactnessError("threshold certification failed just below q0")
-        for q in range(q0, q0 + window + 1):
+        for q in range(q0, q0 + _WINDOW + 1):
             if not all(holds(q, r) for r in ranks):
                 raise ExactnessError(f"threshold not stable on the window at q={q}")
-        return ThresholdResult("fixed-rank", which, epsilon, rank_cap, q0, window)
+        return ThresholdResult("fixed-rank", which, epsilon, rank_cap, q0, _WINDOW)
 
     if mode == "growing-rank":
         if growth is None:
             raise ValueError("growing-rank mode needs a growth function")
         for r0 in range(2, search_bound):
             if all(
-                holds(r * Fraction(growth(r)), r) for r in range(r0, r0 + window + 1)
+                holds(r * Fraction(growth(r)), r) for r in range(r0, r0 + _WINDOW + 1)
             ):
                 return ThresholdResult(
-                    "growing-rank", which, epsilon, rank_cap, r0, window
+                    "growing-rank", which, epsilon, rank_cap, r0, _WINDOW
                 )
         raise ValueError(f"no growing-rank threshold below {search_bound}")
 
@@ -284,11 +286,10 @@ class TrendRow:
 def trend_report(
     ns: Sequence[int],
     qs: Sequence[int | None],
-    brute_cap: int = 2 * 10**4,
 ) -> list[TrendRow]:
     """Rows (n, q) with the Weyl-statistic column always filled, the
     closed-form column for n in {2, 3}, and the brute census column when the
-    group order fits under `brute_cap`."""
+    group order is at most 20 000."""
     rows = []
     for n in sorted(set(ns)):
         weyl = 1 - sum_inv_c_sq_stream("A", n - 1) if n >= 2 else Fraction(0)
@@ -304,7 +305,7 @@ def trend_report(
             else:
                 if n in (2, 3):
                     formula = gln_zero_ratio_formula(n, q)
-                if gl_order(n, q) <= brute_cap:
+                if gl_order(n, q) <= 2 * 10**4:
                     g = gl_group(n, q)
                     brute = dixon_zero_census(g, conjugacy_classes(g)).ratio
             rows.append(

@@ -365,6 +365,8 @@ def _cmd_bounds(args):
         if args.n > 3:  # refused before enumerating: mat_charpoly stops at n = 3
             raise SystemExit2(f"--n = {args.n}: the SL checks read characteristic "
                               "polynomials, limited to n <= 3")
+        if args.n < 2:  # the class bound q^r + 40 q^(r-1) needs the rank r = n - 1 >= 1
+            raise SystemExit2(f"--n = {args.n}: the SL checks need rank n - 1 >= 1, so n >= 2")
         g = sl_group(args.n, args.q, _group_cap(args))
         gl_chk = guralnick_lubeck_check(g, args.q)
         fg_chk = fulman_guralnick_check(g, args.q)
@@ -379,7 +381,10 @@ def _cmd_bounds(args):
         }
         return result, None
     # threshold
-    eps = Fraction(args.epsilon)
+    try:
+        eps = Fraction(args.epsilon)
+    except ZeroDivisionError:
+        raise SystemExit2(f"--epsilon {args.epsilon} has a zero denominator") from None
     res = threshold_search(args.rank_cap, eps, mode=args.mode, which=args.which,
                            growth=(lambda r: Fraction(r)) if args.mode == "growing-rank" else None)
     result = {

@@ -19,26 +19,21 @@ check u R = lambda u; a repeated eigenvalue, or a row that the check
 rejects or that comes out zero, takes one nullspace.  GL_2(F_11) computes 6
 nullspaces instead of one per eigenvalue (126).  Each degree d is the one
 root of d^2 (mod l) in 0..sqrt(|G|), found by search; l > 2*sqrt(|G|) makes
-it unique.  The table is then lifted to Z[zeta_m]: for each class the
-eigenvalue multiplicities of a representative are recovered by discrete
-Fourier inversion over the power map; each multiplicity is a true integer
-in [0, degree] < l, so the lift is unambiguous and the resulting values are
-exact cyclotomic integers.  The multiplicities depend only on a character's
-column of power-map values and the element order d, so the columns of all
-classes of order d are inverted together, each distinct column once
-(GL_2(F_11): 619 of 4 964); `_order_multiplicities` does this, with the
-degree-bound check, for both routes below.  The table reads only the powers
-zeta_m^(t m/d), t < d, of the element orders d, each built once by
-`power_rows` (GL_2(F_11): 220 of 1 320 rows, SL_2(F_31): 120 of 14 880), and
-the finished table holds one CycInt per distinct value: equal entries are
-the same object.  Zero detection afterwards is the canonical coordinate
-test - no tolerance appears anywhere.
+it unique.
 
-`dixon_zero_census` counts the zeros without the table.  A value at an
-element of order d lies in Z[zeta_d], so it is zero exactly when
-sum_t MU[t] x^t = 0 mod Phi_d: phi(d) integer coordinates per distinct
-column instead of phi(m), with the modular check made at conductor d and no
-CycInt, conductor-m row or sort.
+The lift is made once per element order d (`_order_values`), and both
+routes read it.  The eigenvalue multiplicities of a representative of
+order d are recovered by discrete Fourier inversion over the power map;
+each is a true integer in [0, degree] < l, so the lift is unambiguous.
+They depend only on a character's column of power-map values, so the
+classes of order d are inverted together, each distinct column once
+(GL_2(F_11): 619 of 4 964).  Reduced mod Phi_d they give the phi(d) exact
+coordinates of the value in Z[zeta_d], checked against the modular table
+at conductor d.  `dixon_zero_census` marks the values whose coordinates are
+all 0; `dixon_character_table` lifts them to Z[zeta_m] by
+zeta_d^t = zeta_m^(t m/d), t < phi(d), and holds one CycInt per distinct
+value: equal entries are the same object.  Zero detection is the canonical
+coordinate test - no tolerance appears anywhere.
 
 Orthogonality is checked independently, from the lifted integer coordinates
 only, by embeddings of Z[zeta_m] into F_L for primes L = 1 (mod m).  When
@@ -236,13 +231,13 @@ def _primes_1_mod(m: int, lo: int, hi: int) -> Iterator[int]:
             yield l
 
 
-def dixon_prime(order: int, exponent: int, search_bound: int = 10**7) -> int:
+def dixon_prime(order: int, exponent: int) -> int:
     """Least prime l = 1 (mod exponent), l > 2*sqrt(order), l coprime to
-    the group order."""
-    for l in _primes_1_mod(exponent, 2 * isqrt(order) + 1, search_bound):
+    the group order, below 10^7."""
+    for l in _primes_1_mod(exponent, 2 * isqrt(order) + 1, 10**7):
         if order % l != 0:
             return l
-    raise RuntimeError(f"no Dixon prime below {search_bound} for exponent {exponent}")
+    raise RuntimeError(f"no Dixon prime below 10^7 for exponent {exponent}")
 
 
 # -- tables ----------------------------------------------------------------
@@ -457,33 +452,35 @@ def _modular_table(group: Group, cd: ClassData) -> _ModularTable:
     return _ModularTable(l, z, degrees, omega * degrees[:, None] % l * inv_sizes % l)
 
 
-def _order_multiplicities(cd: ClassData, mt: _ModularTable, order: int
-                          ) -> Iterator[tuple[int, list[int], np.ndarray, np.ndarray, np.ndarray]]:
+def _order_values(cd: ClassData, mt: _ModularTable, order: int
+                  ) -> Iterator[tuple[int, list[int], np.ndarray, np.ndarray]]:
     """For each element order d, in order of first appearance among the
-    classes: (d, ks, X, inv, MU), where ks are the classes of order d, X the
-    distinct power-map columns (chi(g_k^t) mod l for t < d, one row per
-    character and class of order d, equal ones once), inv[chi, j] the row
-    of X of character chi at class ks[j], and MU[t, x] the multiplicity
-    of zeta_d^t among the eigenvalues of a representative under the
-    characters with column X[x].  So chi(g) = sum_t MU[t] zeta_d^t.
+    classes: (d, ks, inv, C), where ks are the classes of order d, C[x] the
+    phi(d) canonical coordinates in Z[zeta_d] of one value chi(g), and
+    inv[chi, j] the row of C of character chi at class ks[j].
 
-    MU is the discrete Fourier inversion of X over the powers of
-    z^(m/d); each multiplicity is checked to be a true integer in
-    [0, degree] summing to the degree (less than l, so the lift is
-    unambiguous), and after the last order the degrees are checked against
-    sum deg^2 = |G|."""
+    The multiplicities MU[t, x] of zeta_d^t among the eigenvalues of g are
+    the discrete Fourier inversion, over the powers of z^(m/d), of the
+    distinct power-map columns X[x] (chi(g^t) mod l for t < d; equal
+    columns have equal multiplicities, so each is inverted once).  Each is
+    checked to be a true integer in [0, degree] summing to the degree (less
+    than l, so the lift is unambiguous).  Then chi(g) = sum_t MU[t] zeta_d^t,
+    and C = MU[:phi].T + MU[phi:].T x^t mod Phi_d: the powers with t < phi(d)
+    are their own rows, and only the d - phi(d) rows past them are built.
+    zeta_d -> z^(m/d) must give back chi(g) mod l.  After the last order,
+    some character must be 1 everywhere and sum deg^2 = |G|."""
     l, m, tau = mt.l, cd.exponent, cd.num_classes
     by_order: dict[int, list[int]] = {}  # element order d -> the classes of that order
     for k, d in enumerate(cd.rep_orders):
         by_order.setdefault(d, []).append(k)
+    trivial = np.ones(tau, dtype=bool)  # characters whose values so far are all 1
     for d, ks in by_order.items():
         t = np.arange(d)
-        zd_inv = _mod_inv(pow(mt.z, m // d, l), l)
+        zd = pow(mt.z, m // d, l)
+        zd_inv = _mod_inv(zd, l)
         # Vinv[t, j] = zd^(-t j) / d
         pw = np.array([pow(zd_inv, s, l) for s in range(d)], dtype=np.int64)
         Vinv = pw[np.outer(t, t) % d] * _mod_inv(d, l) % l
-        # the power-map columns of every character at every class of order d,
-        # class by class; equal columns have equal multiplicities
         X, inv = _distinct_rows(mt.rows[:, cd.power_map[k]] for k in ks)
         MU = Vinv @ X.T % l  # multiplicities of zeta_d^t, exact in [0, degree]
         degree_rows = np.tile(mt.degrees, len(ks))
@@ -492,7 +489,20 @@ def _order_multiplicities(cd: ClassData, mt: _ModularTable, order: int
                 "eigenvalue multiplicities failed the degree bound; "
                 "modular table is inconsistent"
             )
-        yield d, ks, X, inv.reshape(len(ks), tau).T, MU
+        phi = euler_phi(d)
+        past = power_rows(d, range(phi, d))  # x^t mod Phi_d for phi(d) <= t < d
+        # |coordinate| <= degree * max|past|, as each column of MU sums to the degree
+        if past.size and int(np.abs(past).max()) * int(mt.degrees.max()) >= 1 << 62:
+            raise ExactnessError(f"the coordinates of order {d} would overflow int64")
+        C = MU[:phi].T + MU[phi:].T @ past
+        zpow = np.array([pow(zd, i, l) for i in range(phi)], dtype=np.int64)
+        if not np.array_equal(C % l @ zpow % l, X[:, 1 % d]):
+            raise ExactnessError(f"lifted values of order {d} do not reduce to the modular table")
+        inv = inv.reshape(len(ks), tau).T
+        trivial &= ((C[:, 0] == 1) & ~C[:, 1:].any(axis=1))[inv].all(axis=1)
+        yield d, ks, inv, C
+    if not trivial.any():
+        raise ExactnessError("trivial character missing from the table")
     if sum(d * d for d in mt.degrees.tolist()) != order:
         raise ExactnessError("sum of squared degrees does not match the group order")
 
@@ -500,24 +510,27 @@ def _order_multiplicities(cd: ClassData, mt: _ModularTable, order: int
 def dixon_character_table(group: Group, cd: ClassData) -> CharacterTable:
     mt = _modular_table(group, cd)
     tau, m, l = cd.num_classes, cd.exponent, mt.l
-    phi = euler_phi(m)
-    # every exponent t*m/d (t < d) of every order d, each row built once
-    exponents = np.array(sorted({t * (m // d) for d in set(cd.rep_orders) for t in range(d)}),
-                         dtype=np.int64)
-    roots = power_rows(m, exponents)
-    coords: list[np.ndarray] = []  # per order: the coordinates of its distinct columns
+    # zeta_d^t = zeta_m^(t m/d) for t < phi(d): every order's rows from one call
+    orders = list(dict.fromkeys(cd.rep_orders))
+    phis = [euler_phi(d) for d in orders]
+    lift = power_rows(m, np.concatenate([np.arange(f) * (m // d) for d, f in zip(orders, phis)]))
+    roots = dict(zip(orders, np.split(lift, np.cumsum(phis)[:-1])))
+    coords: list[np.ndarray] = []  # per order: the conductor-m coordinates of its values
     column = np.empty((tau, tau), dtype=np.int64)  # row of chi_i(g_k) in the stacked coords
     start = 0
-    for d, ks, X, inv, MU in _order_multiplicities(cd, mt, group.order):
-        # value = sum_t MU[t] * zeta_m^(t*m/d), in canonical coordinates
-        coords.append(MU.T @ roots[np.searchsorted(exponents, np.arange(d) * (m // d))])
+    for d, ks, inv, C in _order_values(cd, mt, group.order):
+        R = roots[d]
+        # |coordinate of C @ R| <= phi(d) * max|C| * max|R|
+        if C.shape[1] * int(np.abs(C).max()) * int(np.abs(R).max()) >= 1 << 62:
+            raise ExactnessError(f"the coordinates of order {d} would overflow int64 at conductor {m}")
+        coords.append(C @ R)
         column[:, ks] = start + inv
-        start += len(X)
+        start += len(C)
     D, entry = _distinct_rows(coords)
     entry = entry[column]  # entry[i, k]: row of chi_i(g_k) in D
 
     # modular consistency: mapping zeta_m -> z must reproduce the mod-l table
-    zpow = np.array([pow(mt.z, i, l) for i in range(phi)], dtype=np.int64)
+    zpow = np.array([pow(mt.z, i, l) for i in range(euler_phi(m))], dtype=np.int64)
     if not np.array_equal((D % l @ zpow % l)[entry], mt.rows):
         raise ExactnessError("lifted table does not reduce to the modular table")
 
@@ -533,14 +546,10 @@ def dixon_character_table(group: Group, cd: ClassData) -> CharacterTable:
             tuple(v.coeffs for v in dr[1]),
         ),
     )
-    if not all(v == 1 for v in paired[0][1]):
-        raise ExactnessError("trivial character missing from the table")
-    degrees_sorted = tuple(d for d, _ in paired)
-    values_sorted = tuple(r for _, r in paired)
     return CharacterTable(
         conductor=m,
-        degrees=degrees_sorted,
-        values=values_sorted,
+        degrees=tuple(d for d, _ in paired),
+        values=tuple(r for _, r in paired),
         class_sizes=tuple(cd.class_sizes),
         class_rep_orders=tuple(cd.rep_orders),
         group_order=group.order,
@@ -549,36 +558,14 @@ def dixon_character_table(group: Group, cd: ClassData) -> CharacterTable:
 
 def dixon_zero_census(group: Group, cd: ClassData) -> ZeroReport:
     """The census `zero_census(dixon_character_table(group, cd))`, counted
-    from the multiplicities without building the table.  A value chi(g), g
-    of order d, is sum_t MU[t] zeta_d^t in Z[zeta_d], so its phi(d)
-    canonical coordinates decide whether it is zero: the powers x^t with
-    t < phi(d) are their own rows, and only the d - phi(d) rows past them
-    are built (`power_rows(d, ...)`), never a conductor-m row or a `CycInt`.
-    The checks are those of the table: the degree bound, sum deg^2 = |G|,
-    the modular consistency (zeta_d -> z^(m/d) must give back chi(g) mod l,
-    at conductor d) and a character whose every value is 1.
-
-    Nothing is sorted: `per_character_zero_counts` come in eigenvector
-    order (the order of the split), not the table's canonical row order;
-    as multisets they agree."""
+    from the Z[zeta_d] coordinates of `_order_values` without building the
+    table: no conductor-m row, `CycInt` or sort.  `per_character_zero_counts`
+    come in eigenvector order (the order of the split), not the table's
+    canonical row order; as multisets they agree."""
     mt = _modular_table(group, cd)
-    tau, m, l = cd.num_classes, cd.exponent, mt.l
-    zero = np.zeros((tau, tau), dtype=bool)
-    trivial = np.ones(tau, dtype=bool)  # characters whose values so far are all 1
-    for d, ks, X, inv, MU in _order_multiplicities(cd, mt, group.order):
-        phi = euler_phi(d)
-        past = power_rows(d, range(phi, d))  # x^t mod Phi_d for phi(d) <= t < d
-        # |coordinate| <= degree * max|past|, as each column of MU sums to the degree
-        if past.size and int(np.abs(past).max()) * int(mt.degrees.max()) >= 1 << 62:
-            raise ExactnessError(f"the coordinates of order {d} would overflow int64")
-        C = MU[:phi].T + MU[phi:].T @ past  # C[x]: coordinates of the value of column X[x]
-        zpow = np.array([pow(mt.z, (m // d) * i, l) for i in range(phi)], dtype=np.int64)
-        if not np.array_equal(C % l @ zpow % l, X[:, 1 % d]):
-            raise ExactnessError(f"lifted values of order {d} do not reduce to the modular table")
+    zero = np.zeros((cd.num_classes, cd.num_classes), dtype=bool)
+    for _, ks, inv, C in _order_values(cd, mt, group.order):
         zero[:, ks] = ~C.any(axis=1)[inv]
-        trivial &= ((C[:, 0] == 1) & ~C[:, 1:].any(axis=1))[inv].all(axis=1)
-    if not trivial.any():
-        raise ExactnessError("trivial character missing from the table")
     return ZeroReport.of_mask(zero)
 
 

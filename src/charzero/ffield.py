@@ -58,13 +58,13 @@ def to_digits(code: int, base: int, count: int) -> list[int]:
 class Field:
     """F_{p^e}; element encoding is an int in [0, p^e)."""
 
-    def __init__(self, p: int, e: int, cap: int = DEFAULT_FIELD_CAP):
+    def __init__(self, p: int, e: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be positive")
-        if p**e > cap:
-            raise ValueError(f"field size {p}^{e} exceeds cap {cap}")
+        if p**e > DEFAULT_FIELD_CAP:
+            raise ValueError(f"field size {p}^{e} exceeds cap {DEFAULT_FIELD_CAP}")
         self.p = p
         self.e = e
         self.q = p**e
@@ -138,9 +138,6 @@ class Field:
             n >>= 1
         return result
 
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
     def elements(self) -> range:
         return range(self.q)
 
@@ -205,17 +202,17 @@ def _least_irreducible(p: int, e: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=32)
-def field_make(p: int, e: int, cap: int = DEFAULT_FIELD_CAP) -> Field:
-    return Field(p, e, cap)
+def field_make(p: int, e: int) -> Field:
+    return Field(p, e)
 
 
-def field_for_order(q: int, cap: int = DEFAULT_FIELD_CAP) -> Field:
-    if q > cap:  # refused before trial division, which takes ~sqrt(q) steps
-        raise ValueError(f"field size {q} exceeds cap {cap}")
+def field_for_order(q: int) -> Field:
+    if q > DEFAULT_FIELD_CAP:  # refused before trial division, which takes ~sqrt(q) steps
+        raise ValueError(f"field size {q} exceeds cap {DEFAULT_FIELD_CAP}")
     pe = is_prime_power(q)
     if pe is None:
         raise ValueError(f"{q} is not a prime power")
-    return field_make(pe[0], pe[1], cap)
+    return field_make(pe[0], pe[1])
 
 
 # -- F_q[x] helpers (dense coefficient lists of element codes) -------------

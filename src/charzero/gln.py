@@ -95,7 +95,6 @@ class TorusRecord:
     weyl_centralizer: int  # c_lambda, the S_n centralizer of the cycle type
     regular_count: int  # f_lambda
     regular_class_count: int  # f_lambda / c_lambda
-    dual_regular_count: int  # equal to f_lambda for GL_n
 
 
 def _torus_factors(partition: tuple[int, ...], q: int) -> tuple[int, list[int]]:
@@ -165,17 +164,16 @@ def torus_inventory(n: int, q: int, cap: int = DEFAULT_TORUS_CAP) -> list[TorusR
                 weyl_centralizer=c,
                 regular_count=f,
                 regular_class_count=f // c,
-                dual_regular_count=f,
             )
         )
     return out
 
 
-def regular_ss_class_count(n: int, q: int, cap: int = DEFAULT_TORUS_CAP) -> int:
+def regular_ss_class_count(n: int, q: int) -> int:
     """Number of regular semisimple conjugacy classes of GL_n(F_q), as
     sum_lambda f_lambda / c_lambda (`brute_regular_ss_class_count` counts
     them from the group)."""
-    return sum(rec.regular_class_count for rec in torus_inventory(n, q, cap))
+    return sum(rec.regular_class_count for rec in torus_inventory(n, q))
 
 
 def brute_regular_ss_class_count(n: int, q: int) -> int:
@@ -192,8 +190,7 @@ def brute_regular_ss_class_count(n: int, q: int) -> int:
     return count
 
 
-def general_position_count(partition: tuple[int, ...], q: int, regular_count: int,
-                           cap: int = DEFAULT_TORUS_CAP) -> int:
+def general_position_count(partition: tuple[int, ...], q: int, regular_count: int) -> int:
     """Number of C_W(w)-orbits of characters of T_lambda^F in general
     position (trivial stabilizer); checked equal to the regular class count
     f_lambda / c_lambda of the same torus (GL_n is self-dual), where
@@ -207,7 +204,7 @@ def general_position_count(partition: tuple[int, ...], q: int, regular_count: in
     partition = tuple(sorted(partition, reverse=True))
     moduli = [q**p - 1 for p in partition]
     torus_size = prod(moduli)
-    if torus_size > cap:
+    if torus_size > DEFAULT_TORUS_CAP:
         raise ValueError(f"character census beyond cap at lambda={partition}, q={q}")
     chars = np.unravel_index(np.arange(torus_size), moduli)
     images = []

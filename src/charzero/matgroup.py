@@ -243,7 +243,10 @@ class _MatrixKernel:
 
         The maps are stacked side by side for one float32 product per chunk
         of rows; its entries are exact integers, reduced mod p by a lookup,
-        and the codes are one product by the powers p^c."""
+        and the codes are one product by the powers p^c.  No maps give no
+        columns (the closure of no generators is {I})."""
+        if not maps:
+            return np.empty((len(digits), 0), dtype=np.int64)
         w = maps[0].shape[1]
         stacked = np.concatenate(maps, axis=1).astype(np.float32)
         out = np.empty((len(digits), len(maps)), dtype=np.int64 if w > 1 else self.dtype)

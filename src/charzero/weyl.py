@@ -404,8 +404,8 @@ def _table_exceptional(cartan_type: str) -> WeylClassTable:
 
 
 @lru_cache(maxsize=64)
-def weyl_classes(cartan_type: str, rank: int | None = None, lattice: str = "permutation",
-                 rank_cap: int = DEFAULT_RANK_CAP) -> WeylClassTable:
+def weyl_classes(cartan_type: str, rank: int | None = None,
+                 lattice: str = "permutation") -> WeylClassTable:
     """Complete class table for W(type_rank).
 
     `lattice` applies to type A only: "permutation" (rank+1 lattice, the
@@ -423,8 +423,8 @@ def weyl_classes(cartan_type: str, rank: int | None = None, lattice: str = "perm
         raise ValueError(f"unknown Cartan type {cartan_type!r}")
     if rank is None:
         raise ValueError("classical types need an explicit rank")
-    if rank > rank_cap:
-        raise ValueError(f"rank {rank} exceeds cap {rank_cap}")
+    if rank > DEFAULT_RANK_CAP:
+        raise ValueError(f"rank {rank} exceeds cap {DEFAULT_RANK_CAP}")
     if cartan_type == "A":
         if rank < 1:
             raise ValueError("type A needs rank >= 1")

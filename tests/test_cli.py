@@ -653,3 +653,37 @@ def test_bounds_refuses_the_cap_where_it_enumerates_no_group(argv, capsys):
 def test_bounds_sl_runs_under_a_cap_that_admits_the_group(capsys):
     code, out, _ = run_cli(["bounds", "--check", "sl", "--n", "2", "--q", "3", "--cap", "24"], capsys)
     assert code == 0 and json.loads(out)["group"] == "sl2(F3)"
+
+
+@pytest.mark.parametrize("command", ["zero-density", "char-table"])
+def test_sl1_is_the_trivial_group(command, capsys):
+    """SL_1 has no transvections to generate it: the closure of no
+    generators is {I}, whose table is [1] with no zeros."""
+    code, out, err = run_cli([command, "--group", "sl", "--n", "1", "--q", "5"], capsys)
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert obj["group"] == "sl1(F5)"
+    if command == "zero-density":
+        assert (obj["zeros"], obj["entries"]) == (0, 1)
+    else:
+        assert obj["degrees"] == [1] and obj["values"] == [[{"coeffs": [1], "conductor": 1,
+                                                             "is_zero": False}]]
+        assert obj["orthogonal"] is True
+
+
+def test_bounds_sl_refuses_n_below_two_before_enumerating(capsys, monkeypatch):
+    from charzero import matgroup
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a group was enumerated")
+
+    monkeypatch.setattr(matgroup, "enumerate_group", unreachable)
+    code, out, err = run_cli(["bounds", "--check", "sl", "--n", "1", "--q", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "n >= 2" in err and "Traceback" not in err
+
+
+def test_a_zero_denominator_epsilon_exits_two(capsys):
+    code, out, err = run_cli(["bounds", "--check", "threshold", "--epsilon", "1/0"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "zero denominator" in err

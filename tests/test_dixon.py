@@ -411,25 +411,30 @@ def test_census_coordinates_that_could_overflow_int64_are_refused(monkeypatch):
         dixon_zero_census(g, conjugacy_classes(g))
 
 
-def test_a_wrong_reduction_target_fails_the_modular_check_at_the_element_order(monkeypatch):
-    """Corrupt the value chi(g) mod l of one power-map column after its
-    multiplicities are formed: the degree bound and sum deg^2 = |G| still
-    hold, and only the check at conductor d (zeta_d -> z^(m/d)) sees it."""
+def test_table_coordinates_that_could_overflow_int64_are_refused(monkeypatch):
     import charzero.dixon as dixon
 
-    real = dixon._order_multiplicities
-
-    def corrupted(cd, mt, order):
-        for d, ks, X, inv, MU in real(cd, mt, order):
-            if d == 8:
-                X = X.copy()
-                X[0, 1] = (X[0, 1] + 1) % mt.l
-            yield d, ks, X, inv, MU
-
-    monkeypatch.setattr(dixon, "_order_multiplicities", corrupted)
     g = gl_group(2, 3)
-    with pytest.raises(RuntimeError, match="of order 8 do not reduce to the modular table"):
-        dixon_zero_census(g, conjugacy_classes(g))
+    cd = conjugacy_classes(g)
+    real = dixon.power_rows  # the conductor-m rows only, scaled past 2^62 / max|C|
+    monkeypatch.setattr(dixon, "power_rows",
+                        lambda m, ks: real(m, ks) << 61 if m == cd.exponent else real(m, ks))
+    with pytest.raises(RuntimeError, match="would overflow int64 at conductor 24"):
+        dixon_character_table(g, cd)
+
+
+def test_a_wrong_reduction_target_fails_the_modular_check_at_the_element_order(monkeypatch):
+    """Corrupt the rows x^t mod Phi_8 (t = 4..7) after the multiplicities
+    are formed: the degree bound and sum deg^2 = |G| still hold, and only
+    the check at conductor d (zeta_d -> z^(m/d)) sees it, on both routes."""
+    import charzero.dixon as dixon
+
+    real = dixon.power_rows
+    monkeypatch.setattr(dixon, "power_rows", lambda m, ks: -real(m, ks) if m == 8 else real(m, ks))
+    g = gl_group(2, 3)
+    for build in (dixon_zero_census, dixon_character_table):
+        with pytest.raises(RuntimeError, match="of order 8 do not reduce to the modular table"):
+            build(g, conjugacy_classes(g))
 
 
 def test_a_non_square_target_is_an_internal_error():
