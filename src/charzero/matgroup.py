@@ -20,30 +20,39 @@ matrix codes: built once from the gather product on the basis matrices
 (`_MatrixKernel.linear_map`) and applied to whole digit arrays, several
 maps side by side, as one float32 BLAS product per chunk of rows, exact
 integers reduced mod p by a lookup (`_MatrixKernel.apply`).  The gather
-product itself, from the field's add and mul tables, serves only the
-tau-sized power-map products and the building of those maps.  A direct
-product of groups holds pairs of factor indices and takes every product in
-its factors, so its fixed-factor products are its factors' linear maps.
+product itself, from the field's add and mul tables, serves only the power
+maps (about 2 tau e products in about log2 e batches, e the largest element
+order) and the building of those maps.  A direct product of groups holds
+pairs of factor indices and takes every product in its factors, so its
+fixed-factor products are its factors' linear maps.
 Products are found by their base-q codes: through one int32 code -> index
 array when q^(n^2) <= 4 |G| (every GL_n, where the ratio is below 3.5, and
 every SL_n over F_2 and F_3), else by one argsort and `np.searchsorted`.
 
 `enumerate_group` is the one matrix-group closure: breadth-first from the
-identity, a level of matrix codes at a time, with the generator list sorted
-and the known codes in one sorted array; each level keeps the first
-occurrences of unseen products in (element, generator) order, so the
-element order is that of a BFS taking one product at a time and two runs
-produce identical index maps.  The group decodes the concatenated level
-codes once into its digit array.  Conjugacy classes are the `orbit_labels`
-of one conjugation permutation per generator: every element is labelled by
-the least index of its orbit (labels pulled along each permutation, then
-lowered by pointer jumping), and classes are numbered by that least index,
-which is also the representative.  The adjoint orbits of gl_n and the
-exceptional Weyl classes use the same routine.
+identity, a level of matrix codes at a time, with the generator list
+sorted; each level keeps the first occurrences of unseen products in
+(element, generator) order, so the element order is that of a BFS taking
+one product at a time and two runs produce identical index maps.  Given
+the expected order with q^(n^2) <= 4 |G| (`gl_group`, and `sl_group` over
+F_2 and F_3), the closure fills the group's `DenseKeys` itself and sorts
+nothing: the unseen products claim their slots by one reversed scatter of
+positions, checked to leave each code's first occurrence.  Otherwise it
+keeps the known codes in one sorted array (`np.unique`, `np.searchsorted`)
+and the group is indexed afterwards.  The group decodes the concatenated
+level codes once into its digit array.
+
+Conjugacy classes are the `orbit_labels` of one conjugation permutation per
+generator: every element is labelled by the least index of its orbit
+(labels pulled along each permutation, then lowered by pointer jumping),
+and classes are numbered by that least index, which is also the
+representative.  The adjoint orbits of gl_n and the exceptional Weyl
+classes use the same routine.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
 from math import lcm
 
@@ -316,11 +325,36 @@ class SortedKeys:
 class DenseKeys:
     """Positions of distinct keys in [0, size), by one int32 array over the
     whole range, -1 where a key is absent: `SortedKeys` without the sort,
-    for key sets that fill a good part of their range."""
+    for key sets that fill a good part of their range.  `add_new` grows the
+    key set, so a closure can fill the index as it goes."""
 
     def __init__(self, keys: np.ndarray, size: int):
         self._position = np.full(size, -1, dtype=np.int32)
         self._position[keys] = np.arange(len(keys), dtype=np.int32)
+        self._count = len(keys)
+
+    def add_new(self, keys: np.ndarray) -> np.ndarray:
+        """The keys not yet present, each once, in order of first occurrence;
+        they take the next positions in that order.
+
+        An absent key's slot holds -1, so it can carry a claim before the
+        key is numbered: one reversed scatter writes -2 - i into the slot of
+        the i-th absent key, so that where the last write wins each slot
+        ends with its key's first claim, and the keys whose own claim
+        survived are the new ones.  NumPy does not promise which write wins
+        when indices repeat, so every surviving claim -2 - j is checked to
+        be a first occurrence (j <= i), and anything else raises."""
+        position = self._position
+        absent = keys[position[keys] < 0]
+        claim = np.arange(-2, -2 - len(absent), -1, dtype=np.int32)
+        position[absent[::-1]] = claim[::-1]
+        survivor = position[absent]
+        if (survivor < claim).any():
+            raise ExactnessError("a scatter kept a later occurrence of a key")
+        new = absent[survivor == claim]
+        position[new] = np.arange(self._count, self._count + len(new), dtype=np.int32)
+        self._count += len(new)
+        return new
 
     def index_of(self, wanted: np.ndarray, missing: str) -> np.ndarray:
         """Positions of a 1-D array of keys in [0, size); raises
@@ -334,21 +368,21 @@ class DenseKeys:
 class MatrixGroupTable:
     """A matrix group stored as `digits`, an (|G|, n*n) array of entry
     codes in element order, multiplied by `kernel`; element 0 is the
-    identity.  Matrices are found by their base-q codes, through `DenseKeys`
-    when q^(n^2) <= 4 |G| (every GL_n, and SL_n over F_2 and F_3), else
-    through `SortedKeys`.  A product with a fixed factor is one F_p-linear
-    map; the right multiplication by an element is kept once built."""
+    identity.  Matrices are found by their base-q codes through `keys`, the
+    index that `enumerate_group` chose.  A product with a fixed factor is one
+    F_p-linear map; the right multiplication by an element is kept once
+    built."""
 
-    def __init__(self, kernel: _MatrixKernel, codes: np.ndarray, generators: np.ndarray):
-        """`codes` are the elements' matrix codes in element order and
-        `generators` the generators' codes."""
+    def __init__(self, kernel: _MatrixKernel, codes: np.ndarray, generators: np.ndarray,
+                 keys: DenseKeys | SortedKeys):
+        """`codes` are the elements' matrix codes in element order, `keys`
+        their index and `generators` the generators' codes."""
         self.field = kernel.field
         self.dim = kernel.n
         self.digits = kernel.decode(codes)
         self.order = len(codes)
         self.kernel = kernel
-        space = kernel.q ** (kernel.n**2)
-        self._keys = DenseKeys(codes, space) if space <= 4 * self.order else SortedKeys(codes)
+        self._keys = keys
         self.generator_indices = self._index_of(generators).tolist()
         self._right_maps: dict[int, np.ndarray] = {}
 
@@ -389,34 +423,58 @@ class MatrixGroupTable:
 
 
 def enumerate_group(generators: list[tuple[int, ...]], field: Field, dim: int,
-                    cap: int = DEFAULT_GROUP_CAP) -> MatrixGroupTable:
+                    cap: int = DEFAULT_GROUP_CAP, order: int | None = None) -> MatrixGroupTable:
     """Breadth-first closure of the generators under multiplication, one
     level of matrix codes at a time: the level's products with the sorted
     generators, taken in (element, generator) order, contribute their first
-    occurrences that are not yet known, in order of discovery."""
+    occurrences that are not yet known, in order of discovery.
+
+    With the expected `order` given and q^(n^2) <= 4 order, the closure
+    fills the group's `DenseKeys` as it goes; otherwise it keeps the known
+    codes in one sorted array, and the group is indexed after it."""
     gens = sorted(set(generators))
     for g in gens:
         mat_inv(field, dim, g)  # raises on a singular generator
     kernel = _MatrixKernel(field, dim)
     gen_digits = kernel.digits(gens)
     right_maps = [kernel.linear_map(right=g) for g in gen_digits]
-    level = known = kernel.codes(kernel.digits([mat_identity(dim)]))  # `known` stays sorted
-    levels = []
-    while len(level):
-        if len(known) > cap:
-            raise EnumerationCapExceeded(f"group closure exceeded cap {cap}")
-        levels.append(level)
-        products = kernel.apply(kernel.decode(level), right_maps).ravel()
-        codes, first = np.unique(products, return_index=True)
-        pos = np.searchsorted(known, codes)
-        fresh = known[np.minimum(pos, len(known) - 1)] != codes
-        level = products[np.sort(first[fresh])]
-        known = np.insert(known, pos[fresh], codes[fresh])
-    group = MatrixGroupTable(kernel, np.concatenate(levels), kernel.codes(gen_digits))
+    identity = kernel.codes(kernel.digits([mat_identity(dim)]))
+    space = kernel.q ** (dim * dim)
+    if order is not None and space <= 4 * order:
+        keys = DenseKeys(identity, space)
+        codes = _closure(kernel, right_maps, identity, cap, keys.add_new)
+    else:
+        known = identity
+
+        def add_new(products: np.ndarray) -> np.ndarray:
+            nonlocal known
+            codes, first = np.unique(products, return_index=True)
+            pos = np.searchsorted(known, codes)
+            fresh = known[np.minimum(pos, len(known) - 1)] != codes
+            known = np.insert(known, pos[fresh], codes[fresh])
+            return products[np.sort(first[fresh])]
+
+        codes = _closure(kernel, right_maps, identity, cap, add_new)
+        keys = DenseKeys(codes, space) if space <= 4 * len(codes) else SortedKeys(codes)
+    group = MatrixGroupTable(kernel, codes, kernel.codes(gen_digits), keys)
     # closure under inverse is implied (finite order); spot-check a sample
     for i in range(min(group.order, 16)):
         group.inv_idx(i)
     return group
+
+
+def _closure(kernel: _MatrixKernel, right_maps: list[np.ndarray], identity: np.ndarray,
+             cap: int, add_new: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The element codes in breadth-first order from the identity: each
+    level is `add_new` of its predecessor's products with the generators."""
+    level, levels, known = identity, [], 0
+    while len(level):
+        known += len(level)
+        if known > cap:
+            raise EnumerationCapExceeded(f"group closure exceeded cap {cap}")
+        levels.append(level)
+        level = add_new(kernel.apply(kernel.decode(level), right_maps).ravel())
+    return np.concatenate(levels)
 
 
 class ProductGroupTable:
@@ -508,15 +566,19 @@ class ClassData:
         self.class_sizes = np.bincount(class_of).tolist()
         self.class_of = class_of
         self.num_classes = len(reps)
-        # power_map[c][k] = class of rep_c^k for 0 <= k < order(rep_c)
+        # power_map[c][k] = class of rep_c^k for 0 <= k < order(rep_c).  The
+        # powers rep^0 .. rep^(w-1) double to w columns more, [rep^0 .. rep^(w-1)]
+        # * rep^w, and rep^w is squared, until every rep's order is below w
         identity = 0  # element 0 of either table
-        cur = np.full(len(reps), identity)
-        columns, orders = [], np.zeros(len(reps), dtype=np.int64)
-        while not orders.all():
-            columns.append(class_of[cur])
-            cur = group.mul_many(cur, reps)
-            orders[(cur == identity) & (orders == 0)] = len(columns)
-        powers = np.array(columns).T
+        powers, step = np.full((len(reps), 1), identity), np.array(reps)
+        while True:
+            powers = np.hstack([powers, group.mul_many(powers, step[:, None])])
+            returns = powers[:, 1:] == identity
+            if returns.any(axis=1).all():
+                break
+            step = group.mul_many(step, step)
+        orders = returns.argmax(axis=1) + 1
+        powers = class_of[powers]
         self.rep_orders = orders.tolist()
         self.exponent = lcm(*self.rep_orders)
         self.power_map = [powers[c, :d].tolist() for c, d in enumerate(self.rep_orders)]
@@ -580,7 +642,7 @@ def _classical_group(name: str, generators, n: int, q: int, order: int,
             f"{name}_{n}(F_{q}) has order {order}, over the enumeration cap {cap}"
         )
     F = field_for_order(q)
-    g = enumerate_group(generators(n, F), F, n, cap)
+    g = enumerate_group(generators(n, F), F, n, cap, order)
     if g.order != order:
         raise ExactnessError(f"{name} closure has the wrong order")
     return g

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd
 
 import numpy as np
 
@@ -233,24 +233,35 @@ _CARTAN = {
 
 def _regular_vector(cartan: list[list[int]]) -> tuple[int, ...]:
     """rho in root coordinates, scaled to integers: the solution of
-    <rho, alpha_i^vee> = sum_j rho_j cartan[j][i] = 1 for every i, by exact
-    Gauss-Jordan elimination.  rho pairs positively with every simple coroot,
-    so it lies inside the fundamental chamber and its stabiliser in W is
-    trivial."""
+    <rho, alpha_i^vee> = sum_j rho_j cartan[j][i] = 1 for every i.  rho pairs
+    positively with every simple coroot, so it lies inside the fundamental
+    chamber and its stabiliser in W is trivial.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination over the integers: each
+    step takes row k to (pivot * row_k - row_k[c] * row_c) / previous pivot,
+    a division that is exact in theory and checked here.  It ends with every
+    diagonal entry det, so rho_j = b_j / det, and the integer vector is b
+    divided by gcd(b, det), with the sign of det."""
     r = len(cartan)
-    rows = [[Fraction(cartan[j][i]) for j in range(r)] + [Fraction(1)] for i in range(r)]
+    rows = [[cartan[j][i] for j in range(r)] + [1] for i in range(r)]
+    previous = 1
     for c in range(r):
         pivot = next((k for k in range(c, r) if rows[k][c]), None)
         if pivot is None:
             raise ExactnessError("the Cartan matrix is singular")
         rows[c], rows[pivot] = rows[pivot], rows[c]
-        rows[c] = [x / rows[c][c] for x in rows[c]]
+        p = rows[c][c]
         for k in range(r):
-            if k != c and (f := rows[k][c]):
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[c])]
-    rho = [row[-1] for row in rows]
-    scale = lcm(*(x.denominator for x in rho))
-    return tuple(int(x * scale) for x in rho)
+            if k != c:
+                f = rows[k][c]
+                reduced = [divmod(p * x - f * y, previous) for x, y in zip(rows[k], rows[c])]
+                if any(rest for _, rest in reduced):
+                    raise ExactnessError("a fraction-free elimination step is not exact")
+                rows[k] = [x for x, _ in reduced]
+        previous = p
+    b = [row[-1] for row in rows]
+    scale = gcd(*b, previous) * (1 if previous > 0 else -1)
+    return tuple(x // scale for x in b)
 
 
 def _key_radix(v: tuple[int, ...]) -> int:

@@ -1,9 +1,11 @@
 """The F_p-linear route of `_MatrixKernel` against the gather product, the
-dense code index of GL_n against the sorted one, and pins of the element
-and class order that every later stage reads."""
+dense code index of GL_n against the sorted one, the dense closure against
+the sorted one, and pins of the element and class order that every later
+stage reads."""
 
 import hashlib
 import json
+from math import lcm
 
 import numpy as np
 import pytest
@@ -18,9 +20,12 @@ from charzero.matgroup import (
     _MatrixKernel,
     conjugacy_classes,
     direct_product,
+    enumerate_group,
+    gl_generators,
     gl_group,
     mat_charpoly,
     mat_inv,
+    sl_generators,
     sl_group,
 )
 
@@ -152,6 +157,102 @@ def test_dense_keys_find_positions_and_raise_on_a_miss():
     assert keys.index_of(np.array([50, 10, 30]), "missing").tolist() == [3, 1, 0]
     with pytest.raises(ExactnessError, match="missing"):
         keys.index_of(np.array([10, 40]), "missing")
+
+
+def test_dense_keys_number_new_keys_by_first_occurrence():
+    keys = DenseKeys(np.array([0]), 8)
+    assert keys.add_new(np.array([3, 5, 3, 0, 5, 6])).tolist() == [3, 5, 6]
+    assert keys.add_new(np.array([6, 7, 1, 7])).tolist() == [7, 1]
+    assert keys.index_of(np.array([0, 3, 5, 6, 7, 1]), "missing").tolist() == list(range(6))
+    assert keys.add_new(np.array([1, 3])).tolist() == []
+
+
+class _FirstWriteWins(np.ndarray):
+    """An int array whose scatters with repeated indices keep the first
+    write, which NumPy does not promise against either."""
+
+    def __setitem__(self, index, value):
+        if isinstance(index, np.ndarray) and index.ndim == 1:
+            index, value = index[::-1], np.broadcast_to(value, index.shape)[::-1]
+        super().__setitem__(index, value)
+
+
+def test_a_scatter_that_keeps_a_later_occurrence_is_refused():
+    keys = DenseKeys(np.array([0]), 8)
+    keys._position = keys._position.view(_FirstWriteWins)
+    assert keys.add_new(np.array([3, 5])).tolist() == [3, 5]  # no repeats: nothing to choose
+    with pytest.raises(ExactnessError, match="later occurrence"):
+        keys.add_new(np.array([6, 7, 6]))
+
+
+def _code_digest(g) -> str:
+    return hashlib.sha256(g.kernel.codes(g.digits).astype("<i8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("make,digest", [
+    (lambda: gl_group(2, 11), "0f1abe95a680ee4e02acb4ba9f9b1d2c788d0830b008c76728abfb83270b6e6d"),
+    (lambda: gl_group(3, 3), "2bdd070004d53453a2540a1b647d9aa00e152826beb1bc95c3cb0ce577ed401d"),
+    (lambda: gl_group(3, 4), "bd33adfa70779ce878da50c89d93832888cf5fd2e9867d99565730cc87ee74d9"),
+    pytest.param(lambda: gl_group(3, 5),
+                 "3319f447187c05a8898acd94e3990c5ff1784e9e0b90a1c999f4b6182e8a96e6",
+                 marks=pytest.mark.slow),
+    (lambda: sl_group(2, 13), "074e9a2930d87534a85d9145dd0ab7267a0c6b019d2a91848644fb3a289e1392"),
+], ids=["GL2(F11)", "GL3(F3)", "GL3(F4)", "GL3(F5)", "SL2(F13)"])
+def test_the_element_code_order_is_pinned(make, digest):
+    # the sha256 of the int64 element codes in element order, as the sorted closure gives them
+    assert _code_digest(make()) == digest
+
+
+@pytest.mark.parametrize("kind,n,q", [("GL", 2, q) for q in (2, 3, 4, 5, 7, 8, 9)]
+                         + [("GL", 3, 2), ("GL", 3, 3), ("SL", 2, 3), ("SL", 3, 2)])
+def test_the_dense_closure_gives_the_sorted_closures_element_order(kind, n, q):
+    dense = (gl_group if kind == "GL" else sl_group)(n, q)
+    assert isinstance(dense._keys, DenseKeys)
+    F = dense.field
+    # without an expected order the closure takes the sorted route
+    by_sort = enumerate_group((gl_generators if kind == "GL" else sl_generators)(n, F), F, n)
+    assert np.array_equal(dense.kernel.codes(dense.digits), by_sort.kernel.codes(by_sort.digits))
+    assert dense.generator_indices == by_sort.generator_indices
+
+
+def test_the_gl3_f3_closure_sorts_nothing_and_builds_one_dense_index(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sorted closure was reached")
+
+    for name in ("unique", "searchsorted", "insert", "argsort"):
+        monkeypatch.setattr(matgroup.np, name, unreachable)
+    monkeypatch.setattr(matgroup, "SortedKeys", unreachable)
+    built = []
+    dense_init = DenseKeys.__init__
+    monkeypatch.setattr(DenseKeys, "__init__",
+                        lambda self, *args: built.append(args) or dense_init(self, *args))
+    g = gl_group.__wrapped__(3, 3)  # past the cache
+    assert g.order == 11232 and len(built) == 1 and isinstance(g._keys, DenseKeys)
+
+
+def _per_power_maps(group, cd):
+    """The power-map columns, orders, exponent and inverse classes by one
+    `mul_many` per power, rep^k -> rep^(k+1), until every rep returns to
+    the identity (element 0)."""
+    reps = np.array(cd.class_reps)
+    cur, columns, orders = np.zeros(len(reps), dtype=np.intp), [], np.zeros(len(reps), dtype=int)
+    while not orders.all():
+        columns.append(cd.class_of[cur])
+        cur = group.mul_many(cur, reps)
+        orders[(cur == 0) & (orders == 0)] = len(columns)
+    powers = np.array(columns).T
+    power_map = [powers[c, :d].tolist() for c, d in enumerate(orders)]
+    return power_map, orders.tolist(), lcm(*orders.tolist()), [row[-1] for row in power_map]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gl_group(2, 9),
+    lambda: direct_product(gl_group(2, 2), sl_group(2, 3)),
+], ids=["GL2(F9)", "GL2(F2)xSL2(F3)"])
+def test_power_maps_by_doubling_equal_the_per_power_loop(make):
+    g = make()
+    cd = conjugacy_classes(g)
+    assert (cd.power_map, cd.rep_orders, cd.exponent, cd.inverse_class) == _per_power_maps(g, cd)
 
 
 @pytest.mark.parametrize("n,q,digest", [

@@ -521,6 +521,13 @@ def test_the_key_vector_pairs_to_one_with_every_simple_coroot(cartan_type):
         assert np.array_equal(s.astype(np.int64) @ rho, rho - np.eye(len(rho), dtype=int)[i])
 
 
+@pytest.mark.parametrize("cartan_type,rho", [
+    ("G2", (5, 3)), ("F4", (11, 21, 15, 8)), ("E6", (8, 15, 21, 15, 8, 11))])
+def test_the_key_vector_is_pinned(cartan_type, rho):
+    # the rational solution scaled to coprime integers, as a Fraction elimination gives it
+    assert W._regular_vector(W._CARTAN[cartan_type]) == rho
+
+
 @pytest.mark.parametrize("cartan_type", ["G2", "F4", "E6"])
 def test_a_non_regular_key_vector_is_caught_by_the_order_check(cartan_type, monkeypatch):
     cartan = W._CARTAN[cartan_type]
