@@ -20,9 +20,16 @@ from typing import Callable, Sequence
 from .dixon import dixon_zero_census
 from .errors import ExactnessError
 from .ffield import fq_poly_is_squarefree
-from .gln import class_count_poly, gln_zero_ratio_formula, regular_ss_class_count
-from .matgroup import MatrixGroupTable, conjugacy_classes, gl_group, gl_order, mat_charpoly
-from .polynomials import IntPoly
+from .gln import class_count_poly, gln_zero_ratio_ratfunc, regular_ss_class_count
+from .matgroup import (
+    ClassData,
+    MatrixGroupTable,
+    conjugacy_classes,
+    gl_group,
+    gl_order,
+    mat_charpoly,
+)
+from .polynomials import IntPoly, limit_at_infinity
 from .weyl import DEFAULT_RANK_CAP, sum_inv_c_sq_stream
 
 
@@ -234,13 +241,12 @@ class ProportionCheck:
     passes: bool
 
 
-def guralnick_lubeck_check(group: MatrixGroupTable, q: int) -> ProportionCheck:
-    """Regular-semisimple element proportion of an enumerated SL_n(F_q)
-    against 1 - 3/(q-1) - 2/(q-1)^2 (exact)."""
+def guralnick_lubeck_check(group: MatrixGroupTable, cd: ClassData) -> ProportionCheck:
+    """Regular-semisimple element proportion of an enumerated SL_n(F_q),
+    with classes `cd`, against 1 - 3/(q-1) - 2/(q-1)^2 (exact)."""
     F = group.field
-    n = group.dim
+    q, n = F.q, group.dim
     rss_elements = 0
-    cd = conjugacy_classes(group)
     for rep, size in zip(cd.class_reps, cd.class_sizes):
         cp = mat_charpoly(F, n, group.element(rep))
         if fq_poly_is_squarefree(F, cp):
@@ -259,11 +265,10 @@ class ClassCountCheck:
     passes: bool
 
 
-def fulman_guralnick_check(group: MatrixGroupTable, q: int) -> ClassCountCheck:
-    """Class count of an enumerated SL_n(F_q) against q^r + 40 q^{r-1} with
-    r = n - 1 the rank of the simple group."""
-    cd = conjugacy_classes(group)
-    r = group.dim - 1
+def fulman_guralnick_check(group: MatrixGroupTable, cd: ClassData) -> ClassCountCheck:
+    """Class count of an enumerated SL_n(F_q), with classes `cd`, against
+    q^r + 40 q^{r-1} with r = n - 1 the rank of the simple group."""
+    q, r = group.field.q, group.dim - 1
     bound = q**r + 40 * q ** (r - 1)
     return ClassCountCheck(
         q=q, rank=r, class_count=cd.num_classes, bound=bound,
@@ -293,21 +298,14 @@ def trend_report(
     rows = []
     for n in sorted(set(ns)):
         weyl = 1 - sum_inv_c_sq_stream("A", n - 1) if n >= 2 else Fraction(0)
+        ratio = gln_zero_ratio_ratfunc(n) if n in (2, 3) else None
         for q in qs:
-            formula = None
-            brute = None
-            if q is None:
-                if n in (2, 3):
-                    from .gln import gln_zero_ratio_ratfunc
-                    from .polynomials import limit_at_infinity
-
-                    formula = limit_at_infinity(gln_zero_ratio_ratfunc(n))
-            else:
-                if n in (2, 3):
-                    formula = gln_zero_ratio_formula(n, q)
-                if gl_order(n, q) <= 2 * 10**4:
-                    g = gl_group(n, q)
-                    brute = dixon_zero_census(g, conjugacy_classes(g)).ratio
+            formula = brute = None
+            if ratio is not None:
+                formula = limit_at_infinity(ratio) if q is None else ratio.evaluate(q)
+            if q is not None and gl_order(n, q) <= 2 * 10**4:
+                g = gl_group(n, q)
+                brute = dixon_zero_census(g, conjugacy_classes(g)).ratio
             rows.append(
                 TrendRow(n=n, q=q, weyl_complement=weyl, formula_ratio=formula,
                          brute_ratio=brute)

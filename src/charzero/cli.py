@@ -205,8 +205,9 @@ def _cmd_torus_orders(args):
 def _cmd_gln_structure(args):
     _validate_n(args.n)
     _validate_prime_power(args.q, "--q")
-    # the torus cap bounds each torus; this n! bound (n <= 9) bounds how many
-    # partitions the per-element Python loops of the torus inventory visit
+    # the torus cap bounds each torus; this n! bound (n <= 9) bounds the
+    # general-position census, one `orbit_labels` pass over up to 10^6
+    # characters per partition
     if factorial(args.n) > DEFAULT_TORUS_CAP:
         raise SystemExit2(f"--n = {args.n}: the Weyl centralizer of order {args.n}! exceeds "
                           f"the cap {DEFAULT_TORUS_CAP}")
@@ -368,8 +369,9 @@ def _cmd_bounds(args):
         if args.n < 2:  # the class bound q^r + 40 q^(r-1) needs the rank r = n - 1 >= 1
             raise SystemExit2(f"--n = {args.n}: the SL checks need rank n - 1 >= 1, so n >= 2")
         g = sl_group(args.n, args.q, _group_cap(args))
-        gl_chk = guralnick_lubeck_check(g, args.q)
-        fg_chk = fulman_guralnick_check(g, args.q)
+        cd = conjugacy_classes(g)
+        gl_chk = guralnick_lubeck_check(g, cd)
+        fg_chk = fulman_guralnick_check(g, cd)
         result = {
             "group": f"sl{args.n}(F{args.q})",
             "rss_proportion": gl_chk.lhs,

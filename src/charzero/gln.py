@@ -3,12 +3,12 @@ counts, regular-semisimple class counts, general-position character counts,
 the closed-form zero-density expressions for GL_2 and GL_3, and the exact
 GL_2 zero count for every q.
 
-Torus enumeration is pure exponent arithmetic: T_lambda^F is realized as
-prod_i F_{q^{lambda_i}}^x inside the cyclic group F_{q^L}^x (L = lcm of the
-parts), so an element is a tuple of discrete logs and its n eigenvalues are
-the Frobenius orbits e, e*q, e*q^2, ... of those logs.  Regularity is then
-"all n eigenvalue logs distinct" - no field construction is required, and
-the counts stay exact for any prime power q.
+The regular-element count f_lambda of each maximal torus T_lambda^F =
+prod_i F_{q^{lambda_i}}^x comes in closed form from the number of elements
+of F_{q^k}^x of degree exactly k (`_regular_element_count`): no torus
+element is visited, and the counts are exact for every q.  Each f_lambda is
+checked divisible by c_lambda; the tests compare it with a walk over the
+torus elements, and n_rss with `brute_regular_ss_class_count`.
 
 GL_n is self-dual and w, w^{-1} are conjugate in S_n, so the dual-torus
 regular count equals f_lambda; the general-position census checks that
@@ -18,20 +18,19 @@ by generators, on the character group with `matgroup.orbit_labels`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import prod
 
 import numpy as np
 
-from .cyclotomic import euler_phi
+from .cyclotomic import euler_phi, prime_factors
 from .errors import ExactnessError
 from .ffield import fq_poly_is_squarefree, is_prime_power
 from .matgroup import conjugacy_classes, gl_group, mat_charpoly, orbit_labels
 from .polynomials import IntPoly, RatFunc
-from .weyl import cycle_centralizer_order, partitions
+from .weyl import _multiplicities, _prod_q_minus, cycle_centralizer_order, partitions
 
 DEFAULT_TORUS_CAP = 10**6
 
@@ -97,43 +96,39 @@ class TorusRecord:
     regular_class_count: int  # f_lambda / c_lambda
 
 
-def _torus_factors(partition: tuple[int, ...], q: int) -> tuple[int, list[int]]:
-    """(modulus q^L - 1, per-factor subgroup index) for exponent arithmetic."""
-    L = lcm(*partition)
-    big = q**L - 1
-    strides = [big // (q**p - 1) for p in partition]
-    return big, strides
-
-
 def _regular_element_count(partition: tuple[int, ...], q: int, cap: int) -> int:
-    """Count tuples of prod_i F_{q^{lambda_i}}^x whose n Frobenius-orbit
-    eigenvalue logs are pairwise distinct."""
-    torus_size = 1
-    for p in partition:
-        torus_size *= q**p - 1
+    """f_lambda, the number of regular elements of T_lambda^F =
+    prod_i F_{q^{lambda_i}}^x, in closed form:
+
+        f_lambda = prod_k prod_{j < m_k} (E_k - j k),
+
+    where m_k is the number of parts of size k and
+    E_k = sum_s (-1)^omega(s) (q^{k/s} - 1), over the squarefree divisors s
+    of k, is the number of elements of F_{q^k}^x of degree exactly k over
+    F_q (Moebius inversion of q^k - 1 = sum_{d | k} E_d).
+
+    An element is regular when its n eigenvalues, the Frobenius conjugates
+    of its entries, are distinct.  An entry of F_{q^k}^x has k distinct
+    conjugates exactly when its degree is k; entries of different degree
+    share no conjugate; and the j-th part of size k must avoid the j k
+    conjugates of the earlier parts of that size.  E_k is a multiple of k,
+    so the product reaches 0 before any factor turns negative.  A torus of
+    more than `cap` elements is refused; as T_(n)^F has q^n - 1 elements,
+    the cap also bounds n and so the number of partitions visited."""
+    torus_size = prod(q**p - 1 for p in partition)
     if torus_size > cap:
         raise ValueError(
             f"|T^F| = {torus_size} exceeds enumeration cap {cap} "
             f"(lambda={partition}, q={q})"
         )
-    big, strides = _torus_factors(partition, q)
-    ranges = [range(q**p - 1) for p in partition]
-    count = 0
-    for logs in itertools.product(*ranges):
-        eigs = set()
-        n_expected = 0
-        ok = True
-        for part, stride, e in zip(partition, strides, logs):
-            base = e * stride % big
-            n_expected += part
-            for _ in range(part):
-                eigs.add(base)
-                base = base * q % big
-            if len(eigs) != n_expected:
-                ok = False
-                break
-        if ok:
-            count += 1
+    count = 1
+    for k, m in _multiplicities(partition).items():
+        signed_divisors = [(1, 1)]
+        for p in prime_factors(k):
+            signed_divisors += [(s * p, -sign) for s, sign in signed_divisors]
+        exact_degree = sum(sign * (q ** (k // s) - 1) for s, sign in signed_divisors)
+        for j in range(m):
+            count *= exact_degree - j * k
     return count
 
 
@@ -143,11 +138,8 @@ def torus_inventory(n: int, q: int, cap: int = DEFAULT_TORUS_CAP) -> list[TorusR
         raise ValueError(f"q = {q} is not a prime power")
     out = []
     for lam in partitions(n):
-        poly = IntPoly((1,))
-        size = 1
-        for p in lam:
-            poly = poly * IntPoly.x_pow_minus_one(p)
-            size *= q**p - 1
+        poly = _prod_q_minus(lam)
+        size = prod(q**p - 1 for p in lam)
         c = cycle_centralizer_order(lam)
         f = _regular_element_count(lam, q, cap)
         if f % c != 0:

@@ -243,8 +243,9 @@ def test_criterion_8_sl2_checks():
     details = []
     for q in (4, 5, 7):
         g = sl_group(2, q)
-        prop = guralnick_lubeck_check(g, q)
-        cls = fulman_guralnick_check(g, q)
+        cd = conjugacy_classes(g)
+        prop = guralnick_lubeck_check(g, cd)
+        cls = fulman_guralnick_check(g, cd)
         assert prop.passes and cls.passes
         details.append(
             f"SL2(F{q}): rss proportion {prop.lhs} > {prop.rhs}; "

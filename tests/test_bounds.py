@@ -98,15 +98,17 @@ def test_threshold_growing_rank():
 def test_guralnick_lubeck_sl2():
     for q, vacuous in ((4, True), (5, False), (7, False)):
         g = sl_group(2, q)
-        chk = guralnick_lubeck_check(g, q)
+        chk = guralnick_lubeck_check(g, conjugacy_classes(g))
         assert chk.passes
         assert (chk.rhs < 0) == vacuous
-    assert guralnick_lubeck_check(sl_group(2, 5), 5).rhs == Fraction(1, 8)
+    g = sl_group(2, 5)
+    assert guralnick_lubeck_check(g, conjugacy_classes(g)).rhs == Fraction(1, 8)
 
 
 def test_fulman_guralnick_sl2():
     for q in (4, 5, 7):
-        chk = fulman_guralnick_check(sl_group(2, q), q)
+        g = sl_group(2, q)
+        chk = fulman_guralnick_check(g, conjugacy_classes(g))
         assert chk.passes
         assert chk.bound == q + 40
 
@@ -114,8 +116,9 @@ def test_fulman_guralnick_sl2():
 def test_sl3_checks_small_q():
     for q in (2, 3):
         g = sl_group(3, q)
-        prop = guralnick_lubeck_check(g, q)
-        cls = fulman_guralnick_check(g, q)
+        cd = conjugacy_classes(g)
+        prop = guralnick_lubeck_check(g, cd)
+        cls = fulman_guralnick_check(g, cd)
         assert prop.passes and prop.rhs < 0  # vacuous bound at these q
         assert cls.passes and cls.bound == q * q + 40 * q
 
@@ -124,10 +127,11 @@ def test_sl3_checks_small_q():
 def test_sl3_f5_nonvacuous_proportion():
     # the smallest SL_3 with a positive right-hand side (1/8); 372k elements
     g = sl_group(3, 5)
-    prop = guralnick_lubeck_check(g, 5)
+    cd = conjugacy_classes(g)
+    prop = guralnick_lubeck_check(g, cd)
     assert prop.rhs == Fraction(1, 8)
     assert prop.passes
-    assert fulman_guralnick_check(g, 5).passes
+    assert fulman_guralnick_check(g, cd).passes
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 import itertools
 import time
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 
 import numpy as np
 import pytest
@@ -94,6 +94,39 @@ def test_f_lambda_fits_monic_degree_n():
             assert fit.monic_of_degree, (lam, fit.poly)
 
 
+def _regular_count_by_walking_the_torus(partition, q):
+    """f_lambda by visiting every element of T_lambda^F = prod_i F_{q^{lambda_i}}^x
+    inside the cyclic group F_{q^L}^x (L = lcm of the parts): an element is a
+    tuple of discrete logs, its eigenvalue logs are their Frobenius orbits
+    e, e q, e q^2, ..., and it is regular when all n of them are distinct."""
+    big = q ** lcm(*partition) - 1
+    strides = [big // (q**p - 1) for p in partition]
+    count = 0
+    for logs in itertools.product(*(range(q**p - 1) for p in partition)):
+        eigs = set()
+        for part, stride, e in zip(partition, strides, logs):
+            base = e * stride % big
+            for _ in range(part):
+                eigs.add(base)
+                base = base * q % big
+        count += len(eigs) == sum(partition)
+    return count
+
+
+_WALKABLE_TORI = [
+    (lam, q) for n in range(1, 7) for lam in partitions(n) for q in (2, 3, 4, 5, 7, 8, 9)
+    if prod(q**p - 1 for p in lam) <= 2 * 10**4
+]
+
+
+def test_f_lambda_matches_a_walk_over_the_torus():
+    assert len(_WALKABLE_TORI) == 157
+    # a repeated part of size k >= 2 is where the j k term of the closed form counts
+    assert sum(any(p > 1 and lam.count(p) > 1 for p in lam) for lam, _ in _WALKABLE_TORI) == 24
+    for lam, q in _WALKABLE_TORI:
+        assert G._regular_element_count(lam, q, 10**6) == _regular_count_by_walking_the_torus(lam, q), (lam, q)
+
+
 def test_class_sizes_partition_sn():
     for n in (2, 3, 4, 5):
         total = sum(
@@ -156,6 +189,14 @@ def test_a_large_weyl_centralizer_is_counted_from_its_generators():
     assert general_position_count((1,) * 10, 2, 0) == 0
     assert general_position_count((1,) * 21, 2, 0) == 0
     assert time.perf_counter() - start < 5
+
+
+def test_the_torus_inventory_visits_no_torus_element():
+    # 30 tori of up to 4^9 - 1 = 262 143 elements: walking them took about 9 s on a 2-CPU Xeon
+    start = time.perf_counter()
+    inv = torus_inventory(9, 4)
+    assert time.perf_counter() - start < 2
+    assert len(inv) == 30
 
 
 def test_an_orbit_size_that_does_not_divide_the_centralizer_is_refused(monkeypatch):
