@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .dixon import dixon_zero_census
 from .errors import ExactnessError
@@ -136,6 +136,7 @@ def _poly_ratio_holds(q: Fraction, r: int, eps: Fraction) -> bool:
 
 
 _WINDOW = 50  # a threshold t is certified on every q (or r) in [t, t + _WINDOW]
+_SEARCH_BOUND = 10**6  # thresholds are searched below this q (or r)
 
 
 @dataclass(frozen=True)
@@ -153,12 +154,10 @@ def threshold_search(
     epsilon: Fraction,
     mode: str = "fixed-rank",
     which: str = "both",
-    growth: Callable[[int], Fraction] | None = None,
-    search_bound: int = 10**6,
 ) -> ThresholdResult:
     """Fixed-rank mode: least q0 such that the selected inequalities hold for
     every rank 2 <= r <= rank_cap and all q >= q0.  Growing-rank mode: least
-    r0 such that they hold for r in [r0, r0 + 50] at q = r * growth(r).
+    r0 such that they hold for r in [r0, r0 + 50] at q = r^2.
 
     The result is certified by exact evaluation at the threshold
     (holds), just below it (fails), and across the verification window;
@@ -173,7 +172,7 @@ def threshold_search(
     c = r + 43, and 1 - f1/f2 >= 1 - (q/(q+c))^2 >= 2c/(q+2c), which is
     at least eps for every q <= 2c(1-eps)/eps.
 
-    An epsilon too small for `search_bound` is an input out of range and
+    An epsilon too small for `_SEARCH_BOUND` is an input out of range and
     raises ValueError; failed certifications raise ExactnessError."""
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
@@ -185,7 +184,7 @@ def threshold_search(
     if which not in ("first", "second", "both"):
         raise ValueError("which must be 'first', 'second' or 'both'")
 
-    def holds(q: Fraction, r: int) -> bool:
+    def holds(q: int, r: int) -> bool:
         ok = True
         if which in ("first", "both"):
             ok = ok and _power_ratio_holds(q, r, epsilon)
@@ -202,12 +201,12 @@ def threshold_search(
         if which != "first" and second_fails_to >= 5:
             start = max(start, second_fails_to // 1 + 1)
         q0 = None
-        for q in range(start, search_bound):
+        for q in range(start, _SEARCH_BOUND):
             if all(holds(q, r) for r in ranks):
                 q0 = q
                 break
         if q0 is None:
-            raise ValueError(f"no threshold below {search_bound}")
+            raise ValueError(f"no threshold below {_SEARCH_BOUND}")
         if q0 > 2 and all(holds(q0 - 1, r) for r in ranks):
             raise ExactnessError("threshold certification failed just below q0")
         for q in range(q0, q0 + _WINDOW + 1):
@@ -216,16 +215,12 @@ def threshold_search(
         return ThresholdResult("fixed-rank", which, epsilon, rank_cap, q0, _WINDOW)
 
     if mode == "growing-rank":
-        if growth is None:
-            raise ValueError("growing-rank mode needs a growth function")
-        for r0 in range(2, search_bound):
-            if all(
-                holds(r * Fraction(growth(r)), r) for r in range(r0, r0 + _WINDOW + 1)
-            ):
+        for r0 in range(2, _SEARCH_BOUND):
+            if all(holds(r * r, r) for r in range(r0, r0 + _WINDOW + 1)):
                 return ThresholdResult(
                     "growing-rank", which, epsilon, rank_cap, r0, _WINDOW
                 )
-        raise ValueError(f"no growing-rank threshold below {search_bound}")
+        raise ValueError(f"no growing-rank threshold below {_SEARCH_BOUND}")
 
     raise ValueError("mode must be 'fixed-rank' or 'growing-rank'")
 

@@ -37,7 +37,6 @@ from .gln import (
     torus_inventory,
 )
 from .matgroup import DEFAULT_GROUP_CAP, conjugacy_classes, gl_group, gl_order, sl_group
-from .serial import frac_str
 from .weyl import weyl_classes
 
 CAP_ENV_VAR = "CHARZERO_GROUP_CAP"
@@ -51,25 +50,29 @@ def _group_cap(args) -> int:
     return int(env) if env else DEFAULT_GROUP_CAP
 
 
+def _frac_str(x) -> str:
+    """A rational as "num/den", or a bare integer when the denominator is 1."""
+    f = Fraction(x)
+    if f.denominator == 1:
+        return str(f.numerator)
+    return f"{f.numerator}/{f.denominator}"
+
+
 def _validate_prime_power(q: int, flag: str) -> None:
     if q > DEFAULT_FIELD_CAP:  # refused before trial division, which takes ~sqrt(q) steps
-        raise SystemExit2(f"{flag} = {q} exceeds the field-size cap {DEFAULT_FIELD_CAP}")
+        raise ValueError(f"{flag} = {q} exceeds the field-size cap {DEFAULT_FIELD_CAP}")
     if is_prime_power(q) is None:
-        raise SystemExit2(f"{flag} must be a prime power, got {q}")
+        raise ValueError(f"{flag} must be a prime power, got {q}")
 
 
 def _validate_n(n: int) -> None:
     if n < 1:
-        raise SystemExit2(f"--n must be at least 1, got {n}")
-
-
-class SystemExit2(Exception):
-    """Parameter validation failure; rendered to stderr with exit code 2."""
+        raise ValueError(f"--n must be at least 1, got {n}")
 
 
 def _jsonable(x):
     if isinstance(x, Fraction):
-        return frac_str(x)
+        return _frac_str(x)
     if isinstance(x, CycInt):
         return x.to_json()
     if isinstance(x, (list, tuple)):
@@ -81,7 +84,7 @@ def _jsonable(x):
 
 def _csv_cell(x) -> str:
     if isinstance(x, Fraction):
-        return frac_str(x)
+        return _frac_str(x)
     if isinstance(x, CycInt):
         return f"{x.conductor}:" + ",".join(map(str, x.coeffs))
     if isinstance(x, (list, tuple)):
@@ -209,8 +212,8 @@ def _cmd_gln_structure(args):
     # general-position census, one `orbit_labels` pass over up to 10^6
     # characters per partition
     if factorial(args.n) > DEFAULT_TORUS_CAP:
-        raise SystemExit2(f"--n = {args.n}: the Weyl centralizer of order {args.n}! exceeds "
-                          f"the cap {DEFAULT_TORUS_CAP}")
+        raise ValueError(f"--n = {args.n}: the Weyl centralizer of order {args.n}! exceeds "
+                         f"the cap {DEFAULT_TORUS_CAP}")
     d = GLDescriptor.make(args.n, args.q)
     inv = torus_inventory(args.n, args.q)
     rows = [
@@ -248,7 +251,7 @@ def _group_for(args):
         if gl_order(args.n, args.q) <= cap:
             tau = class_count_poly(args.n).evaluate(args.q)
             if tau > MAX_CLASSES:
-                raise SystemExit2(f"class count {tau} exceeds supported maximum {MAX_CLASSES}")
+                raise ValueError(f"class count {tau} exceeds supported maximum {MAX_CLASSES}")
         return gl_group(args.n, args.q, cap)
     return sl_group(args.n, args.q, cap)
 
@@ -346,7 +349,7 @@ def _cmd_bounds(args):
     )
 
     if args.check != "sl" and hasattr(args, "cap"):  # only --check sl enumerates a group
-        raise SystemExit2(f"--cap applies to --check sl only, not --check {args.check}")
+        raise ValueError(f"--cap applies to --check sl only, not --check {args.check}")
     if args.check != "threshold":
         _validate_n(args.n)
         _validate_prime_power(args.q, "--q")
@@ -364,10 +367,10 @@ def _cmd_bounds(args):
         return result, None
     if args.check == "sl":
         if args.n > 3:  # refused before enumerating: mat_charpoly stops at n = 3
-            raise SystemExit2(f"--n = {args.n}: the SL checks read characteristic "
-                              "polynomials, limited to n <= 3")
+            raise ValueError(f"--n = {args.n}: the SL checks read characteristic "
+                             "polynomials, limited to n <= 3")
         if args.n < 2:  # the class bound q^r + 40 q^(r-1) needs the rank r = n - 1 >= 1
-            raise SystemExit2(f"--n = {args.n}: the SL checks need rank n - 1 >= 1, so n >= 2")
+            raise ValueError(f"--n = {args.n}: the SL checks need rank n - 1 >= 1, so n >= 2")
         g = sl_group(args.n, args.q, _group_cap(args))
         cd = conjugacy_classes(g)
         gl_chk = guralnick_lubeck_check(g, cd)
@@ -386,9 +389,8 @@ def _cmd_bounds(args):
     try:
         eps = Fraction(args.epsilon)
     except ZeroDivisionError:
-        raise SystemExit2(f"--epsilon {args.epsilon} has a zero denominator") from None
-    res = threshold_search(args.rank_cap, eps, mode=args.mode, which=args.which,
-                           growth=(lambda r: Fraction(r)) if args.mode == "growing-rank" else None)
+        raise ValueError(f"--epsilon {args.epsilon} has a zero denominator") from None
+    res = threshold_search(args.rank_cap, eps, mode=args.mode, which=args.which)
     result = {
         "mode": res.mode,
         "which": res.which,
@@ -518,9 +520,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         result, rows = args.fn(args)
-    except SystemExit2 as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -301,16 +301,6 @@ class ZeroReport:
         zeros = sum(per_row)
         return ZeroReport(zeros, zero.size, Fraction(zeros, zero.size), per_row)
 
-    def to_json(self) -> dict:
-        from .serial import frac_str
-
-        return {
-            "zeros": self.zero_entries,
-            "entries": self.total_entries,
-            "ratio": frac_str(self.ratio),
-            "per_character_zero_counts": list(self.per_character_zero_counts),
-        }
-
 
 # -- the algorithm ----------------------------------------------------------
 
@@ -618,18 +608,19 @@ def _galois_stable(t: CharacterTable, D: np.ndarray, entry: np.ndarray, l1: int)
     permutes its columns bijectively between classes of equal size."""
     m, tau = t.conductor, t.num_classes
     sizes = np.array(t.class_sizes, dtype=np.int64)
-    phi = D.shape[1]
     value_of = {x.tobytes(): i for i, x in enumerate(D)}
     row_of = {r.tobytes(): i for i, r in enumerate(entry)}
     col_of = {c.tobytes(): k for k, c in enumerate(entry.T)}
     xs, js = np.nonzero(D)  # a few percent of the coordinates
     terms = D[xs, js][:, None]
+    # only the exponents with a nonzero coordinate are read; js now indexes them
+    exponents, js = np.unique(js, return_inverse=True)
     for a in _unit_generators(m):
-        G = power_rows(m, np.arange(phi) * a)  # G[j] = sigma_a(zeta^j)
-        if l1 * max(int(G.max()), -int(G.min())) >= 1 << 63:  # bounds every partial sum of D @ G
+        G = power_rows(m, exponents * a)  # G[i] = sigma_a(zeta^exponents[i])
+        if l1 * max(int(G.max()), -int(G.min())) >= 1 << 63:  # bounds every partial sum below
             raise ExactnessError(f"Galois images of the values would overflow int64 (m = {m})")
-        # D @ G over the nonzero coordinates only, 64 of them at a time so
-        # that the temporaries stay far below G
+        # sigma_a(D) over the nonzero coordinates only, 64 of them at a time
+        # so that no temporary holds more than 64 rows
         images = np.zeros_like(D)
         for s in range(0, len(xs), 64):
             np.add.at(images, xs[s : s + 64], terms[s : s + 64] * G[js[s : s + 64]])

@@ -96,7 +96,7 @@ class TorusRecord:
     regular_class_count: int  # f_lambda / c_lambda
 
 
-def _regular_element_count(partition: tuple[int, ...], q: int, cap: int) -> int:
+def _regular_element_count(partition: tuple[int, ...], q: int) -> int:
     """f_lambda, the number of regular elements of T_lambda^F =
     prod_i F_{q^{lambda_i}}^x, in closed form:
 
@@ -113,12 +113,12 @@ def _regular_element_count(partition: tuple[int, ...], q: int, cap: int) -> int:
     share no conjugate; and the j-th part of size k must avoid the j k
     conjugates of the earlier parts of that size.  E_k is a multiple of k,
     so the product reaches 0 before any factor turns negative.  A torus of
-    more than `cap` elements is refused; as T_(n)^F has q^n - 1 elements,
-    the cap also bounds n and so the number of partitions visited."""
+    more than DEFAULT_TORUS_CAP elements is refused; as T_(n)^F has q^n - 1
+    elements, the cap also bounds n and so the number of partitions visited."""
     torus_size = prod(q**p - 1 for p in partition)
-    if torus_size > cap:
+    if torus_size > DEFAULT_TORUS_CAP:
         raise ValueError(
-            f"|T^F| = {torus_size} exceeds enumeration cap {cap} "
+            f"|T^F| = {torus_size} exceeds enumeration cap {DEFAULT_TORUS_CAP} "
             f"(lambda={partition}, q={q})"
         )
     count = 1
@@ -132,7 +132,7 @@ def _regular_element_count(partition: tuple[int, ...], q: int, cap: int) -> int:
     return count
 
 
-def torus_inventory(n: int, q: int, cap: int = DEFAULT_TORUS_CAP) -> list[TorusRecord]:
+def torus_inventory(n: int, q: int) -> list[TorusRecord]:
     """One record per conjugacy class of maximal tori (partition of n)."""
     if is_prime_power(q) is None:
         raise ValueError(f"q = {q} is not a prime power")
@@ -141,7 +141,7 @@ def torus_inventory(n: int, q: int, cap: int = DEFAULT_TORUS_CAP) -> list[TorusR
         poly = _prod_q_minus(lam)
         size = prod(q**p - 1 for p in lam)
         c = cycle_centralizer_order(lam)
-        f = _regular_element_count(lam, q, cap)
+        f = _regular_element_count(lam, q)
         if f % c != 0:
             raise ExactnessError(
                 f"regular count {f} not divisible by centralizer {c} at {lam}"

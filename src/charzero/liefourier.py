@@ -81,12 +81,13 @@ def _orbit_count(n: int, q: int) -> int:
     return sum(q ** len(lam) for lam in partitions(n))
 
 
-def check_matrix_space(n: int, q: int, cap: int = DEFAULT_MATRIX_SPACE_CAP) -> None:
-    """Refuse gl_n(F_q) when its q^(n^2) matrices exceed `cap`, before the
-    field or any orbit is built."""
+def check_matrix_space(n: int, q: int) -> None:
+    """Refuse gl_n(F_q) when its q^(n^2) matrices exceed
+    DEFAULT_MATRIX_SPACE_CAP, before the field or any orbit is built."""
     _check_additive_n(n)
-    if q ** (n * n) > cap:
-        raise ValueError(f"matrix space size {q ** (n * n)} exceeds cap {cap}")
+    space = q ** (n * n)
+    if space > DEFAULT_MATRIX_SPACE_CAP:
+        raise ValueError(f"matrix space size {space} exceeds cap {DEFAULT_MATRIX_SPACE_CAP}")
 
 
 def check_fourier_size(n: int, q: int) -> None:
@@ -186,13 +187,13 @@ class OrbitTable:
         return ~self.matrices[:, row > col].any(axis=1), ~self.matrices[:, row != col].any(axis=1)
 
 
-def adjoint_orbits(n: int, field: Field, cap: int = DEFAULT_MATRIX_SPACE_CAP) -> OrbitTable:
+def adjoint_orbits(n: int, field: Field) -> OrbitTable:
     """Orbits of GL_n(F_q) acting on n x n matrices by conjugation.
 
     The generators of GL_n act; neither the group nor an inverse is formed.
     Orbits are numbered by least code, whatever the generating set."""
     q = field.q
-    check_matrix_space(n, q, cap)
+    check_matrix_space(n, q)
     space = q ** (n * n)
     kernel = _MatrixKernel(field, n)
     every = kernel.decode(np.arange(space))
@@ -280,11 +281,6 @@ class FourierTable:
 def _pairing(n: int, y: tuple[int, ...] | list[int]) -> list[int]:
     """The coefficients of x -> tr(y x): tr(y x) = sum over (a, b) of y[b, a] * x[a, b]."""
     return [y[b * n + a] for a in range(n) for b in range(n)]
-
-
-def _trace_pairing(o: OrbitTable, y: tuple[int, ...] | list[int]) -> np.ndarray:
-    """Tr(tr(y x)) for every matrix x of the space, in code order."""
-    return o.kernel.trace_forms(o.matrices, [_pairing(o.n, y)])[:, 0]
 
 
 def _orbit_counts(o: OrbitTable, labels: np.ndarray, residues: np.ndarray) -> np.ndarray:
@@ -460,12 +456,6 @@ def green_function(n: int, field: Field, u: tuple[int, ...]) -> int:
 # -- Harish-Chandra induction and the Kazhdan-Letellier check -------------------
 
 
-def _residue_counts(residues: np.ndarray, diagonals: np.ndarray, p: int) -> list[int]:
-    """Counts per value of Tr(tr(d X)) over the diagonal matrices d with the
-    given codes; `residues` holds that trace at every matrix code."""
-    return np.bincount(residues[diagonals], minlength=p).tolist()
-
-
 def hc_induction_split(n: int, field: Field, X: tuple[int, ...], Y: tuple[int, ...]) -> CycInt:
     """Evaluate the averaged induction of f_X = psi(tr(. X)) from the split
     Cartan at Y: (1/|C(Y_s)|) * Q_{C(Y_s)}(1 + Y_n) *
@@ -483,7 +473,8 @@ def hc_induction_split(n: int, field: Field, X: tuple[int, ...], Y: tuple[int, .
     o = adjoint_orbits(n, F)
     _, diagonals, fixing = _orbit_census(o, o.orbit_of_matrix(Y))
     qval = _levi_green_value(n, F.q, diagonals, fixing)
-    counts = _residue_counts(_trace_pairing(o, X), diagonals, F.p)
+    residues = o.kernel.trace_forms(o.matrices[diagonals], [_pairing(n, X)])[:, 0]
+    counts = np.bincount(residues, minlength=F.p).tolist()
     return CycInt.from_exponents(F.p, {t: qval * c for t, c in enumerate(counts) if c})
 
 
@@ -501,7 +492,7 @@ class KLReport:
         return not self.violations
 
 
-def kl_verify(n: int, field: Field, orbit_tab: OrbitTable | None = None) -> KLReport:
+def kl_verify(n: int, field: Field) -> KLReport:
     """For every regular split-Cartan class X and every orbit representative
     Y, check |C(Y_s)| * F(1_{O_X})(Y) = q^{#pos roots} * Q * S exactly.
 
@@ -518,9 +509,7 @@ def kl_verify(n: int, field: Field, orbit_tab: OrbitTable | None = None) -> KLRe
         raise ValueError(
             f"characteristic {F.p} is not very good for gl_{n}; check skipped"
         )
-    if orbit_tab is None:
-        orbit_tab = adjoint_orbits(n, F)
-    o = orbit_tab
+    o = adjoint_orbits(n, F)
     pos_roots = n * (n - 1) // 2
     q_pow = F.q**pos_roots
 

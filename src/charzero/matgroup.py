@@ -520,9 +520,10 @@ class ProductGroupTable:
 Group = MatrixGroupTable | ProductGroupTable
 
 
-def direct_product(a: Group, b: Group, cap: int = DEFAULT_GROUP_CAP) -> ProductGroupTable:
-    if a.order * b.order > cap:
-        raise EnumerationCapExceeded(f"product order {a.order * b.order} exceeds cap {cap}")
+def direct_product(a: Group, b: Group) -> ProductGroupTable:
+    if a.order * b.order > DEFAULT_GROUP_CAP:
+        raise EnumerationCapExceeded(
+            f"product order {a.order * b.order} exceeds cap {DEFAULT_GROUP_CAP}")
     return ProductGroupTable(a, b)
 
 

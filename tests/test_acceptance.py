@@ -223,7 +223,7 @@ def test_criterion_7_additive_suite():
                     and ri.cartan_partition != rj.cartan_partition
                 ):
                     assert ft.values[i][j].is_zero(), (q, i, j)
-        rep = kl_verify(2, F, o)
+        rep = kl_verify(2, F)
         assert rep.passed
         details.append(
             f"gl2(F{q}): {ss} semisimple orbits = q^2, double transform = "

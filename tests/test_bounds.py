@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from charzero import bounds as B
 from charzero.bounds import (
     BoundInput,
     _poly_ratio_holds,
@@ -85,10 +86,7 @@ def test_threshold_first_inequality():
 
 
 def test_threshold_growing_rank():
-    res = threshold_search(
-        8, Fraction(1, 10), mode="growing-rank", which="both",
-        growth=lambda r: Fraction(r),
-    )
+    res = threshold_search(8, Fraction(1, 10), mode="growing-rank", which="both")
     assert res.threshold >= 2
     r0 = res.threshold
     assert _power_ratio_holds(r0 * Fraction(r0), r0, Fraction(1, 10))
@@ -259,11 +257,12 @@ def test_fixed_rank_threshold_matches_a_plain_scan(rank_cap, eps, which):
     assert res.threshold == _plain_scan_threshold(rank_cap, eps, which)
 
 
-def test_threshold_input_out_of_range_is_a_value_error():
+def test_threshold_input_out_of_range_is_a_value_error(monkeypatch):
     with pytest.raises(ValueError, match="exceeds 60"):
         threshold_search(61, Fraction(1, 10))
+    monkeypatch.setattr(B, "_SEARCH_BOUND", 1000)
     with pytest.raises(ValueError, match="no threshold below 1000"):
-        threshold_search(8, Fraction(1, 100), which="first", search_bound=1000)
+        threshold_search(8, Fraction(1, 100), which="first")
+    monkeypatch.setattr(B, "_SEARCH_BOUND", 5)
     with pytest.raises(ValueError, match="no growing-rank threshold below 5"):
-        threshold_search(8, Fraction(1, 100), mode="growing-rank",
-                         growth=lambda r: Fraction(1), search_bound=5)
+        threshold_search(8, Fraction(1, 100), mode="growing-rank")

@@ -667,3 +667,27 @@ def test_galois_images_beyond_int64_are_an_exactness_error(gl2_census):
     values[1][1] = CycInt(t.conductor, (2**62, 2**62))  # coordinate sum 2^63
     with pytest.raises(ExactnessError, match="overflow int64"):
         verify_orthogonality(_with_values(t, values))
+
+
+def _sl2_table(q):
+    g = sl_group(2, q)
+    return dixon_character_table(g, conjugacy_classes(g))
+
+
+def test_the_galois_check_builds_only_the_rows_it_reads(monkeypatch):
+    import charzero.dixon as dixon
+
+    t = _sl2_table(31)
+    # the exponents j at which some value has a nonzero coordinate
+    exponents = {j for row in t.values for v in row for j, c in enumerate(v.coeffs) if c}
+    assert (len(exponents), len(t.values[0][0].coeffs)) == (82, 3840)
+    requested = []
+    real = dixon.power_rows
+    monkeypatch.setattr(dixon, "power_rows", lambda m, ks: requested.append(len(ks)) or real(m, ks))
+    assert verify_orthogonality(t)
+    assert requested and max(requested) <= len(exponents)
+
+
+@pytest.mark.slow
+def test_sl2_f53_table_is_orthogonal():
+    assert verify_orthogonality(_sl2_table(53))

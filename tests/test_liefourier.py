@@ -239,8 +239,8 @@ def test_hc_rejects_non_regular_X(gl2_f3):
 
 
 def test_kl_verify_passes(gl2_f3, gl2_f5, no_enumeration):
-    for F, o, t in (gl2_f3, gl2_f5):
-        rep = kl_verify(2, F, o)
+    for F, _, _ in (gl2_f3, gl2_f5):
+        rep = kl_verify(2, F)
         assert rep.passed
         assert rep.pairs_checked == rep.cartan_reps * rep.orbits
 
@@ -270,9 +270,10 @@ def test_the_matrix_space_is_decoded_once(monkeypatch):
 
 
 def test_space_cap():
-    F = field_make(5, 1)
+    # gl_3(F_7) has 7^9 (about 4.0e7) matrices, over the 10^7 cap
+    F = field_make(7, 1)
     with pytest.raises(ValueError, match="cap"):
-        adjoint_orbits(2, F, cap=100)
+        adjoint_orbits(3, F)
 
 
 # -- the batched stages against one-matrix-at-a-time references --------------
@@ -436,8 +437,8 @@ def test_flag_census_matches_the_per_element_loop(n, q):
                     acc = F.add[acc][F.mul[a][b]]
                 counts[F.trace_to_prime(acc)] += 1
             X = tuple(x[i] if i == j else 0 for i in range(n) for j in range(n))
-            residues = L._trace_pairing(o, X)
-            assert [c * cent for c in L._residue_counts(residues, codes, F.p)] == counts
+            residues = o.kernel.trace_forms(o.matrices[codes], [L._pairing(n, X)])[:, 0]
+            assert [c * cent for c in np.bincount(residues, minlength=F.p).tolist()] == counts
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (2, 5), (2, 7), (3, 2), (3, 3)])
