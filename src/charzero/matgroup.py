@@ -5,9 +5,10 @@ hash in constant time.  This module owns every decision about them: the one
 Gauss-Jordan row reduction (`rref`); the one batched matrix format,
 `_MatrixKernel`, which alone fixes the base-q matrix code and owns its
 inverse (`codes`, `decode`), the gather product, the F_p-linear maps and
-the trace form; the two code lookups (`DenseKeys`, `SortedKeys`); and the
-one orbit routine (`orbit_labels`), which numbers the orbits of a group
-acting on 0..N-1 through one permutation array per generator.
+the trace form; the one code index (`DenseKeys`) and the key it reads
+(`_key_range`); and the one orbit routine (`orbit_labels`), which numbers
+the orbits of a group acting on 0..N-1 through one permutation array per
+generator.
 
 A matrix group keeps its elements as one (|G|, n^2) numpy array of digits,
 the entry codes in the smallest dtype that holds q - 1.  Every |G|- or
@@ -25,21 +26,21 @@ maps (about 2 tau e products in about log2 e batches, e the largest element
 order) and the building of those maps.  A direct product of groups holds
 pairs of factor indices and takes every product in its factors, so its
 fixed-factor products are its factors' linear maps.
-Products are found by their base-q codes: through one int32 code -> index
-array when q^(n^2) <= 4 |G| (every GL_n, where the ratio is below 3.5, and
-every SL_n over F_2 and F_3), else by one argsort and `np.searchsorted`.
+Products are found through one int32 key -> index array.  The key is the
+base-q matrix code when q^(n^2) <= 4 |G| (every GL_n, where the ratio is
+below 3.5, and every SL_n over F_2 and F_3).  Otherwise the group must lie
+in SL_n with n <= 3, and the key is the code with one last-row entry left
+out, the one that the determinant fixes (`_special_linear_key`); its range
+q^(n^2 - 1) is at most 1.73 |SL_n|.  Any other group is refused.
 
 `enumerate_group` is the one matrix-group closure: breadth-first from the
 identity, a level of matrix codes at a time, with the generator list
 sorted; each level keeps the first occurrences of unseen products in
 (element, generator) order, so the element order is that of a BFS taking
-one product at a time and two runs produce identical index maps.  Given
-the expected order with q^(n^2) <= 4 |G| (`gl_group`, and `sl_group` over
-F_2 and F_3), the closure fills the group's `DenseKeys` itself and sorts
-nothing: the unseen products claim their slots by one reversed scatter of
-positions, checked to leave each code's first occurrence.  Otherwise it
-keeps the known codes in one sorted array (`np.unique`, `np.searchsorted`)
-and the group is indexed afterwards.  The group decodes the concatenated
+one product at a time and two runs produce identical index maps.  The
+closure fills the group's `DenseKeys` itself and sorts nothing: the unseen
+products claim their slots by one reversed scatter of positions, checked
+to leave each key's first occurrence.  The group decodes the concatenated
 level codes once into its digit array.
 
 Conjugacy classes are the `orbit_labels` of one conjugation permutation per
@@ -296,85 +297,125 @@ class _MatrixKernel:
         return self.apply(digits, [wt[:, None] for wt in weights])
 
 
-class SortedKeys:
-    """Positions of distinct sortable keys in a fixed 1-D array, by one
-    argsort and binary search; a repeated key raises `ExactnessError`, as
-    it would stand for two elements."""
+def _key_range(n: int, q: int, order: int) -> int:
+    """The size of the dense code index of a group of `order` n x n matrices
+    over F_q: q^(n^2) when the key is the matrix code, q^(n^2 - 1) when it
+    is the `_special_linear_key`.  The code serves while q^(n^2) <= 4 |G|;
+    past that the group must lie in SL_n with n <= 3, and the special linear
+    key must stay within 4 |G| (for SL_n itself it is at most 1.73 |G|).
+    Anything else raises `ValueError`, before any table is built."""
+    if q ** (n * n) <= 4 * order:
+        return q ** (n * n)
+    if n > 3 or q ** (n * n - 1) > 4 * order:
+        raise ValueError(
+            f"no dense code index for a group of order {order} of {n} x {n} matrices "
+            f"over F_{q}: its {q}^{n * n} codes exceed 4 |G|, and only subgroups of "
+            "SL_n with n <= 3 have a shorter key")
+    return q ** (n * n - 1)
 
-    def __init__(self, keys: np.ndarray):
-        self._by_key = np.argsort(keys)
-        self._sorted = keys[self._by_key]
-        repeated = self._sorted[1:] == self._sorted[:-1]
-        if repeated.any():
-            raise ExactnessError(f"the key {self._sorted[repeated.argmax()]} occurs twice")
 
-    def index_of(self, wanted: np.ndarray, missing: str) -> np.ndarray:
-        """Positions of a 1-D array of keys; raises `ExactnessError(missing)`
-        if one is absent.  The keys are searched in sorted order, which
-        `np.searchsorted` serves about three times faster than random order."""
-        order = np.argsort(wanted)
-        keys = wanted[order]
-        pos = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
-        if not np.array_equal(self._sorted[pos], keys):
-            raise ExactnessError(missing)
-        out = np.empty_like(pos)
-        out[order] = self._by_key[pos]
+def _special_linear_key(kernel: _MatrixKernel, generators: list[tuple[int, ...]]
+                        ) -> Callable[[np.ndarray], np.ndarray]:
+    """The key of the matrices of determinant 1 (n <= 3): the code with the
+    last-row entry (n, j) left out, j the first column whose last-row
+    cofactor is nonzero.  That cofactor is the minor of rows 1..n-1 without
+    column j, so j depends only on those rows, the low n(n-1) digits of the
+    key, and then det = 1 fixes the entry left out: the key is injective on
+    SL_n and ranges over [0, q^(n^2 - 1)).  Raises `ValueError` unless every
+    generator has determinant 1.  A matrix of another determinant can share
+    the key of an element, so a lookup compares the codes it finds
+    (`MatrixGroupTable._index_of`)."""
+    F, n, q, mul = kernel.field, kernel.n, kernel.q, kernel._mul
+    for g in generators:
+        constant = mat_charpoly(F, n, g)[0]  # det(-g) = (-1)^n det(g)
+        if (F.neg[constant] if n % 2 else constant) != 1:
+            raise ValueError(f"generator {g} does not have determinant 1, and {n} x {n} "
+                             f"matrices over F_{q} have no other key within 4 |G|")
+    last = n * (n - 1)  # the entries of rows 1..n-1 are the digits below q^last
+
+    def nonzero_cofactors(codes: np.ndarray) -> list[np.ndarray]:
+        """Whether the last-row cofactors of columns 1..n-1 are nonzero."""
+        if n == 1:
+            return []
+        if n == 2:  # the cofactor of (2, 1) is -b, and b != 0 exactly when a + bq >= q
+            return [codes % (q * q) >= q]
+        # n = 3: a cofactor is a 2 x 2 minor of rows 1 and 2, zero exactly
+        # when its two products are equal
+        x = [codes // q**t % q for t in range(last)]
+        return [mul[x[a] * q + x[b]] != mul[x[c] * q + x[d]]
+                for a, b, c, d in ((1, 5, 2, 4), (0, 5, 2, 3))]
+
+    def key(codes: np.ndarray) -> np.ndarray:
+        cofactors, out = nonzero_cofactors(codes), codes % q ** (n * n - 1)  # the top entry out
+        for j in reversed(range(n - 1)):
+            t = last + j
+            out = np.where(cofactors[j], codes % q**t + codes // q ** (t + 1) * q**t, out)
         return out
+
+    return key
 
 
 class DenseKeys:
-    """Positions of distinct keys in [0, size), by one int32 array over the
-    whole range, -1 where a key is absent: `SortedKeys` without the sort,
-    for key sets that fill a good part of their range.  `add_new` grows the
-    key set, so a closure can fill the index as it goes."""
+    """Positions of distinct matrix codes by one int32 array over the range
+    [0, size) of their keys, -1 where a key is absent.  The key is the code
+    itself, or `key(codes)` for a `_special_linear_key`.  `add_new` grows
+    the key set, so a closure can fill the index as it goes."""
 
-    def __init__(self, keys: np.ndarray, size: int):
+    def __init__(self, codes: np.ndarray, size: int,
+                 key: Callable[[np.ndarray], np.ndarray] | None = None):
+        self.key = key
         self._position = np.full(size, -1, dtype=np.int32)
-        self._position[keys] = np.arange(len(keys), dtype=np.int32)
-        self._count = len(keys)
+        self._position[self._keys_of(codes)] = np.arange(len(codes), dtype=np.int32)
+        self._count = len(codes)
 
-    def add_new(self, keys: np.ndarray) -> np.ndarray:
-        """The keys not yet present, each once, in order of first occurrence;
-        they take the next positions in that order.
+    def _keys_of(self, codes: np.ndarray) -> np.ndarray:
+        return codes if self.key is None else self.key(codes)
+
+    def add_new(self, codes: np.ndarray) -> np.ndarray:
+        """The codes whose keys are not yet present, each key once, in order
+        of first occurrence; their keys take the next positions in that
+        order.
 
         An absent key's slot holds -1, so it can carry a claim before the
         key is numbered: one reversed scatter writes -2 - i into the slot of
-        the i-th absent key, so that where the last write wins each slot
-        ends with its key's first claim, and the keys whose own claim
+        the i-th absent code, so that where the last write wins each slot
+        ends with its key's first claim, and the codes whose own claim
         survived are the new ones.  NumPy does not promise which write wins
         when indices repeat, so every surviving claim -2 - j is checked to
         be a first occurrence (j <= i), and anything else raises."""
         position = self._position
-        absent = keys[position[keys] < 0]
+        absent = codes[position[self._keys_of(codes)] < 0]
+        slots = self._keys_of(absent)
         claim = np.arange(-2, -2 - len(absent), -1, dtype=np.int32)
-        position[absent[::-1]] = claim[::-1]
-        survivor = position[absent]
+        position[slots[::-1]] = claim[::-1]
+        survivor = position[slots]
         if (survivor < claim).any():
             raise ExactnessError("a scatter kept a later occurrence of a key")
         new = absent[survivor == claim]
-        position[new] = np.arange(self._count, self._count + len(new), dtype=np.int32)
+        position[self._keys_of(new)] = np.arange(self._count, self._count + len(new),
+                                                  dtype=np.int32)
         self._count += len(new)
         return new
 
-    def index_of(self, wanted: np.ndarray, missing: str) -> np.ndarray:
-        """Positions of a 1-D array of keys in [0, size); raises
+    def index_of(self, codes: np.ndarray, missing: str) -> np.ndarray:
+        """Positions of the keys of a 1-D array of codes; raises
         `ExactnessError(missing)` if one is absent."""
-        out = self._position[wanted]
+        out = self._position[self._keys_of(codes)]
         if (out < 0).any():
             raise ExactnessError(missing)
-        return out.astype(np.intp)  # as `SortedKeys`; numpy gathers faster by intp
+        return out.astype(np.intp)  # numpy gathers faster by intp
 
 
 class MatrixGroupTable:
     """A matrix group stored as `digits`, an (|G|, n*n) array of entry
     codes in element order, multiplied by `kernel`; element 0 is the
     identity.  Matrices are found by their base-q codes through `keys`, the
-    index that `enumerate_group` chose.  A product with a fixed factor is one
-    F_p-linear map; the right multiplication by an element is kept once
+    index that `enumerate_group` filled.  A product with a fixed factor is
+    one F_p-linear map; the right multiplication by an element is kept once
     built."""
 
     def __init__(self, kernel: _MatrixKernel, codes: np.ndarray, generators: np.ndarray,
-                 keys: DenseKeys | SortedKeys):
+                 keys: DenseKeys):
         """`codes` are the elements' matrix codes in element order, `keys`
         their index and `generators` the generators' codes."""
         self.field = kernel.field
@@ -387,8 +428,15 @@ class MatrixGroupTable:
         self._right_maps: dict[int, np.ndarray] = {}
 
     def _index_of(self, codes: np.ndarray) -> np.ndarray:
-        """Element indices of a 1-D array of matrix codes."""
-        return self._keys.index_of(codes, "matrix is not an element of the group")
+        """Element indices of a 1-D array of matrix codes.  Where the key
+        leaves an entry out, the codes of the elements found are compared
+        with the codes asked for, so a matrix outside the group is refused."""
+        missing = "matrix is not an element of the group"
+        found = self._keys.index_of(codes, missing)
+        if self._keys.key is not None and not np.array_equal(
+                self.kernel.codes(self.digits[found]), codes):
+            raise ExactnessError(missing)
+        return found
 
     def element(self, i: int) -> tuple[int, ...]:
         return tuple(self.digits[i].tolist())
@@ -423,58 +471,34 @@ class MatrixGroupTable:
 
 
 def enumerate_group(generators: list[tuple[int, ...]], field: Field, dim: int,
-                    cap: int = DEFAULT_GROUP_CAP, order: int | None = None) -> MatrixGroupTable:
+                    cap: int = DEFAULT_GROUP_CAP, *, order: int) -> MatrixGroupTable:
     """Breadth-first closure of the generators under multiplication, one
     level of matrix codes at a time: the level's products with the sorted
     generators, taken in (element, generator) order, contribute their first
-    occurrences that are not yet known, in order of discovery.
-
-    With the expected `order` given and q^(n^2) <= 4 order, the closure
-    fills the group's `DenseKeys` as it goes; otherwise it keeps the known
-    codes in one sorted array, and the group is indexed after it."""
+    occurrences that are not yet known, in order of discovery.  The closure
+    fills the group's `DenseKeys` as it goes, over the keys that
+    `_key_range` sets for the expected `order`."""
     gens = sorted(set(generators))
     for g in gens:
         mat_inv(field, dim, g)  # raises on a singular generator
     kernel = _MatrixKernel(field, dim)
+    size = _key_range(dim, field.q, order)
+    key = _special_linear_key(kernel, gens) if size < field.q ** (dim * dim) else None
     gen_digits = kernel.digits(gens)
     right_maps = [kernel.linear_map(right=g) for g in gen_digits]
-    identity = kernel.codes(kernel.digits([mat_identity(dim)]))
-    space = kernel.q ** (dim * dim)
-    if order is not None and space <= 4 * order:
-        keys = DenseKeys(identity, space)
-        codes = _closure(kernel, right_maps, identity, cap, keys.add_new)
-    else:
-        known = identity
-
-        def add_new(products: np.ndarray) -> np.ndarray:
-            nonlocal known
-            codes, first = np.unique(products, return_index=True)
-            pos = np.searchsorted(known, codes)
-            fresh = known[np.minimum(pos, len(known) - 1)] != codes
-            known = np.insert(known, pos[fresh], codes[fresh])
-            return products[np.sort(first[fresh])]
-
-        codes = _closure(kernel, right_maps, identity, cap, add_new)
-        keys = DenseKeys(codes, space) if space <= 4 * len(codes) else SortedKeys(codes)
-    group = MatrixGroupTable(kernel, codes, kernel.codes(gen_digits), keys)
-    # closure under inverse is implied (finite order); spot-check a sample
-    for i in range(min(group.order, 16)):
-        group.inv_idx(i)
-    return group
-
-
-def _closure(kernel: _MatrixKernel, right_maps: list[np.ndarray], identity: np.ndarray,
-             cap: int, add_new: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """The element codes in breadth-first order from the identity: each
-    level is `add_new` of its predecessor's products with the generators."""
-    level, levels, known = identity, [], 0
+    level = kernel.codes(kernel.digits([mat_identity(dim)]))
+    keys, levels, known = DenseKeys(level, size, key), [], 0
     while len(level):
         known += len(level)
         if known > cap:
             raise EnumerationCapExceeded(f"group closure exceeded cap {cap}")
         levels.append(level)
-        level = add_new(kernel.apply(kernel.decode(level), right_maps).ravel())
-    return np.concatenate(levels)
+        level = keys.add_new(kernel.apply(kernel.decode(level), right_maps).ravel())
+    group = MatrixGroupTable(kernel, np.concatenate(levels), kernel.codes(gen_digits), keys)
+    # closure under inverse is implied (finite order); spot-check a sample
+    for i in range(min(group.order, 16)):
+        group.inv_idx(i)
+    return group
 
 
 class ProductGroupTable:
@@ -642,8 +666,9 @@ def _classical_group(name: str, generators, n: int, q: int, order: int,
         raise EnumerationCapExceeded(
             f"{name}_{n}(F_{q}) has order {order}, over the enumeration cap {cap}"
         )
+    _key_range(n, q, order)  # refused, too, before the field's tables are built
     F = field_for_order(q)
-    g = enumerate_group(generators(n, F), F, n, cap, order)
+    g = enumerate_group(generators(n, F), F, n, cap, order=order)
     if g.order != order:
         raise ExactnessError(f"{name} closure has the wrong order")
     return g

@@ -42,7 +42,7 @@ from math import comb, factorial, gcd
 import numpy as np
 
 from .errors import ExactnessError
-from .matgroup import SortedKeys, orbit_labels
+from .matgroup import orbit_labels
 from .polynomials import IntPoly
 
 CLASSICAL_TYPES = ("A", "B", "C", "D")
@@ -274,6 +274,32 @@ def _key_radix(v: tuple[int, ...]) -> int:
     if radix ** len(v) >= 2**63:
         raise ExactnessError("the Weyl group keys do not fit in int64")
     return radix
+
+
+class SortedKeys:
+    """Positions of distinct int64 keys in a fixed 1-D array, by one argsort
+    and binary search; a repeated key raises `ExactnessError`, as it would
+    stand for two elements."""
+
+    def __init__(self, keys: np.ndarray):
+        self._by_key = np.argsort(keys)
+        self._sorted = keys[self._by_key]
+        repeated = self._sorted[1:] == self._sorted[:-1]
+        if repeated.any():
+            raise ExactnessError(f"the key {self._sorted[repeated.argmax()]} occurs twice")
+
+    def index_of(self, wanted: np.ndarray, missing: str) -> np.ndarray:
+        """Positions of a 1-D array of keys; raises `ExactnessError(missing)`
+        if one is absent.  The keys are searched in sorted order, which
+        `np.searchsorted` serves about three times faster than random order."""
+        order = np.argsort(wanted)
+        keys = wanted[order]
+        pos = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
+        if not np.array_equal(self._sorted[pos], keys):
+            raise ExactnessError(missing)
+        out = np.empty_like(pos)
+        out[order] = self._by_key[pos]
+        return out
 
 
 def charpoly_int(m: np.ndarray) -> IntPoly:

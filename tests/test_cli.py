@@ -642,6 +642,22 @@ def test_bounds_sl_refuses_n_above_three_before_enumerating(n, capsys, monkeypat
     assert "limited to n <= 3" in err
 
 
+def test_an_sl_group_with_no_dense_code_index_is_refused_before_its_tables(capsys, monkeypatch):
+    """SL_4(F_4) has 987 033 600 elements, under the raised cap, but its
+    4^16 codes exceed 4 |G| and no shorter key serves n = 4."""
+    from charzero import matgroup
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("field tables or the closure were reached")
+
+    monkeypatch.setattr(matgroup, "field_for_order", unreachable)
+    monkeypatch.setattr(matgroup, "enumerate_group", unreachable)
+    code, out, err = run_cli(["zero-density", "--group", "sl", "--n", "4", "--q", "4",
+                              "--cap", "1000000000"], capsys)
+    assert code == 2 and out == ""
+    assert "no dense code index for a group of order 987033600" in err
+
+
 @pytest.mark.parametrize("argv", [["--check", "threshold"], ["--check", "lower", "--n", "2", "--q", "3"]],
                          ids=["threshold", "lower"])
 def test_bounds_refuses_the_cap_where_it_enumerates_no_group(argv, capsys):

@@ -296,7 +296,7 @@ def test_orthogonality_of_tables_with_conductor_at_most_two():
     from charzero.ffield import field_make
     from charzero.matgroup import enumerate_group, mat_identity
 
-    trivial = enumerate_group([mat_identity(1)], field_make(2, 1), 1)
+    trivial = enumerate_group([mat_identity(1)], field_make(2, 1), 1, order=1)
     c2 = gl_group(1, 3)
     for g in (trivial, c2, direct_product(c2, c2)):
         t = dixon_character_table(g, conjugacy_classes(g))
@@ -339,7 +339,7 @@ def test_trivial_and_abelian_groups():
     from charzero.matgroup import enumerate_group, mat_identity
 
     F = field_make(2, 1)
-    trivial = enumerate_group([mat_identity(1)], F, 1)
+    trivial = enumerate_group([mat_identity(1)], F, 1, order=1)
     t = dixon_character_table(trivial, conjugacy_classes(trivial))
     assert t.degrees == (1,) and t.values[0][0] == 1
 

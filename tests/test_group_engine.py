@@ -187,4 +187,4 @@ def test_mul_many_matches_scalar_products(make, data):
 def test_matrix_codes_beyond_64_bits_are_refused():
     F = field_for_order(2)
     with pytest.raises(ValueError, match="beyond 64 bits"):
-        enumerate_group([mat_identity(8)], F, 8)
+        enumerate_group([mat_identity(8)], F, 8, order=1)

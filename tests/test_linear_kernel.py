@@ -1,6 +1,6 @@
 """The F_p-linear route of `_MatrixKernel` against the gather product, the
-dense code index of GL_n against the sorted one, the dense closure against
-the sorted one, and pins of the element and class order that every later
+dense code index and its special linear key, the closure against a sorted
+reference closure, and pins of the element and class order that every later
 stage reads."""
 
 import hashlib
@@ -15,7 +15,6 @@ from charzero.errors import ExactnessError
 from charzero.ffield import field_for_order
 from charzero.matgroup import (
     DenseKeys,
-    SortedKeys,
     _check_float32_exact,
     _MatrixKernel,
     conjugacy_classes,
@@ -24,6 +23,7 @@ from charzero.matgroup import (
     gl_generators,
     gl_group,
     mat_charpoly,
+    mat_identity,
     mat_inv,
     sl_generators,
     sl_group,
@@ -142,14 +142,42 @@ def test_gl_groups_look_codes_up_densely_and_refuse_a_singular_matrix():
     assert np.array_equal(g._index_of(codes[::-1]), np.arange(g.order)[::-1])
 
 
-def test_sl_groups_keep_sorted_keys_and_refuse_the_same_way():
+def test_sl_groups_keep_dense_keys_and_refuse_the_same_way():
     g = sl_group(2, 5)
-    assert isinstance(g._keys, SortedKeys)
+    assert isinstance(g._keys, DenseKeys)
     kernel = g.kernel
     not_special = kernel.codes(kernel.digits([(2, 0, 0, 1)]))  # det 2
     with pytest.raises(ExactnessError, match="not an element of the group"):
         g._index_of(not_special)
     assert g.mul_right(np.arange(g.order), np.array([0])).ravel().tolist() == list(range(g.order))
+
+
+def test_a_key_shared_with_a_matrix_outside_sl_n_is_refused():
+    """SL_2(F_5) leaves an entry out of its key: (2, 0, 0, 1) has the key of
+    diag(2, 3), so only the comparison of codes refuses it."""
+    g = sl_group(2, 5)
+    kernel = g.kernel
+    outside, inside = kernel.codes(kernel.digits([(2, 0, 0, 1), (2, 0, 0, 3)]))
+    assert g._keys.key(np.array([outside])) == g._keys.key(np.array([inside]))
+    assert g.element(int(g._index_of(np.array([inside]))[0])) == (2, 0, 0, 3)
+    with pytest.raises(ExactnessError, match="not an element of the group"):
+        g._index_of(np.array([inside, outside]))
+
+
+def test_generators_outside_sl_n_are_refused_where_the_key_leaves_an_entry_out():
+    """GL_2(F_5) under the order of SL_2(F_5) would get the special linear
+    key, on which its elements of other determinants collide."""
+    F = field_for_order(5)
+    with pytest.raises(ValueError, match="does not have determinant 1"):
+        enumerate_group(gl_generators(2, F), F, 2, matgroup.DEFAULT_GROUP_CAP, order=120)
+
+
+@pytest.mark.parametrize("n,q,order", [(4, 4, 987033600), (3, 7, 2)])
+def test_a_group_with_no_dense_code_index_is_refused_up_front(n, q, order):
+    # SL_4(F_4): 4^16 codes over 4 |G|, and no key rule for n >= 4; a subgroup of
+    # order 2 in SL_3(F_7): 7^8 keys over 4 |G|
+    with pytest.raises(ValueError, match="no dense code index"):
+        matgroup._key_range(n, q, order)
 
 
 def test_dense_keys_find_positions_and_raise_on_a_miss():
@@ -197,37 +225,72 @@ def _code_digest(g) -> str:
                  "3319f447187c05a8898acd94e3990c5ff1784e9e0b90a1c999f4b6182e8a96e6",
                  marks=pytest.mark.slow),
     (lambda: sl_group(2, 13), "074e9a2930d87534a85d9145dd0ab7267a0c6b019d2a91848644fb3a289e1392"),
-], ids=["GL2(F11)", "GL3(F3)", "GL3(F4)", "GL3(F5)", "SL2(F13)"])
+    (lambda: sl_group(2, 61), "af0652e832125d3b88c7af3e95e5ec5976e51a3afd6c2b5291ffe37bbe80c52e"),
+    (lambda: sl_group(3, 4), "a42a62e3621a8ef7e88d4dfbef84d6154d0388f34f12cd632701eddf75f3ea31"),
+], ids=["GL2(F11)", "GL3(F3)", "GL3(F4)", "GL3(F5)", "SL2(F13)", "SL2(F61)", "SL3(F4)"])
 def test_the_element_code_order_is_pinned(make, digest):
     # the sha256 of the int64 element codes in element order, as the sorted closure gives them
     assert _code_digest(make()) == digest
 
 
+@pytest.mark.slow
+def test_sl2_f167_at_the_cap_keeps_its_element_order_and_classes():
+    g = sl_group(2, 167)
+    assert g.order == 4657296 and isinstance(g._keys, DenseKeys)
+    assert _code_digest(g) == "1c910bea7a811899b0a2c62bb43416bd56a882aba86034a5d98f43342941cf92"
+    assert conjugacy_classes(g).num_classes == 167 + 4
+
+
+def _sorted_closure(generators, F, n) -> np.ndarray:
+    """The element codes by the closure's rule, with the known codes kept in
+    one sorted array: each level's products with the sorted generators, in
+    (element, generator) order, add their first occurrences not yet known."""
+    kernel = _MatrixKernel(F, n)
+    right_maps = [kernel.linear_map(right=g) for g in kernel.digits(sorted(set(generators)))]
+    known = level = kernel.codes(kernel.digits([mat_identity(n)]))
+    levels = []
+    while len(level):
+        levels.append(level)
+        products = kernel.apply(kernel.decode(level), right_maps).ravel()
+        codes, first = np.unique(products, return_index=True)
+        pos = np.searchsorted(known, codes)
+        fresh = known[np.minimum(pos, len(known) - 1)] != codes
+        known = np.insert(known, pos[fresh], codes[fresh])
+        level = products[np.sort(first[fresh])]
+    return np.concatenate(levels)
+
+
 @pytest.mark.parametrize("kind,n,q", [("GL", 2, q) for q in (2, 3, 4, 5, 7, 8, 9)]
-                         + [("GL", 3, 2), ("GL", 3, 3), ("SL", 2, 3), ("SL", 3, 2)])
+                         + [("GL", 3, 2), ("GL", 3, 3), ("SL", 2, 3), ("SL", 3, 2), ("SL", 1, 5)]
+                         + [("SL", 2, q) for q in (4, 5, 7, 8, 9, 11, 13)] + [("SL", 3, 4)])
 def test_the_dense_closure_gives_the_sorted_closures_element_order(kind, n, q):
     dense = (gl_group if kind == "GL" else sl_group)(n, q)
     assert isinstance(dense._keys, DenseKeys)
     F = dense.field
-    # without an expected order the closure takes the sorted route
-    by_sort = enumerate_group((gl_generators if kind == "GL" else sl_generators)(n, F), F, n)
-    assert np.array_equal(dense.kernel.codes(dense.digits), by_sort.kernel.codes(by_sort.digits))
-    assert dense.generator_indices == by_sort.generator_indices
+    generators = (gl_generators if kind == "GL" else sl_generators)(n, F)
+    by_sort = _sorted_closure(generators, F, n)
+    assert np.array_equal(dense.kernel.codes(dense.digits), by_sort)
+    gens = dense.kernel.codes(dense.kernel.digits(sorted(set(generators))))
+    assert dense.generator_indices == [int(np.flatnonzero(by_sort == c)[0]) for c in gens]
 
 
-def test_the_gl3_f3_closure_sorts_nothing_and_builds_one_dense_index(monkeypatch):
+@pytest.mark.parametrize("make,order", [
+    (lambda: gl_group.__wrapped__(3, 3), 11232),  # past the cache
+    (lambda: sl_group.__wrapped__(2, 11), 1320),
+    (lambda: sl_group.__wrapped__(3, 4), 60480),
+], ids=["GL3(F3)", "SL2(F11)", "SL3(F4)"])
+def test_the_closures_sort_nothing_and_build_one_dense_index(monkeypatch, make, order):
     def unreachable(*args, **kwargs):
         raise AssertionError("the sorted closure was reached")
 
     for name in ("unique", "searchsorted", "insert", "argsort"):
         monkeypatch.setattr(matgroup.np, name, unreachable)
-    monkeypatch.setattr(matgroup, "SortedKeys", unreachable)
     built = []
     dense_init = DenseKeys.__init__
     monkeypatch.setattr(DenseKeys, "__init__",
                         lambda self, *args: built.append(args) or dense_init(self, *args))
-    g = gl_group.__wrapped__(3, 3)  # past the cache
-    assert g.order == 11232 and len(built) == 1 and isinstance(g._keys, DenseKeys)
+    g = make()
+    assert g.order == order and len(built) == 1 and isinstance(g._keys, DenseKeys)
 
 
 def _per_power_maps(group, cd):

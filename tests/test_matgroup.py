@@ -72,7 +72,7 @@ def test_direct_products():
 
 def test_product_with_trivial_group():
     F2 = field_make(2, 1)
-    trivial = enumerate_group([mat_identity(1)], F2, 1)
+    trivial = enumerate_group([mat_identity(1)], F2, 1, order=1)
     assert trivial.order == 1
     g = gl_group(2, 3)
     prod = direct_product(g, trivial)
@@ -85,8 +85,8 @@ def test_product_with_trivial_group():
 def test_enumeration_is_deterministic():
     F = field_make(3, 1)
     gens = gl_generators(2, F)
-    a = enumerate_group(gens, F, 2)
-    b = enumerate_group(gens, F, 2)
+    a = enumerate_group(gens, F, 2, order=48)
+    b = enumerate_group(gens, F, 2, order=48)
     assert np.array_equal(a.digits, b.digits)
     assert a.generator_indices == b.generator_indices
 
@@ -94,13 +94,13 @@ def test_enumeration_is_deterministic():
 def test_cap_exceeded():
     F = field_make(3, 1)
     with pytest.raises(EnumerationCapExceeded):
-        enumerate_group(gl_generators(2, F), F, 2, cap=10)
+        enumerate_group(gl_generators(2, F), F, 2, cap=10, order=48)
 
 
 def test_singular_generator_rejected():
     F = field_make(3, 1)
     with pytest.raises(ValueError, match="singular"):
-        enumerate_group([(1, 0, 0, 0)], F, 2)
+        enumerate_group([(1, 0, 0, 0)], F, 2, order=48)
 
 
 def test_matrix_inverse():

@@ -1,6 +1,6 @@
 """Properties of the shared F_q matrix layer: row reduction, inverse, the
 base-q matrix codec and the trace form of `_MatrixKernel`, and the sorted-key
-lookup; and of the reference nullspace and minimal polynomial that the
+lookup of the Weyl orbits; and of the reference nullspace and minimal polynomial that the
 Green-value tests rely on."""
 
 import numpy as np
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from charzero.errors import ExactnessError
 from charzero.ffield import field_for_order, fq_poly_divmod, from_digits, to_digits
 from charzero.matgroup import (
-    SortedKeys,
     _MatrixKernel,
     mat_charpoly,
     mat_identity,
@@ -20,6 +19,7 @@ from charzero.matgroup import (
     mat_mul,
     rref,
 )
+from charzero.weyl import SortedKeys
 
 QS = (2, 3, 4, 5, 7, 9)
 
