@@ -500,10 +500,13 @@ def _order_values(cd: ClassData, mt: _ModularTable, order: int
 def dixon_character_table(group: Group, cd: ClassData) -> CharacterTable:
     mt = _modular_table(group, cd)
     tau, m, l = cd.num_classes, cd.exponent, mt.l
-    # zeta_d^t = zeta_m^(t m/d) for t < phi(d): every order's rows from one call
+    # zeta_d^t = zeta_m^(t m/d) for t < phi(d): every order's rows from one
+    # call, which builds each exponent shared between orders once
     orders = list(dict.fromkeys(cd.rep_orders))
     phis = [euler_phi(d) for d in orders]
-    lift = power_rows(m, np.concatenate([np.arange(f) * (m // d) for d, f in zip(orders, phis)]))
+    wanted = np.concatenate([np.arange(f) * (m // d) for d, f in zip(orders, phis)])
+    exponents, back = np.unique(wanted, return_inverse=True)
+    lift = power_rows(m, exponents)[back]
     roots = dict(zip(orders, np.split(lift, np.cumsum(phis)[:-1])))
     coords: list[np.ndarray] = []  # per order: the conductor-m coordinates of its values
     column = np.empty((tau, tau), dtype=np.int64)  # row of chi_i(g_k) in the stacked coords

@@ -5,7 +5,14 @@ Elements are integers 0..p^e-1 encoding coefficient vectors in base p
 monic irreducible of degree e in lexicographic coefficient order, so runs
 are reproducible across platforms.  Add/mul tables are precomputed, so the
 batched matrix products, conjugation orbits and Fourier sums are gathers
-from them, with no per-operation polynomial arithmetic.
+from them, with no per-operation polynomial arithmetic.  They are q x q
+Python lists, so a field whose tables would pass a 3 GiB guard (q > 8192)
+is refused before its modulus or its tables are built.
+
+Every F_q[x] question goes through one divider (`fq_poly_divmod`) and one
+factoriser for degree <= 3 (`fq_poly_factor_cubic_or_less`): the modulus
+is found by trial division with the divider over F_p, and squarefreeness
+is read off the factors.
 """
 
 from __future__ import annotations
@@ -17,6 +24,11 @@ from .cyclotomic import CycInt, prime_factors
 from .errors import ExactnessError
 
 DEFAULT_FIELD_CAP = 10**6
+# The add and mul tables are q x q Python lists: per ordered pair, two 8-byte
+# pointers and half of two int objects of 32 bytes (measured 43.7 B at q = 2003,
+# 45.3 B at q = 3001).  Under a 3 GiB address space that accepts q <= 8192.
+_TABLE_BYTES_PER_PAIR = 48
+_MAX_TABLE_BYTES = 3 << 30
 
 
 def is_prime(n: int) -> bool:
@@ -63,8 +75,10 @@ class Field:
             raise ValueError(f"{p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be positive")
-        if p**e > DEFAULT_FIELD_CAP:
-            raise ValueError(f"field size {p}^{e} exceeds cap {DEFAULT_FIELD_CAP}")
+        need = p ** (2 * e) * _TABLE_BYTES_PER_PAIR
+        if need > _MAX_TABLE_BYTES:  # refused before the modulus search and the tables
+            raise ValueError(f"the tables of F_{p**e} need about {need} bytes, "
+                             f"above the supported maximum {_MAX_TABLE_BYTES}")
         self.p = p
         self.e = e
         self.q = p**e
@@ -160,32 +174,12 @@ class Field:
 
 
 def _poly_is_irreducible(coeffs: list[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial over F_p by trial division
-    against all monic polynomials of degree <= deg/2 (fine for e <= 8)."""
-    e = len(coeffs) - 1
-    if e == 1:
-        return True
-    if coeffs[0] == 0:  # root at zero
-        return False
-    for x in range(p):  # linear factors
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return False
-    for d in range(2, e // 2 + 1):
-        for idx in range(p**d):
-            div = to_digits(idx, p, d) + [1]
-            # polynomial remainder of coeffs by div over F_p
-            rem = coeffs[:]
-            for k in range(len(rem) - 1, d - 1, -1):
-                f = rem[k] % p
-                if f:
-                    for j in range(d + 1):
-                        rem[k - d + j] = (rem[k - d + j] - f * div[j]) % p
-            if all(c % p == 0 for c in rem[:d]):
-                return False
-    return True
+    """Irreducibility of a monic polynomial over F_p by trial division with
+    `fq_poly_divmod` against every monic polynomial of degree <= deg/2; the
+    linear divisors x + c stand for the roots -c."""
+    Fp = field_make(p, 1)
+    return all(fq_poly_divmod(Fp, coeffs, to_digits(idx, p, d) + [1])[1]
+               for d in range(1, (len(coeffs) - 1) // 2 + 1) for idx in range(p**d))
 
 
 @lru_cache(maxsize=None)
@@ -242,39 +236,11 @@ def fq_poly_divmod(F: Field, a: list[int], b: list[int]) -> tuple[list[int], lis
     return fq_poly_trim(quot), fq_poly_trim(rem)
 
 
-def fq_poly_gcd(F: Field, a: list[int], b: list[int]) -> list[int]:
-    a, b = fq_poly_trim(a[:]), fq_poly_trim(b[:])
-    while b:
-        _, r = fq_poly_divmod(F, a, b)
-        a, b = b, r
-    if a:
-        c = F.inv[a[-1]]
-        a = [F.mul[c][x] for x in a]
-    return a
-
-
-def fq_poly_derivative(F: Field, a: list[int]) -> list[int]:
-    out = []
-    for i in range(1, len(a)):
-        k = i % F.p
-        c = a[i]
-        acc = 0
-        for _ in range(k):
-            acc = F.add[acc][c]
-        out.append(acc)
-    return fq_poly_trim(out)
-
-
 def fq_poly_is_squarefree(F: Field, a: list[int]) -> bool:
-    """Over a perfect field: a nonconstant f is squarefree iff f' != 0 and
-    gcd(f, f') = 1 (f' = 0 forces f to be a p-th power)."""
-    a = fq_poly_trim(a[:])
-    if len(a) <= 1:
-        return True
-    d = fq_poly_derivative(F, a)
-    if not d:
-        return False
-    return len(fq_poly_gcd(F, a, d)) == 1
+    """Whether a monic polynomial of degree <= 3 has no repeated irreducible
+    factor, read off `fq_poly_factor_cubic_or_less`."""
+    factors = fq_poly_factor_cubic_or_less(F, a)
+    return all(f != g for f, g in zip(factors, factors[1:]))
 
 
 def fq_poly_roots(F: Field, a: list[int]) -> list[int]:
@@ -299,15 +265,13 @@ def fq_poly_factor_cubic_or_less(F: Field, a: list[int]) -> list[list[int]]:
         raise ValueError("factorization helper only handles degree <= 3")
     factors: list[list[int]] = []
     rest = a
-    while len(rest) > 1:
-        roots = fq_poly_roots(F, rest)
-        if not roots:
-            factors.append(rest)
-            break
-        r = min(roots)
-        lin = [F.neg[r], 1]
+    # a linear factor is irreducible, and needs no root scan
+    while len(rest) > 2 and (roots := fq_poly_roots(F, rest)):
+        lin = [F.neg[min(roots)], 1]
         rest, rem = fq_poly_divmod(F, rest, lin)
         if rem:
             raise ExactnessError("a root's linear factor left a remainder")
         factors.append(lin)
+    if len(rest) > 1:
+        factors.append(rest)
     return sorted(factors)

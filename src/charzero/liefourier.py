@@ -21,8 +21,12 @@ table follows by checked divisions.  p is prime, so an entry is zero exactly
 when its counts are equal across the residues; the exact cyclotomic values
 are formed only when output reads them.
 
-Jordan decompositions are computed exactly (the semisimple part is the
-q^N-th power of the matrix, N = lcm(1..n)), once per orbit representative.
+Each orbit representative's characteristic polynomial is factored once;
+distinct factors make it regular semisimple, with the factor degrees as its
+Cartan type, and its own semisimple part.  The other representatives get
+an exact Jordan decomposition (the semisimple part is the q^N-th power of
+the matrix, N = lcm(1..n)), and nilpotency is a characteristic polynomial
+x^n.
 Everything the KL check needs is then read off the orbit table, with no
 group element formed: |C(Y_s)| = |G| / |O_{Y_s}|, the diagonal conjugates
 of Y_s are the diagonal members of O_{Y_s}, and the complete flags fixed by
@@ -47,12 +51,7 @@ import numpy as np
 from .cyclotomic import CycInt, power_rows
 from .dixon import ZeroReport
 from .errors import ExactnessError
-from .ffield import (
-    Field,
-    fq_poly_factor_cubic_or_less,
-    fq_poly_is_squarefree,
-    is_prime_power,
-)
+from .ffield import Field, fq_poly_factor_cubic_or_less, is_prime_power
 from .matgroup import (
     _MatrixKernel,
     gl_generators,
@@ -125,8 +124,6 @@ def jordan_decomposition(F: Field, n: int, y: tuple[int, ...]) -> tuple[tuple[in
     certified by Y_s^(q^N) = Y_s: the minimal polynomial of Y_s then divides
     x^(q^N) - x, which is squarefree.
     """
-    if fq_poly_is_squarefree(F, mat_charpoly(F, n, y)):  # y is already semisimple
-        return y, tuple(0 for _ in range(n * n))
     frobenius = F.q ** lcm(*range(1, n + 1))
     ys = _mat_pow(F, n, y, frobenius)
     yn = tuple(F.add[a][F.neg[b]] for a, b in zip(y, ys))
@@ -140,13 +137,9 @@ def jordan_decomposition(F: Field, n: int, y: tuple[int, ...]) -> tuple[tuple[in
 
 
 def _is_nilpotent(F: Field, n: int, a: tuple[int, ...]) -> bool:
-    zero = tuple(0 for _ in range(n * n))
-    power = a
-    for _ in range(n):
-        if power == zero:
-            return True
-        power = mat_mul(F, n, power, a)
-    return power == zero
+    """By Cayley-Hamilton: a is nilpotent exactly when its characteristic
+    polynomial is x^n."""
+    return mat_charpoly(F, n, a) == [0] * n + [1]
 
 
 # -- orbit table --------------------------------------------------------------
@@ -209,18 +202,16 @@ def adjoint_orbits(n: int, field: Field) -> OrbitTable:
     orbit_reps = [tuple(rep) for rep in every[reps].tolist()]
 
     # second pass: flags need orbit_of complete (semisimple part lookup)
+    zero = tuple(0 for _ in range(n * n))
     records = []
     for oid, rep in enumerate(orbit_reps):
-        cp = mat_charpoly(field, n, rep)
-        rss = fq_poly_is_squarefree(field, cp)
-        cartan = None
-        if rss:
-            cartan = tuple(
-                sorted((len(f) - 1 for f in fq_poly_factor_cubic_or_less(field, cp)),
-                       reverse=True)
-            )
-        ys, yn = jordan_decomposition(field, n, rep)
-        ss = yn == tuple(0 for _ in range(n * n))
+        # sorted, so a repeated factor is adjacent to its copy
+        factors = fq_poly_factor_cubic_or_less(field, mat_charpoly(field, n, rep))
+        rss = all(f != g for f, g in zip(factors, factors[1:]))
+        cartan = tuple(sorted((len(f) - 1 for f in factors), reverse=True)) if rss else None
+        # a squarefree characteristic polynomial makes rep its own semisimple part
+        ys, yn = (rep, zero) if rss else jordan_decomposition(field, n, rep)
+        ss = yn == zero
         records.append(
             OrbitRecord(
                 rep=rep,

@@ -470,14 +470,15 @@ class MatrixGroupTable:
         return int(self._index_of(self.kernel.codes(self.kernel.digits([inverse])))[0])
 
 
-def enumerate_group(generators: list[tuple[int, ...]], field: Field, dim: int,
-                    cap: int = DEFAULT_GROUP_CAP, *, order: int) -> MatrixGroupTable:
+def enumerate_group(generators: list[tuple[int, ...]], field: Field, dim: int, *,
+                    order: int) -> MatrixGroupTable:
     """Breadth-first closure of the generators under multiplication, one
     level of matrix codes at a time: the level's products with the sorted
     generators, taken in (element, generator) order, contribute their first
     occurrences that are not yet known, in order of discovery.  The closure
     fills the group's `DenseKeys` as it goes, over the keys that
-    `_key_range` sets for the expected `order`."""
+    `_key_range` sets for the expected `order`, and raises as soon as it
+    holds more than `order` elements."""
     gens = sorted(set(generators))
     for g in gens:
         mat_inv(field, dim, g)  # raises on a singular generator
@@ -490,8 +491,8 @@ def enumerate_group(generators: list[tuple[int, ...]], field: Field, dim: int,
     keys, levels, known = DenseKeys(level, size, key), [], 0
     while len(level):
         known += len(level)
-        if known > cap:
-            raise EnumerationCapExceeded(f"group closure exceeded cap {cap}")
+        if known > order:
+            raise ExactnessError(f"the group closure holds more than the expected {order} elements")
         levels.append(level)
         level = keys.add_new(kernel.apply(kernel.decode(level), right_maps).ravel())
     group = MatrixGroupTable(kernel, np.concatenate(levels), kernel.codes(gen_digits), keys)
@@ -668,7 +669,7 @@ def _classical_group(name: str, generators, n: int, q: int, order: int,
         )
     _key_range(n, q, order)  # refused, too, before the field's tables are built
     F = field_for_order(q)
-    g = enumerate_group(generators(n, F), F, n, cap, order=order)
+    g = enumerate_group(generators(n, F), F, n, order=order)
     if g.order != order:
         raise ExactnessError(f"{name} closure has the wrong order")
     return g

@@ -13,9 +13,9 @@ upper triangular, by every element of the enumerated GL_n at once.
 """
 
 import numpy as np
+from poly_reference import is_nilpotent
 
 from charzero.ffield import Field, fq_poly_roots, fq_poly_trim
-from charzero.liefourier import _is_nilpotent
 from charzero.matgroup import MatrixGroupTable, mat_charpoly, mat_identity, mat_inv, mat_mul, rref
 
 
@@ -80,7 +80,7 @@ def _apply(F: Field, n: int, a: tuple[int, ...], v: tuple[int, ...]) -> tuple[in
 def flag_count(n: int, F: Field, u: tuple[int, ...]) -> int:
     """Number of complete flags fixed by the unipotent element u, n <= 3."""
     shifted = tuple(F.add[x][F.neg[y]] for x, y in zip(u, mat_identity(n)))
-    if not _is_nilpotent(F, n, shifted):
+    if not is_nilpotent(F, n, shifted):
         raise ValueError("element is not unipotent")
     if n == 1:
         return 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from green_reference import _flag_census, _inverse_indices, _min_poly, flag_count, levi_green_value
 from orbit_reference import orbit_partition
+from poly_reference import is_nilpotent
 
 from charzero import liefourier as L
 from charzero import matgroup
@@ -14,6 +15,7 @@ from charzero.errors import ExactnessError
 from charzero.ffield import (
     field_for_order,
     field_make,
+    fq_poly_factor_cubic_or_less,
     fq_poly_is_squarefree,
     from_digits,
     to_digits,
@@ -202,6 +204,27 @@ def test_jordan_decomposition_properties():
             assert tuple(F.add[a][b] for a, b in zip(ys, yn)) == y
             assert mat_mul(F, n, ys, yn) == mat_mul(F, n, yn, ys)
             assert fq_poly_is_squarefree(F, _min_poly(F, n, ys))
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (3, 2)])
+def test_nilpotency_by_the_characteristic_polynomial_matches_the_power_loop(n, q):
+    F = field_for_order(q)
+    every = [tuple(to_digits(code, q, n * n)) for code in range(q ** (n * n))]
+    nilpotent = [L._is_nilpotent(F, n, a) for a in every]
+    assert nilpotent == [is_nilpotent(F, n, a) for a in every]
+    assert sum(nilpotent) == q ** (n * (n - 1))  # Fine-Herstein
+
+
+def test_adjoint_orbits_factor_each_representative_once(monkeypatch):
+    calls = []
+
+    def counted(F, a):
+        calls.append(a)
+        return fq_poly_factor_cubic_or_less(F, a)
+
+    monkeypatch.setattr(L, "fq_poly_factor_cubic_or_less", counted)
+    orbits = adjoint_orbits(3, field_make(3, 1))
+    assert len(calls) == orbits.num_orbits
 
 
 def test_green_function_values(no_enumeration):

@@ -169,7 +169,7 @@ def test_generators_outside_sl_n_are_refused_where_the_key_leaves_an_entry_out()
     key, on which its elements of other determinants collide."""
     F = field_for_order(5)
     with pytest.raises(ValueError, match="does not have determinant 1"):
-        enumerate_group(gl_generators(2, F), F, 2, matgroup.DEFAULT_GROUP_CAP, order=120)
+        enumerate_group(gl_generators(2, F), F, 2, order=120)
 
 
 @pytest.mark.parametrize("n,q,order", [(4, 4, 987033600), (3, 7, 2)])

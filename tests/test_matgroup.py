@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from charzero.errors import ExactnessError
 from charzero.ffield import field_make
 from charzero.matgroup import (
     EnumerationCapExceeded,
@@ -91,10 +92,10 @@ def test_enumeration_is_deterministic():
     assert a.generator_indices == b.generator_indices
 
 
-def test_cap_exceeded():
-    F = field_make(3, 1)
-    with pytest.raises(EnumerationCapExceeded):
-        enumerate_group(gl_generators(2, F), F, 2, cap=10, order=48)
+def test_closure_beyond_the_expected_order_is_refused():
+    F = field_make(3, 1)  # GL_2(F_3), of order 48, under the order of SL_2(F_3)
+    with pytest.raises(ExactnessError, match="more than the expected 24 elements"):
+        enumerate_group(gl_generators(2, F), F, 2, order=24)
 
 
 def test_singular_generator_rejected():
