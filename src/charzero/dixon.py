@@ -11,15 +11,18 @@ coefficient tensor, is built: GL_2(F_11) reads 486 rows of 15 matrices
 (1 800 rows), 60 892 products against 218 880 for the whole matrices;
 GL_3(F_3) 116 of 288 rows, and GL_3(F_4) 437 of 2 580 rows, 1.25 M
 products against 8.63 M.  Within one space, every
-simple eigenvalue's line comes from one Krylov sequence of the all-ones row
-(`_eigenspaces`): the class algebra mod l is split semisimple, so the line
-is spanned by that row times m(R) / (x - lambda), m the product of the
-distinct eigenvalue factors.  Each such row is kept only after the exact
-check u R = lambda u; a repeated eigenvalue, or a row that the check
-rejects or that comes out zero, takes one nullspace.  GL_2(F_11) computes 6
-nullspaces instead of one per eigenvalue (126).  Each degree d is the one
-root of d^2 (mod l) in 0..sqrt(|G|), found by search; l > 2*sqrt(|G|) makes
-it unique.
+eigenspace comes from one Krylov sequence of a few fixed start rows and one
+reduction (`_eigenspaces`): the class algebra mod l is split semisimple, so
+a start row times m(R) / (x - lambda), m the product of the distinct
+eigenvalue factors, lies in the lambda-space.  A simple eigenvalue takes
+one such row, a repeated one as many as its multiplicity.  One more Krylov
+step proves S m(R) = 0 for the start rows S, so every row found is an
+eigenvector, and ranks that sum to the size of the space prove that the
+rows span every eigenspace; only when either check fails does a root take
+a nullspace.  GL_2(F_7), F_9, F_11, F_16, GL_3(F_3) and F_4 take none (one
+per repeated root would be 6 at GL_2(F_11), 22 at GL_3(F_4)).  Each degree
+d is the one root of d^2 (mod l) in 0..sqrt(|G|), found by search;
+l > 2*sqrt(|G|) makes it unique.
 
 The lift is made once per element order d (`_order_values`), and both
 routes read it.  The eigenvalue multiplicities of a representative of
@@ -118,46 +121,49 @@ def _mod_nullspace(M: np.ndarray, l: int) -> np.ndarray:
 
 def _mod_charpoly(M: np.ndarray, l: int) -> list[int]:
     """Characteristic polynomial mod l via Hessenberg reduction, lowest
-    degree first, monic."""
-    H = M.copy() % l
+    degree first, monic.
+
+    Column c is cleared below its subdiagonal by one similarity
+    (I - f e_{c+1}^T) H (I + f e_{c+1}^T), f the multipliers of the rows
+    c+2.. against the pivot row c+1.  The row operations of one column
+    commute (each reads only row c+1, which none of them changes), so this
+    is the one-row-at-a-time elimination done at once.  The polynomials
+    p_j of the leading j x j blocks then follow the recurrence
+
+        p_j = x p_{j-1} - sum_{t < j} H[t, j-1] b_j[t] p_t,
+
+    b_j[t] the product of the subdiagonal entries H[u, u-1], t < u < j (so
+    b_j[j-1] = 1), one vector-matrix product per j over the t past the last
+    zero subdiagonal entry.  Every sum has at most n <= 256 terms below
+    l^2, so int64 holds it."""
+    H = M % l
     n = H.shape[0]
     for c in range(n - 2):
-        piv = None
-        for r in range(c + 1, n):
-            if H[r, c]:
-                piv = r
-                break
-        if piv is None:
+        below = c + 1 + np.flatnonzero(H[c + 1 :, c])  # the first is the pivot row
+        if below.size == 0:
             continue
+        piv = int(below[0])
         if piv != c + 1:
             H[[c + 1, piv]] = H[[piv, c + 1]]
             H[:, [c + 1, piv]] = H[:, [piv, c + 1]]
-        inv = _mod_inv(H[c + 1, c], l)
-        for r in range(c + 2, n):
-            if H[r, c]:
-                f = (H[r, c] * inv) % l
-                H[r] = (H[r] - f * H[c + 1]) % l
-                H[:, c + 1] = (H[:, c + 1] + f * H[:, r]) % l
-    # p_m(x) = (x - H[m-1,m-1]) p_{m-1} - sum_i H[m-1-i,m-1] (prod subdiag) p_{m-1-i}
-    polys: list[list[int]] = [[1]]
-    for m in range(1, n + 1):
-        prev = polys[m - 1]
-        cur = [0] + prev  # x * p_{m-1}
-        a = int(H[m - 1, m - 1]) % l
-        for j in range(len(prev)):
-            cur[j] = (cur[j] - a * prev[j]) % l
-        beta = 1
-        for i in range(1, m):
-            beta = (beta * int(H[m - i, m - i - 1])) % l
-            if beta == 0:
-                break
-            coef = (int(H[m - 1 - i, m - 1]) * beta) % l
-            if coef:
-                pi = polys[m - 1 - i]
-                for j in range(len(pi)):
-                    cur[j] = (cur[j] - coef * pi[j]) % l
-        polys.append([c % l for c in cur])
-    return polys[n]
+        hit = below[1:]  # the rows to clear; the swap put row c+1's zero at piv
+        if hit.size:
+            f = H[hit, c] * _mod_inv(H[c + 1, c], l) % l
+            H[hit] = (H[hit] - f[:, None] * H[c + 1]) % l
+            H[:, c + 1] = (H[:, c + 1] + H[:, hit] @ f) % l
+    P = np.zeros((n + 1, n + 1), dtype=np.int64)  # P[j]: p_j, lowest degree first
+    P[0, 0] = 1
+    b = np.ones(n, dtype=np.int64)  # b[start:j] = b_j[start:j]; b_j[j-1] = 1
+    start = 0  # b_j[t] = 0 for t < start, past a zero subdiagonal entry
+    for j in range(1, n + 1):
+        sub = int(H[j - 1, j - 2]) if j > 1 else 1
+        if sub == 0:
+            start = j - 1
+        else:
+            b[start : j - 1] = b[start : j - 1] * sub % l
+        P[j, 1:] = P[j - 1, :-1]
+        P[j] = (P[j] - (H[start:j, j - 1] * b[start:j] % l) @ P[start:j]) % l
+    return P[n].tolist()
 
 
 def _mod_poly_roots(coeffs: list[int], l: int) -> list[int]:
@@ -168,21 +174,84 @@ def _mod_poly_roots(coeffs: list[int], l: int) -> list[int]:
     return sorted(int(x) for x in np.nonzero(acc == 0)[0])
 
 
-def _eigenspaces(R: np.ndarray, l: int) -> list[tuple[int, np.ndarray]]:
-    """For each root lambda of the characteristic polynomial p of R mod l,
-    in increasing order, rows spanning {u : u R = lambda u (mod l)}.
+def _monic_rows(U: np.ndarray, l: int) -> np.ndarray:
+    """The nonzero rows of U, each scaled by the inverse of its first nonzero
+    entry: for a one-row U, `_mod_rref(U, l)[0]`."""
+    U = U % l
+    U = U[U.any(axis=1)]
+    lead = U[np.arange(len(U)), (U != 0).argmax(axis=1)].tolist()
+    return U * np.array([_mod_inv(a, l) for a in lead], dtype=np.int64)[:, None] % l
 
-    A simple root (p'(lambda) != 0) has a one-dimensional space.  When R is
-    diagonalizable over F_l, as every restricted class matrix is (the class
-    algebra mod l is split semisimple), that space is spanned by
-    u = v q_lambda(R) for q_lambda = m / (x - lambda), m the product of
-    (x - mu) over the distinct roots mu, unless the start row v misses it
-    (then u = 0).  One Krylov block K[j] = v R^j (v the all-ones row) gives
-    every such u at once as Q K, Q the synthetic-division quotients.  A u is
-    kept only if it is nonzero and u R = lambda u holds exactly, so it spans
-    the space whatever R is; repeated roots and rejected rows take the
-    nullspace of (R - lambda)^T.  Every sum has at most tau <= 256 terms
-    below l^2 <= 10^14, so int64 holds it."""
+
+def _start_rows(count: int, s: int, l: int) -> np.ndarray:
+    """The all-ones row, then `count` rows of s residues mod l, entry (i, j)
+    the splitmix64 hash of i * 2^32 + j, reduced mod l.  The rows are fixed,
+    so a run is reproducible, and look random to the class matrices: over
+    the 450 calls of `_eigenspaces` for 14 GL_n and SL_n tables up to
+    GL_2(F_16), none falls back, against 47 with the rows (i j + i) mod l."""
+    z = np.arange(1, count + 1, dtype=np.uint64)[:, None] << np.uint64(32)
+    z = (z | np.arange(s, dtype=np.uint64)) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    z = (z ^ z >> np.uint64(31)) % np.uint64(l)
+    return np.vstack([np.ones((1, s), dtype=np.int64), z.astype(np.int64)])
+
+
+def _multiplicities(p: list[int], lam: np.ndarray, Q: np.ndarray, l: int) -> np.ndarray:
+    """tr q(R) / q(lambda) mod l for roots lam of p, the characteristic
+    polynomial of R (lowest degree first, monic), with Q[i] the coefficients
+    of q = m / (x - lam[i]), m the product of (x - mu) over every distinct
+    root.  When p splits over F_l this is the multiplicity a of lam[i]:
+    q vanishes at every other root, so tr q(R) = a q(lam[i]).  The traces
+    tr R^j come from p by Newton's identities."""
+    s, k = len(p) - 1, Q.shape[1]
+    c = np.array(p[::-1], dtype=np.int64)  # c[i]: coefficient of x^(s - i)
+    sums = np.zeros(k, dtype=np.int64)  # sums[j] = tr R^j
+    sums[0] = s % l
+    for j in range(1, k):
+        sums[j] = -(j * c[j] + c[1:j] @ sums[j - 1 : 0 : -1]) % l
+    at_root = np.zeros(len(lam), dtype=np.int64)  # q(lambda), by Horner
+    for j in range(k - 1, -1, -1):
+        at_root = (at_root * lam + Q[:, j]) % l
+    trace = (Q @ sums % l).tolist()
+    return np.array([t * _mod_inv(a, l) % l for t, a in zip(trace, at_root.tolist())], dtype=np.int64)
+
+
+def _eigenspaces(R: np.ndarray, B: np.ndarray, l: int) -> list[tuple[int, np.ndarray]]:
+    """For each root lambda of the characteristic polynomial p of R mod l,
+    in increasing order, the RREF of {u : u R = lambda u (mod l)} times B
+    (s x tau, s = len(R)), so the space in the coordinates of B's columns.
+
+    Every restricted class matrix R is diagonalizable over F_l (the class
+    algebra mod l is split semisimple).  Then with m the product of (x - mu)
+    over the distinct roots mu and q_lambda = m / (x - lambda), every row
+    v q_lambda(R) lies in the lambda-space, and one Krylov sequence
+    K[j] = S R^j of a block S of start rows gives them all at once through
+    the synthetic-division quotients Q.  A simple root (p'(lambda) != 0) has
+    a line, taken from the all-ones row S[0], or from S[1] where S[0] has no
+    part in it (the all-ones row misses some lines of SL_2 and GL_2(F_3)).
+    A repeated root takes the rows S[1..e] q_lambda(R), with the hint
+    e = tr q_lambda(R) / q_lambda(lambda) mod l, its multiplicity when p
+    splits (`_multiplicities`); the rows times B are reduced once, in class
+    coordinates (B = I is not multiplied).  The all-ones row is left out
+    there: it misses some repeated roots' spaces.
+
+    Nothing here trusts R or the hints.  One more Krylov step checks
+    S m(R) = 0, and then every row found is an eigenvector, since
+    v q_lambda(R) (R - lambda) = v m(R).  The eigenspaces of distinct roots
+    are independent, so their dimensions g_lambda sum to at most s; the rank
+    found at each root is at most g_lambda, so ranks summing to s force
+    every one to equal g_lambda, and the rows span every space.  Otherwise
+    (R not diagonalizable, p not split, start rows that miss a space) each
+    root takes the nullspace route: a simple root keeps its all-ones row if
+    that is a nonzero eigenvector, and every other root takes the nullspace
+    of (R - lambda)^T.  Both routes give RREF spaces, which are canonical,
+    so the answer does not depend on the route.  The start rows are a fixed
+    integer hash (`_start_rows`), so runs are reproducible.  Every sum has
+    at most tau <= 256 terms below l^2 <= 10^14, so int64 holds it."""
+    s = len(R)
+    if np.array_equal(R, R[0, 0] * np.eye(s, dtype=np.int64)):
+        return [(int(R[0, 0]), B)]  # a diagonalizable R with one eigenvalue is scalar
     p = _mod_charpoly(R, l)
     roots = _mod_poly_roots(p, l)
     k = len(roots)
@@ -190,20 +259,41 @@ def _eigenspaces(R: np.ndarray, l: int) -> list[tuple[int, np.ndarray]]:
     slope = np.zeros(k, dtype=np.int64)  # p'(lambda), by Horner
     for j in range(len(p) - 1, 0, -1):
         slope = (slope * lam + j * p[j]) % l
-    m = np.ones(1, dtype=np.int64)  # prod (x - mu), lowest degree first
-    for mu in roots:
-        m = (np.append(0, m) - mu * np.append(m, 0)) % l
+    m = np.zeros(k + 1, dtype=np.int64)  # prod (x - mu), lowest degree first
+    m[0] = 1
+    for i, mu in enumerate(roots):  # m[:i+1] holds the product of the first i factors
+        m[1 : i + 2] = (m[: i + 1] - mu * m[1 : i + 2]) % l
+        m[0] = -mu * m[0] % l
     Q = np.zeros((k, k + 1), dtype=np.int64)  # Q[i, j]: coefficient of x^j in m / (x - roots[i])
     for j in range(k, 0, -1):
         Q[:, j - 1] = (m[j] + lam * Q[:, j]) % l
-    K = np.ones((k, R.shape[0]), dtype=np.int64)
-    for j in range(1, k):
+    Q = Q[:, :k]
+    repeated = np.flatnonzero(slope == 0)
+    e = np.zeros(k, dtype=np.int64)  # the start rows each repeated root takes
+    if repeated.size:
+        e[repeated] = np.clip(_multiplicities(p, lam[repeated], Q[repeated], l), 1, s - k + 1)
+    K = np.empty((k + 1, max(int(e.max(initial=0)), 1) + 1, s), dtype=np.int64)
+    K[0] = _start_rows(K.shape[1] - 1, s, l)
+    for j in range(1, k + 1):
         K[j] = K[j - 1] @ R % l
-    U = Q[:, :k] @ K % l
+    U = Q @ K[:k, 0] % l  # the all-ones row times q_lambda(R), every root
+    to_columns = (lambda W: W) if len(B) == B.shape[1] else (lambda W: W @ B % l)
+    simple = np.flatnonzero(slope)
+    lines = U[simple]
+    missed = ~lines.any(axis=1)  # where the all-ones row misses a line, the next start row
+    lines[missed] = Q[simple[missed]] @ K[:k, 1] % l
+    lines = _monic_rows(to_columns(lines), l)
+    if len(lines) == len(simple) and not (m @ K.reshape(k + 1, -1) % l).any():
+        spaces = dict(zip(simple.tolist(), lines[:, None]))
+        for i in repeated.tolist():
+            W = np.tensordot(Q[i], K[:k, 1 : e[i] + 1], axes=1) % l
+            spaces[i] = _mod_rref(to_columns(W), l)[0]
+        if sum(map(len, spaces.values())) == s:
+            return [(x, spaces[i]) for i, x in enumerate(roots)]
     kept = (slope != 0) & U.any(axis=1) & (U @ R % l == U * lam[:, None] % l).all(axis=1)
-    eye = np.eye(R.shape[0], dtype=np.int64)
-    return [(x, U[i : i + 1] if kept[i] else _mod_nullspace((R - x * eye).T % l, l))
-            for i, x in enumerate(roots)]
+    eye = np.eye(s, dtype=np.int64)
+    return [(x, _mod_rref((U[i : i + 1] if kept[i] else _mod_nullspace((R - x * eye).T % l, l))
+                          @ B % l, l)[0]) for i, x in enumerate(roots)]
 
 
 def _degrees(targets: np.ndarray, order: int, l: int) -> np.ndarray:
@@ -361,14 +451,6 @@ def _distinct_rows(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray
     return np.array(rows), np.array(inverse, dtype=np.int64)
 
 
-def _rref_row(u: np.ndarray, l: int) -> np.ndarray:
-    """`_mod_rref(u, l)[0]` for a one-row u: the row scaled by the inverse
-    of its first nonzero entry (no rows if it is zero)."""
-    u = u % l
-    lead = np.flatnonzero(u[0])
-    return u * _mod_inv(u[0, lead[0]], l) % l if lead.size else u[:0]
-
-
 def _common_eigenrows(class_rows: Callable[[int, Sequence[int]], np.ndarray], tau: int,
                       l: int) -> np.ndarray:
     """Rows u with u * M_i.T = lambda_i u for every class matrix M_i,
@@ -377,8 +459,8 @@ def _common_eigenrows(class_rows: Callable[[int, Sequence[int]], np.ndarray], ta
     has dimension one.  A space B (in RREF, pivot columns P) reads M_i only
     through (B M_i^T)[:, P] = B (M_i[P, :])^T, so only the rows
     `class_rows(i, P)` of multi-row spaces are built."""
-    # every space is kept in RREF (it is `eye` or comes from `_mod_rref` or
-    # `_rref_row`), so its pivots are the first nonzero column of each row
+    # every space is kept in RREF (it is `eye` or comes from `_eigenspaces`),
+    # so its pivots are the first nonzero column of each row
     spaces: list[np.ndarray] = [np.eye(tau, dtype=np.int64)]
     for i in range(1, tau):
         pivots = [(B != 0).argmax(axis=1) for B in spaces if B.shape[0] > 1]
@@ -388,16 +470,12 @@ def _common_eigenrows(class_rows: Callable[[int, Sequence[int]], np.ndarray], ta
         rows = iter(np.split(read, np.cumsum([len(P) for P in pivots])[:-1]))
         new_spaces: list[np.ndarray] = []
         for B in spaces:
-            if B.shape[0] == 1:
+            if len(B) == 1:
                 new_spaces.append(B)
                 continue
-            R = B @ next(rows).T % l
-            if np.array_equal(R, R[0, 0] * np.eye(len(R), dtype=np.int64)):
-                new_spaces.append(B)  # a diagonalizable R with one eigenvalue is scalar
-                continue
-            for _, C in _eigenspaces(R, l):
-                U = C @ B % l
-                new_spaces.append(_rref_row(U, l) if len(U) == 1 else _mod_rref(U, l)[0])
+            M = next(rows)
+            R = M.T if len(B) == B.shape[1] else B @ M.T % l  # B = I is not multiplied
+            new_spaces += [C for _, C in _eigenspaces(R, B, l)]
         spaces = new_spaces
     if any(s.shape[0] != 1 for s in spaces) or len(spaces) != tau:
         raise ExactnessError(
@@ -614,19 +692,22 @@ def _galois_stable(t: CharacterTable, D: np.ndarray, entry: np.ndarray, l1: int)
     value_of = {x.tobytes(): i for i, x in enumerate(D)}
     row_of = {r.tobytes(): i for i, r in enumerate(entry)}
     col_of = {c.tobytes(): k for k, c in enumerate(entry.T)}
-    xs, js = np.nonzero(D)  # a few percent of the coordinates
+    xs, js = np.nonzero(D)  # a few percent of the coordinates, value by value
     terms = D[xs, js][:, None]
     # only the exponents with a nonzero coordinate are read; js now indexes them
     exponents, js = np.unique(js, return_inverse=True)
+    # pieces (x, s, e): the nonzero coordinates s..e-1 of value x, at most 64,
+    # so that no temporary holds more than 64 rows
+    first = np.searchsorted(xs, np.arange(len(D) + 1)).tolist()
+    pieces = [(x, s, min(s + 64, first[x + 1]))
+              for x in range(len(D)) for s in range(first[x], first[x + 1], 64)]
     for a in _unit_generators(m):
         G = power_rows(m, exponents * a)  # G[i] = sigma_a(zeta^exponents[i])
         if l1 * max(int(G.max()), -int(G.min())) >= 1 << 63:  # bounds every partial sum below
             raise ExactnessError(f"Galois images of the values would overflow int64 (m = {m})")
-        # sigma_a(D) over the nonzero coordinates only, 64 of them at a time
-        # so that no temporary holds more than 64 rows
-        images = np.zeros_like(D)
-        for s in range(0, len(xs), 64):
-            np.add.at(images, xs[s : s + 64], terms[s : s + 64] * G[js[s : s + 64]])
+        images = np.zeros_like(D)  # sigma_a(D), over the nonzero coordinates only
+        for x, s, e in pieces:
+            images[x] += (terms[s:e] * G[js[s:e]]).sum(axis=0)
         image = [value_of.get(x.tobytes()) for x in images]
         if None in image:
             return False

@@ -315,16 +315,17 @@ def _key_range(n: int, q: int, order: int) -> int:
 
 
 def _special_linear_key(kernel: _MatrixKernel, generators: list[tuple[int, ...]]
-                        ) -> Callable[[np.ndarray], np.ndarray]:
-    """The key of the matrices of determinant 1 (n <= 3): the code with the
-    last-row entry (n, j) left out, j the first column whose last-row
-    cofactor is nonzero.  That cofactor is the minor of rows 1..n-1 without
-    column j, so j depends only on those rows, the low n(n-1) digits of the
-    key, and then det = 1 fixes the entry left out: the key is injective on
-    SL_n and ranges over [0, q^(n^2 - 1)).  Raises `ValueError` unless every
+                        ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """`split(codes)`: the key of the matrices of determinant 1 (n <= 3)
+    and the digit it leaves out.  The key is the code with the last-row
+    entry (n, j) left out, j the first column whose last-row cofactor is
+    nonzero.  That cofactor is the minor of rows 1..n-1 without column j,
+    so j depends only on those rows, the low n(n-1) digits of the key, and
+    then det = 1 fixes the entry left out: the key is injective on SL_n and
+    ranges over [0, q^(n^2 - 1)).  Raises `ValueError` unless every
     generator has determinant 1.  A matrix of another determinant can share
-    the key of an element, so a lookup compares the codes it finds
-    (`MatrixGroupTable._index_of`)."""
+    the key of an element, and differs from it exactly in the digit left
+    out, so a lookup compares that digit (`DenseKeys.index_of`)."""
     F, n, q, mul = kernel.field, kernel.n, kernel.q, kernel._mul
     for g in generators:
         constant = mat_charpoly(F, n, g)[0]  # det(-g) = (-1)^n det(g)
@@ -345,31 +346,51 @@ def _special_linear_key(kernel: _MatrixKernel, generators: list[tuple[int, ...]]
         return [mul[x[a] * q + x[b]] != mul[x[c] * q + x[d]]
                 for a, b, c, d in ((1, 5, 2, 4), (0, 5, 2, 3))]
 
-    def key(codes: np.ndarray) -> np.ndarray:
-        cofactors, out = nonzero_cofactors(codes), codes % q ** (n * n - 1)  # the top entry out
-        for j in reversed(range(n - 1)):
-            t = last + j
-            out = np.where(cofactors[j], codes % q**t + codes // q ** (t + 1) * q**t, out)
-        return out
+    def split(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        low = q ** (n * n - 1)  # q^t, t the position left out: the top entry,
+        for j, nonzero in reversed(list(enumerate(nonzero_cofactors(codes)))):
+            low = np.where(nonzero, q ** (last + j), low)  # or the first column with a cofactor
+        key = codes % low  # the digits below position t, for now
+        high = codes // low
+        left_out = np.remainder(high, q, out=np.empty(len(codes), dtype=kernel.dtype),
+                                casting="unsafe")  # no int64 copy
+        high //= q  # the digits above position t, moved down one place into the key
+        high *= low
+        key += high
+        return key, left_out
 
-    return key
+    return split
 
 
 class DenseKeys:
     """Positions of distinct matrix codes by one int32 array over the range
     [0, size) of their keys, -1 where a key is absent.  The key is the code
-    itself, or `key(codes)` for a `_special_linear_key`.  `add_new` grows
+    itself, or the first part of `split(codes)` for a `_special_linear_key`,
+    whose second part, the digit the key leaves out, is kept per key so
+    that a lookup refuses a code that only shares a key.  `add_new` grows
     the key set, so a closure can fill the index as it goes."""
 
     def __init__(self, codes: np.ndarray, size: int,
-                 key: Callable[[np.ndarray], np.ndarray] | None = None):
-        self.key = key
+                 split: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None):
+        self.split = split
         self._position = np.full(size, -1, dtype=np.int32)
-        self._position[self._keys_of(codes)] = np.arange(len(codes), dtype=np.int32)
-        self._count = len(codes)
+        self._left_out: np.ndarray | None = None  # per key, in the digits' dtype
+        self._count = 0
+        self._number(codes)
 
     def _keys_of(self, codes: np.ndarray) -> np.ndarray:
-        return codes if self.key is None else self.key(codes)
+        return codes if self.split is None else self.split(codes)[0]
+
+    def _number(self, codes: np.ndarray) -> None:
+        """Give the keys of new codes the next positions, in order."""
+        keys = codes
+        if self.split is not None:
+            keys, left_out = self.split(codes)
+            if self._left_out is None:
+                self._left_out = np.zeros(len(self._position), dtype=left_out.dtype)
+            self._left_out[keys] = left_out
+        self._position[keys] = np.arange(self._count, self._count + len(codes), dtype=np.int32)
+        self._count += len(codes)
 
     def add_new(self, codes: np.ndarray) -> np.ndarray:
         """The codes whose keys are not yet present, each key once, in order
@@ -392,15 +413,23 @@ class DenseKeys:
         if (survivor < claim).any():
             raise ExactnessError("a scatter kept a later occurrence of a key")
         new = absent[survivor == claim]
-        position[self._keys_of(new)] = np.arange(self._count, self._count + len(new),
-                                                  dtype=np.int32)
-        self._count += len(new)
+        self._number(new)
         return new
 
     def index_of(self, codes: np.ndarray, missing: str) -> np.ndarray:
-        """Positions of the keys of a 1-D array of codes; raises
-        `ExactnessError(missing)` if one is absent."""
-        out = self._position[self._keys_of(codes)]
+        """Positions of a 1-D array of codes; raises `ExactnessError(missing)`
+        if one is absent: its key is, or it differs from the code there in
+        the digit left out.  Split keys are taken 2^16 codes at a time, so
+        their int64 temporaries stay small however many codes are asked."""
+        if self.split is None:
+            out = self._position[codes]
+        else:
+            out = np.empty(len(codes), dtype=np.int32)
+            for s in range(0, len(codes), 1 << 16):
+                keys, left_out = self.split(codes[s : s + (1 << 16)])
+                found = self._position[keys]
+                found[self._left_out[keys] != left_out] = -1
+                out[s : s + (1 << 16)] = found
         if (out < 0).any():
             raise ExactnessError(missing)
         return out.astype(np.intp)  # numpy gathers faster by intp
@@ -428,15 +457,9 @@ class MatrixGroupTable:
         self._right_maps: dict[int, np.ndarray] = {}
 
     def _index_of(self, codes: np.ndarray) -> np.ndarray:
-        """Element indices of a 1-D array of matrix codes.  Where the key
-        leaves an entry out, the codes of the elements found are compared
-        with the codes asked for, so a matrix outside the group is refused."""
-        missing = "matrix is not an element of the group"
-        found = self._keys.index_of(codes, missing)
-        if self._keys.key is not None and not np.array_equal(
-                self.kernel.codes(self.digits[found]), codes):
-            raise ExactnessError(missing)
-        return found
+        """Element indices of a 1-D array of matrix codes; a matrix outside
+        the group is refused."""
+        return self._keys.index_of(codes, "matrix is not an element of the group")
 
     def element(self, i: int) -> tuple[int, ...]:
         return tuple(self.digits[i].tolist())
@@ -484,11 +507,11 @@ def enumerate_group(generators: list[tuple[int, ...]], field: Field, dim: int, *
         mat_inv(field, dim, g)  # raises on a singular generator
     kernel = _MatrixKernel(field, dim)
     size = _key_range(dim, field.q, order)
-    key = _special_linear_key(kernel, gens) if size < field.q ** (dim * dim) else None
+    split = _special_linear_key(kernel, gens) if size < field.q ** (dim * dim) else None
     gen_digits = kernel.digits(gens)
     right_maps = [kernel.linear_map(right=g) for g in gen_digits]
     level = kernel.codes(kernel.digits([mat_identity(dim)]))
-    keys, levels, known = DenseKeys(level, size, key), [], 0
+    keys, levels, known = DenseKeys(level, size, split), [], 0
     while len(level):
         known += len(level)
         if known > order:

@@ -499,14 +499,15 @@ def test_the_split_builds_only_the_class_matrices_it_reads(n, q, tau, built, row
     assert len(products) == calls
 
 
-@pytest.mark.parametrize("q,nullspaces", [(11, 6), pytest.param(16, 4, marks=pytest.mark.slow)])
-def test_the_split_takes_a_nullspace_only_at_repeated_roots(q, nullspaces, nullspace_nullities):
-    """Simple eigenvalues are split off by one Krylov sequence per space; a
-    nullspace is computed only for a repeated root, whose space then has
-    dimension at least two (one per eigenvalue would be 126 at q = 11)."""
-    g = gl_group(2, q)
-    dixon_character_table(g, conjugacy_classes(g))
-    assert len(nullspace_nullities) == nullspaces and min(nullspace_nullities) >= 2
+@pytest.mark.parametrize("n,q", [(2, 7), (2, 9), (2, 11), (2, 16), (3, 3), (3, 4)])
+def test_the_split_takes_no_nullspace(n, q, nullspace_nullities):
+    """Every eigenspace, of a simple root or a repeated one, comes from one
+    Krylov sequence of the start rows and one reduction.  A nullspace per
+    repeated root would be 6 at GL2(F11), 13 at GL3(F3) and 22 at GL3(F4);
+    one per eigenvalue, 126 at GL2(F11)."""
+    g = gl_group(n, q)
+    dixon_zero_census(g, conjugacy_classes(g))
+    assert nullspace_nullities == []
 
 
 def _record_routes(monkeypatch):

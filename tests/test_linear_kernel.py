@@ -158,10 +158,31 @@ def test_a_key_shared_with_a_matrix_outside_sl_n_is_refused():
     g = sl_group(2, 5)
     kernel = g.kernel
     outside, inside = kernel.codes(kernel.digits([(2, 0, 0, 1), (2, 0, 0, 3)]))
-    assert g._keys.key(np.array([outside])) == g._keys.key(np.array([inside]))
+    assert g._keys.split(np.array([outside]))[0] == g._keys.split(np.array([inside]))[0]
     assert g.element(int(g._index_of(np.array([inside]))[0])) == (2, 0, 0, 3)
     with pytest.raises(ExactnessError, match="not an element of the group"):
         g._index_of(np.array([inside, outside]))
+
+
+@pytest.mark.parametrize("element,left", [((0, 1, 0, 0, 0, 1, 1, 0, 0), 6),
+                                          ((1, 0, 0, 0, 0, 1, 0, 1, 0), 7),
+                                          ((1, 0, 0, 0, 1, 0, 0, 0, 1), 8)])
+def test_a_matrix_that_differs_only_in_the_entry_left_out_is_refused(element, left):
+    """SL_3(F_4) leaves out the last-row entry of the first column with a
+    nonzero cofactor, or the corner when there is none.  Changing that entry
+    of an element keeps its key and changes its determinant, and the lookup
+    refuses it by the digit left out alone."""
+    g = sl_group(3, 4)
+    kernel = g.kernel
+    assert g._keys.split is not None
+    other = list(element)
+    other[left] = 2
+    inside, outside = kernel.codes(kernel.digits([element, tuple(other)]))
+    keys, digits = g._keys.split(np.array([inside, outside]))
+    assert keys[0] == keys[1] and digits.tolist() == [element[left], 2]
+    assert g.element(int(g._index_of(np.array([inside]))[0])) == element
+    with pytest.raises(ExactnessError, match="not an element of the group"):
+        g._index_of(np.array([outside]))
 
 
 def test_generators_outside_sl_n_are_refused_where_the_key_leaves_an_entry_out():
