@@ -25,15 +25,16 @@ d is the one root of d^2 (mod l) in 0..sqrt(|G|), found by search;
 l > 2*sqrt(|G|) makes it unique.
 
 The lift is made once per element order d (`_order_values`), and both
-routes read it.  The eigenvalue multiplicities of a representative of
-order d are recovered by discrete Fourier inversion over the power map;
-each is a true integer in [0, degree] < l, so the lift is unambiguous.
-They depend only on a character's column of power-map values, so the
-classes of order d are inverted together, each distinct column once
-(GL_2(F_11): 619 of 4 964).  Reduced mod Phi_d they give the phi(d) exact
-coordinates of the value in Z[zeta_d], checked against the modular table
-at conductor d.  `dixon_zero_census` marks the values whose coordinates are
-all 0; `dixon_character_table` lifts them to Z[zeta_m] by
+routes read it.  As chi(g^a) = sigma_a(chi(g)) for a unit a mod d, only
+one class per rational class is inverted (Dixon 1967, Schneider 1990):
+the eigenvalue multiplicities at each representative, by discrete Fourier
+inversion over the power map, each distinct column once (GL_2(F_11): 33 of
+120 classes, 619 distinct of 3 960 columns).  Each is a true integer in
+[0, degree] < l, so the lift is unambiguous.  Reduced mod Phi_d they give
+the phi(d) exact coordinates of the value in Z[zeta_d], checked against
+the modular table at conductor d at every class.  `dixon_zero_census`
+marks the values whose coordinates are all 0; `dixon_character_table`
+finds each sigma_a image among the values, lifts them to Z[zeta_m] by
 zeta_d^t = zeta_m^(t m/d), t < phi(d), and holds one CycInt per distinct
 value: equal entries are the same object.  Zero detection is the canonical
 coordinate test - no tolerance appears anywhere.
@@ -521,22 +522,26 @@ def _modular_table(group: Group, cd: ClassData) -> _ModularTable:
 
 
 def _order_values(cd: ClassData, mt: _ModularTable, order: int
-                  ) -> Iterator[tuple[int, list[int], np.ndarray, np.ndarray]]:
+                  ) -> Iterator[tuple[int, list[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """For each element order d, in order of first appearance among the
-    classes: (d, ks, inv, C), where ks are the classes of order d, C[x] the
-    phi(d) canonical coordinates in Z[zeta_d] of one value chi(g), and
-    inv[chi, j] the row of C of character chi at class ks[j].
+    classes: (d, ks, inv, units, MU, C), where ks are the classes of order
+    d, MU[:, x] the multiplicities and C[x] the phi(d) coordinates in
+    Z[zeta_d] of one value, and chi at class ks[j] is sigma_a(value
+    inv[chi, j]), sigma_a: zeta_d -> zeta_d^a, a = units[j].
 
-    The multiplicities MU[t, x] of zeta_d^t among the eigenvalues of g are
-    the discrete Fourier inversion, over the powers of z^(m/d), of the
-    distinct power-map columns X[x] (chi(g^t) mod l for t < d; equal
-    columns have equal multiplicities, so each is inverted once).  Each is
-    checked to be a true integer in [0, degree] summing to the degree (less
-    than l, so the lift is unambiguous).  Then chi(g) = sum_t MU[t] zeta_d^t,
-    and C = MU[:phi].T + MU[phi:].T x^t mod Phi_d: the powers with t < phi(d)
-    are their own rows, and only the d - phi(d) rows past them are built.
-    zeta_d -> z^(m/d) must give back chi(g) mod l.  After the last order,
-    some character must be 1 everywhere and sum deg^2 = |G|."""
+    Only the representatives g of the rational classes are inverted
+    (`ClassData.rational_rep`).  The multiplicities MU[t, x] of zeta_d^t
+    among the eigenvalues of g are the discrete Fourier inversion, over the
+    powers of z^(m/d), of the distinct power-map columns X[x] (chi(g^t)
+    mod l for t < d; equal columns have equal multiplicities, so each is
+    inverted once).  Each is checked to be a true integer in [0, degree]
+    summing to the degree (less than l, so the lift is unambiguous).  Then
+    chi(g) = sum_t MU[t] zeta_d^t, and C = MU[:phi].T + MU[phi:].T x^t mod
+    Phi_d: the powers with t < phi(d) are their own rows, and only the
+    d - phi(d) rows past them are built.  At every class g^a (a from
+    `ClassData.rational_unit`), zeta_d -> z^(a m/d) must give back its
+    column of the modular table.  After the last order, some character must
+    be 1 everywhere and sum deg^2 = |G|."""
     l, m, tau = mt.l, cd.exponent, cd.num_classes
     by_order: dict[int, list[int]] = {}  # element order d -> the classes of that order
     for k, d in enumerate(cd.rep_orders):
@@ -545,13 +550,12 @@ def _order_values(cd: ClassData, mt: _ModularTable, order: int
     for d, ks in by_order.items():
         t = np.arange(d)
         zd = pow(mt.z, m // d, l)
-        zd_inv = _mod_inv(zd, l)
-        # Vinv[t, j] = zd^(-t j) / d
-        pw = np.array([pow(zd_inv, s, l) for s in range(d)], dtype=np.int64)
-        Vinv = pw[np.outer(t, t) % d] * _mod_inv(d, l) % l
-        X, inv = _distinct_rows(mt.rows[:, cd.power_map[k]] for k in ks)
+        pw = np.array([pow(zd, s, l) for s in range(d)], dtype=np.int64)
+        Vinv = pw[-np.outer(t, t) % d] * _mod_inv(d, l) % l  # Vinv[t, j] = zd^(-t j) / d
+        reps = sorted({cd.rational_rep[k] for k in ks})
+        X, inv = _distinct_rows(mt.rows[:, cd.power_map[k]] for k in reps)
         MU = Vinv @ X.T % l  # multiplicities of zeta_d^t, exact in [0, degree]
-        degree_rows = np.tile(mt.degrees, len(ks))
+        degree_rows = np.tile(mt.degrees, len(reps))
         if (MU.sum(axis=0)[inv] != degree_rows).any() or (MU.max(axis=0)[inv] > degree_rows).any():
             raise ExactnessError(
                 "eigenvalue multiplicities failed the degree bound; "
@@ -563,16 +567,42 @@ def _order_values(cd: ClassData, mt: _ModularTable, order: int
         if past.size and int(np.abs(past).max()) * int(mt.degrees.max()) >= 1 << 62:
             raise ExactnessError(f"the coordinates of order {d} would overflow int64")
         C = MU[:phi].T + MU[phi:].T @ past
-        zpow = np.array([pow(zd, i, l) for i in range(phi)], dtype=np.int64)
-        if not np.array_equal(C % l @ zpow % l, X[:, 1 % d]):
+        inv = inv.reshape(len(reps), tau).T[:, np.searchsorted(reps, [cd.rational_rep[k] for k in ks])]
+        units = np.array([cd.rational_unit[k] for k in ks], dtype=np.int64)
+        at_units = C % l @ pw[np.outer(t[:phi], units) % d] % l  # value x at zeta_d -> zd^units[j]
+        if not np.array_equal(np.take_along_axis(at_units, inv, axis=0), mt.rows[:, ks]):
             raise ExactnessError(f"lifted values of order {d} do not reduce to the modular table")
-        inv = inv.reshape(len(ks), tau).T
         trivial &= ((C[:, 0] == 1) & ~C[:, 1:].any(axis=1))[inv].all(axis=1)
-        yield d, ks, inv, C
+        yield d, ks, inv, units, MU, C
     if not trivial.any():
         raise ExactnessError("trivial character missing from the table")
     if sum(d * d for d in mt.degrees.tolist()) != order:
         raise ExactnessError("sum of squared degrees does not match the group order")
+
+
+def _galois_images(MU: np.ndarray, d: int) -> dict[int, np.ndarray]:
+    """image[a][x], for every unit a mod d: the index of sigma_a(x) among the
+    values x of one element order d, whose multiplicities are MU[:, x].
+    sigma_a(chi) is a character, so the values are closed under sigma_a,
+    and sigma_a(x) has the multiplicities MU[t a^-1 mod d, x].  These are
+    looked up for the generators of (Z/d)^x; sigma_ab = sigma_b sigma_a."""
+    index = {c.tobytes(): x for x, c in enumerate(np.ascontiguousarray(MU.T))}
+    t = np.arange(d)
+    steps = []
+    for g in _unit_generators(d):
+        moved = np.ascontiguousarray(MU[t * pow(g, -1, d) % d].T)
+        step = [index.get(c.tobytes(), -1) for c in moved]
+        if -1 in step:
+            raise ExactnessError(f"a Galois image of a value of order {d} is not a value of that order")
+        steps.append((g, np.array(step)))
+    image = {1 % d: np.arange(MU.shape[1])}
+    todo = [1 % d]
+    for a in todo:  # breadth first over the Cayley graph of the generators
+        for g, step in steps:
+            if (b := a * g % d) not in image:
+                image[b] = step[image[a]]
+                todo.append(b)
+    return image
 
 
 def dixon_character_table(group: Group, cd: ClassData) -> CharacterTable:
@@ -589,13 +619,15 @@ def dixon_character_table(group: Group, cd: ClassData) -> CharacterTable:
     coords: list[np.ndarray] = []  # per order: the conductor-m coordinates of its values
     column = np.empty((tau, tau), dtype=np.int64)  # row of chi_i(g_k) in the stacked coords
     start = 0
-    for d, ks, inv, C in _order_values(cd, mt, group.order):
+    for d, ks, inv, units, MU, C in _order_values(cd, mt, group.order):
         R = roots[d]
         # |coordinate of C @ R| <= phi(d) * max|C| * max|R|
         if C.shape[1] * int(np.abs(C).max()) * int(np.abs(R).max()) >= 1 << 62:
             raise ExactnessError(f"the coordinates of order {d} would overflow int64 at conductor {m}")
         coords.append(C @ R)
-        column[:, ks] = start + inv
+        image = _galois_images(MU, d)
+        moved = np.array([image[a] for a in units.tolist()])  # moved[j, x]: sigma_units[j](x)
+        column[:, ks] = start + np.take_along_axis(moved.T, inv, axis=0)
         start += len(C)
     D, entry = _distinct_rows(coords)
     entry = entry[column]  # entry[i, k]: row of chi_i(g_k) in D
@@ -630,12 +662,13 @@ def dixon_character_table(group: Group, cd: ClassData) -> CharacterTable:
 def dixon_zero_census(group: Group, cd: ClassData) -> ZeroReport:
     """The census `zero_census(dixon_character_table(group, cd))`, counted
     from the Z[zeta_d] coordinates of `_order_values` without building the
-    table: no conductor-m row, `CycInt` or sort.  `per_character_zero_counts`
-    come in eigenvector order (the order of the split), not the table's
-    canonical row order; as multisets they agree."""
+    table: no conductor-m row, `CycInt` or sort; sigma_a(x) = 0 only for
+    x = 0.  `per_character_zero_counts` come in eigenvector order (the
+    order of the split), not the table's canonical row order; as multisets
+    they agree."""
     mt = _modular_table(group, cd)
     zero = np.zeros((cd.num_classes, cd.num_classes), dtype=bool)
-    for _, ks, inv, C in _order_values(cd, mt, group.order):
+    for _, ks, inv, _, _, C in _order_values(cd, mt, group.order):
         zero[:, ks] = ~C.any(axis=1)[inv]
     return ZeroReport.of_mask(zero)
 

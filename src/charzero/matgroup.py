@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -632,6 +632,16 @@ class ClassData:
         self.exponent = lcm(*self.rep_orders)
         self.power_map = [powers[c, :d].tolist() for c, d in enumerate(self.rep_orders)]
         self.inverse_class = [row[-1] for row in self.power_map]
+        # rational classes: rational_rep[c] is the least class k with
+        # power_map[k][a] == c for some unit a mod the order, rational_unit[c]
+        # the least such a, so chi(rep_c) = sigma_a(chi(rep_k)) for every chi
+        self.rational_rep = [-1] * len(reps)
+        self.rational_unit = [0] * len(reps)
+        for k, row in enumerate(self.power_map):
+            if self.rational_rep[k] < 0:
+                for a, c in enumerate(row):
+                    if self.rational_rep[c] < 0 and gcd(a, len(row)) == 1:
+                        self.rational_rep[c], self.rational_unit[c] = k, a
 
     def power_class(self, c: int, k: int) -> int:
         return self.power_map[c][k % self.rep_orders[c]]

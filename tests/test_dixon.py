@@ -692,3 +692,133 @@ def test_the_galois_check_builds_only_the_rows_it_reads(monkeypatch):
 @pytest.mark.slow
 def test_sl2_f53_table_is_orthogonal():
     assert verify_orthogonality(_sl2_table(53))
+
+
+def _lift_groups():
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        yield f"gl2-f{q}", lambda q=q: gl_group(2, q)
+    for q in (3, 4):
+        yield f"gl3-f{q}", lambda q=q: gl_group(3, q)
+    for q in (13, 31):
+        yield f"sl2-f{q}", lambda q=q: sl_group(2, q)
+    yield "sl3-f3", lambda: sl_group(3, 3)
+
+
+@pytest.mark.parametrize("make", [make for _, make in _lift_groups()],
+                         ids=[name for name, _ in _lift_groups()])
+def test_the_rational_class_lift_matches_the_per_class_reference(make, monkeypatch):
+    """One inversion per rational class and the sigma_a images give the zero
+    mask, per-character zero counts and table of inverting every class."""
+    import numpy as np
+    from lift_reference import per_class_values
+
+    import charzero.dixon as dixon
+    from charzero.cyclotomic import power_rows
+
+    g = make()
+    cd = conjugacy_classes(g)
+    mt = dixon._modular_table(g, cd)
+    reference = per_class_values(cd, mt)
+    zero = np.array([~values.any(axis=1) for values in reference]).T  # zero[chi, k]
+    masks = []
+    real = dixon.ZeroReport.of_mask
+    monkeypatch.setattr(dixon.ZeroReport, "of_mask", staticmethod(lambda z: masks.append(z) or real(z)))
+    census = dixon_zero_census(g, cd)
+    assert np.array_equal(masks[0], zero)
+    assert census.per_character_zero_counts == tuple(zero.sum(axis=1).tolist())
+
+    index: dict[bytes, int] = {}  # coordinates at conductor m -> one index per distinct value
+    def key(coords):
+        return index.setdefault(np.asarray(coords, dtype=np.int64).tobytes(), len(index))
+
+    m = cd.exponent
+    lifted: dict[tuple[int, bytes], int] = {}  # (d, coordinates at conductor d) -> key at m
+    def lift(d, coords):
+        if (d, coords.tobytes()) not in lifted:
+            lifted[d, coords.tobytes()] = key(coords @ power_rows(m, np.arange(len(coords)) * (m // d)))
+        return lifted[d, coords.tobytes()]
+
+    columns = [[lift(d, c) for c in values] for values, d in zip(reference, cd.rep_orders)]
+    want = sorted((degree, tuple(column[chi] for column in columns))
+                  for chi, degree in enumerate(mt.degrees.tolist()))
+    table = dixon_character_table(g, cd)
+    of_object = {id(v): key(v.coeffs) for row in table.values for v in row}
+    got = sorted((degree, tuple(of_object[id(v)] for v in row))
+                 for degree, row in zip(table.degrees, table.values))
+    assert got == want
+
+
+@pytest.mark.parametrize("make", [make for _, make in _census_groups()],
+                         ids=[name for name, _ in _census_groups()])
+def test_rational_classes_are_unit_powers_of_their_least_class(make):
+    """Class k is the class of rep^a for its rational representative rep and
+    a unit a mod the order, and rep is the least class of that form."""
+    cd = conjugacy_classes(make())
+    for k, (rep, a) in enumerate(zip(cd.rational_rep, cd.rational_unit)):
+        d = cd.rep_orders[k]
+        assert cd.rep_orders[rep] == d and gcd(a, d) == 1 and cd.power_map[rep][a] == k
+        rational_class = {cd.power_map[k][b] for b in range(d) if gcd(b, d) == 1}
+        assert rep == min(rational_class) and cd.rational_rep[rep] == rep
+        assert all(cd.rational_rep[c] == rep for c in rational_class)
+
+
+@pytest.mark.parametrize("make", [make for _, make in _census_groups()],
+                         ids=[name for name, _ in _census_groups()])
+def test_rational_classes_and_galois_orbits_of_characters_are_equinumerous(make):
+    """Brauer's permutation lemma: the Galois group has as many orbits on the
+    rows of the table as on its classes."""
+    from charzero.dixon import _unit_generators
+
+    g = make()
+    cd = conjugacy_classes(g)
+    t = dixon_character_table(g, cd)
+    values = list({v.coeffs: v for row in t.values for v in row}.values())
+    value_of = {v.coeffs: x for x, v in enumerate(values)}
+    rows = [tuple(value_of[v.coeffs] for v in row) for row in t.values]
+    row_of = {row: i for i, row in enumerate(rows)}
+    orbit = list(range(len(rows)))  # union of rows a generator maps onto one another
+    def root(i):
+        while orbit[i] != i:
+            i = orbit[i]
+        return i
+    for a in _unit_generators(t.conductor):
+        image = [value_of[v.galois(a).coeffs] for v in values]
+        for i, row in enumerate(rows):
+            orbit[root(i)] = root(row_of[tuple(image[x] for x in row)])
+    assert len({root(i) for i in range(len(rows))}) == len(set(cd.rational_rep))
+
+
+@pytest.mark.parametrize("build", [dixon_zero_census, dixon_character_table])
+@pytest.mark.parametrize("n,q", [(2, 5), (2, 9), (3, 3)])
+def test_a_wrong_value_at_a_class_that_is_not_inverted_is_an_exactness_error(build, n, q, monkeypatch):
+    import charzero.dixon as dixon
+    from charzero.errors import ExactnessError
+
+    g = gl_group(n, q)
+    cd = conjugacy_classes(g)
+    k = max(k for k in range(cd.num_classes) if cd.rational_rep[k] != k)
+    real = dixon._modular_table
+
+    def corrupted(group, cd):  # the value of character 1 at class k moves by one
+        mt = real(group, cd)
+        rows = mt.rows.copy()
+        rows[1, k] = (rows[1, k] + 1) % mt.l
+        return mt._replace(rows=rows)
+
+    monkeypatch.setattr(dixon, "_modular_table", corrupted)
+    with pytest.raises(ExactnessError):
+        build(g, cd)
+
+
+@pytest.mark.parametrize("build", [dixon_zero_census, dixon_character_table])
+def test_a_wrong_unit_fails_the_modular_check_at_that_class(build):
+    """Only the check at every class sees a class given the Galois image of
+    another member of its rational class: the inversion reads only the
+    representatives."""
+    g = gl_group(2, 5)
+    cd = conjugacy_classes(g)
+    k = next(k for k in range(cd.num_classes) if cd.rational_rep[k] != k)
+    rep, d = cd.rational_rep[k], cd.rep_orders[k]
+    cd.rational_unit[k] = next(a for a in range(d) if gcd(a, d) == 1 and cd.power_map[rep][a] != k)
+    with pytest.raises(RuntimeError, match=f"of order {d} do not reduce to the modular table"):
+        build(g, cd)
