@@ -51,6 +51,23 @@ def euler_phi(m: int) -> int:
     return result
 
 
+def unit_generators(m: int) -> list[int]:
+    """Generators of (Z/m)^x: each unit, in increasing order, that the
+    units before it do not generate."""
+    span: set[int] = {1 % m}
+    gens: list[int] = []
+    for a in range(2, m):
+        if gcd(a, m) != 1 or a in span:
+            continue
+        gens.append(a)
+        grown, power = set(span), a
+        while power not in span:  # the cosets span * a^k, until a^k is back in span
+            grown.update(h * power % m for h in span)
+            power = power * a % m
+        span = grown
+    return gens
+
+
 # Every intermediate of `cyclotomic_polynomial` and `power_rows` stays
 # below this, so no int64 sum of two of them can overflow.
 _INT64_BOUND = 1 << 62

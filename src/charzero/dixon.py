@@ -64,7 +64,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .cyclotomic import CycInt, euler_phi, power_rows, prime_factors
+from .cyclotomic import CycInt, euler_phi, power_rows, prime_factors, unit_generators
 from .errors import ExactnessError
 from .ffield import is_prime
 from .matgroup import ClassData, Group
@@ -589,7 +589,7 @@ def _galois_images(MU: np.ndarray, d: int) -> dict[int, np.ndarray]:
     index = {c.tobytes(): x for x, c in enumerate(np.ascontiguousarray(MU.T))}
     t = np.arange(d)
     steps = []
-    for g in _unit_generators(d):
+    for g in unit_generators(d):
         moved = np.ascontiguousarray(MU[t * pow(g, -1, d) % d].T)
         step = [index.get(c.tobytes(), -1) for c in moved]
         if -1 in step:
@@ -698,23 +698,6 @@ def _orthogonality_primes(t: CharacterTable, need: int) -> Iterator[int]:
     raise ExactnessError(f"too few primes = 1 (mod {m}) below {hi} for an exact check")
 
 
-def _unit_generators(m: int) -> list[int]:
-    """Generators of (Z/m)^x: each unit, in increasing order, that the
-    units before it do not generate."""
-    span: set[int] = {1 % m}
-    gens: list[int] = []
-    for a in range(2, m):
-        if gcd(a, m) != 1 or a in span:
-            continue
-        gens.append(a)
-        grown, power = set(span), a
-        while power not in span:  # the cosets span * a^k, until a^k is back in span
-            grown.update(h * power % m for h in span)
-            power = power * a % m
-        span = grown
-    return gens
-
-
 def _galois_stable(t: CharacterTable, D: np.ndarray, entry: np.ndarray, l1: int) -> bool:
     """Whether every generator sigma_a: zeta_m -> zeta_m^a of the Galois
     group maps the distinct values D (l1 the largest sum of |coordinates|)
@@ -734,7 +717,7 @@ def _galois_stable(t: CharacterTable, D: np.ndarray, entry: np.ndarray, l1: int)
     first = np.searchsorted(xs, np.arange(len(D) + 1)).tolist()
     pieces = [(x, s, min(s + 64, first[x + 1]))
               for x in range(len(D)) for s in range(first[x], first[x + 1], 64)]
-    for a in _unit_generators(m):
+    for a in unit_generators(m):
         G = power_rows(m, exponents * a)  # G[i] = sigma_a(zeta^exponents[i])
         if l1 * max(int(G.max()), -int(G.min())) >= 1 << 63:  # bounds every partial sum below
             raise ExactnessError(f"Galois images of the values would overflow int64 (m = {m})")
