@@ -7,9 +7,10 @@ floating-point number ever appears in the data stream.  Identical
 invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 parameter validation failure (size limits included,
-refused before the work), 1 internal consistency failure (an exactness check
-tripped, `ExactnessError` or another RuntimeError - always a bug, never
-swallowed) or running out of memory.
+refused before the work) or an output that cannot be written (an unwritable
+--output, a closed stdout pipe), 1 internal consistency failure (an
+exactness check tripped, `ExactnessError` or another RuntimeError - always a
+bug, never swallowed) or running out of memory.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import factorial
 from typing import Iterator
 
 from .cyclotomic import CycInt
@@ -29,9 +29,10 @@ from .dixon import MAX_CLASSES, dixon_character_table, dixon_zero_census, verify
 from .errors import ExactnessError
 from .ffield import DEFAULT_FIELD_CAP, field_for_order, is_prime_power
 from .gln import (
-    DEFAULT_TORUS_CAP,
+    MAX_CENSUS_CHARACTERS,
     GLDescriptor,
     class_count_poly,
+    general_position_characters,
     general_position_count,
     gln_zero_ratio_formula,
     torus_inventory,
@@ -208,12 +209,13 @@ def _cmd_torus_orders(args):
 def _cmd_gln_structure(args):
     _validate_n(args.n)
     _validate_prime_power(args.q, "--q")
-    # the torus cap bounds each torus; this n! bound (n <= 9) bounds the
-    # general-position census, one `orbit_labels` pass over up to 10^6
-    # characters per partition
-    if factorial(args.n) > DEFAULT_TORUS_CAP:
-        raise ValueError(f"--n = {args.n}: the Weyl centralizer of order {args.n}! exceeds "
-                         f"the cap {DEFAULT_TORUS_CAP}")
+    # the general-position census costs about 0.3 us per character; the
+    # partition (n) alone has q^n - 1 >= 2^n - 1 of them, so a large n is
+    # refused before the sum is formed
+    cap = MAX_CENSUS_CHARACTERS
+    if args.n > cap.bit_length() or general_position_characters(args.n, args.q) > cap:
+        raise ValueError(f"--n = {args.n}, --q = {args.q}: the general-position census "
+                         f"walks more than {cap} characters")
     d = GLDescriptor.make(args.n, args.q)
     inv = torus_inventory(args.n, args.q)
     rows = [
@@ -532,7 +534,15 @@ def main(argv: list[str] | None = None) -> int:
     fmt = getattr(args, "format", "json")
     output = getattr(args, "output", None)
     if not output:
-        emit(result, rows, fmt, sys.stdout)
+        try:
+            emit(result, rows, fmt, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone; point stdout at devnull so that the flush at
+            # exit does not fail on the same pipe
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print("error: stdout was closed before the output was written", file=sys.stderr)
+            return 2
         return 0
     try:
         with open(output, "w") as f:

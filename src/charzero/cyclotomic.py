@@ -274,9 +274,6 @@ class CycInt:
             other = CycInt.integer(other, self.conductor)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             return CycInt(self.conductor, tuple(other * c for c in self.coeffs))
@@ -328,26 +325,6 @@ class CycInt:
 
     def __repr__(self):
         return f"CycInt(m={self.conductor}, {list(self.coeffs)})"
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(f"{c:+d}")
-            else:
-                z = f"z{self.conductor}" + (f"^{i}" if i > 1 else "")
-                if c == 1:
-                    parts.append(f"+{z}")
-                elif c == -1:
-                    parts.append(f"-{z}")
-                else:
-                    parts.append(f"{c:+d}*{z}")
-        s = "".join(parts)
-        return s[1:] if s.startswith("+") else s
 
     # -- serialization --------------------------------------------------
 

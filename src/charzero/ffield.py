@@ -53,14 +53,6 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
 # -- base-b digit codes (field elements over F_p, matrices over F_q) --------
 
 
-def from_digits(digits: list[int] | tuple[int, ...], base: int) -> int:
-    """The code of a digit vector, digit 0 least significant."""
-    code = 0
-    for d in reversed(digits):
-        code = code * base + d
-    return code
-
-
 def to_digits(code: int, base: int, count: int) -> list[int]:
     """The `count` lowest base-`base` digits of `code`, least significant first."""
     out = []
@@ -155,9 +147,6 @@ class Field:
     def additive_character(self, x: int) -> CycInt:
         """psi(x) = zeta_p^Tr(x), the canonical nontrivial additive character."""
         return CycInt.zeta(self.p, self.trace_to_prime(x))
-
-    def __repr__(self):
-        return f"Field(p={self.p}, e={self.e})"
 
 
 def _poly_is_irreducible(coeffs: list[int], p: int) -> bool:

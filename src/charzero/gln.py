@@ -33,6 +33,7 @@ from .polynomials import IntPoly, RatFunc
 from .weyl import _multiplicities, _prod_q_minus, cycle_centralizer_order, partitions
 
 DEFAULT_TORUS_CAP = 10**6
+MAX_CENSUS_CHARACTERS = 10**7
 
 
 @dataclass(frozen=True)
@@ -182,6 +183,18 @@ def brute_regular_ss_class_count(n: int, q: int) -> int:
     return count
 
 
+def general_position_characters(n: int, q: int) -> int:
+    """sum_lambda prod_i (q^lambda_i - 1) over the partitions of n: the
+    characters that `general_position_count` walks over every maximal torus
+    of GL_n(F_q), as the x^n coefficient of prod_k 1 / (1 - (q^k - 1) x^k)."""
+    series = [1] + [0] * n
+    for k in range(1, n + 1):
+        weight = q**k - 1
+        for d in range(k, n + 1):
+            series[d] += weight * series[d - k]
+    return series[n]
+
+
 def general_position_count(partition: tuple[int, ...], q: int, regular_count: int) -> int:
     """Number of C_W(w)-orbits of characters of T_lambda^F in general
     position (trivial stabilizer); checked equal to the regular class count
@@ -222,28 +235,20 @@ def general_position_count(partition: tuple[int, ...], q: int, regular_count: in
 # -- closed-form zero-density expressions ------------------------------------
 
 
-def gl2_zero_ratio_ratfunc() -> RatFunc:
-    """(q^2 - 2q + 2) / (2 (q+1)^2)."""
-    return RatFunc(IntPoly((2, -2, 1)), 2 * IntPoly((1, 1)) * IntPoly((1, 1)))
-
-
-def gl3_zero_ratio_ratfunc() -> RatFunc:
-    """(11 q^4 - 2 q^3 + 14 q^2 - 45 q - 18) / (18 q^2 (q+1)^2)."""
-    num = IntPoly((-18, -45, 14, -2, 11))
-    den = 18 * IntPoly((0, 0, 1)) * IntPoly((1, 1)) * IntPoly((1, 1))
-    return RatFunc(num, den)
-
-
 def gln_zero_ratio_formula(n: int, q: int) -> Fraction:
     """Evaluate the closed-form zero-density expression (n = 2 or 3 only)."""
     return gln_zero_ratio_ratfunc(n).evaluate(q)
 
 
 def gln_zero_ratio_ratfunc(n: int) -> RatFunc:
+    """The generic zero ratio of GL_n(F_q) as a rational function of q:
+    (q^2 - 2q + 2) / (2 (q+1)^2) for n = 2 and
+    (11 q^4 - 2 q^3 + 14 q^2 - 45 q - 18) / (18 q^2 (q+1)^2) for n = 3."""
+    q_plus_one_sq = IntPoly((1, 1)) * IntPoly((1, 1))
     if n == 2:
-        return gl2_zero_ratio_ratfunc()
+        return RatFunc(IntPoly((2, -2, 1)), 2 * q_plus_one_sq)
     if n == 3:
-        return gl3_zero_ratio_ratfunc()
+        return RatFunc(IntPoly((-18, -45, 14, -2, 11)), 18 * IntPoly((0, 0, 1)) * q_plus_one_sq)
     raise ValueError("closed-form zero ratios are available for n = 2 and 3 only")
 
 

@@ -253,15 +253,6 @@ class RatFunc:
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(self.num * other.num, self.den * other.den)
 
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __str__(self) -> str:
-        return f"({self.num})/({self.den})"
-
 
 def limit_at_infinity(f: RatFunc):
     """Limit of f(q) as q -> +infinity.

@@ -4,10 +4,11 @@ Classical types use cycle-type combinatorics: type A classes are partitions
 of rank+1; types B/C are pairs of partitions (positive / negative cycles);
 type D restricts to an even number of negative cycles, with the classes
 whose cycles are all positive and even split in two.  G2, F4 and E6 are
-enumerated as the orbit W rho of the integer vector rho in root coordinates
-(<rho, alpha_i^vee> = 1 for every simple coroot), with no matrices; their
-classes are the `orbit_labels` of conjugation by the simple reflections
-(E7/E8 are rejected: their orders exceed the desk budget).
+enumerated as the orbit W rho of the integer vector rho in root coordinates,
+stated per type and certified by <rho, alpha_i^vee> = 1 for every simple
+coroot (which pins it, the Cartan matrix being invertible), with no
+matrices; their classes are the `orbit_labels` of conjugation by the simple
+reflections (E7/E8 are rejected: their orders exceed the desk budget).
 
 rho is regular, so its stabiliser in W is trivial and w -> w(rho) is a
 bijection from W onto the orbit, which is generated level by level, each
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial
 
 import numpy as np
 
@@ -229,39 +230,10 @@ _CARTAN = {
         [0, 0, -1, 0, 0, 2],
     ],
 }
-
-
-def _regular_vector(cartan: list[list[int]]) -> tuple[int, ...]:
-    """rho in root coordinates, scaled to integers: the solution of
-    <rho, alpha_i^vee> = sum_j rho_j cartan[j][i] = 1 for every i.  rho pairs
-    positively with every simple coroot, so it lies inside the fundamental
-    chamber and its stabiliser in W is trivial.
-
-    Fraction-free (Bareiss) Gauss-Jordan elimination over the integers: each
-    step takes row k to (pivot * row_k - row_k[c] * row_c) / previous pivot,
-    a division that is exact in theory and checked here.  It ends with every
-    diagonal entry det, so rho_j = b_j / det, and the integer vector is b
-    divided by gcd(b, det), with the sign of det."""
-    r = len(cartan)
-    rows = [[cartan[j][i] for j in range(r)] + [1] for i in range(r)]
-    previous = 1
-    for c in range(r):
-        pivot = next((k for k in range(c, r) if rows[k][c]), None)
-        if pivot is None:
-            raise ExactnessError("the Cartan matrix is singular")
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        p = rows[c][c]
-        for k in range(r):
-            if k != c:
-                f = rows[k][c]
-                reduced = [divmod(p * x - f * y, previous) for x, y in zip(rows[k], rows[c])]
-                if any(rest for _, rest in reduced):
-                    raise ExactnessError("a fraction-free elimination step is not exact")
-                rows[k] = [x for x, _ in reduced]
-        previous = p
-    b = [row[-1] for row in rows]
-    scale = gcd(*b, previous) * (1 if previous > 0 else -1)
-    return tuple(x // scale for x in b)
+# rho in root coordinates: <rho, alpha_i^vee> = sum_j rho_j cartan[j][i] = 1
+# for every simple coroot, which `_regular_orbit` checks; the Cartan matrix is
+# invertible, so that pins rho
+_RHO = {"G2": (5, 3), "F4": (11, 21, 15, 8), "E6": (8, 15, 21, 15, 8, 11)}
 
 
 def _key_radix(v: tuple[int, ...]) -> int:
@@ -334,13 +306,15 @@ def _regular_orbit(cartan_type: str) -> tuple[np.ndarray, np.ndarray, np.ndarray
     over the level in order, lists every level as a breadth-first closure
     would: y first occurs as a product at its least descent.  The pairings
     are carried with the vectors, s_i changing them by
-    -<x, alpha_i^vee> cartan[i].  Every coordinate is checked to stay
-    within the dominance bound max|rho| of `_key_radix`, and the element
-    count within |W|, which also stops the generation of a Cartan matrix
-    whose group is infinite."""
+    -<x, alpha_i^vee> cartan[i].  The stated rho is checked to pair to 1
+    with every simple coroot, every coordinate to stay within the dominance
+    bound max|rho| of `_key_radix`, and the element count within |W|, which
+    also stops the generation of a Cartan matrix whose group is infinite."""
     cartan = np.array(_CARTAN[cartan_type], dtype=np.int64)
     rank = len(cartan)
-    rho = _regular_vector(_CARTAN[cartan_type])
+    rho = _RHO[cartan_type]
+    if not (np.array(rho, dtype=np.int64) @ cartan == 1).all():
+        raise ExactnessError(f"rho of {cartan_type} does not pair to 1 with every simple coroot")
     bound = max(map(abs, rho))
     if bound > np.iinfo(np.int8).max:
         raise ExactnessError(f"rho has an entry of size {bound}, beyond the int8 range")
@@ -404,19 +378,13 @@ def _right_permutations(left: np.ndarray, starts: list[int]) -> np.ndarray:
     return right
 
 
-def _matrices(x: np.ndarray, right: np.ndarray, ws: np.ndarray,
-              cartan: np.ndarray) -> np.ndarray:
+def _matrices(x: np.ndarray, right: np.ndarray, ws: np.ndarray) -> np.ndarray:
     """The root-basis matrices of the elements `ws`: as rho - s_j rho =
-    <rho, alpha_j^vee> alpha_j, column j of w is (x_w - x_{w s_j}) divided
-    by that pairing, which is checked to be exact, and w rho = x_w is
-    checked.  Element 0 is the identity, so x_0 = rho."""
+    <rho, alpha_j^vee> alpha_j = alpha_j, column j of w is x_w - x_{w s_j},
+    and w rho = x_w is checked.  Element 0 is the identity, so x_0 = rho."""
     rho = x[0].astype(np.int64)
-    pairing = rho @ cartan
     images = x[ws].astype(np.int64)
-    columns = images[:, None, :] - x[right[:, ws].T]
-    if (columns % pairing[:, None]).any():
-        raise ExactnessError("a Weyl group matrix column is not integral")
-    mats = (columns // pairing[:, None]).transpose(0, 2, 1)
+    mats = (images[:, None, :] - x[right[:, ws].T]).transpose(0, 2, 1)
     if not np.array_equal(mats @ rho, images):
         raise ExactnessError("a rebuilt Weyl group matrix does not map rho to its orbit vector")
     return mats
@@ -431,7 +399,7 @@ def _table_exceptional(cartan_type: str) -> WeylClassTable:
     order, rank = x.shape
     reps, class_of = orbit_labels(order, [r[lt] for lt, r in zip(left, right)])
     sizes = np.bincount(class_of).tolist()
-    mats = _matrices(x, right, reps, np.array(_CARTAN[cartan_type], dtype=np.int64))
+    mats = _matrices(x, right, reps)
     classes = [WeylClass(f"c{cls}", size, order // size, charpoly_int(m))
                for cls, (m, size) in enumerate(zip(mats, sizes))]
     return WeylClassTable(cartan_type, rank, rank, order, tuple(classes))
@@ -448,7 +416,7 @@ def weyl_classes(cartan_type: str, rank: int | None = None,
     `lattice` applies to type A only: "permutation" (rank+1 lattice, the
     GL convention) or "reflection" (rank-dimensional).
     """
-    cartan_type = cartan_type.upper() if len(cartan_type) == 1 else cartan_type
+    cartan_type = cartan_type.upper()
     if cartan_type in ("E7", "E8"):
         raise ValueError(f"{cartan_type} is out of budget (|W(E8)| ~ 7e8); not supported")
     if cartan_type in EXCEPTIONAL_ORDERS:

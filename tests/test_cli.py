@@ -151,6 +151,34 @@ def test_unwritable_output_path(tmp_path, capsys):
     assert code == 2 and "--output" in err
 
 
+def test_a_closed_stdout_pipe_exits_two_without_a_traceback():
+    # GL_2(F_9)'s table is about 3.9 MB; the reader takes 1 KB and leaves
+    import os
+    import subprocess
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "charzero.cli", "char-table", "--n", "2", "--q", "9"]
+    proc = subprocess.Popen(argv, env={**os.environ, "PYTHONPATH": path},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert len(proc.stdout.read(1024)) == 1024
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 2
+    assert err == "error: stdout was closed before the output was written\n"
+
+
+@pytest.mark.parametrize("command", ["weyl-stats", "torus-orders"])
+@pytest.mark.parametrize("cartan_type,rank", [("a", 3), ("d", 4), ("g2", 2), ("f4", 4), ("e6", 6)])
+def test_cartan_types_are_case_folded(command, cartan_type, rank, capsys):
+    argv = [command, "--type", cartan_type, "--rank", str(rank)]
+    lower = run_cli(argv, capsys)
+    argv[2] = cartan_type.upper()
+    assert lower == run_cli(argv, capsys)
+    assert lower[0] == 0
+
+
 def test_global_flags_both_positions(capsys):
     _, out1, _ = run_cli(
         ["--format", "csv", "weyl-stats", "--type", "A", "--rank", "1"], capsys
@@ -580,16 +608,23 @@ def test_gln_structure_stdout_is_pinned(capsys):
 
 
 @pytest.mark.parametrize("n", [10, 11])
-def test_gln_structure_refuses_a_weyl_centralizer_over_the_cap(n, capsys, monkeypatch):
+def test_gln_structure_admits_a_weyl_centralizer_whose_census_is_small(n, capsys):
+    # 10! and 11! exceed 10^6, but the census walks 13 132 and 32 688 characters
+    code, out, _ = run_cli(["gln-structure", "--n", str(n), "--q", "2"], capsys)
+    assert code == 0 and json.loads(out)["n"] == n
+
+
+def test_gln_structure_refuses_a_census_over_the_cap(capsys, monkeypatch):
+    # GL_12(F_3): 1.84 * 10^7 characters, about 4.5 s of census
     def unreachable(*args, **kwargs):
         raise AssertionError("the torus inventory was reached")
 
     monkeypatch.setattr(cli, "torus_inventory", unreachable)
     start = time.perf_counter()
-    code, out, err = run_cli(["gln-structure", "--n", str(n), "--q", "2"], capsys)
+    code, out, err = run_cli(["gln-structure", "--n", "12", "--q", "3"], capsys)
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert f"order {n}! exceeds the cap" in err
+    assert "census walks more than 10000000 characters" in err
 
 
 # one invocation of every subcommand; --cap 5 is below every group order they reach

@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 from fractions import Fraction
 from math import factorial, lcm, prod
@@ -70,6 +71,33 @@ def test_regular_ss_class_counts_with_cross_check():
 @pytest.mark.parametrize("n,q", [(2, 4), (2, 5), (3, 3), (3, 4)])
 def test_rss_cross_check_sweep(n, q):
     assert regular_ss_class_count(n, q) == brute_regular_ss_class_count(n, q)
+
+
+def _squarefree_unit_polys(n, q):
+    """A(n), the monic squarefree polynomials of degree n over F_q with
+    nonzero constant term, the characteristic polynomials of the regular
+    semisimple classes of GL_n(F_q).  A squarefree polynomial of degree k is
+    either such a one or x times one of degree k - 1, and there are q of
+    degree 1 and q^k - q^(k-1) of degree k >= 2, so A(k) = S(k) - A(k - 1)."""
+    count = 1
+    for k in range(1, n + 1):
+        count = (q if k == 1 else q**k - q ** (k - 1)) - count
+    return count
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 16])
+def test_rss_counts_equal_the_squarefree_polynomial_count(q):
+    # every n <= 12 whose largest torus, q^n - 1 elements, is under the torus cap
+    ns = [n for n in range(1, 13) if q**n - 1 <= G.DEFAULT_TORUS_CAP]
+    assert [regular_ss_class_count(n, q) for n in ns] == [_squarefree_unit_polys(n, q) for n in ns]
+
+
+def test_gln_structure_rows_sum_to_the_squarefree_polynomial_count(capsys):
+    from charzero import cli
+
+    assert cli.main(["gln-structure", "--n", "10", "--q", "2"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert sum(row["regular_class_count"] for row in rows) == _squarefree_unit_polys(10, 2) == 341
 
 
 @pytest.mark.slow

@@ -411,7 +411,7 @@ def test_the_orbit_closure_lists_the_inverses_of_the_reference_closure(cartan_ty
     x, left, right = W._regular_orbit(cartan_type)
     r = len(gens)
     assert x.dtype == np.int8 and left.dtype == right.dtype == np.int32
-    mats = W._matrices(x, right, np.arange(len(x)), np.array(W._CARTAN[cartan_type]))
+    mats = W._matrices(x, right, np.arange(len(x)))
     assert np.array_equal(mats @ _stack(elements, r), np.broadcast_to(np.eye(r), mats.shape))
     for i, g in enumerate(gens):
         assert np.array_equal(mats[left[i]], g @ mats)
@@ -423,7 +423,7 @@ def _breadth_first_levels(cartan_type):
     every left product s_i x of a level, generator-major (s_1 over the whole
     level, then s_2, ...), the first occurrences of unseen vectors kept."""
     cartan = np.array(W._CARTAN[cartan_type], dtype=np.int64)
-    rho = W._regular_vector(W._CARTAN[cartan_type])
+    rho = W._RHO[cartan_type]
     levels, seen = [np.array([rho], dtype=np.int64)], {tuple(rho)}
     while True:
         level, fresh = levels[-1], []
@@ -472,11 +472,19 @@ def test_an_orbit_beyond_the_group_order_is_refused(monkeypatch):
         W._table_exceptional("F4")
 
 
+def test_an_orbit_below_the_group_order_is_refused(monkeypatch):
+    monkeypatch.setitem(W.EXCEPTIONAL_ORDERS, "F4", 1153)
+    with pytest.raises(ExactnessError, match="closure has order 1152, expected 1153"):
+        W._table_exceptional("F4")
+
+
 def test_int8_overflow_is_refused(monkeypatch):
-    # reflections with large off-diagonal entries generate an infinite group
-    # whose orbit soon leaves the dominance bound
-    monkeypatch.setitem(W._CARTAN, "G2", [[2, -100], [-100, 2]])
-    with pytest.raises(RuntimeError, match="dominance bound"):
+    # the hyperbolic Cartan matrix [[2, -3], [-3, 2]] generates an infinite
+    # group; its rho (-1, -1) pairs to 1 with both coroots, and the orbit
+    # leaves the dominance bound 1 at the first step
+    monkeypatch.setitem(W._CARTAN, "G2", [[2, -3], [-3, 2]])
+    monkeypatch.setitem(W._RHO, "G2", (-1, -1))
+    with pytest.raises(RuntimeError, match="dominance bound 1"):
         W._table_exceptional("G2")
 
 
@@ -493,22 +501,16 @@ def test_a_corrupted_right_product_is_caught_by_the_involution_check(monkeypatch
         W._table_exceptional("F4")
 
 
-@pytest.mark.parametrize("pairings,message", [
-    (None, "does not map rho"),
-    ((1, 2), "not integral"),  # the vector (8, 5): column 1 divides by 2
-])
-def test_swapped_right_products_are_caught_by_the_matrix_checks(pairings, message, monkeypatch):
-    if pairings:
-        monkeypatch.setattr(W, "_regular_vector", lambda cartan: (8, 5))
-        assert (np.array([8, 5]) @ np.array(W._CARTAN["G2"])).tolist() == list(pairings)
+def test_swapped_right_products_are_caught_by_the_matrix_checks():
     x, _, right = W._regular_orbit("G2")
-    with pytest.raises(ExactnessError, match=message):
-        W._matrices(x, right[::-1], np.arange(len(x)), np.array(W._CARTAN["G2"]))
+    with pytest.raises(ExactnessError, match="does not map rho"):
+        W._matrices(x, right[::-1], np.arange(len(x)))
 
 
 def test_a_key_vector_beyond_int8_is_refused(monkeypatch):
-    big = tuple(200 * x for x in W._regular_vector(W._CARTAN["G2"]))
-    monkeypatch.setattr(W, "_regular_vector", lambda cartan: big)
+    # an integer matrix whose certified rho (200, 1) does not fit in int8
+    monkeypatch.setitem(W._CARTAN, "G2", [[1, 0], [-199, 1]])
+    monkeypatch.setitem(W._RHO, "G2", (200, 1))
     with pytest.raises(ExactnessError, match="beyond the int8 range"):
         W._table_exceptional("G2")
 
@@ -516,7 +518,7 @@ def test_a_key_vector_beyond_int8_is_refused(monkeypatch):
 @pytest.mark.parametrize("cartan_type", ["G2", "F4", "E6"])
 def test_the_key_vector_pairs_to_one_with_every_simple_coroot(cartan_type):
     # s_i rho = rho - alpha_i: rho is inside the fundamental chamber
-    rho = np.array(W._regular_vector(W._CARTAN[cartan_type]))
+    rho = np.array(W._RHO[cartan_type])
     for i, s in enumerate(_simple_reflections(W._CARTAN[cartan_type])):
         assert np.array_equal(s.astype(np.int64) @ rho, rho - np.eye(len(rho), dtype=int)[i])
 
@@ -524,17 +526,23 @@ def test_the_key_vector_pairs_to_one_with_every_simple_coroot(cartan_type):
 @pytest.mark.parametrize("cartan_type,rho", [
     ("G2", (5, 3)), ("F4", (11, 21, 15, 8)), ("E6", (8, 15, 21, 15, 8, 11))])
 def test_the_key_vector_is_pinned(cartan_type, rho):
-    # the rational solution scaled to coprime integers, as a Fraction elimination gives it
-    assert W._regular_vector(W._CARTAN[cartan_type]) == rho
+    # rho is half the sum of the positive roots, the roots being the images
+    # w(alpha_i) of the simple roots under the reference closure
+    gens, elements, _ = _reference_closure(cartan_type)
+    roots = {tuple(column) for m in _stack(elements, len(gens)) for column in m.T.tolist()}
+    positive = np.array([r for r in roots if min(r) >= 0])
+    assert len(roots) == 2 * len(positive)
+    assert W._RHO[cartan_type] == rho
+    assert (2 * np.array(rho)).tolist() == positive.sum(axis=0).tolist()
 
 
 @pytest.mark.parametrize("cartan_type", ["G2", "F4", "E6"])
-def test_a_non_regular_key_vector_is_caught_by_the_order_check(cartan_type, monkeypatch):
+def test_a_non_regular_key_vector_is_caught_by_the_certificate(cartan_type, monkeypatch):
     cartan = W._CARTAN[cartan_type]
-    rho = np.array(W._regular_vector(cartan))
+    rho = np.array(W._RHO[cartan_type])
     s0 = _simple_reflections(cartan)[0].astype(np.int64)
     fixed = rho + s0 @ rho  # fixed by s_0, so orthogonal to the root alpha_0
     assert np.array_equal(s0 @ fixed, fixed) and fixed.any()
-    monkeypatch.setattr(W, "_regular_vector", lambda cartan: tuple(fixed.tolist()))
-    with pytest.raises(ExactnessError, match="closure has order"):
+    monkeypatch.setitem(W._RHO, cartan_type, tuple(fixed.tolist()))
+    with pytest.raises(ExactnessError, match="does not pair to 1 with every simple coroot"):
         W._table_exceptional(cartan_type)

@@ -80,3 +80,15 @@ def test_hand_made_payload_writes_the_reference_bytes():
 def test_char_table_csv_and_pretty_are_pinned(fmt, digest, capsys):
     assert cli.main(["char-table", "--n", "2", "--q", "3", "--format", fmt]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [("weyl-stats --type B --rank 3 --format pretty",  # the aligned row table
+      "086c7c02a97d84cba73e0fc6d1d45e561c5b7960316fbc33ce4df224707b3485"),
+     ("lie-fourier --n 2 --q 3 --full --format csv",  # a cyclotomic value in a CSV cell
+      "83f263d5c7d72ce97b1dc656b69aa77200e76af5dad6369cb363852cdee373bb")],
+)
+def test_rows_in_csv_and_pretty_are_pinned(argv, digest, capsys):
+    assert cli.main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
